@@ -45,16 +45,22 @@ __all__ = [
     "smoothing_factor",
     "classify_space",
     "frame_at",
+    "frame_components",
+    "coordinate_components",
     "to_frame",
     "from_frame",
+    "frame_dot",
+    "frame_cross",
     "metric",
     "norm",
     "cross",
     "metric_matrix",
     "christoffels",
+    "christoffels_at",
     "connection",
     "lie_bracket",
     "ricci",
+    "ricci_frame",
     "ricci_tensor_fd",
     "ricci_fd",
     "hopf_project",
@@ -175,7 +181,7 @@ class TangentVector:
         comps = np.asarray(comps, dtype=float)
         if comps.shape != (3,):
             raise ValueError("tangent vector needs exactly 3 components")
-        if not np.all(np.isfinite(comps)):
+        if not np.isfinite(comps).all():
             raise ValueError(f"non-finite components {comps}")
         self.base = base
         self.comps = comps
@@ -216,41 +222,47 @@ def frame_at(params: BcvParams, p: AmbientPoint):
     return e1, e2, e3
 
 
-def _frame_comps(params: BcvParams, x: float, y: float, v: np.ndarray) -> np.ndarray:
+def frame_components(params: BcvParams, x, y, c):
+    """Frame components (a1, a2, a3) of the vector with coordinate components
+    c = (c0, c1, c2) at (x, y).  Componentwise: floats or arrays of one
+    shape, constants broadcast."""
     F = smoothing_factor(params, x, y)
     t = params.tau
-    a1 = v[0] / F
-    a2 = v[1] / F
-    a3 = v[2] + t * (y * v[0] - x * v[1]) / F
-    return np.array([a1, a2, a3])
+    return (c[0] / F, c[1] / F, c[2] + t * (y * c[0] - x * c[1]) / F)
+
+
+def coordinate_components(params: BcvParams, x, y, a):
+    """Coordinate components of the vector with frame components a at
+    (x, y); the inverse of :func:`frame_components`, also componentwise."""
+    F = smoothing_factor(params, x, y)
+    t = params.tau
+    return (a[0] * F, a[1] * F, -a[0] * t * y + a[1] * t * x + a[2])
 
 
 def to_frame(params: BcvParams, X: TangentVector) -> np.ndarray:
     """Components of X in the orthonormal frame (coframe application)."""
-    return _frame_comps(params, X.base.x, X.base.y, X.comps)
+    return np.array(frame_components(params, X.base.x, X.base.y, X.comps))
 
 
 def from_frame(params: BcvParams, p: AmbientPoint, a) -> TangentVector:
     """Vector with frame components a = (a1, a2, a3) at p, in coordinates."""
-    a = np.asarray(a, dtype=float)
-    F = smoothing_factor(params, p.x, p.y)
-    t = params.tau
-    comps = np.array(
-        [
-            a[0] * F,
-            a[1] * F,
-            -a[0] * t * p.y + a[1] * t * p.x + a[2],
-        ]
-    )
-    return TangentVector(p, comps)
+    return TangentVector(p, coordinate_components(params, p.x, p.y, a))
+
+
+def frame_dot(a, b):
+    """g in frame components: a1 b1 + a2 b2 + a3 b3, componentwise."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def frame_cross(a, b):
+    """Cross product in frame components, right-handed, componentwise."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def metric(params: BcvParams, X: TangentVector, Y: TangentVector) -> float:
     """The metric g(X, Y); errors on mismatched base points."""
     X._check_base(Y)
-    a = to_frame(params, X)
-    b = to_frame(params, Y)
-    return float(a @ b)
+    return float(frame_dot(to_frame(params, X), to_frame(params, Y)))
 
 
 def norm(params: BcvParams, X: TangentVector) -> float:
@@ -260,25 +272,29 @@ def norm(params: BcvParams, X: TangentVector) -> float:
 def cross(params: BcvParams, X: TangentVector, Y: TangentVector) -> TangentVector:
     """Metric cross product, right-handed in the (E1, E2, E3) orientation."""
     X._check_base(Y)
-    a = to_frame(params, X)
-    b = to_frame(params, Y)
-    return from_frame(params, X.base, np.cross(a, b))
+    return from_frame(params, X.base, frame_cross(to_frame(params, X), to_frame(params, Y)))
 
 
-def metric_matrix(params: BcvParams, x: float, y: float) -> np.ndarray:
-    """Coordinate components g_ij(x, y); independent of z."""
+def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
+    """Coordinate components g_ij(x, y); independent of z.
+
+    Floats give a 3x3 matrix; arrays of one shape give shape (3, 3) + that
+    shape."""
     F = smoothing_factor(params, x, y)
-    if not F > EPS_F:
-        raise DomainError(f"metric evaluated outside domain, F = {F:.3e}")
+    if not np.all(F > EPS_F):
+        raise DomainError(f"metric evaluated outside domain, F = {np.min(F):.3e}")
     t = params.tau
-    w = np.array(
-        [
-            [1.0 / F, 0.0, 0.0],
-            [0.0, 1.0 / F, 0.0],
-            [t * y / F, -t * x / F, 1.0],
-        ]
-    )
-    return w.T @ w
+    q = 1.0 / F
+    a = t * y / F     # the dx and dy coefficients of w3
+    b = -t * x / F
+    g = np.empty((3, 3) + np.shape(F))
+    g[0, 0] = q * q + a * a
+    g[1, 1] = q * q + b * b
+    g[2, 2] = 1.0
+    g[0, 1] = g[1, 0] = a * b
+    g[0, 2] = g[2, 0] = a
+    g[1, 2] = g[2, 1] = b
+    return g
 
 
 def _coord_steps(p: AmbientPoint, base_step: float) -> np.ndarray:
@@ -292,18 +308,27 @@ def christoffels(params: BcvParams, p: AmbientPoint, step: float = FD_STEP) -> n
     Central differences of the metric components feed the Koszul formula on
     coordinate fields; no hand-derived connection enters anywhere.
     """
-    h = _coord_steps(p, step)
-    dg = np.empty((3, 3, 3))
-    for l in range(3):
-        cp = p.shifted(params, l, h[l])
-        cm = p.shifted(params, l, -h[l])
-        gp = metric_matrix(params, cp.x, cp.y)
-        gm = metric_matrix(params, cm.x, cm.y)
-        dg[l] = (gp - gm) / (2.0 * h[l])
-    ginv = np.linalg.inv(metric_matrix(params, p.x, p.y))
+    return christoffels_at(params, p.x, p.y, step)
+
+
+def christoffels_at(params: BcvParams, x, y, step: float = FD_STEP) -> np.ndarray:
+    """:func:`christoffels` at the points with coordinates (x, y, any z).
+
+    Arrays of one shape give Gamma of shape (3, 3, 3) + that shape.  The
+    metric does not depend on z, so its z-difference is exactly zero.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hx = step * np.maximum(1.0, np.abs(x))
+    hy = step * np.maximum(1.0, np.abs(y))
+    dg = np.zeros((3, 3, 3) + x.shape)
+    dg[0] = (metric_matrix(params, x + hx, y) - metric_matrix(params, x - hx, y)) / (2.0 * hx)
+    dg[1] = (metric_matrix(params, x, y + hy) - metric_matrix(params, x, y - hy)) / (2.0 * hy)
+    g = np.moveaxis(metric_matrix(params, x, y), (0, 1), (-2, -1))
+    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    sym = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, sym)
+    sym = np.einsum("ijl...->lij...", dg) + np.einsum("jil...->lij...", dg) - dg
+    return 0.5 * np.einsum("kl...,lij...->kij...", ginv, sym)
 
 
 def connection(
@@ -354,10 +379,13 @@ def ricci(params: BcvParams, X: TangentVector, Y: TangentVector) -> float:
     the value extends bilinearly.
     """
     X._check_base(Y)
-    a = to_frame(params, X)
-    b = to_frame(params, Y)
+    return float(ricci_frame(params, to_frame(params, X), to_frame(params, Y)))
+
+
+def ricci_frame(params: BcvParams, a, b):
+    """Ric of the vectors with frame components a and b, componentwise."""
     k, t = params.kappa, params.tau
-    return float((k - 2.0 * t * t) * (a[0] * b[0] + a[1] * b[1]) + 2.0 * t * t * a[2] * b[2])
+    return (k - 2.0 * t * t) * (a[0] * b[0] + a[1] * b[1]) + 2.0 * t * t * a[2] * b[2]
 
 
 def ricci_tensor_fd(params: BcvParams, p: AmbientPoint, step2: float = FD_STEP2) -> np.ndarray:

@@ -31,37 +31,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .ambient import BcvParams, TangentVector, metric, norm, ricci, to_frame
+from .ambient import BcvParams, TangentVector, frame_dot, from_frame, metric, ricci, ricci_frame
 from .errors import DegenerateSurfaceError
 from .immersion import (
     DEFAULT_FD,
     FdConfig,
     ScalarField,
     SurfaceJet,
+    _at,
     _tangent_basis,
     alpha_field,
     directional_derivative,
     mean_curvature_field,
+    shape_arrays,
     shape_operator,
-    surface_gradient,
     surface_jet,
     surface_laplacian,
 )
 
 __all__ = [
-    "BitensionResiduals",
     "QuarticReport",
     "ricci_normal_tangential",
     "ricci_normal_tangential_generic",
     "tangential_bitension",
+    "tangential_bitension_arrays",
     "tangential_bitension_components",
     "normal_bitension",
     "frame_system_residual",
-    "bitension_residuals",
     "constant_angle_quartic_coeffs",
     "constant_angle_suite",
     "constant_angle_codazzi_residual",
@@ -70,15 +69,6 @@ __all__ = [
 
 QUARTIC_DEGENERATE_TOL = 1e-12
 NEGATIVE_ROOT_TOL = 1e-12
-
-
-@dataclass
-class BitensionResiduals:
-    """Pointwise conservation residuals of one surface sample."""
-
-    tangential: TangentVector
-    normal: float
-    frame_pair: Optional[tuple]   # adapted-frame components, when defined
 
 
 def ricci_normal_tangential_generic(params: BcvParams, jet: SurfaceJet) -> TangentVector:
@@ -103,20 +93,40 @@ def ricci_normal_tangential(params: BcvParams, jet: SurfaceJet) -> TangentVector
 
 
 def tangential_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> TangentVector:
-    """2 A(grad f) + f grad f - 2 f Ric(N)^T at (u, v).
+    """2 A(grad f) + f grad f - 2 f Ric(N)^T at one (u, v), as a vector;
+    see :func:`tangential_bitension_arrays`."""
+    a = tangential_bitension_arrays(S, params, u, v, cfg)
+    return from_frame(params, S.point(params, u, v), a)
+
+
+def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+    """Frame components of 2 A(grad f) + f grad f - 2 f Ric(N)^T at (u, v).
 
     Zero (to tolerance) at every sample exactly when the surface is
     biconservative there.  The mean curvature enters as a chart field so
     its gradient is an honest finite difference, with no closed form
-    assumed.
+    assumed.  u and v are floats or arrays of one shape; the result has
+    shape (3,) + that shape.  The shape operator at each point and at its 4
+    gradient-stencil points, 45 jets per point, comes from one
+    :func:`shape_arrays` call, with Ric(N)^T expanded over its tangent basis.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-    f_fld = mean_curvature_field(S, params, cfg)
-    shape = shape_operator(S, params, u, v, cfg)
-    grad_f = surface_gradient(f_fld, S, params, u, v, cfg, jet=jet)
-    ric_t = ricci_normal_tangential_generic(params, jet)
-    f = shape.f
-    return 2.0 * shape.apply(params, grad_f) + f * grad_f - 2.0 * f * ric_t
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    hu = cfg.gradient_step * np.maximum(1.0, np.abs(u))
+    hv = cfg.gradient_step * np.maximum(1.0, np.abs(v))
+    # last axis: the point, then (u +- hu, v) and (u, v +- hv)
+    sh = shape_arrays(S, params, np.stack([u, u + hu, u - hu, u, u], axis=-1),
+                      np.stack([v, v, v, v + hv, v - hv], axis=-1), cfg)
+    du = (sh.f[..., 1] - sh.f[..., 2]) / (2.0 * hu)
+    dv = (sh.f[..., 3] - sh.f[..., 4]) / (2.0 * hv)
+    c = _at(sh, 0)
+    j = c.jet
+    det = j.E * j.G - j.F * j.F
+    grad_f = (j.G * du - j.F * dv) / det * j.au + (j.E * dv - j.F * du) / det * j.av
+    a1, a2 = frame_dot(grad_f, c.b1), frame_dot(grad_f, c.b2)
+    (m00, m01), (m10, m11) = c.A
+    A_grad = (m00 * a1 + m01 * a2) * c.b1 + (m10 * a1 + m11 * a2) * c.b2
+    ric_t = ricci_frame(params, j.n, c.b1) * c.b1 + ricci_frame(params, j.n, c.b2) * c.b2
+    return 2.0 * A_grad + c.f * grad_f - 2.0 * c.f * ric_t
 
 
 def tangential_bitension_components(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
@@ -180,16 +190,6 @@ def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
           - 2.0 * (4.0 * t * t - k) * f * jet.cos_alpha * jet.sin_alpha)
     r2 = 2.0 * e1f * (e2a - t) + (3.0 * lam + e1a) * e2f
     return r1, r2
-
-
-def bitension_residuals(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> BitensionResiduals:
-    """Tangential vector, normal scalar, and (when defined) the adapted
-    frame pair, bundled for reporting."""
-    jet = surface_jet(S, params, u, v, cfg)
-    tangential = tangential_bitension(S, params, u, v, cfg)
-    nrm = normal_bitension(S, params, u, v, cfg)
-    pair = frame_system_residual(S, params, u, v, cfg) if jet.adapted else None
-    return BitensionResiduals(tangential=tangential, normal=nrm, frame_pair=pair)
 
 
 @dataclass

@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from . import __version__, biconservative as bic, rotation as rot
-from .ambient import BcvParams, norm
+from ._spline import CubicSpline
+from .ambient import BcvParams
 from .errors import BcvError, DomainError
 from .suites import SUITE_NAMES, run_report, worker_count
 
@@ -144,6 +145,9 @@ def _read_csv_columns(path, required, parser):
         data = data.reshape(1)
     if data.shape[0] < 4:
         parser.error(f"{path}: need at least 4 rows for a spline profile")
+    for c in required:
+        if not np.all(np.isfinite(data[c])):
+            parser.error(f"{path}: column {c} has non-finite values")
     return data
 
 
@@ -158,19 +162,11 @@ def _mesh_surface(args, parser):
         if args.profile is None:
             parser.error("--profile FILE.csv is required for revolution")
         data = _read_csv_columns(args.profile, ("s", "r", "z", "sigma"), parser)
-        from scipy.interpolate import CubicSpline
-
         s = np.asarray(data["s"], dtype=float)
         if not np.all(np.diff(s) > 0):
             parser.error(f"{args.profile}: s column must be strictly increasing")
-        r_sp = CubicSpline(s, np.asarray(data["r"], dtype=float))
-        z_sp = CubicSpline(s, np.asarray(data["z"], dtype=float))
-        g_sp = CubicSpline(s, np.asarray(data["sigma"], dtype=float))
-
-        def profile(ss):
-            return rot.ProfileState(s=ss, r=float(r_sp(ss)), z=float(z_sp(ss)),
-                                    sigma=float(g_sp(ss)))
-
+        profile = rot.spline_profile_columns(
+            *(np.asarray(data[c], dtype=float) for c in ("s", "r", "z", "sigma")))
         surface = rot.revolution_surface(params, profile,
                                          (float(s[0]), float(s[-1])))
         return params, surface, f"revolution profile {args.profile}"
@@ -178,21 +174,18 @@ def _mesh_surface(args, parser):
         if args.base is None:
             parser.error("--base FILE.csv is required for hopf-tube")
         data = _read_csv_columns(args.base, ("x", "y"), parser)
-        from scipy.interpolate import CubicSpline
-
         xs = np.asarray(data["x"], dtype=float)
         ys = np.asarray(data["y"], dtype=float)
         ts = np.linspace(0.0, 1.0, len(xs))
         closed = abs(xs[0] - xs[-1]) < 1e-12 and abs(ys[0] - ys[-1]) < 1e-12
-        bc = "periodic" if closed else "not-a-knot"
-        x_sp = CubicSpline(ts, xs, bc_type=bc)
-        y_sp = CubicSpline(ts, ys, bc_type=bc)
+        x_sp = CubicSpline(ts, xs, periodic=closed)
+        y_sp = CubicSpline(ts, ys, periodic=closed)
 
         def curve(u):
-            return (float(x_sp(u)), float(y_sp(u)))
+            return (x_sp(u), y_sp(u))
 
         def d_curve(u):
-            return (float(x_sp(u, 1)), float(y_sp(u, 1)))
+            return (x_sp(u, 1), y_sp(u, 1))
 
         surface = rot.hopf_tube(params, curve, d_curve, u_domain=(0.0, 1.0))
         return params, surface, f"hopf-tube base {args.base}"
@@ -205,24 +198,24 @@ def _cmd_mesh(args, parser) -> int:
     params, surface, spec = _mesh_surface(args, parser)
     us, vs = surface.grid(args.nu, args.nv)
     verts = []
-    max_tb = 0.0
+    tb = np.empty((args.nu, args.nv))
     try:
-        for u in us:
-            for v in vs:
-                p = surface.point(params, float(u), float(v))
-                tb = bic.tangential_bitension(surface, params, float(u), float(v))
-                max_tb = max(max_tb, norm(params, tb))
-                verts.append((p.x, p.y, p.z))
+        # one batched call per grid row: u fixed, all v
+        for i, u in enumerate(us):
+            tb[i] = np.linalg.norm(bic.tangential_bitension_arrays(surface, params, u, vs), axis=0)
+            verts.extend(surface.coords(u, vs).T)
     except BcvError as exc:
         print(f"mesh aborted, no output written: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    i, j = np.unravel_index(np.argmax(tb), tb.shape)
     lines = [
         f"# bcvgeo {__version__} mesh {spec}",
         f"# kappa {_fmt(params.kappa)} tau {_fmt(params.tau)} nu {args.nu} nv {args.nv}",
-        f"# max_tangential_bitension {_fmt(max_tb)}",
+        f"# max_tangential_bitension {_fmt(float(tb[i, j]))}",
+        f"# worst_uv {_fmt(float(us[i]))} {_fmt(float(vs[j]))}",
     ]
     for x, y, z in verts:
-        lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
+        lines.append(f"v {_fmt(float(x))} {_fmt(float(y))} {_fmt(float(z))}")
     for i in range(args.nu - 1):
         for j in range(args.nv - 1):
             a = i * args.nv + j + 1

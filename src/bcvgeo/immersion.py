@@ -9,6 +9,14 @@ direction (E3 = T + cos(alpha) N), the quarter-turn J = N ^ . , and the
 adapted tangent frame e1 = T / sin(alpha), e2 = JT / sin(alpha) away from
 the degenerate angles.
 
+The jet is computed by one array layer, :func:`surface_jets`: it runs the
+same componentwise arithmetic on x, y, z component floats or on arrays of
+any shape, so a whole stencil or grid row costs one chart call.
+:func:`shape_arrays` evaluates the shape operator at arrays of centres from
+one jet call over the centres and their 8 normal-stencil points.  The
+pointwise API (:func:`surface_jet`, :func:`shape_operator`) wraps these
+results in vector objects for the residual evaluators.
+
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
 f = tr A, surface gradient / Laplacian of scalar fields over the chart, and
 residual evaluators for the structural identities every immersed surface
@@ -25,23 +33,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Optional
 
 import numpy as np
 
 from .ambient import (
+    EPS_F,
     AmbientPoint,
     BcvParams,
     TangentVector,
     christoffels,
+    christoffels_at,
+    coordinate_components,
     cross,
+    frame_components,
+    frame_cross,
+    frame_dot,
     from_frame,
     metric,
     norm,
     smoothing_factor,
     to_frame,
 )
-from .errors import DegenerateSurfaceError
+from .errors import DegenerateSurfaceError, DomainError
 
 __all__ = [
     "EPS_ALPHA",
@@ -49,12 +64,15 @@ __all__ = [
     "FdConfig",
     "DEFAULT_FD",
     "ParametricSurface",
+    "JetArrays",
+    "ShapeArrays",
     "SurfaceJet",
     "ShapeData",
     "ScalarField",
+    "surface_jets",
+    "shape_arrays",
     "surface_jet",
     "shape_operator",
-    "mean_curvature",
     "mean_curvature_field",
     "alpha_field",
     "tangent_coefficients",
@@ -106,8 +124,23 @@ class FdConfig:
 DEFAULT_FD = FdConfig()
 
 
+def _components(c, u, v) -> np.ndarray:
+    """Three chart components as one array of shape (3,) + the broadcast
+    shape of u and v; constant components are broadcast."""
+    out = np.empty((3,) + np.broadcast(u, v).shape)
+    out[0], out[1], out[2] = c
+    return out
+
+
 class ParametricSurface:
     """Chart (u, v) -> (x, y, z) with an optional analytic tangent map.
+
+    Chart contract: arrays in, arrays out.  `chart` and `partials` are
+    called with u and v as floats or as numpy arrays of one shape, and are
+    written with numpy ufuncs (np.sin, np.sqrt, ...), never with `math`, so
+    that one call evaluates a whole stencil or grid row.  A component that
+    does not depend on (u, v) may be returned as a plain constant; it is
+    broadcast to the shape of the others.
 
     Parameters
     ----------
@@ -131,19 +164,21 @@ class ParametricSurface:
         self.normal_sign = float(normal_sign)
         self.name = name
 
-    def coords(self, u: float, v: float) -> np.ndarray:
-        return np.asarray(self.chart(u, v), dtype=float)
+    def coords(self, u, v) -> np.ndarray:
+        """Chart coordinates, shape (3,) + the broadcast shape of u and v."""
+        return _components(self.chart(u, v), u, v)
 
     def point(self, params: BcvParams, u: float, v: float) -> AmbientPoint:
         c = self.coords(u, v)
         return AmbientPoint(params, c[0], c[1], c[2])
 
-    def partials_at(self, u: float, v: float, cfg: FdConfig = DEFAULT_FD):
+    def partials_at(self, u, v, cfg: FdConfig = DEFAULT_FD):
+        """(X_u, X_v) in coordinate components, each shaped like coords."""
         if self.partials is not None:
             xu, xv = self.partials(u, v)
-            return np.asarray(xu, dtype=float), np.asarray(xv, dtype=float)
-        hu = cfg.chart_step * max(1.0, abs(u))
-        hv = cfg.chart_step * max(1.0, abs(v))
+            return _components(xu, u, v), _components(xv, u, v)
+        hu = cfg.chart_step * np.maximum(1.0, np.abs(u))
+        hv = cfg.chart_step * np.maximum(1.0, np.abs(v))
         xu = (self.coords(u + hu, v) - self.coords(u - hu, v)) / (2.0 * hu)
         xv = (self.coords(u, v + hv) - self.coords(u, v - hv)) / (2.0 * hv)
         return xu, xv
@@ -154,6 +189,66 @@ class ParametricSurface:
 
     def __repr__(self):
         return f"ParametricSurface({self.name}, domain={self.domain})"
+
+
+class JetArrays(namedtuple("JetArrays", "x y z xu xv au av E F G n cos_alpha sin_alpha T JT")):
+    """First-order jet at floats or arrays (u, v), one entry per point.
+
+    Vectors are arrays of shape (3,) + the point shape: X_u and X_v in
+    coordinate components (xu, xv) and in frame components (au, av); the
+    unit normal n, the tangential part T of E3 and JT = N ^ T in frame
+    components.  E, F, G are the first fundamental form.
+    """
+
+    __slots__ = ()
+
+
+def _first_failure(ok, *fields):
+    """The values of `fields` at the first point, in C order, where `ok` is
+    false; None when it holds everywhere."""
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    return [float(np.broadcast_to(f, np.shape(ok)).flat[i]) for f in fields]
+
+
+def surface_jets(S: ParametricSurface, params: BcvParams, u, v,
+                 cfg: FdConfig = DEFAULT_FD) -> JetArrays:
+    """First-order jet of S at (u, v), floats or arrays of one shape.
+
+    The arithmetic is componentwise, so floats and arrays run the same
+    code.  Raises DomainError when a chart point is not finite or has
+    F <= EPS_F, and DegenerateSurfaceError when the chart partials are
+    dependent (Gram determinant at or below EPS_GRAM); either names the
+    first failing (u, v).
+    """
+    x, y, z = S.coords(u, v)
+    Fc = smoothing_factor(params, x, y)
+    bad = _first_failure(np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (Fc > EPS_F),
+                         u, v, x, y, z, Fc)
+    if bad:
+        uu, vv, xx, yy, zz, ff = bad
+        raise DomainError(f"{S.name}: point ({xx:.6g}, {yy:.6g}, {zz:.6g}) at (u, v) = "
+                          f"({uu:.6g}, {vv:.6g}) is not finite or has F = {ff:.3e} <= {EPS_F}")
+    xu, xv = S.partials_at(u, v, cfg)
+    au = frame_components(params, x, y, xu)
+    av = frame_components(params, x, y, xv)
+    E, F, G = frame_dot(au, au), frame_dot(au, av), frame_dot(av, av)
+    det = E * G - F * F
+    bad = _first_failure(det > EPS_GRAM, u, v, det)
+    if bad:
+        raise DegenerateSurfaceError(
+            f"{S.name}: chart partials dependent at (u, v) = ({bad[0]:.6g}, {bad[1]:.6g}), "
+            f"det I = {bad[2]:.3e}")
+    w = frame_cross(au, av)
+    nn = np.sqrt(frame_dot(w, w))
+    n = (S.normal_sign * w[0] / nn, S.normal_sign * w[1] / nn, S.normal_sign * w[2] / nn)
+    cos_a = np.minimum(1.0, np.maximum(-1.0, n[2]))  # = g(E3, N)
+    sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
+    T = (-cos_a * n[0], -cos_a * n[1], 1.0 - cos_a * n[2])
+    return JetArrays(x=x, y=y, z=z, xu=xu, xv=xv, au=np.array(au), av=np.array(av),
+                     E=E, F=F, G=G, n=np.array(n), cos_alpha=cos_a, sin_alpha=sin_a,
+                     T=np.array(T), JT=np.array(frame_cross(n, T)))
 
 
 @dataclass
@@ -179,40 +274,23 @@ class SurfaceJet:
 
 def surface_jet(S: ParametricSurface, params: BcvParams, u: float, v: float,
                 cfg: FdConfig = DEFAULT_FD) -> SurfaceJet:
-    """Evaluate the full first-order jet of S at (u, v).
+    """The jet of :func:`surface_jets` at one (u, v), as vector objects.
 
     Raises DegenerateSurfaceError when the chart partials are dependent
     (Gram determinant at or below EPS_GRAM).
     """
-    p = S.point(params, u, v)
-    xu_c, xv_c = S.partials_at(u, v, cfg)
-    X_u = TangentVector(p, xu_c)
-    X_v = TangentVector(p, xv_c)
-    au = to_frame(params, X_u)
-    av = to_frame(params, X_v)
-    I = np.array([[au @ au, au @ av], [av @ au, av @ av]])
-    det = I[0, 0] * I[1, 1] - I[0, 1] * I[1, 0]
-    if not det > EPS_GRAM:
-        raise DegenerateSurfaceError(
-            f"{S.name}: chart partials dependent at (u, v) = ({u:.6g}, {v:.6g}), det I = {det:.3e}"
-        )
-    an = np.cross(au, av)
-    nn = math.sqrt(an @ an)
-    an = S.normal_sign * an / nn
-    N = from_frame(params, p, an)
-    cos_a = float(an[2])  # = g(E3, N): third frame component of N
-    cos_a = max(-1.0, min(1.0, cos_a))
-    sin_a = math.sqrt(max(0.0, 1.0 - cos_a * cos_a))
-    e3 = TangentVector(p, (0.0, 0.0, 1.0))
-    T = e3 - cos_a * N
-    JT = cross(params, N, T)
+    j = surface_jets(S, params, u, v, cfg)
+    p = AmbientPoint(params, j.x, j.y, j.z)
+    T = from_frame(params, p, j.T)
+    JT = from_frame(params, p, j.JT)
+    sin_a = float(j.sin_alpha)
     adapted = sin_a > EPS_ALPHA
-    e1 = (1.0 / sin_a) * T if adapted else None
-    e2 = (1.0 / sin_a) * JT if adapted else None
     return SurfaceJet(
-        params=params, u=u, v=v, p=p, X_u=X_u, X_v=X_v, I=I, N=N,
-        cos_alpha=cos_a, sin_alpha=sin_a, T=T, JT=JT, e1=e1, e2=e2,
-        adapted=adapted,
+        params=params, u=u, v=v, p=p, X_u=TangentVector(p, j.xu),
+        X_v=TangentVector(p, j.xv), I=np.array([[j.E, j.F], [j.F, j.G]]),
+        N=from_frame(params, p, j.n), cos_alpha=float(j.cos_alpha), sin_alpha=sin_a,
+        T=T, JT=JT, e1=(1.0 / sin_a) * T if adapted else None,
+        e2=(1.0 / sin_a) * JT if adapted else None, adapted=adapted,
     )
 
 
@@ -228,15 +306,83 @@ def tangential_part(params: BcvParams, jet: SurfaceJet, W: TangentVector) -> Tan
     return W - metric(params, W, jet.N) * jet.N
 
 
+def _basis(au, av, T, JT, sin_a):
+    """Orthonormal tangent basis in frame components: the adapted (e1, e2)
+    where sin(alpha) > EPS_ALPHA, else Gram-Schmidt of the chart partials.
+    Returns (b1, b2, adapted)."""
+    adapted = sin_a > EPS_ALPHA
+    s = np.where(adapted, sin_a, 1.0)
+    g1 = au / np.sqrt(frame_dot(au, au))
+    w = av - frame_dot(av, g1) * g1
+    g2 = w / np.sqrt(frame_dot(w, w))
+    return np.where(adapted, T / s, g1), np.where(adapted, JT / s, g2), adapted
+
+
 def _tangent_basis(params: BcvParams, jet: SurfaceJet):
-    """Orthonormal tangent basis: adapted (e1, e2) when available, else
-    Gram-Schmidt of the chart partials."""
-    if jet.adapted:
-        return jet.e1, jet.e2, True
-    b1 = (1.0 / norm(params, jet.X_u)) * jet.X_u
-    w = jet.X_v - metric(params, jet.X_v, b1) * b1
-    b2 = (1.0 / norm(params, w)) * w
-    return b1, b2, False
+    """The basis of :func:`_basis` at one jet, as vectors."""
+    b1, b2, adapted = _basis(to_frame(params, jet.X_u), to_frame(params, jet.X_v),
+                             to_frame(params, jet.T), to_frame(params, jet.JT), jet.sin_alpha)
+    return from_frame(params, jet.p, b1), from_frame(params, jet.p, b2), bool(adapted)
+
+
+class ShapeArrays(namedtuple("ShapeArrays", "jet A f b1 b2 adapted")):
+    """Shape operator at arrays of centres: the centre jet, the matrix
+    entries A[i][j] = g(A b_j, b_i) in the basis (b1, b2) of frame
+    components, its trace f and the `adapted` mask of that basis."""
+
+    __slots__ = ()
+
+
+def _at(x, i):
+    """Entry i along the last axis of an array, or of every array in a
+    (nested, possibly named) tuple of arrays."""
+    if isinstance(x, tuple):
+        items = [_at(e, i) for e in x]
+        return x._make(items) if hasattr(x, "_make") else tuple(items)
+    return x[..., i]
+
+
+def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
+                 cfg: FdConfig = DEFAULT_FD) -> ShapeArrays:
+    """Shape operator A X = -(nabla_X N)^T at centres (u, v) of any shape.
+
+    One jet call covers every centre and its 8 normal-stencil points: the
+    coordinate components of N are differenced to fourth order along the
+    chart directions and corrected with the finite-difference Christoffel
+    symbols.  The matrix is taken in the adapted frame where sin(alpha) >
+    EPS_ALPHA, else in a Gram-Schmidt basis of the chart partials.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    hu = cfg.normal_step * np.maximum(1.0, np.abs(u))
+    hv = cfg.normal_step * np.maximum(1.0, np.abs(v))
+    # last axis: the centre, its u-stencil, then its v-stencil
+    U = np.stack([u, u + 2 * hu, u + hu, u - hu, u - 2 * hu, u, u, u, u], axis=-1)
+    V = np.stack([v, v, v, v, v, v + 2 * hv, v + hv, v - hv, v - 2 * hv], axis=-1)
+    J = surface_jets(S, params, U, V, cfg)
+    N = np.array(coordinate_components(params, J.x, J.y, J.n))
+    dNu = (-N[..., 1] + 8.0 * N[..., 2] - 8.0 * N[..., 3] + N[..., 4]) / (12.0 * hu)
+    dNv = (-N[..., 5] + 8.0 * N[..., 6] - 8.0 * N[..., 7] + N[..., 8]) / (12.0 * hv)
+    c = _at(J, 0)
+    gamma = christoffels_at(params, c.x, c.y)
+
+    def shape_of(dN, X):
+        """A X in frame components: minus the tangential part of
+        nabla_X N = dN + Gamma(X, N)."""
+        W = dN + np.einsum("kij...,i...,j...->k...", gamma, X, N[..., 0])
+        W = np.array(frame_components(params, c.x, c.y, W))
+        return frame_dot(W, c.n) * c.n - W
+
+    Au, Av = shape_of(dNu, c.xu), shape_of(dNv, c.xv)
+    b1, b2, adapted = _basis(c.au, c.av, c.T, c.JT, c.sin_alpha)
+    det = c.E * c.G - c.F * c.F
+    Ab = []
+    for b in (b1, b2):
+        # b = xi X_u + eta X_v (Cramer's rule on I), so A b = xi A X_u + eta A X_v
+        r0, r1 = frame_dot(b, c.au), frame_dot(b, c.av)
+        Ab.append((c.G * r0 - c.F * r1) / det * Au + (c.E * r1 - c.F * r0) / det * Av)
+    A = tuple(tuple(frame_dot(Abj, bi) for Abj in Ab) for bi in (b1, b2))
+    return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted)
 
 
 @dataclass
@@ -268,60 +414,16 @@ class ShapeData:
         return float(np.sum(self.A * self.A))
 
 
-def _normal_derivatives(S, params, u, v, cfg):
-    """Fourth-order central differences of the unit-normal components along
-    the chart directions."""
-    out = []
-    for axis, t0 in ((0, u), (1, v)):
-        h = cfg.normal_step * max(1.0, abs(t0))
-
-        def n_at(t):
-            uu, vv = (t, v) if axis == 0 else (u, t)
-            return surface_jet(S, params, uu, vv, cfg).N.comps
-
-        d = (-n_at(t0 + 2 * h) + 8.0 * n_at(t0 + h) - 8.0 * n_at(t0 - h) + n_at(t0 - 2 * h)) / (12.0 * h)
-        out.append(d)
-    return out
-
-
 def shape_operator(S: ParametricSurface, params: BcvParams, u: float, v: float,
                    cfg: FdConfig = DEFAULT_FD) -> ShapeData:
-    """Shape operator A X = -(nabla_X N)^T at (u, v).
-
-    The normal field is differentiated along the chart directions and
-    corrected with the finite-difference Christoffel symbols; the matrix is
-    returned in the adapted frame when sin(alpha) > EPS_ALPHA, else in a
-    Gram-Schmidt basis of the chart partials.
-    """
-    jet = surface_jet(S, params, u, v, cfg)
-    dNu, dNv = _normal_derivatives(S, params, u, v, cfg)
-    gamma = christoffels(params, jet.p)
-    n0 = jet.N.comps
-
-    def nabla_N(X: TangentVector, dN_chart_u, dN_chart_v):
-        xi, eta = tangent_coefficients(params, jet, X)
-        d = xi * dN_chart_u + eta * dN_chart_v
-        comps = d + np.einsum("kij,i,j->k", gamma, X.comps, n0)
-        return TangentVector(jet.p, comps)
-
-    A_of = {}
-    for key, X in (("u", jet.X_u), ("v", jet.X_v)):
-        W = nabla_N(X, dNu, dNv)
-        A_of[key] = -1.0 * tangential_part(params, jet, W)
-
-    b1, b2, adapted = _tangent_basis(params, jet)
-    M = np.empty((2, 2))
-    for j, bj in enumerate((b1, b2)):
-        xi, eta = tangent_coefficients(params, jet, bj)
-        Abj = xi * A_of["u"] + eta * A_of["v"]
-        M[0, j] = metric(params, Abj, b1)
-        M[1, j] = metric(params, Abj, b2)
-    return ShapeData(A=M, lam=float(M[1, 1]), f=float(M[0, 0] + M[1, 1]),
-                     basis=(b1, b2), adapted=adapted)
-
-
-def mean_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
-    return shape_operator(S, params, u, v, cfg).f
+    """The shape operator of :func:`shape_arrays` at one (u, v), with its
+    basis as vectors at the chart point."""
+    sh = shape_arrays(S, params, u, v, cfg)
+    p = AmbientPoint(params, sh.jet.x, sh.jet.y, sh.jet.z)
+    A = np.array(sh.A, dtype=float)
+    return ShapeData(A=A, lam=float(A[1, 1]), f=float(A[0, 0] + A[1, 1]),
+                     basis=(from_frame(params, p, sh.b1), from_frame(params, p, sh.b2)),
+                     adapted=bool(sh.adapted))
 
 
 class ScalarField:
@@ -405,13 +507,6 @@ def surface_laplacian(fld: ScalarField, S, params, u, v,
     second differences use cfg.laplacian_step, the metric coefficients use
     cfg.directional_step.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-
-    def minv_w(uu, vv):
-        J = surface_jet(S, params, uu, vv, cfg)
-        det = J.I[0, 0] * J.I[1, 1] - J.I[0, 1] * J.I[1, 0]
-        return math.sqrt(det) * np.linalg.inv(J.I)
-
     h = cfg.laplacian_step
     hu = h * max(1.0, abs(u))
     hv = h * max(1.0, abs(v))
@@ -425,23 +520,19 @@ def surface_laplacian(fld: ScalarField, S, params, u, v,
 
     ku = cfg.directional_step * max(1.0, abs(u))
     kv = cfg.directional_step * max(1.0, abs(v))
-    dM_u = (minv_w(u + ku, v) - minv_w(u - ku, v)) / (2.0 * ku)
-    dM_v = (minv_w(u, v + kv) - minv_w(u, v - kv)) / (2.0 * kv)
-    det0 = jet.I[0, 0] * jet.I[1, 1] - jet.I[0, 1] * jet.I[1, 0]
-    sq0 = math.sqrt(det0)
-    Iinv = np.linalg.inv(jet.I)
-    c = (dM_u[0, :] + dM_v[1, :]) / sq0
+    # sqrt(det I) I^{-1} at (u +- ku, v), (u, v +- kv) and the centre
+    J = surface_jets(S, params, u + ku * np.array([1, -1, 0, 0, 0]),
+                     v + kv * np.array([0, 0, 1, -1, 0]), cfg)
+    det = J.E * J.G - J.F * J.F
+    M = np.array([[J.G, -J.F], [-J.F, J.E]]) / np.sqrt(det)
+    dM_u = (M[..., 0] - M[..., 1]) / (2.0 * ku)
+    dM_v = (M[..., 2] - M[..., 3]) / (2.0 * kv)
+    Iinv = M[..., 4] / np.sqrt(det[4])
+    c = (dM_u[0, :] + dM_v[1, :]) / np.sqrt(det[4])
 
     div = (Iinv[0, 0] * fuu + (Iinv[0, 1] + Iinv[1, 0]) * fuv + Iinv[1, 1] * fvv
            + c[0] * du + c[1] * dv)
     return -div
-
-
-def _fundamental_entries(S, params, cfg):
-    def entries(uu, vv):
-        J = surface_jet(S, params, uu, vv, cfg)
-        return J.I[0, 0], J.I[0, 1], J.I[1, 1]
-    return entries
 
 
 def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
@@ -451,16 +542,15 @@ def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
     formula, giving a route to K that never sees the normal or the shape
     operator.
     """
-    ent = _fundamental_entries(S, params, cfg)
     h = cfg.second_step
     hu = h * max(1.0, abs(u))
     hv = h * max(1.0, abs(v))
-
-    E0, F0, G0 = ent(u, v)
-    Ep, Fp, Gp = ent(u + hu, v)
-    Em, Fm_, Gm = ent(u - hu, v)
-    Eq, Fq, Gq = ent(u, v + hv)
-    Er, Fr, Gr = ent(u, v - hv)
+    # the centre, (u +- hu, v), (u, v +- hv), then the four diagonal points
+    J = surface_jets(S, params, u + hu * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
+                     v + hv * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1]), cfg)
+    E0, Ep, Em, Eq, Er = J.E[:5]
+    F0, Fp, Fm_, Fq, Fr, Fa, Fb, Fc, Fd = J.F
+    G0, Gp, Gm, Gq, Gr = J.G[:5]
 
     Eu = (Ep - Em) / (2 * hu)
     Ev = (Eq - Er) / (2 * hv)
@@ -470,10 +560,6 @@ def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
     Fv = (Fq - Fr) / (2 * hv)
     Evv = (Eq - 2 * E0 + Er) / (hv * hv)
     Guu = (Gp - 2 * G0 + Gm) / (hu * hu)
-    Fa = ent(u + hu, v + hv)[1]
-    Fb = ent(u + hu, v - hv)[1]
-    Fc = ent(u - hu, v + hv)[1]
-    Fd = ent(u - hu, v - hv)[1]
     Fuv = (Fa - Fb - Fc + Fd) / (4 * hu * hv)
 
     M1 = np.array([

@@ -47,6 +47,7 @@ from ._kernels import (
     STATUS_NAMES,
     run_branch_kernel,
 )
+from ._spline import CubicSpline
 from .ambient import EPS_F, BcvParams, smoothing_factor
 from .errors import DomainError, SelfConsistencyError
 from .immersion import ParametricSurface
@@ -75,6 +76,7 @@ __all__ = [
     "generic_revolution_surface",
     "slant_profile",
     "spline_profile",
+    "spline_profile_columns",
     "circle_curve",
     "ellipse_curve",
     "line_curve",
@@ -88,7 +90,11 @@ FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
 
 @dataclass(frozen=True)
 class ProfileState:
-    """Arclength state (s, r, z, sigma) of a profile curve."""
+    """Arclength state (s, r, z, sigma) of a profile curve.
+
+    Fields are floats, or arrays when a profile is evaluated on an array of
+    s; validation then applies elementwise.
+    """
 
     s: float
     r: float
@@ -96,11 +102,11 @@ class ProfileState:
     sigma: float
 
     def __post_init__(self):
-        vals = (self.s, self.r, self.z, self.sigma)
-        if not all(math.isfinite(x) for x in vals):
-            raise DomainError(f"non-finite profile state {vals}")
-        if not self.r > EPS_R:
-            raise DomainError(f"profile radius r = {self.r:.3e} <= {EPS_R}")
+        # elementwise; a sum is finite exactly when every term is (short of
+        # overflow)
+        if not (np.isfinite(self.s + self.r + self.z + self.sigma) & (self.r > EPS_R)).all():
+            raise DomainError(f"profile state (s, r, z, sigma) = {(self.s, self.r, self.z, self.sigma)} "
+                              f"is not finite or has r <= {EPS_R}")
 
 
 def _check_radius(params: BcvParams, r: float):
@@ -421,10 +427,10 @@ def fixed_point_radius(kappa: float) -> float:
 def circle_curve(r0: float):
     """Counterclockwise circle of radius r0 with its derivative."""
     def curve(u):
-        return (r0 * math.cos(u), r0 * math.sin(u))
+        return (r0 * np.cos(u), r0 * np.sin(u))
 
     def d_curve(u):
-        return (-r0 * math.sin(u), r0 * math.cos(u))
+        return (-r0 * np.sin(u), r0 * np.cos(u))
 
     return curve, d_curve
 
@@ -432,10 +438,10 @@ def circle_curve(r0: float):
 def ellipse_curve(a: float, b: float):
     """Axis-aligned ellipse (a cos u, b sin u) with its derivative."""
     def curve(u):
-        return (a * math.cos(u), b * math.sin(u))
+        return (a * np.cos(u), b * np.sin(u))
 
     def d_curve(u):
-        return (-a * math.sin(u), b * math.cos(u))
+        return (-a * np.sin(u), b * np.cos(u))
 
     return curve, d_curve
 
@@ -465,22 +471,15 @@ def hopf_tube(params: BcvParams, base_curve, curve_derivative=None,
     normal points toward the curve's curvature centre for a
     counterclockwise circle, giving mean curvature +1/r0 - kappa r0/4.
     """
-    fd_h = 1e-6
-
     def chart(u, v):
         x, y = base_curve(u)
         return (x, y, v)
 
+    partials = None   # without a curve derivative the chart is differenced
     if curve_derivative is not None:
         def partials(u, v):
             dx, dy = curve_derivative(u)
             return (dx, dy, 0.0), (0.0, 0.0, 1.0)
-    else:
-        def partials(u, v):
-            h = fd_h * max(1.0, abs(u))
-            xp, yp = base_curve(u + h)
-            xm, ym = base_curve(u - h)
-            return ((xp - xm) / (2 * h), (yp - ym) / (2 * h)), (0.0, 0.0, 1.0)
 
     return ParametricSurface(chart, (u_domain, v_domain), partials=partials,
                              normal_sign=-1.0, name=name)
@@ -507,14 +506,14 @@ def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileStat
     """
     def chart(theta, s):
         st = profile(s)
-        return (st.r * math.cos(theta), st.r * math.sin(theta), st.z)
+        return (st.r * np.cos(theta), st.r * np.sin(theta), st.z)
 
     def partials(theta, s):
         st = profile(s)
         F = smoothing_factor(params, st.r, 0.0)
-        rp = F * math.cos(st.sigma)
-        zp = math.sin(st.sigma) * math.sqrt(1.0 + params.tau ** 2 * st.r ** 2)
-        ct, sn = math.cos(theta), math.sin(theta)
+        rp = F * np.cos(st.sigma)
+        zp = np.sin(st.sigma) * np.sqrt(1.0 + params.tau ** 2 * st.r ** 2)
+        ct, sn = np.cos(theta), np.sin(theta)
         x_theta = (-st.r * sn, st.r * ct, 0.0)
         x_s = (rp * ct, rp * sn, zp)
         return x_theta, x_s
@@ -543,7 +542,7 @@ def slant_profile(params: BcvParams, r0: float, sigma0: float) -> Callable[[floa
     def G(u):
         if t == 0.0:
             return u
-        return 0.5 * (u * math.sqrt(1.0 + t * t * u * u) + math.asinh(t * u) / t)
+        return 0.5 * (u * np.sqrt(1.0 + t * t * u * u) + np.arcsinh(t * u) / t)
 
     G0 = G(r0)
 
@@ -557,16 +556,19 @@ def slant_profile(params: BcvParams, r0: float, sigma0: float) -> Callable[[floa
 
 def spline_profile(traj: BranchTrajectory):
     """Cubic-spline interpolant of an integrated trajectory as a profile."""
-    from scipy.interpolate import CubicSpline
+    return spline_profile_columns(*(traj.column(c) for c in ("s", "r", "z", "sigma")))
 
-    s = traj.column("s")
-    r_sp = CubicSpline(s, traj.column("r"))
-    z_sp = CubicSpline(s, traj.column("z"))
-    g_sp = CubicSpline(s, traj.column("sigma"))
+
+def spline_profile_columns(s, r, z, sigma):
+    """Profile interpolating (s, r, z, sigma) columns by cubic splines in s.
+
+    The profile takes s as a float or an array; an array gives one
+    ProfileState of arrays.
+    """
+    r_sp, z_sp, g_sp = (CubicSpline(s, c) for c in (r, z, sigma))
 
     def profile(ss):
-        return ProfileState(s=ss, r=float(r_sp(ss)), z=float(z_sp(ss)),
-                            sigma=float(g_sp(ss)))
+        return ProfileState(s=ss, r=r_sp(ss), z=z_sp(ss), sigma=g_sp(ss))
 
     return profile
 
@@ -580,13 +582,13 @@ def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
     structural residual evaluators never assume arclength parametrisation.
     """
     def chart(theta, s):
-        r = r_mid + amp * math.sin(s)
-        return (r * math.cos(theta), r * math.sin(theta), pitch * s)
+        r = r_mid + amp * np.sin(s)
+        return (r * np.cos(theta), r * np.sin(theta), pitch * s)
 
     def partials(theta, s):
-        r = r_mid + amp * math.sin(s)
-        rp = amp * math.cos(s)
-        ct, sn = math.cos(theta), math.sin(theta)
+        r = r_mid + amp * np.sin(s)
+        rp = amp * np.cos(s)
+        ct, sn = np.cos(theta), np.sin(theta)
         return (-r * sn, r * ct, 0.0), (rp * ct, rp * sn, pitch)
 
     return ParametricSurface(chart, ((0.0, 2.0 * math.pi), s_domain),

@@ -40,22 +40,32 @@ def flat_plane():
     )
 
 
+def kinked_plane():
+    """Plane chart whose v-partial vanishes for u >= 0.5, so the jet is
+    degenerate there."""
+    return ParametricSurface(
+        lambda u, v: (u, v * (u < 0.5), 0.0), ((0.0, 1.0), (0.0, 1.0)),
+        partials=lambda u, v: ((1.0, 0.0, 0.0), (0.0, 1.0 * (u < 0.5), 0.0)),
+        name="kinked-plane",
+    )
+
+
 def sphere_surface(radius=1.0):
     """Round sphere in the flat ambient space, normal chosen so that the
     mean curvature comes out +2/R."""
     R = radius
 
     def chart(u, v):
-        return (R * math.sin(u) * math.cos(v),
-                R * math.sin(u) * math.sin(v),
-                R * math.cos(u))
+        return (R * np.sin(u) * np.cos(v),
+                R * np.sin(u) * np.sin(v),
+                R * np.cos(u))
 
     def partials(u, v):
-        xu = (R * math.cos(u) * math.cos(v),
-              R * math.cos(u) * math.sin(v),
-              -R * math.sin(u))
-        xv = (-R * math.sin(u) * math.sin(v),
-              R * math.sin(u) * math.cos(v),
+        xu = (R * np.cos(u) * np.cos(v),
+              R * np.cos(u) * np.sin(v),
+              -R * np.sin(u))
+        xv = (-R * np.sin(u) * np.sin(v),
+              R * np.sin(u) * np.cos(v),
               0.0)
         return xu, xv
 

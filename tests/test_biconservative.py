@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams, metric, norm
+from bcvgeo.ambient import BcvParams, metric, norm, to_frame
 from bcvgeo.biconservative import (
     constant_angle_codazzi_residual,
     constant_angle_datum_residual,
@@ -14,8 +14,10 @@ from bcvgeo.biconservative import (
     ricci_normal_tangential,
     ricci_normal_tangential_generic,
     tangential_bitension,
+    tangential_bitension_arrays,
     tangential_bitension_components,
 )
+from bcvgeo.errors import DegenerateSurfaceError
 from bcvgeo.immersion import shape_operator, surface_jet
 from bcvgeo.rotation import (
     ellipse_curve,
@@ -27,7 +29,7 @@ from bcvgeo.rotation import (
     slant_profile,
 )
 
-from conftest import CYLINDER_PAIRS, flat_plane, make_rng, sphere_surface
+from conftest import CYLINDER_PAIRS, flat_plane, kinked_plane, make_rng, sphere_surface
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -226,3 +228,28 @@ class TestConstantAngle:
             r1, r2 = constant_angle_datum_residual(params, alpha, lam)
             assert abs(r1) < 1e-8
             assert abs(r2) < 1e-8
+
+
+class TestBitensionArrays:
+    @pytest.mark.parametrize("surface,params", [
+        (slant_surface(), P_NIL),
+        (hopf_cylinder(P_NIL, 1.0), P_NIL),
+        (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+    ])
+    def test_grid_call_equals_per_point_calls(self, surface, params):
+        (u0, u1), (v0, v1) = surface.domain
+        U, V = np.meshgrid(np.linspace(u0, u1, 4), np.linspace(v0 + 0.1, v1 - 0.1, 3),
+                           indexing="ij")
+        grid = tangential_bitension_arrays(surface, params, U, V)
+        assert grid.shape == (3,) + U.shape
+        for i, j in np.ndindex(U.shape):
+            tb = tangential_bitension(surface, params, U[i, j], V[i, j])
+            one = tangential_bitension_arrays(surface, params, U[i, j], V[i, j])
+            assert np.abs(grid[:, i, j] - one).max() <= 1e-12
+            assert np.abs(to_frame(params, tb) - one).max() <= 1e-12
+
+    def test_batch_error_names_first_failing_stencil_point(self):
+        # the point u = 0.4995 is regular, but its gradient-stencil centre
+        # u + 1e-3 is not, and it fails before the later point u = 0.9
+        with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0\.5005, 0\.25\)"):
+            tangential_bitension_arrays(kinked_plane(), P_FLAT, [0.2, 0.4995, 0.9], 0.25)

@@ -7,11 +7,17 @@ import sys
 import numpy as np
 import pytest
 
+import bcvgeo
+from bcvgeo.ambient import norm
+
 RUN = [sys.executable, "-m", "bcvgeo"]
+# the child process imports the same bcvgeo as the tests
+SRC = os.path.dirname(os.path.dirname(bcvgeo.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
@@ -189,3 +195,86 @@ class TestMesh:
         b = run_cli(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+def _mesh_inputs(tmp_path):
+    """Fixed inputs for the three mesh kinds: a branch profile from
+    `integrate` and a closed ellipse base curve."""
+    prof = tmp_path / "profile.csv"
+    res = run_cli("integrate", "--kappa", "0.0", "--tau", "0.5", "--r0", "1.1",
+                  "--sigma0", "1.5", "--smax", "1.0", "--out", str(prof))
+    assert res.returncode == 0, res.stderr
+    base = tmp_path / "ellipse.csv"
+    rows = ["x,y"] + [f"{math.cos(2 * math.pi * (i % 64) / 64)!r},"
+                      f"{0.7 * math.sin(2 * math.pi * (i % 64) / 64)!r}" for i in range(65)]
+    base.write_text("\n".join(rows) + "\n")
+    return {
+        "hopf-cylinder": ["--kappa", "1.0", "--tau", "1.0", "--r0", "0.9"],
+        "revolution": ["--kappa", "0.0", "--tau", "0.5", "--profile", str(prof)],
+        "hopf-tube": ["--kappa", "-1.0", "--tau", "0.5", "--base", str(base)],
+    }
+
+
+def _header(text, key):
+    return [l.split()[2:] for l in text.splitlines() if l.startswith(f"# {key} ")]
+
+
+class TestMeshBitension:
+    # max_tangential_bitension of the per-vertex implementation that the
+    # batched one replaced, on the inputs of _mesh_inputs at 16x16.  The
+    # residual is differenced through nested 1e-4 and 1e-3 stencils, so
+    # rounding amplifies by about 1e7; 1e-7 bounds the reordering.
+    RECORDED = {"hopf-cylinder": 3.2088268607820204e-08,
+                "revolution": 0.17344847957255383,
+                "hopf-tube": 6.6444366006773272}
+
+    def test_max_bitension_matches_recorded_values(self, tmp_path):
+        for kind, extra in _mesh_inputs(tmp_path).items():
+            res = run_cli("mesh", kind, *extra, "--nu", "16", "--nv", "16")
+            assert res.returncode == 0, res.stderr
+            (value,), = _header(res.stdout, "max_tangential_bitension")
+            assert abs(float(value) - self.RECORDED[kind]) < 1e-7, kind
+
+    def test_worst_uv_is_the_per_vertex_argmax(self, tmp_path):
+        from bcvgeo import biconservative as bic
+        from bcvgeo import cli
+
+        args = ["mesh", "hopf-tube", *_mesh_inputs(tmp_path)["hopf-tube"],
+                "--nu", "9", "--nv", "5"]
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        parser = cli.build_parser()
+        params, surface, _ = cli._mesh_surface(parser.parse_args(args), parser)
+        us, vs = surface.grid(9, 5)
+        norms = [[norm(params, bic.tangential_bitension(surface, params, u, v)) for v in vs]
+                 for u in us]
+        i, j = np.unravel_index(np.argmax(norms), (9, 5))
+        (u, v), = _header(res.stdout, "worst_uv")
+        assert (float(u), float(v)) == (us[i], vs[j])
+        assert len([l for l in res.stdout.splitlines()
+                    if l.startswith("# max_tangential_bitension")]) == 1
+
+
+class TestMeshInputErrors:
+    def test_non_finite_profile_value_is_a_usage_error(self, tmp_path):
+        prof = tmp_path / "profile.csv"
+        rows = ["s,r,z,sigma"] + [f"{0.1 * i},{'nan' if i == 3 else 1.0 + 0.1 * i},0.0,0.2"
+                                  for i in range(8)]
+        prof.write_text("\n".join(rows) + "\n")
+        res = run_cli("mesh", "revolution", "--profile", str(prof),
+                      "--kappa", "0", "--tau", "0.5", "--nu", "4", "--nv", "4")
+        assert res.returncode == 2
+        assert str(prof) in res.stderr and "column r" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_non_finite_base_value_is_a_usage_error(self, tmp_path):
+        base = tmp_path / "base.csv"
+        ts = np.linspace(0.0, 2 * math.pi, 21)
+        rows = ["x,y"] + [f"{'nan' if i == 5 else math.cos(t)},{math.sin(t)}"
+                          for i, t in enumerate(ts)]
+        base.write_text("\n".join(rows) + "\n")
+        res = run_cli("mesh", "hopf-tube", "--base", str(base),
+                      "--kappa", "0", "--tau", "0.5", "--nu", "4", "--nv", "4")
+        assert res.returncode == 2
+        assert str(base) in res.stderr and "column x" in res.stderr
+        assert "Traceback" not in res.stderr

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams, TangentVector, cross, metric, norm, smoothing_factor
-from bcvgeo.errors import DegenerateSurfaceError
+from bcvgeo.ambient import BcvParams, TangentVector, cross, metric, norm, smoothing_factor, to_frame
+from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
     ParametricSurface,
     ScalarField,
@@ -14,10 +14,12 @@ from bcvgeo.immersion import (
     compatibility_residual,
     directional_derivative,
     gauss_residual,
+    shape_arrays,
     shape_operator,
     surface_connection_residual,
     surface_gradient,
     surface_jet,
+    surface_jets,
     surface_laplacian,
 )
 from bcvgeo.rotation import (
@@ -29,7 +31,7 @@ from bcvgeo.rotation import (
     slant_profile,
 )
 
-from conftest import flat_plane, make_rng, sphere_surface
+from conftest import flat_plane, kinked_plane, make_rng, sphere_surface
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -106,6 +108,48 @@ class TestSurfaceJet:
         S = ParametricSurface(lambda u, v: (u + v, u + v, 0.0), ((0, 1), (0, 1)))
         with pytest.raises(DegenerateSurfaceError):
             surface_jet(S, P_FLAT, 0.5, 0.5)
+
+
+class TestJetArrays:
+    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(P_NIL), P_NIL),
+                (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+                (sphere_surface(), P_FLAT)]
+
+    @pytest.mark.parametrize("surface,params", SURFACES)
+    def test_grid_call_equals_per_point_calls(self, surface, params):
+        (u0, u1), (v0, v1) = surface.domain
+        U, V = np.meshgrid(np.linspace(u0, u1, 5), np.linspace(v0 + 0.1, v1 - 0.1, 4),
+                           indexing="ij")
+        grid = surface_jets(surface, params, U, V)
+        sh = shape_arrays(surface, params, U, V)
+        for i, j in np.ndindex(U.shape):
+            one = surface_jets(surface, params, U[i, j], V[i, j])
+            for name, a, b in zip(grid._fields, grid, one):
+                assert np.allclose(a[..., i, j], b, rtol=0.0, atol=1e-12), name
+            single = shape_operator(surface, params, U[i, j], V[i, j])
+            A = np.array(sh.A)[:, :, i, j]
+            assert np.abs(A - single.A).max() <= 1e-12
+            assert bool(sh.adapted[i, j]) == single.adapted
+
+    def test_scalar_jet_wraps_the_array_jet(self):
+        S = slant_surface()
+        jet = surface_jet(S, P_NIL, 0.7, 0.4)
+        arr = surface_jets(S, P_NIL, np.array([0.7]), np.array([0.4]))
+        assert np.allclose(jet.p.coords(), [arr.x[0], arr.y[0], arr.z[0]], rtol=0.0, atol=1e-15)
+        assert np.allclose(jet.I, [[arr.E[0], arr.F[0]], [arr.F[0], arr.G[0]]], rtol=0.0, atol=1e-15)
+        assert jet.cos_alpha == pytest.approx(float(arr.cos_alpha[0]), abs=1e-15)
+        assert np.allclose(to_frame(P_NIL, jet.N), arr.n[:, 0], rtol=0.0, atol=1e-15)
+
+    def test_batch_error_names_first_failing_point(self):
+        us = np.array([0.1, 0.3, 0.7, 0.9])
+        with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0\.7, 0\.25\)"):
+            surface_jets(kinked_plane(), P_FLAT, us, 0.25)
+
+    def test_batch_domain_error_names_first_failing_point(self):
+        P = BcvParams(-1.0, 0.0)   # domain x^2 + y^2 < 4
+        S = ParametricSurface(lambda u, v: (u, v, 0.0), ((0.0, 3.0), (0.0, 1.0)))
+        with pytest.raises(DomainError, match=r"\(u, v\) = \(2\.5, 0\.5\)"):
+            surface_jets(S, P, np.array([[1.0, 2.5], [3.0, 1.5]]), 0.5)
 
 
 class TestShapeOperator:

@@ -31,6 +31,7 @@ from bcvgeo.rotation import (
     revolution_surface,
     slant_profile,
     spline_profile,
+    spline_profile_columns,
     theorem52_obstruction,
 )
 from bcvgeo.suites import run_suite
@@ -355,6 +356,33 @@ class TestConstructors:
             ProfileState(0.0, 1e-9, 0.0, 0.5)
         with pytest.raises(DomainError):
             ProfileState(0.0, math.nan, 0.0, 0.5)
+
+    def test_profile_state_validates_elementwise(self):
+        st_ = ProfileState(np.zeros(3), np.array([0.5, 1.0, 2.0]), 0.0, 0.3)
+        assert st_.r.shape == (3,)
+        with pytest.raises(DomainError):
+            ProfileState(np.zeros(3), np.array([0.5, 1e-9, 2.0]), 0.0, 0.3)
+        with pytest.raises(DomainError):
+            ProfileState(np.zeros(3), np.ones(3), np.array([0.0, math.inf, 0.0]), 0.3)
+
+    def test_spline_profile_on_arrays(self):
+        s = np.linspace(0.0, 1.0, 11)
+        prof = spline_profile_columns(s, 1.0 + s * s, 0.5 * s, 0.2 + s)
+        ss = np.array([0.05, 0.5, 0.93])
+        batch = prof(ss)
+        for i, x in enumerate(ss):
+            one = prof(float(x))
+            assert np.ndim(one.r) == 0
+            for name in ("r", "z", "sigma"):
+                assert getattr(batch, name)[i] == getattr(one, name)
+
+    def test_tube_without_curve_derivative(self):
+        curve, d_curve = ellipse_curve(1.6, 1.0)
+        differenced = hopf_tube(P_NIL, curve)
+        exact = hopf_tube(P_NIL, curve, d_curve)
+        for u in (0.4, 1.9, 3.3):
+            assert shape_operator(differenced, P_NIL, u, 0.2).f == pytest.approx(
+                shape_operator(exact, P_NIL, u, 0.2).f, abs=1e-6)
 
     def test_cylinder_radius_validation(self):
         with pytest.raises(DomainError):
