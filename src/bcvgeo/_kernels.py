@@ -11,16 +11,13 @@ with the branch mean curvature f = 2 sin(sigma) / (3 r) and its arclength
 derivative f' = -4 sin(2 sigma) / (9 r^2) recorded per step together with
 the two reduction residuals and the factorised obstruction.
 
-The kernel is written once in plain Python over float64 scalars and a
-preallocated output array; a numba-jitted twin is compiled when available
-and selected per call (see bcvgeo._numba).
+The kernel is written in plain Python over float64 scalars and a
+preallocated output array.
 """
 
 from __future__ import annotations
 
 import math
-
-from ._numba import jit_twin, numba_active
 
 STATUS_SMAX = 0
 STATUS_MAX_STEPS = 1
@@ -148,12 +145,9 @@ def branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
     return n, status
 
 
-_branch_kernel_jit = jit_twin(branch_kernel)
-
-
 def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
                       r_stop, f_stop, out):
-    """Dispatch to the jitted kernel when active, else the Python twin."""
-    impl = _branch_kernel_jit if (numba_active() and _branch_kernel_jit is not None) else branch_kernel
-    return impl(kappa, tau, r0, z0, sigma0, s0, float(step), int(max_rows),
-                float(s_max), float(r_stop), float(f_stop), out)
+    """:func:`branch_kernel` with its step, budget and stop arguments
+    coerced to float and int."""
+    return branch_kernel(kappa, tau, r0, z0, sigma0, s0, float(step), int(max_rows),
+                         float(s_max), float(r_stop), float(f_stop), out)

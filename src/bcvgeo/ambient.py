@@ -62,8 +62,8 @@ __all__ = [
     "ricci",
     "ricci_frame",
     "ricci_tensor_fd",
+    "ricci_tensor_fd_at",
     "ricci_fd",
-    "hopf_project",
     "hopf_dpsi",
     "base_metric",
 ]
@@ -396,20 +396,34 @@ def ricci_tensor_fd(params: BcvParams, p: AmbientPoint, step2: float = FD_STEP2)
     Ric_ij = d_k Gamma^k_ij - d_j Gamma^k_ik + Gamma^k_kl Gamma^l_ij
              - Gamma^k_jl Gamma^l_ik.
     """
-    h = _coord_steps(p, step2)
-    g0 = christoffels(params, p)
-    dG = np.empty((3, 3, 3, 3))
-    for l in range(3):
-        gp = christoffels(params, p.shifted(params, l, h[l]))
-        gm = christoffels(params, p.shifted(params, l, -h[l]))
-        dG[l] = (gp - gm) / (2.0 * h[l])
-    ric = (
-        np.einsum("kkij->ij", dG)
-        - np.einsum("jkik->ij", dG)
-        + np.einsum("kkl,lij->ij", g0, g0)
-        - np.einsum("kjl,lik->ij", g0, g0)
+    return ricci_tensor_fd_at(params, p.x, p.y, step2)
+
+
+def ricci_tensor_fd_at(params: BcvParams, x, y, step2: float = FD_STEP2) -> np.ndarray:
+    """:func:`ricci_tensor_fd` at the points with coordinates (x, y, any z).
+
+    Arrays of one shape give Ric of shape (3, 3) + that shape.  One
+    :func:`christoffels_at` call covers every point and its x- and y-shifted
+    points; the metric does not depend on z, so the z-difference of Gamma is
+    exactly zero.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    hx = step2 * np.maximum(1.0, np.abs(x))
+    hy = step2 * np.maximum(1.0, np.abs(y))
+    # last axis: the point, (x +- hx, y), (x, y +- hy)
+    G = christoffels_at(params, np.stack([x, x + hx, x - hx, x, x], axis=-1),
+                        np.stack([y, y, y, y + hy, y - hy], axis=-1))
+    g0 = G[..., 0]
+    dG = np.zeros((3, 3, 3, 3) + x.shape)
+    dG[0] = (G[..., 1] - G[..., 2]) / (2.0 * hx)
+    dG[1] = (G[..., 3] - G[..., 4]) / (2.0 * hy)
+    return (
+        np.einsum("kkij...->ij...", dG)
+        - np.einsum("jkik...->ij...", dG)
+        + np.einsum("kkl...,lij...->ij...", g0, g0)
+        - np.einsum("kjl...,lik...->ij...", g0, g0)
     )
-    return ric
 
 
 def ricci_fd(params: BcvParams, X: TangentVector, Y: TangentVector) -> float:
@@ -417,11 +431,6 @@ def ricci_fd(params: BcvParams, X: TangentVector, Y: TangentVector) -> float:
     X._check_base(Y)
     ric = ricci_tensor_fd(params, X.base)
     return float(X.comps @ ric @ Y.comps)
-
-
-def hopf_project(params: BcvParams, p: AmbientPoint) -> tuple:
-    """Fibration to the base surface of curvature kappa: (x, y, z) -> (x, y)."""
-    return (p.x, p.y)
 
 
 def hopf_dpsi(X: TangentVector) -> np.ndarray:

@@ -39,8 +39,8 @@ from .errors import DegenerateSurfaceError
 from .immersion import (
     DEFAULT_FD,
     FdConfig,
-    ScalarField,
     SurfaceJet,
+    _adapted_frame,
     _at,
     _tangent_basis,
     alpha_field,
@@ -49,6 +49,7 @@ from .immersion import (
     shape_arrays,
     shape_operator,
     surface_jet,
+    surface_jets,
     surface_laplacian,
 )
 
@@ -122,11 +123,8 @@ def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> 
     j = c.jet
     det = j.E * j.G - j.F * j.F
     grad_f = (j.G * du - j.F * dv) / det * j.au + (j.E * dv - j.F * du) / det * j.av
-    a1, a2 = frame_dot(grad_f, c.b1), frame_dot(grad_f, c.b2)
-    (m00, m01), (m10, m11) = c.A
-    A_grad = (m00 * a1 + m01 * a2) * c.b1 + (m10 * a1 + m11 * a2) * c.b2
     ric_t = ricci_frame(params, j.n, c.b1) * c.b1 + ricci_frame(params, j.n, c.b2) * c.b2
-    return 2.0 * A_grad + c.f * grad_f - 2.0 * c.f * ric_t
+    return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * ric_t
 
 
 def tangential_bitension_components(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
@@ -150,7 +148,7 @@ def normal_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
 
 
 def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
-    """The two adapted-frame biconservativity equations.
+    """The two adapted-frame biconservativity equations at (u, v).
 
     With f = lam + e1(a):
 
@@ -162,30 +160,25 @@ def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     e_i(f) differences of the field lam + e1(a), so this route shares no
     intermediate values with `tangential_bitension`; the two agree
     component-by-component (factor one), which the test suite pins down.
+    The stages are batched as in :func:`bcvgeo.immersion.codazzi_residual`:
+    lam and the angle derivatives at each centre and its +-e1, +-e2 steps,
+    the angle at +-e1, +-e2 around each of those points.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-    if not jet.adapted:
-        raise DegenerateSurfaceError("frame system needs sin(alpha) > 0")
-    k, t = params.kappa, params.tau
+    jet = surface_jets(S, params, u, v, cfg)
+    frame = _adapted_frame(jet, u, v, "frame system")
+    alpha = alpha_field(S, params, cfg)
 
-    afld = alpha_field(S, params, cfg)
+    def lam_and_alpha_derivatives(U, V):
+        """(lam, e1(a), e2(a)) at (U, V), shape (3,) + U.shape."""
+        sh = shape_arrays(S, params, U, V, cfg)
+        _, d = directional_derivative(sh.jet, U, V, _adapted_frame(sh.jet, U, V, "frame system"),
+                                      alpha, cfg)
+        return np.array([sh.A[1][1], d[..., 0], d[..., 1]])
 
-    def e1_alpha_at(uu, vv):
-        J = surface_jet(S, params, uu, vv, cfg)
-        return directional_derivative(S, params, uu, vv, afld, J.e1, cfg, jet=J)
-
-    def f_at(uu, vv):
-        lam_loc = shape_operator(S, params, uu, vv, cfg).lam
-        return lam_loc + e1_alpha_at(uu, vv)
-
-    f_fld = ScalarField(f_at)
-    e1a = e1_alpha_at(u, v)
-    e2a = directional_derivative(S, params, u, v, afld, jet.e2, cfg, jet=jet)
-    lam = shape_operator(S, params, u, v, cfg).lam
+    (lam, e1a, e2a), d = directional_derivative(jet, u, v, frame, lam_and_alpha_derivatives, cfg)
     f = lam + e1a
-    e1f = directional_derivative(S, params, u, v, f_fld, jet.e1, cfg, jet=jet)
-    e2f = directional_derivative(S, params, u, v, f_fld, jet.e2, cfg, jet=jet)
-
+    e1f, e2f = d[0, ..., 0] + d[1, ..., 0], d[0, ..., 1] + d[1, ..., 1]
+    k, t = params.kappa, params.tau
     r1 = (e1f * (lam + 3.0 * e1a) + 2.0 * e2f * (e2a - t)
           - 2.0 * (4.0 * t * t - k) * f * jet.cos_alpha * jet.sin_alpha)
     r2 = 2.0 * e1f * (e2a - t) + (3.0 * lam + e1a) * e2f

@@ -26,7 +26,7 @@ from . import __version__, biconservative as bic, rotation as rot
 from ._spline import CubicSpline
 from .ambient import BcvParams
 from .errors import BcvError, DomainError
-from .suites import SUITE_NAMES, run_report, worker_count
+from .suites import SUITE_NAMES, run_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,7 +95,7 @@ def _cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
     names = args.suite if args.suite else list(SUITE_NAMES)
     started = time.perf_counter()
-    report = run_report(params, names, seed=args.seed, threads=args.threads)
+    report = run_report(params, names, seed=args.seed)
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
     _write_text(args.out, _json_dumps(report) + "\n")
@@ -243,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suite to run (repeatable; default: all)")
     p_verify.add_argument("--seed", type=int, default=42,
                           help="seed for the suite sampling (default 42)")
-    p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker cap (default: BCV_THREADS or 1)")
     p_verify.add_argument("--timing", action="store_true",
                           help="include wall time in the report "
                                "(breaks byte-for-byte reproducibility)")
@@ -282,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fn", None) is _cmd_verify and args.threads is None:
-        args.threads = worker_count()
     try:
         return args.fn(args, parser)
     except DomainError as exc:

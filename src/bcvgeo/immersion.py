@@ -15,7 +15,7 @@ any shape, so a whole stencil or grid row costs one chart call.
 :func:`shape_arrays` evaluates the shape operator at arrays of centres from
 one jet call over the centres and their 8 normal-stencil points.  The
 pointwise API (:func:`surface_jet`, :func:`shape_operator`) wraps these
-results in vector objects for the residual evaluators.
+results in vector objects.
 
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
 f = tr A, surface gradient / Laplacian of scalar fields over the chart, and
@@ -25,13 +25,25 @@ equations of the adapted frame, and the derivative law of T).  All surface
 derivatives are finite differences along the chart; nothing requires
 symbolic input from chart authors.
 
+The residual evaluators take (u, v) as floats or as arrays of one shape and
+return arrays of that shape, with vectors in frame components as in
+:class:`JetArrays`.  Nested derivatives are built in stages, one batched
+call per stage however many points are given: :func:`directional_derivative`,
+the one finite difference of a chart field along tangent vectors, calls its
+field once on every point and its forward and backward chart steps, and a
+field may itself be such a derivative.  For e_i(e_j(alpha)) in
+:func:`codazzi_residual` the stages are the centres; each centre and its
++-e1, +-e2 steps; +-e1, +-e2 around each of those points for alpha; and the
+shape operator at the centre and its +-e1 steps for lam.  A stage that needs
+the adapted frame raises DegenerateSurfaceError naming the first (u, v), in
+C order, where sin(alpha) <= EPS_ALPHA.
+
 Sign conventions.  A X = -(nabla_X N)^T, and the Laplacian is the geometer's
 one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import namedtuple
 from typing import Callable, Optional
@@ -43,16 +55,12 @@ from .ambient import (
     AmbientPoint,
     BcvParams,
     TangentVector,
-    christoffels,
     christoffels_at,
     coordinate_components,
-    cross,
     frame_components,
     frame_cross,
     frame_dot,
     from_frame,
-    metric,
-    norm,
     smoothing_factor,
     to_frame,
 )
@@ -75,10 +83,7 @@ __all__ = [
     "shape_operator",
     "mean_curvature_field",
     "alpha_field",
-    "tangent_coefficients",
-    "tangential_part",
     "directional_derivative",
-    "covariant_along",
     "surface_gradient",
     "surface_laplacian",
     "brioschi_curvature",
@@ -294,18 +299,6 @@ def surface_jet(S: ParametricSurface, params: BcvParams, u: float, v: float,
     )
 
 
-def tangent_coefficients(params: BcvParams, jet: SurfaceJet, W: TangentVector):
-    """Coefficients (xi, eta) with W = xi X_u + eta X_v (W assumed tangent)."""
-    rhs = np.array([metric(params, W, jet.X_u), metric(params, W, jet.X_v)])
-    xi, eta = np.linalg.solve(jet.I, rhs)
-    return float(xi), float(eta)
-
-
-def tangential_part(params: BcvParams, jet: SurfaceJet, W: TangentVector) -> TangentVector:
-    """Projection of W onto the tangent plane, W - g(W, N) N."""
-    return W - metric(params, W, jet.N) * jet.N
-
-
 def _basis(au, av, T, JT, sin_a):
     """Orthonormal tangent basis in frame components: the adapted (e1, e2)
     where sin(alpha) > EPS_ALPHA, else Gram-Schmidt of the chart partials.
@@ -331,6 +324,12 @@ class ShapeArrays(namedtuple("ShapeArrays", "jet A f b1 b2 adapted")):
     components, its trace f and the `adapted` mask of that basis."""
 
     __slots__ = ()
+
+    def apply(self, W):
+        """A W for tangent vectors W in frame components."""
+        a1, a2 = frame_dot(W, self.b1), frame_dot(W, self.b2)
+        (m00, m01), (m10, m11) = self.A
+        return (m00 * a1 + m01 * a2) * self.b1 + (m10 * a1 + m11 * a2) * self.b2
 
 
 def _at(x, i):
@@ -401,13 +400,6 @@ class ShapeData:
     basis: tuple
     adapted: bool
 
-    def apply(self, params: BcvParams, W: TangentVector) -> TangentVector:
-        """A W for a tangent vector W, through the stored basis."""
-        b1, b2 = self.basis
-        a = np.array([metric(params, W, b1), metric(params, W, b2)])
-        out = self.A @ a
-        return out[0] * b1 + out[1] * b2
-
     @property
     def norm2(self) -> float:
         """Squared Frobenius norm |A|^2."""
@@ -440,47 +432,39 @@ def mean_curvature_field(S, params, cfg: FdConfig = DEFAULT_FD) -> ScalarField:
     return ScalarField(lambda u, v: shape_operator(S, params, u, v, cfg).f)
 
 
-def alpha_field(S, params, cfg: FdConfig = DEFAULT_FD) -> ScalarField:
-    """Angle function alpha(u, v) = arccos g(E3, N)."""
-    def fn(u, v):
-        c = surface_jet(S, params, u, v, cfg).cos_alpha
-        return math.acos(max(-1.0, min(1.0, c)))
-    return ScalarField(fn)
+def alpha_field(S, params, cfg: FdConfig = DEFAULT_FD):
+    """Angle function alpha(u, v) = arccos g(E3, N), a chart field on floats
+    or arrays of one shape."""
+    return lambda u, v: np.arccos(surface_jets(S, params, u, v, cfg).cos_alpha)
 
 
-def directional_derivative(S, params, u, v, field, W: TangentVector,
-                           cfg: FdConfig = DEFAULT_FD, jet: SurfaceJet = None) -> float:
-    """Derivative W(field) of a chart scalar field along tangent W.
+def directional_derivative(jet: JetArrays, u, v, W, field, cfg: FdConfig = DEFAULT_FD):
+    """A chart field and its derivatives along tangent vectors, at points (u, v).
 
-    The chart line (u + t xi, v + t eta) with W = xi X_u + eta X_v has
-    velocity W at t = 0, so a central difference along it converges to the
-    directional derivative.
+    `jet` is the :func:`surface_jets` of the points, of shape P, and W, of
+    shape (3,) + P + (k,), holds k tangent vectors per point in frame
+    components.  With W = xi X_u + eta X_v (Cramer's rule on I), the chart
+    line (u + s xi, v + s eta) has velocity W at s = 0, so the central
+    difference over s = +-t, t = directional_step / max(1, |xi|, |eta|),
+    converges to W(field).
+
+    `field` is called once, with arrays U, V of shape P + (1 + 2k,): each
+    point, its k forward steps, then its k backward steps; it returns values
+    of shape Q + U.shape for any leading shape Q (a nested field batches its
+    own stencil the same way).  Returns the field at the points, shape
+    Q + P, and W(field), shape Q + P + (k,).
     """
-    if jet is None:
-        jet = surface_jet(S, params, u, v, cfg)
-    xi, eta = tangent_coefficients(params, jet, W)
-    t = cfg.directional_step / max(1.0, abs(xi), abs(eta))
-    return (field(u + t * xi, v + t * eta) - field(u - t * xi, v - t * eta)) / (2.0 * t)
-
-
-def covariant_along(S, params, u, v, vec_field, W: TangentVector,
-                    cfg: FdConfig = DEFAULT_FD, jet: SurfaceJet = None) -> TangentVector:
-    """Ambient covariant derivative nabla_W V of a chart vector field.
-
-    vec_field maps (u, v) to coordinate components of a vector along the
-    surface; the result lives at the jet base point.
-    """
-    if jet is None:
-        jet = surface_jet(S, params, u, v, cfg)
-    xi, eta = tangent_coefficients(params, jet, W)
-    t = cfg.directional_step / max(1.0, abs(xi), abs(eta))
-    vp = np.asarray(vec_field(u + t * xi, v + t * eta), dtype=float)
-    vm = np.asarray(vec_field(u - t * xi, v - t * eta), dtype=float)
-    d = (vp - vm) / (2.0 * t)
-    gamma = christoffels(params, jet.p)
-    v0 = np.asarray(vec_field(u, v), dtype=float)
-    comps = d + np.einsum("kij,i,j->k", gamma, W.comps, v0)
-    return TangentVector(jet.p, comps)
+    E, F, G = (np.expand_dims(a, -1) for a in (jet.E, jet.F, jet.G))
+    r0 = frame_dot(W, np.expand_dims(jet.au, -1))
+    r1 = frame_dot(W, np.expand_dims(jet.av, -1))
+    det = E * G - F * F
+    xi, eta = (G * r0 - F * r1) / det, (E * r1 - F * r0) / det
+    t = cfg.directional_step / np.maximum(1.0, np.maximum(np.abs(xi), np.abs(eta)))
+    u, v = np.expand_dims(u, -1), np.expand_dims(v, -1)
+    vals = field(np.concatenate([u, u + t * xi, u - t * xi], axis=-1),
+                 np.concatenate([v, v + t * eta, v - t * eta], axis=-1))
+    k = t.shape[-1]
+    return vals[..., 0], (vals[..., 1:k + 1] - vals[..., k + 1:]) / (2.0 * t)
 
 
 def surface_gradient(fld: ScalarField, S, params, u, v,
@@ -535,22 +519,25 @@ def surface_laplacian(fld: ScalarField, S, params, u, v,
     return -div
 
 
-def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
+def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     """Intrinsic Gauss curvature from the first fundamental form alone.
 
     Second central differences of (E, F, G) feed the Brioschi determinant
     formula, giving a route to K that never sees the normal or the shape
-    operator.
+    operator.  One jet call covers every point (u, v) and its 8 stencil
+    points.
     """
-    h = cfg.second_step
-    hu = h * max(1.0, abs(u))
-    hv = h * max(1.0, abs(v))
-    # the centre, (u +- hu, v), (u, v +- hv), then the four diagonal points
-    J = surface_jets(S, params, u + hu * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
-                     v + hv * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1]), cfg)
-    E0, Ep, Em, Eq, Er = J.E[:5]
-    F0, Fp, Fm_, Fq, Fr, Fa, Fb, Fc, Fd = J.F
-    G0, Gp, Gm, Gq, Gr = J.G[:5]
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    hu = cfg.second_step * np.maximum(1.0, np.abs(u))
+    hv = cfg.second_step * np.maximum(1.0, np.abs(v))
+    # last axis: the centre, (u +- hu, v), (u, v +- hv), then the four diagonal points
+    J = surface_jets(S, params,
+                     u[..., None] + hu[..., None] * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
+                     v[..., None] + hv[..., None] * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1]), cfg)
+    E0, Ep, Em, Eq, Er = np.moveaxis(J.E[..., :5], -1, 0)
+    F0, Fp, Fm_, Fq, Fr, Fa, Fb, Fc, Fd = np.moveaxis(J.F, -1, 0)
+    G0, Gp, Gm, Gq, Gr = np.moveaxis(J.G[..., :5], -1, 0)
 
     Eu = (Ep - Em) / (2 * hu)
     Ev = (Eq - Er) / (2 * hv)
@@ -568,53 +555,54 @@ def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
         [0.5 * Gv, F0, G0],
     ])
     M2 = np.array([
-        [0.0, 0.5 * Ev, 0.5 * Gu],
+        [np.zeros_like(E0), 0.5 * Ev, 0.5 * Gu],
         [0.5 * Ev, E0, F0],
         [0.5 * Gu, F0, G0],
     ])
     den = (E0 * G0 - F0 * F0) ** 2
-    return float((np.linalg.det(M1) - np.linalg.det(M2)) / den)
+    det1, det2 = (np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1))) for M in (M1, M2))
+    return (det1 - det2) / den
 
 
-def gauss_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
-    """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha).
+def gauss_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+    """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha) at (u, v).
 
     K is the intrinsic (Brioschi) curvature, det A the extrinsic one; the
     residual vanishes on genuine immersed surfaces, making this a two-sided
     check of both curvature routes.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-    shape = shape_operator(S, params, u, v, cfg)
+    sh = shape_arrays(S, params, u, v, cfg)
     K = brioschi_curvature(S, params, u, v, cfg)
-    detA = float(np.linalg.det(shape.A))
+    (a00, a01), (a10, a11) = sh.A
     k, t = params.kappa, params.tau
-    return K - detA - t * t - (k - 4.0 * t * t) * jet.cos_alpha ** 2
+    return K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * sh.jet.cos_alpha ** 2
 
 
-def _adapted_or_raise(jet: SurfaceJet, what: str):
-    if not jet.adapted:
+def _adapted_frame(jet: JetArrays, u, v, what: str):
+    """The adapted frame (e1, e2) of the jets at (u, v), in frame components
+    stacked on a last axis of length 2.  Raises DegenerateSurfaceError naming
+    the first (u, v), in C order, where sin(alpha) <= EPS_ALPHA."""
+    bad = _first_failure(jet.sin_alpha > EPS_ALPHA, u, v, jet.sin_alpha)
+    if bad:
         raise DegenerateSurfaceError(
-            f"{what} needs the adapted frame, but sin(alpha) = {jet.sin_alpha:.3e}"
-        )
+            f"{what} needs the adapted frame, but sin(alpha) = {bad[2]:.3e} "
+            f"at (u, v) = ({bad[0]:.6g}, {bad[1]:.6g})")
+    return np.stack([jet.T / jet.sin_alpha, jet.JT / jet.sin_alpha], axis=-1)
 
 
-def _alpha_derivative_fields(S, params, cfg):
-    """Directional derivatives e1(alpha), e2(alpha) as chart fields."""
-    afld = alpha_field(S, params, cfg)
+def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
+    """Frame components of the tangential part of nabla_W V at the jets.
 
-    def e_alpha(idx):
-        def fn(uu, vv):
-            J = surface_jet(S, params, uu, vv, cfg)
-            _adapted_or_raise(J, "alpha derivative")
-            W = J.e1 if idx == 1 else J.e2
-            return directional_derivative(S, params, uu, vv, afld, W, cfg, jet=J)
-        return ScalarField(fn)
-
-    return e_alpha(1), e_alpha(2)
+    W is in frame components; V and dV, its chart difference along W, are in
+    coordinate components; gamma = christoffels_at(jet.x, jet.y)."""
+    Wc = np.array(coordinate_components(params, jet.x, jet.y, W))
+    d = dV + np.einsum("kij...,i...,j...->k...", gamma, Wc, V)
+    d = np.array(frame_components(params, jet.x, jet.y, d))
+    return d - frame_dot(d, jet.n) * jet.n
 
 
 def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
-    """Residuals of the two adapted-frame compatibility equations.
+    """Residuals of the two adapted-frame compatibility equations at (u, v).
 
     First:  e1(e2(a)) + lam cot(a) e2(a) + cot(a) e1(a)(e2(a) - 2 tau)
             - e2(e1(a))
@@ -623,23 +611,30 @@ def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
 
     Both vanish identically on immersed surfaces; the derivatives here are
     nested directional finite differences, so the residuals measure the
-    whole jet/shape pipeline at once.
+    whole jet/shape pipeline at once.  They are built in stages of one
+    batch each: the centres; each centre and its +-e1, +-e2 steps, where
+    e1(a) and e2(a) are differenced from the angle at a further +-e1, +-e2
+    around each of those points; and the shape operator at the centre and
+    its +-e1 steps for lam.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-    _adapted_or_raise(jet, "compatibility residuals")
+    jet = surface_jets(S, params, u, v, cfg)
+    frame = _adapted_frame(jet, u, v, "compatibility residuals")
+    alpha = alpha_field(S, params, cfg)
+
+    def alpha_derivatives(U, V):
+        """(e1(a), e2(a)) at (U, V), shape (2,) + U.shape."""
+        J = surface_jets(S, params, U, V, cfg)
+        _, d = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"),
+                                      alpha, cfg)
+        return np.moveaxis(d, -1, 0)
+
+    # dea[i][..., j] = e_j(e_i(a))
+    (e1a, e2a), dea = directional_derivative(jet, u, v, frame, alpha_derivatives, cfg)
+    lam, e1_lam = directional_derivative(
+        jet, u, v, frame[..., :1], lambda U, V: shape_arrays(S, params, U, V, cfg).A[1][1], cfg)
+    e1_e2a, e2_e1a, e2_e2a, e1_lam = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1], e1_lam[..., 0]
+
     k, t = params.kappa, params.tau
-
-    e1a_fld, e2a_fld = _alpha_derivative_fields(S, params, cfg)
-    lam_fld = ScalarField(lambda uu, vv: shape_operator(S, params, uu, vv, cfg).lam)
-
-    e1a = e1a_fld(u, v)
-    e2a = e2a_fld(u, v)
-    e1_e2a = directional_derivative(S, params, u, v, e2a_fld, jet.e1, cfg, jet=jet)
-    e2_e1a = directional_derivative(S, params, u, v, e1a_fld, jet.e2, cfg, jet=jet)
-    e2_e2a = directional_derivative(S, params, u, v, e2a_fld, jet.e2, cfg, jet=jet)
-    e1_lam = directional_derivative(S, params, u, v, lam_fld, jet.e1, cfg, jet=jet)
-    lam = shape_operator(S, params, u, v, cfg).lam
-
     cot = jet.cos_alpha / jet.sin_alpha
     r1 = e1_e2a + lam * cot * e2a + cot * e1a * (e2a - 2.0 * t) - e2_e1a
     r2 = (cot * (2.0 * e2a * e2a - lam * e1a - 6.0 * t * e2a + 4.0 * t * t + lam * lam)
@@ -647,38 +642,34 @@ def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     return r1, r2
 
 
-def compatibility_residual(S, params, u, v, W: TangentVector,
-                           cfg: FdConfig = DEFAULT_FD):
-    """Residuals of the derivative law of T along a tangent direction W.
+def compatibility_residual(S, params, u, v, W, cfg: FdConfig = DEFAULT_FD):
+    """Residuals of the derivative law of T along tangent vectors W.
 
-    Returns (vector, scalar):
+    W holds one tangent vector per point (u, v), in frame components of
+    shape (3,) + the point shape.  Returns (vector, scalar):
         vector = (nabla_W T)^tangential - cos(a) (A W - tau J W)
         scalar = g(A W - tau J W, T) + W(cos a)
-    Both vanish on immersed surfaces.
+    with the vector in frame components.  Both vanish on immersed surfaces.
+    T and cos(a) are differenced together along W from one jet batch.
     """
-    jet = surface_jet(S, params, u, v, cfg)
+    sh = shape_arrays(S, params, u, v, cfg)
+    c = sh.jet
 
-    def T_field(uu, vv):
-        return surface_jet(S, params, uu, vv, cfg).T.comps
+    def T_and_cos(U, V):
+        """Coordinate components of T, then cos(a), at (U, V)."""
+        J = surface_jets(S, params, U, V, cfg)
+        return np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,))
 
-    nabla_T = covariant_along(S, params, u, v, T_field, W, cfg, jet=jet)
-    nabla_T_tan = tangential_part(params, jet, nabla_T)
-
-    shape = shape_operator(S, params, u, v, cfg)
-    AW = shape.apply(params, W)
-    JW = cross(params, jet.N, W)
-    rhs = AW - params.tau * JW
-    vec = nabla_T_tan - jet.cos_alpha * rhs
-
-    cos_fld = ScalarField(lambda uu, vv: surface_jet(S, params, uu, vv, cfg).cos_alpha)
-    w_cos = directional_derivative(S, params, u, v, cos_fld, W, cfg, jet=jet)
-    scalar = metric(params, rhs, jet.T) + w_cos
-    return vec, scalar
+    vals, d = directional_derivative(c, u, v, np.expand_dims(W, -1), T_and_cos, cfg)
+    nabla_T = _tangential_covariant(params, c, christoffels_at(params, c.x, c.y), W,
+                                    vals[:3], d[:3, ..., 0])
+    rhs = sh.apply(W) - params.tau * np.array(frame_cross(c.n, W))
+    return nabla_T - c.cos_alpha * rhs, frame_dot(rhs, c.T) + d[3, ..., 0]
 
 
-def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
+def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     """Max deviation of the adapted-frame surface connection from its
-    closed form:
+    closed form, at (u, v):
 
         nabla_e1 e1 =  cot(a) (e2(a) - 2 tau) e2
         nabla_e2 e1 =  lam cot(a) e2
@@ -686,34 +677,36 @@ def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> 
         nabla_e2 e2 = -lam cot(a) e1
 
     where nabla is the tangential projection of the ambient derivative,
-    computed by finite differences of the adapted frame fields.
+    computed by finite differences of the adapted frame fields over each
+    centre and its +-e1, +-e2 steps.
     """
-    jet = surface_jet(S, params, u, v, cfg)
-    _adapted_or_raise(jet, "surface connection check")
+    jet = surface_jets(S, params, u, v, cfg)
+    what = "surface connection check"
+    frame = _adapted_frame(jet, u, v, what)
+
+    def frame_coords(U, V):
+        """Coordinate components of (e1, e2) at (U, V), shape (3, 2) + U.shape."""
+        J = surface_jets(S, params, U, V, cfg)
+        e = np.moveaxis(_adapted_frame(J, U, V, what), -1, 1)
+        return np.array(coordinate_components(params, J.x, J.y, e))
+
+    # de[:, j, ..., i] = d_{e_i} e_j
+    e0, de = directional_derivative(jet, u, v, frame, frame_coords, cfg)
+    _, e2a = directional_derivative(jet, u, v, frame[..., 1:], alpha_field(S, params, cfg), cfg)
+    lam = shape_arrays(S, params, u, v, cfg).A[1][1]
+    gamma = christoffels_at(params, jet.x, jet.y)
     t = params.tau
-
-    def e_field(idx):
-        def fn(uu, vv):
-            J = surface_jet(S, params, uu, vv, cfg)
-            _adapted_or_raise(J, "surface connection check")
-            return (J.e1 if idx == 1 else J.e2).comps
-        return fn
-
-    _, e2a_fld = _alpha_derivative_fields(S, params, cfg)
-    e2a = e2a_fld(u, v)
-    lam = shape_operator(S, params, u, v, cfg).lam
     cot = jet.cos_alpha / jet.sin_alpha
-
+    e1, e2 = frame[..., 0], frame[..., 1]
     closed = {
-        (1, 1): cot * (e2a - 2.0 * t) * jet.e2,
-        (2, 1): lam * cot * jet.e2,
-        (1, 2): -cot * (e2a - 2.0 * t) * jet.e1,
-        (2, 2): -lam * cot * jet.e1,
+        (0, 0): cot * (e2a[..., 0] - 2.0 * t) * e2,
+        (1, 0): lam * cot * e2,
+        (0, 1): -cot * (e2a[..., 0] - 2.0 * t) * e1,
+        (1, 1): -lam * cot * e1,
     }
     worst = 0.0
     for (i, j), expect in closed.items():
-        W = jet.e1 if i == 1 else jet.e2
-        got = covariant_along(S, params, u, v, e_field(j), W, cfg, jet=jet)
-        got_tan = tangential_part(params, jet, got)
-        worst = max(worst, norm(params, got_tan - expect))
+        got = _tangential_covariant(params, jet, gamma, frame[..., i], e0[:, j], de[:, j, ..., i])
+        diff = got - expect
+        worst = np.maximum(worst, np.sqrt(np.maximum(frame_dot(diff, diff), 0.0)))
     return worst

@@ -14,8 +14,6 @@ from (seed, suite index), so reports are reproducible for given flags.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "run_report",
     "sample_domain_points",
     "domain_radius",
-    "worker_count",
 ]
 
 
@@ -98,18 +95,18 @@ def _suite_frame(params: BcvParams, rng) -> SuiteResult:
 
 def _suite_ricci(params: BcvParams, rng) -> SuiteResult:
     pts = sample_domain_points(params, rng, 20)
+    ric_fd = ambient.ricci_tensor_fd_at(params, [p.x for p in pts], [p.y for p in pts])
     worst = 0.0
     checks = 0
-    for p in pts:
+    for i, p in enumerate(pts):
         frame = ambient.frame_at(params, p)
         vecs = list(frame)
         for _ in range(2):
             vecs.append(TangentVector(p, rng.normal(size=3)))
-        ric_fd = ambient.ricci_tensor_fd(params, p)
         for X in vecs:
             for Y in vecs:
                 closed = ambient.ricci(params, X, Y)
-                fd = float(X.comps @ ric_fd @ Y.comps)
+                fd = float(X.comps @ ric_fd[..., i] @ Y.comps)
                 worst = max(worst, abs(closed - fd))
                 checks += 1
     return SuiteResult("ricci", checks, worst, 1e-4, worst < 1e-4)
@@ -152,33 +149,48 @@ def _interior_grid(surface, nu, nv, margin=0.12):
     return us, vs
 
 
-def _suite_gauss_codazzi(params: BcvParams, rng) -> SuiteResult:
-    ratios = {"jet": 0.0, "gauss": 0.0, "codazzi": 0.0, "compat": 0.0}
-    tols = {"jet": 1e-9, "gauss": 1e-4, "codazzi": 1e-3, "compat": 1e-4}
+def _structural_maxima(params: BcvParams):
+    """Worst residual of each structural family over the interior grids of
+    the structural surfaces, and the number of grid points.
+
+    Each residual takes a surface's whole grid in one call.  Codazzi and the
+    derivative law of T are evaluated only where the adapted frame is well
+    conditioned (sin(alpha) > 0.1, |cot(alpha)| < 10), so the stencil of a
+    skipped point is never evaluated.
+    """
+    worst = {"jet": 0.0, "gauss": 0.0, "codazzi": 0.0, "compat": 0.0}
     samples = 0
     for surface, nu, nv in _structural_surfaces(params):
-        us, vs = _interior_grid(surface, nu, nv)
-        for u in us:
-            for v in vs:
-                jet = imm.surface_jet(surface, params, u, v)
-                samples += 1
-                t_norm2 = ambient.metric(params, jet.T, jet.T)
-                ratios["jet"] = max(ratios["jet"], abs(t_norm2 - jet.sin_alpha ** 2))
-                e3 = TangentVector(jet.p, (0.0, 0.0, 1.0))
-                decberr = (e3 - jet.T - jet.cos_alpha * jet.N).comps
-                ratios["jet"] = max(ratios["jet"], float(np.abs(decberr).max()))
-                ratios["gauss"] = max(
-                    ratios["gauss"], abs(imm.gauss_residual(surface, params, u, v))
-                )
-                cot_ok = jet.adapted and jet.sin_alpha > 0.1 and \
-                    abs(jet.cos_alpha / jet.sin_alpha) < 10.0
-                if cot_ok:
-                    c1, c2 = imm.codazzi_residual(surface, params, u, v)
-                    ratios["codazzi"] = max(ratios["codazzi"], abs(c1), abs(c2))
-                    vec, sc = imm.compatibility_residual(surface, params, u, v, jet.e2)
-                    ratios["compat"] = max(
-                        ratios["compat"], ambient.norm(params, vec), abs(sc)
-                    )
+        U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
+        J = imm.surface_jets(surface, params, U, V)
+        samples += U.size
+        # |T|^2 = sin^2(alpha) and E3 = T + cos(alpha) N, in coordinate components
+        T = np.array(ambient.coordinate_components(params, J.x, J.y, J.T))
+        N = np.array(ambient.coordinate_components(params, J.x, J.y, J.n))
+        Tf = ambient.frame_components(params, J.x, J.y, T)
+        e3 = np.array([0.0, 0.0, 1.0]).reshape((3,) + (1,) * U.ndim)
+        worst["jet"] = max(worst["jet"],
+                           float(np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2).max()),
+                           float(np.abs(e3 - T - J.cos_alpha * N).max()))
+        worst["gauss"] = max(worst["gauss"],
+                             float(np.abs(imm.gauss_residual(surface, params, U, V)).max()))
+        ok = J.sin_alpha > 0.1
+        ok[ok] = np.abs(J.cos_alpha[ok] / J.sin_alpha[ok]) < 10.0
+        if ok.any():
+            c1, c2 = imm.codazzi_residual(surface, params, U[ok], V[ok])
+            worst["codazzi"] = max(worst["codazzi"], float(np.abs(c1).max()),
+                                   float(np.abs(c2).max()))
+            vec, sc = imm.compatibility_residual(surface, params, U[ok], V[ok],
+                                                 J.JT[:, ok] / J.sin_alpha[ok])
+            worst["compat"] = max(worst["compat"],
+                                  float(np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)).max()),
+                                  float(np.abs(sc).max()))
+    return worst, samples
+
+
+def _suite_gauss_codazzi(params: BcvParams, rng) -> SuiteResult:
+    tols = {"jet": 1e-9, "gauss": 1e-4, "codazzi": 1e-3, "compat": 1e-4}
+    ratios, samples = _structural_maxima(params)
     worst = max(ratios[k] / tols[k] for k in ratios)
     note = "; ".join(f"{k} {ratios[k]:.2e}/{tols[k]:.0e}" for k in ratios)
     return SuiteResult("gauss-codazzi", samples, worst, 1.0, worst < 1.0, note)
@@ -292,15 +304,6 @@ _REGISTRY = (
 SUITE_NAMES = tuple(name for name, _ in _REGISTRY)
 
 
-def worker_count() -> int:
-    """Worker cap from BCV_THREADS (default 1)."""
-    raw = os.environ.get("BCV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(name: str, params: BcvParams, seed: int = 42) -> SuiteResult:
     for idx, (nm, fn) in enumerate(_REGISTRY):
         if nm == name:
@@ -309,27 +312,15 @@ def run_suite(name: str, params: BcvParams, seed: int = 42) -> SuiteResult:
     raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
 
 
-def run_report(params: BcvParams, names=None, seed: int = 42, threads: int = None) -> dict:
-    """Run the selected suites and assemble the report dictionary.
-
-    Suites execute on a worker pool capped by `threads` (default: the
-    BCV_THREADS environment variable); assembly keeps registry order so
-    reports are deterministic for given flags and seed.
-    """
+def run_report(params: BcvParams, names=None, seed: int = 42) -> dict:
+    """Run the selected suites in registry order and assemble the report
+    dictionary; reports are deterministic for given flags and seed."""
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise KeyError(f"unknown suite {unknown[0]!r}; known: {', '.join(SUITE_NAMES)}")
-    if threads is None:
-        threads = worker_count()
-    ordered = [n for n in SUITE_NAMES if n in set(names)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {n: pool.submit(run_suite, n, params, seed) for n in ordered}
-            results = [futures[n].result() for n in ordered]
-    else:
-        results = [run_suite(n, params, seed) for n in ordered]
+    results = [run_suite(n, params, seed) for n in SUITE_NAMES if n in set(names)]
     return {
         "kappa": params.kappa,
         "tau": params.tau,

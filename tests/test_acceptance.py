@@ -16,11 +16,13 @@ from bcvgeo.ambient import (
     TangentVector,
     base_metric,
     frame_at,
+    frame_dot,
     hopf_dpsi,
     metric,
     norm,
     ricci,
     ricci_tensor_fd,
+    to_frame,
 )
 from bcvgeo.biconservative import (
     constant_angle_suite,
@@ -152,8 +154,9 @@ def test_criterion_04_structural_identities():
                         abs(jet.cos_alpha / jet.sin_alpha) < 10.0:
                     c1, c2 = codazzi_residual(surface, P, u, v)
                     worst["codazzi"] = max(worst["codazzi"], abs(c1), abs(c2))
-                    vec, sc = compatibility_residual(surface, P, u, v, jet.e2)
-                    worst["compat"] = max(worst["compat"], norm(P, vec), abs(sc))
+                    vec, sc = compatibility_residual(surface, P, u, v, to_frame(P, jet.e2))
+                    worst["compat"] = max(worst["compat"], float(np.sqrt(frame_dot(vec, vec))),
+                                          abs(sc))
     # dense intrinsic-vs-extrinsic sweep on the revolution surface
     for u in np.linspace(0.2, 2 * math.pi - 0.2, 20):
         for v in np.linspace(-0.35, 1.35, 20):

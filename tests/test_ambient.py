@@ -16,7 +16,6 @@ from bcvgeo.ambient import (
     cross,
     frame_at,
     hopf_dpsi,
-    hopf_project,
     lie_bracket,
     metric,
     norm,
@@ -253,7 +252,7 @@ class TestHopfFibration:
     def test_projection_drops_height(self):
         P = BcvParams(0.0, 0.5)
         p = AmbientPoint(P, 1.0, 2.0, 5.0)
-        assert hopf_project(P, p) == (1.0, 2.0)
+        assert np.all(hopf_dpsi(TangentVector(p, (1.0, 2.0, 5.0))) == (1.0, 2.0))
 
     def test_vertical_kernel(self):
         P = BcvParams(1.0, 0.5)

@@ -248,6 +248,20 @@ class TestBitensionArrays:
             assert np.abs(grid[:, i, j] - one).max() <= 1e-12
             assert np.abs(to_frame(params, tb) - one).max() <= 1e-12
 
+    @pytest.mark.parametrize("surface,params", [
+        (slant_surface(), P_NIL),
+        (generic_revolution_surface(P_NIL), P_NIL),
+        (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+    ])
+    def test_frame_system_grid_call_equals_per_point_calls(self, surface, params):
+        (u0, u1), (v0, v1) = surface.domain
+        U, V = np.meshgrid(np.linspace(u0 + 0.1, u1 - 0.1, 3), np.linspace(v0 + 0.3, v1 - 0.3, 4),
+                           indexing="ij")
+        grid = frame_system_residual(surface, params, U, V)
+        for i, j in np.ndindex(U.shape):
+            one = frame_system_residual(surface, params, U[i, j], V[i, j])
+            assert max(abs(g[i, j] - o) for g, o in zip(grid, one)) <= 1e-12
+
     def test_batch_error_names_first_failing_stencil_point(self):
         # the point u = 0.4995 is regular, but its gradient-stencil centre
         # u + 1e-3 is not, and it fails before the later point u = 0.9

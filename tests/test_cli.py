@@ -15,11 +15,9 @@ RUN = [sys.executable, "-m", "bcvgeo"]
 SRC = os.path.dirname(os.path.dirname(bcvgeo.__file__))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
 
 
@@ -66,14 +64,6 @@ class TestVerify:
                       "--suite", "theorem52", "--seed", "1")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["pass"] is True
-
-    def test_thread_pool_does_not_change_output(self):
-        args = ("verify", "--kappa", "0", "--tau", "0.5",
-                "--suite", "frame", "--suite", "ricci", "--suite", "submersion")
-        serial = run_cli(*args)
-        pooled = run_cli(*args, env_extra={"BCV_THREADS": "3"})
-        assert serial.returncode == pooled.returncode == 0
-        assert serial.stdout == pooled.stdout
 
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams, TangentVector, cross, metric, norm, smoothing_factor, to_frame
+from bcvgeo.ambient import (BcvParams, TangentVector, cross, frame_dot, metric, norm,
+                            smoothing_factor, to_frame)
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
+    EPS_ALPHA,
     ParametricSurface,
     ScalarField,
     alpha_field,
@@ -30,8 +32,9 @@ from bcvgeo.rotation import (
     revolution_surface,
     slant_profile,
 )
+from bcvgeo.suites import _structural_maxima
 
-from conftest import flat_plane, kinked_plane, make_rng, sphere_surface
+from conftest import PAIRS6, flat_plane, kinked_plane, make_rng, sphere_surface
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -39,6 +42,11 @@ P_NIL = BcvParams(0.0, 0.5)
 
 def slant_surface(params=P_NIL, r0=1.0, sigma0=1.0, span=(-0.5, 1.5)):
     return revolution_surface(params, slant_profile(params, r0, sigma0), span)
+
+
+def frame_norm(a):
+    """Metric norm of a vector given in frame components."""
+    return float(np.sqrt(frame_dot(a, a)))
 
 
 def random_samples(surface, rng, n, sin_floor=0.0, params=P_NIL):
@@ -183,8 +191,9 @@ class TestShapeOperator:
         afld = alpha_field(S, P_NIL)
         for u, v, jet in random_samples(S, rng, 5, sin_floor=0.2):
             sh = shape_operator(S, P_NIL, u, v)
-            e2a = directional_derivative(S, P_NIL, u, v, afld, jet.e2, jet=jet)
-            assert abs(sh.A[0, 1] - (e2a - P_NIL.tau)) < 1e-4
+            W = to_frame(P_NIL, jet.e2)[:, None]
+            _, e2a = directional_derivative(surface_jets(S, P_NIL, u, v), u, v, W, afld)
+            assert abs(sh.A[0, 1] - (e2a[0] - P_NIL.tau)) < 1e-4
 
 
 class TestFields:
@@ -261,23 +270,23 @@ class TestCurvatureResiduals:
     def test_compatibility_plane(self):
         S = flat_plane()
         jet = surface_jet(S, P_FLAT, 0.1, 0.2)
-        vec, sc = compatibility_residual(S, P_FLAT, 0.1, 0.2, jet.X_u)
-        assert norm(P_FLAT, vec) < 1e-10
+        vec, sc = compatibility_residual(S, P_FLAT, 0.1, 0.2, to_frame(P_FLAT, jet.X_u))
+        assert frame_norm(vec) < 1e-10
         assert abs(sc) < 1e-10
 
     def test_compatibility_cylinder_vertical(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
         jet = surface_jet(S, P, 0.8, 0.2)
-        vec, sc = compatibility_residual(S, P, 0.8, 0.2, jet.e1)
-        assert norm(P, vec) < 1e-5
+        vec, sc = compatibility_residual(S, P, 0.8, 0.2, to_frame(P, jet.e1))
+        assert frame_norm(vec) < 1e-5
         assert abs(sc) < 1e-5
 
     def test_compatibility_generic(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 6, sin_floor=0.15):
-            vec, sc = compatibility_residual(S, P_NIL, u, v, jet.e2)
-            assert norm(P_NIL, vec) < 1e-4
+            vec, sc = compatibility_residual(S, P_NIL, u, v, to_frame(P_NIL, jet.e2))
+            assert frame_norm(vec) < 1e-4
             assert abs(sc) < 1e-4
 
     def test_surface_connection_closed_forms(self, rng):
@@ -286,3 +295,79 @@ class TestCurvatureResiduals:
             if abs(jet.cos_alpha / jet.sin_alpha) > 10:
                 continue
             assert surface_connection_residual(S, P_NIL, u, v) < 1e-3
+
+
+def interior_grid(surface, nu=3, nv=4, margin=0.15):
+    (u0, u1), (v0, v1) = surface.domain
+    return np.meshgrid(np.linspace(u0 + margin * (u1 - u0), u1 - margin * (u1 - u0), nu),
+                       np.linspace(v0 + margin * (v1 - v0), v1 - margin * (v1 - v0), nv),
+                       indexing="ij")
+
+
+def e2_field(S, params, u, v):
+    """The adapted e2 = JT / sin(alpha) at (u, v), in frame components."""
+    J = surface_jets(S, params, u, v)
+    return J.JT / J.sin_alpha
+
+
+class TestResidualArrays:
+    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(P_NIL), P_NIL),
+                (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL)]
+    EVALUATORS = {
+        "brioschi": lambda S, P, u, v: brioschi_curvature(S, P, u, v),
+        "gauss": lambda S, P, u, v: gauss_residual(S, P, u, v),
+        "codazzi": lambda S, P, u, v: codazzi_residual(S, P, u, v),
+        "compatibility": lambda S, P, u, v: compatibility_residual(S, P, u, v,
+                                                                   e2_field(S, P, u, v)),
+        "connection": lambda S, P, u, v: surface_connection_residual(S, P, u, v),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    @pytest.mark.parametrize("surface,params", SURFACES)
+    def test_grid_call_equals_per_point_calls(self, surface, params, name):
+        fn = self.EVALUATORS[name]
+        U, V = interior_grid(surface)
+        grid = fn(surface, params, U, V)
+        points = [fn(surface, params, float(u), float(v)) for u, v in zip(U.flat, V.flat)]
+        # stack the per-point results in the grid's layout, one array per output
+        parts = zip(*points) if isinstance(grid, tuple) else [points]
+        grid = grid if isinstance(grid, tuple) else (grid,)
+        for g, part in zip(grid, parts):
+            one = np.moveaxis(np.array(part), 0, -1).reshape(g.shape)
+            assert np.abs(g - one).max() <= 1e-12, name
+
+    def test_codazzi_batch_names_first_unadapted_point(self):
+        # z = u^2 / 2 in flat space: the normal is vertical along u = 0
+        S = ParametricSurface(lambda u, v: (u, v, 0.5 * u * u), ((-1.0, 1.0), (-1.0, 1.0)),
+                              partials=lambda u, v: ((1.0, 0.0, u), (0.0, 1.0, 0.0)))
+        U, V = np.array([0.3, 0.0, 0.0]), np.array([0.1, 0.2, 0.4])
+        assert surface_jets(S, P_FLAT, U, V).sin_alpha[1] < EPS_ALPHA
+        with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0, 0\.2\)"):
+            codazzi_residual(S, P_FLAT, U, V)
+
+
+# Worst jet, gauss, codazzi and compatibility residuals of the gauss-codazzi
+# suite, recorded with the per-point evaluators these batches replaced.
+PER_POINT_MAXIMA = {
+    (0.0, 0.0): (1.1102230246251565e-16, 1.564363367734245e-07, 2.1634516372152494e-08, 8.351142317543509e-10),
+    (1.0, 0.0): (1.1102230246251565e-16, 9.185709817782772e-08, 2.5948923426666326e-07, 8.726398157855111e-10),
+    (-1.0, 0.0): (1.1102230246251565e-16, 2.778577638945512e-07, 1.5606971609516407e-07, 7.841037342092839e-10),
+    (0.0, 0.5): (1.1102230246251565e-16, 2.438871604393267e-07, 1.2779016611563776e-07, 3.809492637844318e-09),
+    (1.0, 0.5): (3.3306690738754696e-16, 1.3484184346879147e-07, 2.249831493328358e-07, 3.050319346789069e-09),
+    (4.0, 1.0): (2.220446049250313e-16, 1.607122444013953e-07, 5.470695738640785e-07, 3.694236986286806e-09),
+    (1.0, 1.0): (1.1102230246251565e-16, 3.2462635095320547e-07, 2.4524084807353574e-07, 5.450149535765134e-09),
+    (-1.0, 0.5): (2.220446049250313e-16, 3.390981730688747e-07, 1.4782066465324206e-07, 6.0610808348054595e-09),
+}
+
+
+@pytest.mark.parametrize("params", PAIRS6 + [BcvParams(1.0, 1.0), BcvParams(-1.0, 0.5)],
+                         ids=str)
+def test_structural_maxima_match_per_point_values(params):
+    worst, samples = _structural_maxima(params)
+    recorded = dict(zip(("jet", "gauss", "codazzi", "compat"),
+                        PER_POINT_MAXIMA[(params.kappa, params.tau)]))
+    # Codazzi nests two differences of the angle at step 1e-4, so an ulp of
+    # arccos moves it by ~1e-8; the other families agree to rounding.
+    atol = {"jet": 1e-15, "gauss": 1e-12, "codazzi": 1e-7, "compat": 1e-12}
+    for k in recorded:
+        assert abs(worst[k] - recorded[k]) <= atol[k], k

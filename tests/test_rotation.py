@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -280,20 +279,6 @@ class TestBranchIntegration:
         )
         assert traj.shadow_error is not None
         assert traj.shadow_error < 1e-10
-
-    def test_jit_and_python_paths_agree(self):
-        P = BcvParams(1.0, 1.0)
-        init = ProfileState(0.0, 0.9, 0.0, 1.2)
-        cfg = IntegrationConfig(s_max=3.0)
-        t_default = integrate_noncmc_branch(P, init, cfg)
-        os.environ["BCV_DISABLE_NUMBA"] = "1"
-        try:
-            t_python = integrate_noncmc_branch(P, init, cfg)
-        finally:
-            del os.environ["BCV_DISABLE_NUMBA"]
-        assert t_default.status == t_python.status
-        assert len(t_default) == len(t_python)
-        assert np.abs(t_default.data - t_python.data).max() < 1e-9
 
 
 def _branch_r1(params, state):
