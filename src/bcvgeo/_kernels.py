@@ -3,21 +3,23 @@
 The candidate non-constant-curvature family of rotation surfaces is driven
 by the angle form of the profile equations,
 
-    r'     = F cos(sigma),              F = 1 + kappa r^2 / 4
-    z'     = sin(sigma) sqrt(1 + tau^2 r^2)
-    sigma' = sin(sigma) (kappa r / 4 - 1 / (3 r)),
+    r'     = F math.cos(sigma),              F = 1 + kappa r^2 / 4
+    z'     = math.sin(sigma) math.sqrt(1 + tau^2 r^2)
+    sigma' = math.sin(sigma) (kappa r / 4 - 1 / (3 r)),
 
-with the branch mean curvature f = 2 sin(sigma) / (3 r) and its arclength
-derivative f' = -4 sin(2 sigma) / (9 r^2) recorded per step together with
+with the branch mean curvature f = 2 math.sin(sigma) / (3 r) and its arclength
+derivative f' = -4 math.sin(2 sigma) / (9 r^2) recorded per step together with
 the two reduction residuals and the factorised obstruction.
 
-The kernel is written in plain Python over float64 scalars and a
-preallocated output array.
+A plain-Python march on floats records the state (s, r, z, sigma) per row;
+one numpy pass then computes the five diagnostic columns for all rows.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 STATUS_SMAX = 0
 STATUS_MAX_STEPS = 1
@@ -35,119 +37,121 @@ STATUS_NAMES = {
 COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
 
 
-def branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
-                  r_stop, f_stop, out):
-    """March the branch system, filling `out` rows per COLUMNS.
+def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
+                 r_stop, f_stop):
+    """March the branch system, recording the state of each row.
 
-    Returns (rows_written, status_code).  Stops on s >= s_max, row budget,
-    r <= r_stop (axis), or F <= f_stop (domain boundary); stage values are
-    guarded the same way so a step can never be committed through the
-    singular set.
+    Returns ((s, r, z, sigma), status_code), the columns as lists.  Stops on
+    s >= s_max, row budget, r <= r_stop (axis), or F <= f_stop (domain
+    boundary); stage values are guarded the same way so a step can never be
+    committed through the singular set.  Takes Python floats (numpy scalars
+    slow every operation of the loop).
     """
-    r = r0
-    z = z0
-    sig = sigma0
-    s = s0
-    n = 0
+    s, r, z, sig = s0, r0, z0, sigma0
+    rows_s, rows_r, rows_z, rows_g = [], [], [], []
     status = STATUS_MAX_STEPS
     t2 = tau * tau
-    while n < max_rows:
-        F = 1.0 + 0.25 * kappa * r * r
-        q2 = 1.0 + t2 * r * r
-        q = math.sqrt(q2)
-        sin_s = math.sin(sig)
-        cos_s = math.cos(sig)
-        f = 2.0 * sin_s / (3.0 * r)
-        fp = -8.0 * sin_s * cos_s / (9.0 * r * r)
-        b = sin_s / q
-        d = tau * r / q
-        cos_a = cos_s / q
-        sin2_a = 1.0 - cos_a * cos_a
-        sig_p = sin_s * (0.25 * kappa * r - 1.0 / (3.0 * r))
-        r_p = F * cos_s
-        cos_a_p = -sin_s * sig_p / q - t2 * r * r_p * cos_s / (q2 * q)
-        curv = 4.0 * t2 - kappa
-        R1 = fp * (b * f - 2.0 * tau * d - 2.0 * cos_a_p) - 2.0 * f * curv * cos_a * sin2_a
-        R2 = fp * (3.0 * d * f - 2.0 * tau * b)
-        obs = -curv * f * (math.cos(2.0 * sig) - 1.0 - 2.0 * t2 * r * r) * cos_s
-        out[n, 0] = s
-        out[n, 1] = r
-        out[n, 2] = z
-        out[n, 3] = sig
-        out[n, 4] = f
-        out[n, 5] = fp
-        out[n, 6] = R1
-        out[n, 7] = R2
-        out[n, 8] = obs
-        n += 1
-        if s >= s_max - 0.5 * step:
+    kq = 0.25 * kappa           # the products below associate left, so
+    half = 0.5 * step           # hoisting these factors changes no bit
+    s_last = s_max - half
+    while len(rows_s) < max_rows:
+        rows_s.append(s)
+        rows_r.append(r)
+        rows_z.append(z)
+        rows_g.append(sig)
+        if s >= s_last:
             status = STATUS_SMAX
             break
 
         # RK4 step with per-stage guards
-        k1r = F * cos_s
-        k1z = sin_s * q
-        k1g = sig_p
+        sin_s = math.sin(sig)
+        k1r = (1.0 + kq * r * r) * math.cos(sig)
+        k1z = sin_s * math.sqrt(1.0 + t2 * r * r)
+        k1g = sin_s * (kq * r - 1.0 / (3.0 * r))
 
-        r2_ = r + 0.5 * step * k1r
-        g2_ = sig + 0.5 * step * k1g
-        if r2_ <= r_stop:
-            status = STATUS_NEAR_AXIS
+        r2_ = r + half * k1r
+        g2_ = sig + half * k1g
+        F2 = 1.0 + kq * r2_ * r2_
+        if r2_ <= r_stop or F2 <= f_stop:
+            status = STATUS_NEAR_AXIS if r2_ <= r_stop else STATUS_DOMAIN_EXIT
             break
-        F2 = 1.0 + 0.25 * kappa * r2_ * r2_
-        if F2 <= f_stop:
-            status = STATUS_DOMAIN_EXIT
-            break
+        sin_g = math.sin(g2_)
         k2r = F2 * math.cos(g2_)
-        k2z = math.sin(g2_) * math.sqrt(1.0 + t2 * r2_ * r2_)
-        k2g = math.sin(g2_) * (0.25 * kappa * r2_ - 1.0 / (3.0 * r2_))
+        k2z = sin_g * math.sqrt(1.0 + t2 * r2_ * r2_)
+        k2g = sin_g * (kq * r2_ - 1.0 / (3.0 * r2_))
 
-        r3_ = r + 0.5 * step * k2r
-        g3_ = sig + 0.5 * step * k2g
-        if r3_ <= r_stop:
-            status = STATUS_NEAR_AXIS
+        r3_ = r + half * k2r
+        g3_ = sig + half * k2g
+        F3 = 1.0 + kq * r3_ * r3_
+        if r3_ <= r_stop or F3 <= f_stop:
+            status = STATUS_NEAR_AXIS if r3_ <= r_stop else STATUS_DOMAIN_EXIT
             break
-        F3 = 1.0 + 0.25 * kappa * r3_ * r3_
-        if F3 <= f_stop:
-            status = STATUS_DOMAIN_EXIT
-            break
+        sin_g = math.sin(g3_)
         k3r = F3 * math.cos(g3_)
-        k3z = math.sin(g3_) * math.sqrt(1.0 + t2 * r3_ * r3_)
-        k3g = math.sin(g3_) * (0.25 * kappa * r3_ - 1.0 / (3.0 * r3_))
+        k3z = sin_g * math.sqrt(1.0 + t2 * r3_ * r3_)
+        k3g = sin_g * (kq * r3_ - 1.0 / (3.0 * r3_))
 
         r4_ = r + step * k3r
         g4_ = sig + step * k3g
-        if r4_ <= r_stop:
-            status = STATUS_NEAR_AXIS
+        F4 = 1.0 + kq * r4_ * r4_
+        if r4_ <= r_stop or F4 <= f_stop:
+            status = STATUS_NEAR_AXIS if r4_ <= r_stop else STATUS_DOMAIN_EXIT
             break
-        F4 = 1.0 + 0.25 * kappa * r4_ * r4_
-        if F4 <= f_stop:
-            status = STATUS_DOMAIN_EXIT
-            break
+        sin_g = math.sin(g4_)
         k4r = F4 * math.cos(g4_)
-        k4z = math.sin(g4_) * math.sqrt(1.0 + t2 * r4_ * r4_)
-        k4g = math.sin(g4_) * (0.25 * kappa * r4_ - 1.0 / (3.0 * r4_))
+        k4z = sin_g * math.sqrt(1.0 + t2 * r4_ * r4_)
+        k4g = sin_g * (kq * r4_ - 1.0 / (3.0 * r4_))
 
         r_new = r + step * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
-        z_new = z + step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        g_new = sig + step * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
-        if r_new <= r_stop:
-            status = STATUS_NEAR_AXIS
+        if r_new <= r_stop or 1.0 + kq * r_new * r_new <= f_stop:
+            status = STATUS_NEAR_AXIS if r_new <= r_stop else STATUS_DOMAIN_EXIT
             break
-        F_new = 1.0 + 0.25 * kappa * r_new * r_new
-        if F_new <= f_stop:
-            status = STATUS_DOMAIN_EXIT
-            break
+        z = z + step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        sig = sig + step * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
         r = r_new
-        z = z_new
-        sig = g_new
         s = s + step
-    return n, status
+    return (rows_s, rows_r, rows_z, rows_g), status
+
+
+def branch_diagnostics(kappa, tau, data):
+    """Fill the f, f_prime, R1, R2 and obstruction columns of the rows x 9
+    array `data` from its (s, r, z, sigma) columns."""
+    r = data[:, 1]
+    sig = data[:, 3]
+    t2 = tau * tau
+    q2 = 1.0 + t2 * r * r
+    q = np.sqrt(q2)
+    sin_s = np.sin(sig)
+    cos_s = np.cos(sig)
+    data[:, 4] = f = 2.0 * sin_s / (3.0 * r)
+    data[:, 5] = fp = -8.0 * sin_s * cos_s / (9.0 * r * r)
+    b = sin_s / q
+    d = tau * r / q
+    cos_a = cos_s / q
+    sin2_a = 1.0 - cos_a * cos_a
+    sig_p = sin_s * (0.25 * kappa * r - 1.0 / (3.0 * r))
+    r_p = (1.0 + 0.25 * kappa * r * r) * cos_s
+    cos_a_p = -sin_s * sig_p / q - t2 * r * r_p * cos_s / (q2 * q)
+    curv = 4.0 * t2 - kappa
+    data[:, 6] = fp * (b * f - 2.0 * tau * d - 2.0 * cos_a_p) - 2.0 * f * curv * cos_a * sin2_a
+    data[:, 7] = fp * (3.0 * d * f - 2.0 * tau * b)
+    data[:, 8] = -curv * f * (np.cos(2.0 * sig) - 1.0 - 2.0 * t2 * r * r) * cos_s
 
 
 def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
                       r_stop, f_stop, out):
-    """:func:`branch_kernel` with its step, budget and stop arguments
-    coerced to float and int."""
-    return branch_kernel(kappa, tau, r0, z0, sigma0, s0, float(step), int(max_rows),
-                         float(s_max), float(r_stop), float(f_stop), out)
+    """March the branch from (s0, r0, z0, sigma0) and fill the first rows of
+    `out` (at least max_rows x 9, columns as COLUMNS).
+
+    Returns (rows_written, status_code).  Every argument is coerced to a
+    Python float (max_rows to int) before the march.
+    """
+    kappa, tau = float(kappa), float(tau)
+    cols, status = branch_march(
+        kappa, tau, float(r0), float(z0), float(sigma0), float(s0), float(step),
+        int(max_rows), float(s_max), float(r_stop), float(f_stop))
+    n = len(cols[0])
+    for j, col in enumerate(cols):
+        out[:n, j] = col
+    branch_diagnostics(kappa, tau, out[:n])
+    return n, status

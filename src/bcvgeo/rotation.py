@@ -45,6 +45,7 @@ import numpy as np
 from ._kernels import (
     COLUMNS,
     STATUS_NAMES,
+    branch_march,
     run_branch_kernel,
 )
 from ._spline import CubicSpline
@@ -258,7 +259,7 @@ class IntegrationConfig:
     max_steps: int = 20000
     s_max: float = 5.0
     near_axis_factor: float = 10.0
-    r_stop: float = None
+    r_stop: Optional[float] = None
     fd_check: bool = True
     fd_check_r_floor: float = 0.2
     shadow: bool = False
@@ -286,13 +287,10 @@ class BranchTrajectory:
     status: str
     config: IntegrationConfig
     shadow_error: Optional[float] = None
+    fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL, None if unchecked
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, COLUMNS.index(name)]
-
-    def state(self, i: int) -> ProfileState:
-        row = self.data[i]
-        return ProfileState(s=row[0], r=row[1], z=row[2], sigma=row[3])
 
     def __len__(self):
         return self.data.shape[0]
@@ -333,6 +331,7 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
         mask = traj.column("r")[2:-2] >= config.fd_check_r_floor
         if np.any(mask):
             worst = float(np.max(np.abs(fd[mask] - fp[2:-2][mask])))
+            traj.fd_check_margin = worst / FD_CHECK_TOL
             if worst > FD_CHECK_TOL:
                 raise SelfConsistencyError(
                     f"closed-form f' deviates from finite differences by {worst:.3e}"
@@ -354,44 +353,37 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
 
     Bisection on the sub-step offset; each probe advances the row-i state by
     a single RK4 step of the probed size, which is accurate to O(step^5) and
-    keeps the refinement deterministic.
+    keeps the refinement deterministic.  Probes march the state only; the
+    probe at offset 0 returns the row-i state itself.
     """
-    s0 = traj.data[i, 0]
-    state0 = traj.state(i)
+    s0, r0, z0, g0 = (float(x) for x in traj.data[i, :4])
+    kappa, tau = float(params.kappa), float(params.tau)
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        if offset == 0.0:
-            st = state0
-        else:
-            out = np.empty((2, len(COLUMNS)))
-            n, _ = run_branch_kernel(
-                params.kappa, params.tau, state0.r, state0.z, state0.sigma,
-                state0.s, offset, 2, state0.s + offset, EPS_R, EPS_F, out,
-            )
-            row = out[min(n - 1, 1)]
-            st = ProfileState(s=row[0], r=row[1], z=row[2], sigma=row[3])
-        return quantity(params, st)
+        cols, _ = branch_march(kappa, tau, r0, z0, g0, s0, offset, 2, s0 + offset,
+                               EPS_R, EPS_F)
+        return quantity(params, ProfileState(*(c[-1] for c in cols)))
 
     lo, hi = 0.0, h
     flo = value_at(lo)
     fhi = value_at(hi)
     if flo == 0.0:
-        return float(s0)
+        return s0
     if fhi == 0.0:
-        return float(s0 + h)
+        return s0 + h
     if flo * fhi > 0.0:
         raise ValueError("no sign change in the given step")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fm = value_at(mid)
         if fm == 0.0:
-            return float(s0 + mid)
+            return s0 + mid
         if flo * fm < 0.0:
             hi = mid
         else:
             lo, flo = mid, fm
-    return float(s0 + 0.5 * (lo + hi))
+    return s0 + 0.5 * (lo + hi)
 
 
 def observed_order(params: BcvParams, init: ProfileState, base_step: float,

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import bcvgeo.rotation as rot
-from bcvgeo.ambient import BcvParams, hopf_dpsi, smoothing_factor
+from bcvgeo._kernels import (
+    COLUMNS,
+    STATUS_DOMAIN_EXIT,
+    STATUS_NAMES,
+    branch_march,
+    run_branch_kernel,
+)
+from bcvgeo.ambient import EPS_F, BcvParams, hopf_dpsi, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_operator, surface_jet
 from bcvgeo.rotation import (
@@ -36,6 +43,7 @@ from bcvgeo.rotation import (
 from bcvgeo.suites import run_suite
 
 from conftest import make_rng
+from reference_kernel import branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)
 
@@ -154,6 +162,61 @@ class TestObstruction:
         assert abs(theorem52_obstruction(BcvParams(4.0, 1.0), st2)) < 1e-15
 
 
+# kernel arguments: kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
+# r_stop, f_stop
+KERNEL_CASES = {
+    "smax": (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, EPS_F),
+    "max_steps": (0.0, 0.5, 1.0, 0.0, 0.8, 0.0, 1e-3, 50, 10.0, 1e-7, EPS_F),
+    "max_rows_1": (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1e-3, 1, 3.0, 0.05, EPS_F),
+    "near_axis_funnel": (0.0, 0.5, 0.5, 0.0, math.pi, 0.0, 1e-3, 20000, 10.0, 0.05, EPS_F),
+    # r0 + step k1r / 2 = 0.25 <= r_stop: the stage-2 guard ends the first step
+    "near_axis_stage": (0.0, 0.5, 0.5, 0.0, math.pi, 0.0, 0.5, 10, 10.0, 0.3, EPS_F),
+    # F(r0) = 0.0975 but F(r0 + step k1r / 2) = 0.0025 <= f_stop: stage 2 again
+    "domain_exit_stage": (-1.0, 0.5, 1.9, 0.0, 0.0, 0.0, 2.0, 10, 100.0, 1e-8, 0.05),
+    "domain_exit_outside": (-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9),
+    "boundary_approach": (-1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1e-3, 20000, 10.0, 1e-7, EPS_F),
+}
+
+
+class TestBranchKernel:
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_split_kernel_matches_reference_loop(self, case):
+        args = KERNEL_CASES[case]
+        ref = np.empty((args[7], len(COLUMNS)))
+        out = np.empty_like(ref)
+        n_ref, status_ref = reference_kernel(*args, ref)
+        n, status = run_branch_kernel(*args, out)
+        assert (n, status) == (n_ref, status_ref)
+        # the state columns bit for bit; np.sin may differ from math.sin by
+        # an ulp on some platforms, so the diagnostic columns to 1e-12
+        assert out[:n, :4].tobytes() == ref[:n, :4].tobytes()
+        assert np.abs(out[:n, 4:] - ref[:n, 4:]).max() <= 1e-12
+
+    def test_cases_reach_every_status(self):
+        statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
+                    for a in KERNEL_CASES.values()}
+        assert statuses == set(STATUS_NAMES)
+
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.6, 1.6),
+           st.floats(0.15, math.pi - 0.15))
+    # no shrinking: each example is a 3,000-row march, and a broken stage
+    # fails at every input, so a shrunk example only costs minutes
+    @settings(max_examples=40, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    def test_first_integral_is_conserved(self, kappa, tau, r0, sigma0):
+        # d ln sin(sigma) / dr = (kappa r / 4 - 1 / (3 r)) / F along the flow,
+        # so I = sin(sigma) r^(1/3) F^(-2/3) is constant on every trajectory
+        assume(1.0 + 0.25 * kappa * r0 * r0 >= 0.36)   # r0 <= 0.8 of the boundary radius
+        cfg = IntegrationConfig(s_max=3.0, r_stop=0.05)
+        traj = integrate_noncmc_branch(BcvParams(kappa, tau),
+                                       ProfileState(0.0, r0, 0.0, sigma0), cfg)
+        r = traj.column("r")
+        F = 1.0 + 0.25 * kappa * r * r
+        first = np.sin(traj.column("sigma")) * np.cbrt(r / (F * F))
+        kept = r >= cfg.fd_check_r_floor
+        assert np.abs(first[kept] / first[0] - 1.0).max() <= 1e-10
+
+
 class TestBranchIntegration:
     def test_stationary_radius(self):
         kappa = 3.0
@@ -236,13 +299,10 @@ class TestBranchIntegration:
 
     def test_domain_guard_in_kernel(self):
         # the stage guard itself, fed a state already outside the domain
-        from bcvgeo._kernels import COLUMNS, STATUS_DOMAIN_EXIT, branch_kernel
-
-        out = np.empty((10, len(COLUMNS)))
-        n, status = branch_kernel(-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10,
-                                  1.0, 1e-8, 1e-9, out)
+        cols, status = branch_march(-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10,
+                                    1.0, 1e-8, 1e-9)
         assert status == STATUS_DOMAIN_EXIT
-        assert n == 1
+        assert [len(c) for c in cols] == [1, 1, 1, 1]
 
     def test_max_steps_termination(self):
         traj = integrate_noncmc_branch(
@@ -266,6 +326,19 @@ class TestBranchIntegration:
         monkeypatch.setattr(rot, "run_branch_kernel", biased_kernel)
         with pytest.raises(SelfConsistencyError, match="2.000e-04"):
             integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0))
+
+    def test_fd_check_margin_recorded(self):
+        traj = integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0))
+        assert 0.0 < traj.fd_check_margin < 1e-3
+        unchecked = integrate_noncmc_branch(
+            BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0),
+            IntegrationConfig(fd_check=False))
+        assert unchecked.fd_check_margin is None
+        # every row below fd_check_r_floor: no row is checked
+        below = integrate_noncmc_branch(P_NIL, ProfileState(0.0, 0.15, 0.0, 1.5),
+                                        IntegrationConfig(s_max=0.01))
+        assert len(below) >= 5 and below.column("r").max() < below.config.fd_check_r_floor
+        assert below.fd_check_margin is None
 
     def test_observed_order_is_four(self):
         P = BcvParams(1.0, 1.0)
@@ -305,7 +378,7 @@ class TestBranchClassification:
         # the f' self-check runs on every trajectory, so its truncation error
         # must stay under FD_CHECK_TOL at every seed, not only the default one
         P = BcvParams(kappa, tau)
-        failed = [seed for seed in range(20) if not run_suite("theorem52", P, seed).passed]
+        failed = [seed for seed in range(40) if not run_suite("theorem52", P, seed).passed]
         assert failed == []
 
     def test_residual_proportional_to_obstruction(self):
