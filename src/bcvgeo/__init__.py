@@ -23,7 +23,7 @@ from .ambient import (
     smoothing_factor,
 )
 from .errors import BcvError, DegenerateSurfaceError, DomainError, SelfConsistencyError
-from .immersion import FdConfig, ParametricSurface, ScalarField, ShapeData, SurfaceJet
+from .immersion import FdConfig, ParametricSurface
 from .rotation import (
     BranchTrajectory,
     IntegrationConfig,
@@ -51,9 +51,6 @@ __all__ = [
     "SelfConsistencyError",
     "FdConfig",
     "ParametricSurface",
-    "ScalarField",
-    "ShapeData",
-    "SurfaceJet",
     "ProfileState",
     "ReducedCoefficients",
     "IntegrationConfig",

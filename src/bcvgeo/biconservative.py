@@ -11,9 +11,10 @@ vanishes identically; together with the normal component
 
 it makes up the full second-order residual pair (both zero = biharmonic).
 Here Ric(N)^T is the tangential projection of the ambient Ricci operator
-applied to N; in the adapted frame it collapses to the closed form
-(4 tau^2 - kappa) cos(a) sin(a) e1, which is cross-checked against the
-basis-expansion route valid at every angle.
+applied to N, expanded over an orthonormal tangent basis so that it is
+valid at every angle.  In the adapted frame it collapses to the closed form
+(4 tau^2 - kappa) cos(a) sin(a) e1, which the test suite uses as an oracle
+for that expansion.
 
 The module also carries the constant-angle machinery: for a surface with
 constant angle a, the biconservativity system forces lam = A(e2, e2) to
@@ -34,32 +35,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import BcvParams, TangentVector, frame_dot, from_frame, metric, ricci, ricci_frame
-from .errors import DegenerateSurfaceError
+from .ambient import BcvParams, ricci_frame
 from .immersion import (
     DEFAULT_FD,
     FdConfig,
-    SurfaceJet,
+    ShapeArrays,
     _adapted_frame,
     _at,
-    _tangent_basis,
     alpha_field,
     directional_derivative,
-    mean_curvature_field,
     shape_arrays,
-    shape_operator,
-    surface_jet,
     surface_jets,
     surface_laplacian,
 )
 
 __all__ = [
     "QuarticReport",
-    "ricci_normal_tangential",
-    "ricci_normal_tangential_generic",
     "tangential_bitension",
     "tangential_bitension_arrays",
-    "tangential_bitension_components",
     "normal_bitension",
     "frame_system_residual",
     "constant_angle_quartic_coeffs",
@@ -72,32 +65,18 @@ QUARTIC_DEGENERATE_TOL = 1e-12
 NEGATIVE_ROOT_TOL = 1e-12
 
 
-def ricci_normal_tangential_generic(params: BcvParams, jet: SurfaceJet) -> TangentVector:
-    """Ric(N)^T by expanding N over an orthonormal tangent basis.
-
-    Valid at every angle, including the degenerate ones where the adapted
-    frame does not exist.
-    """
-    b1, b2, _ = _tangent_basis(params, jet)
-    r1 = ricci(params, jet.N, b1)
-    r2 = ricci(params, jet.N, b2)
-    return r1 * b1 + r2 * b2
+def tangential_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+    """Same as :func:`tangential_bitension_arrays`.  No bcvgeo code calls it:
+    the name stays only because the benchmark tracer (perfbench/tracer.py)
+    looks it up, and its `--trace 1` raises AttributeError without it."""
+    return tangential_bitension_arrays(S, params, u, v, cfg)
 
 
-def ricci_normal_tangential(params: BcvParams, jet: SurfaceJet) -> TangentVector:
-    """Ric(N)^T; closed form (4 tau^2 - kappa) cos(a) sin(a) e1 when the
-    adapted frame exists, generic expansion otherwise."""
-    if jet.adapted:
-        coef = (4.0 * params.tau ** 2 - params.kappa) * jet.cos_alpha * jet.sin_alpha
-        return coef * jet.e1
-    return ricci_normal_tangential_generic(params, jet)
-
-
-def tangential_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> TangentVector:
-    """2 A(grad f) + f grad f - 2 f Ric(N)^T at one (u, v), as a vector;
-    see :func:`tangential_bitension_arrays`."""
-    a = tangential_bitension_arrays(S, params, u, v, cfg)
-    return from_frame(params, S.point(params, u, v), a)
+def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
+    """Frame components of Ric(N)^T, expanded over the tangent basis of the
+    shape arrays `sh`; valid at every angle."""
+    n = sh.jet.n
+    return ricci_frame(params, n, sh.b1) * sh.b1 + ricci_frame(params, n, sh.b2) * sh.b2
 
 
 def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
@@ -123,28 +102,23 @@ def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> 
     j = c.jet
     det = j.E * j.G - j.F * j.F
     grad_f = (j.G * du - j.F * dv) / det * j.au + (j.E * dv - j.F * du) / det * j.av
-    ric_t = ricci_frame(params, j.n, c.b1) * c.b1 + ricci_frame(params, j.n, c.b2) * c.b2
-    return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * ric_t
+    return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * _ricci_n_tangential(params, c)
 
 
-def tangential_bitension_components(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
-    """Adapted-frame components (g(., e1), g(., e2)) of the tangential
-    residual; needs sin(alpha) > EPS_ALPHA."""
-    jet = surface_jet(S, params, u, v, cfg)
-    if not jet.adapted:
-        raise DegenerateSurfaceError("adapted components need sin(alpha) > 0")
-    tb = tangential_bitension(S, params, u, v, cfg)
-    return metric(params, tb, jet.e1), metric(params, tb, jet.e2)
+def normal_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+    """Delta f + f |A|^2 - f Ric(N, N) at (u, v), floats or arrays of one
+    shape.  One :func:`shape_arrays` call covers each point and the 8 points
+    of its Laplacian stencil; the entry at the point gives f, |A|^2 and N."""
 
+    def invariants(U, V):
+        """(f, |A|^2, Ric(N, N)) at (U, V), shape (3,) + U.shape."""
+        sh = shape_arrays(S, params, U, V, cfg)
+        (a00, a01), (a10, a11) = sh.A
+        return np.array([sh.f, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11,
+                         ricci_frame(params, sh.jet.n, sh.jet.n)])
 
-def normal_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> float:
-    """Delta f + f |A|^2 - f Ric(N, N) at (u, v)."""
-    jet = surface_jet(S, params, u, v, cfg)
-    f_fld = mean_curvature_field(S, params, cfg)
-    shape = shape_operator(S, params, u, v, cfg)
-    lap = surface_laplacian(f_fld, S, params, u, v, cfg)
-    ric_nn = ricci(params, jet.N, jet.N)
-    return lap + shape.f * shape.norm2 - shape.f * ric_nn
+    (f, norm2, ric_nn), (lap, _, _) = surface_laplacian(S, params, u, v, invariants, cfg)
+    return lap + f * norm2 - f * ric_nn
 
 
 def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
@@ -158,8 +132,9 @@ def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
 
     e1(a), e2(a) are directional differences of the angle field and
     e_i(f) differences of the field lam + e1(a), so this route shares no
-    intermediate values with `tangential_bitension`; the two agree
-    component-by-component (factor one), which the test suite pins down.
+    intermediate values with :func:`tangential_bitension_arrays`; the two
+    agree component-by-component (factor one), which the test suite pins
+    down.
     The stages are batched as in :func:`bcvgeo.immersion.codazzi_residual`:
     lam and the angle derivatives at each centre and its +-e1, +-e2 steps,
     the angle at +-e1, +-e2 around each of those points.

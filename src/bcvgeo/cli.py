@@ -7,15 +7,17 @@ integrate   march the rotational branch ODE, CSV trajectory
 mesh        export a surface as a Wavefront OBJ with a residual header
 
 Exit codes: 0 success / all suites pass, 1 suites ran but failed, 2 usage or
-input error, 3 numeric domain failure.  Outputs are UTF-8 with LF endings
-and fixed 17-significant-digit float formatting, so identical flags and
-seeds reproduce byte-identical files (wall-clock timing is only included on
-request, to keep the default report deterministic).
+input error, 3 numeric domain failure.  Outputs are UTF-8 with LF endings.
+CSV and OBJ floats have fixed 17-significant-digit formatting and the JSON
+report writes floats by repr, so identical flags and seeds reproduce
+byte-identical files (wall-clock timing is only included on request, to
+keep the default report deterministic).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 import time
@@ -38,32 +40,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
-
-
-def _json_dumps(obj, indent: int = 0) -> str:
-    """Minimal JSON writer with deterministic float formatting."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_json_dumps(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _write_text(path, text: str):
@@ -98,7 +74,7 @@ def _cmd_verify(args, parser) -> int:
     report = run_report(params, names, seed=args.seed)
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
-    _write_text(args.out, _json_dumps(report) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 

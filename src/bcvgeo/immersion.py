@@ -13,15 +13,13 @@ The jet is computed by one array layer, :func:`surface_jets`: it runs the
 same componentwise arithmetic on x, y, z component floats or on arrays of
 any shape, so a whole stencil or grid row costs one chart call.
 :func:`shape_arrays` evaluates the shape operator at arrays of centres from
-one jet call over the centres and their 8 normal-stencil points.  The
-pointwise API (:func:`surface_jet`, :func:`shape_operator`) wraps these
-results in vector objects.
+one jet call over the centres and their 8 normal-stencil points.
 
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
-f = tr A, surface gradient / Laplacian of scalar fields over the chart, and
-residual evaluators for the structural identities every immersed surface
-must satisfy (intrinsic-vs-extrinsic curvature, the two scalar compatibility
-equations of the adapted frame, and the derivative law of T).  All surface
+f = tr A, the surface Laplacian of chart fields, and residual evaluators for
+the structural identities every immersed surface must satisfy
+(intrinsic-vs-extrinsic curvature, the two scalar compatibility equations
+of the adapted frame, and the derivative law of T).  All surface
 derivatives are finite differences along the chart; nothing requires
 symbolic input from chart authors.
 
@@ -46,23 +44,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import namedtuple
-from typing import Callable, Optional
 
 import numpy as np
 
 from .ambient import (
     EPS_F,
-    AmbientPoint,
     BcvParams,
-    TangentVector,
     christoffels_at,
     coordinate_components,
     frame_components,
     frame_cross,
     frame_dot,
-    from_frame,
     smoothing_factor,
-    to_frame,
 )
 from .errors import DegenerateSurfaceError, DomainError
 
@@ -74,17 +67,12 @@ __all__ = [
     "ParametricSurface",
     "JetArrays",
     "ShapeArrays",
-    "SurfaceJet",
-    "ShapeData",
-    "ScalarField",
     "surface_jets",
     "shape_arrays",
     "surface_jet",
     "shape_operator",
-    "mean_curvature_field",
     "alpha_field",
     "directional_derivative",
-    "surface_gradient",
     "surface_laplacian",
     "brioschi_curvature",
     "gauss_residual",
@@ -107,10 +95,11 @@ class FdConfig:
                      the shape operator
     directional_step first directional derivatives of fields along tangent
                      vectors
-    gradient_step    chart partials of scalar fields inside the surface
-                     gradient; wider than directional_step because the mean
-                     curvature field carries finite-difference jitter that
-                     a small step would amplify
+    gradient_step    chart partials of the mean curvature inside the
+                     tangential bitension; wider than directional_step
+                     because the mean curvature field carries
+                     finite-difference jitter that a small step would
+                     amplify
     second_step      second partials of the fundamental form (intrinsic
                      curvature stencil)
     laplacian_step   second-difference stencil of the surface Laplacian;
@@ -172,10 +161,6 @@ class ParametricSurface:
     def coords(self, u, v) -> np.ndarray:
         """Chart coordinates, shape (3,) + the broadcast shape of u and v."""
         return _components(self.chart(u, v), u, v)
-
-    def point(self, params: BcvParams, u: float, v: float) -> AmbientPoint:
-        c = self.coords(u, v)
-        return AmbientPoint(params, c[0], c[1], c[2])
 
     def partials_at(self, u, v, cfg: FdConfig = DEFAULT_FD):
         """(X_u, X_v) in coordinate components, each shaped like coords."""
@@ -256,47 +241,12 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v,
                      T=np.array(T), JT=np.array(frame_cross(n, T)))
 
 
-@dataclass
-class SurfaceJet:
-    """All first-order data of a surface at one parameter value."""
-
-    params: BcvParams
-    u: float
-    v: float
-    p: AmbientPoint
-    X_u: TangentVector
-    X_v: TangentVector
-    I: np.ndarray              # 2x2 first fundamental form
-    N: TangentVector           # unit normal (normal_sign applied)
-    cos_alpha: float
-    sin_alpha: float
-    T: TangentVector           # tangential part of E3
-    JT: TangentVector          # N ^ T
-    e1: Optional[TangentVector]
-    e2: Optional[TangentVector]
-    adapted: bool              # e1, e2 present (sin_alpha > EPS_ALPHA)
-
-
-def surface_jet(S: ParametricSurface, params: BcvParams, u: float, v: float,
-                cfg: FdConfig = DEFAULT_FD) -> SurfaceJet:
-    """The jet of :func:`surface_jets` at one (u, v), as vector objects.
-
-    Raises DegenerateSurfaceError when the chart partials are dependent
-    (Gram determinant at or below EPS_GRAM).
-    """
-    j = surface_jets(S, params, u, v, cfg)
-    p = AmbientPoint(params, j.x, j.y, j.z)
-    T = from_frame(params, p, j.T)
-    JT = from_frame(params, p, j.JT)
-    sin_a = float(j.sin_alpha)
-    adapted = sin_a > EPS_ALPHA
-    return SurfaceJet(
-        params=params, u=u, v=v, p=p, X_u=TangentVector(p, j.xu),
-        X_v=TangentVector(p, j.xv), I=np.array([[j.E, j.F], [j.F, j.G]]),
-        N=from_frame(params, p, j.n), cos_alpha=float(j.cos_alpha), sin_alpha=sin_a,
-        T=T, JT=JT, e1=(1.0 / sin_a) * T if adapted else None,
-        e2=(1.0 / sin_a) * JT if adapted else None, adapted=adapted,
-    )
+def surface_jet(S: ParametricSurface, params: BcvParams, u, v,
+                cfg: FdConfig = DEFAULT_FD) -> JetArrays:
+    """Same as :func:`surface_jets`.  No bcvgeo code calls it: the name stays
+    only because the benchmark tracer (perfbench/tracer.py) looks it up, and
+    its `--trace 1` raises AttributeError without it."""
+    return surface_jets(S, params, u, v, cfg)
 
 
 def _basis(au, av, T, JT, sin_a):
@@ -309,13 +259,6 @@ def _basis(au, av, T, JT, sin_a):
     w = av - frame_dot(av, g1) * g1
     g2 = w / np.sqrt(frame_dot(w, w))
     return np.where(adapted, T / s, g1), np.where(adapted, JT / s, g2), adapted
-
-
-def _tangent_basis(params: BcvParams, jet: SurfaceJet):
-    """The basis of :func:`_basis` at one jet, as vectors."""
-    b1, b2, adapted = _basis(to_frame(params, jet.X_u), to_frame(params, jet.X_v),
-                             to_frame(params, jet.T), to_frame(params, jet.JT), jet.sin_alpha)
-    return from_frame(params, jet.p, b1), from_frame(params, jet.p, b2), bool(adapted)
 
 
 class ShapeArrays(namedtuple("ShapeArrays", "jet A f b1 b2 adapted")):
@@ -384,52 +327,12 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
     return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted)
 
 
-@dataclass
-class ShapeData:
-    """Shape operator in an orthonormal tangent basis, plus invariants.
-
-    A is the raw 2x2 matrix A[i, j] = g(A b_j, b_i); it is symmetric up to
-    finite-difference noise.  `adapted` says whether the basis is the
-    adapted frame (e1, e2); otherwise it is a Gram-Schmidt basis of the
-    chart partials (the trace f is basis-independent either way).
-    """
-
-    A: np.ndarray
-    lam: float                # A[1, 1], the (e2, e2) entry
-    f: float                  # trace = mean curvature
-    basis: tuple
-    adapted: bool
-
-    @property
-    def norm2(self) -> float:
-        """Squared Frobenius norm |A|^2."""
-        return float(np.sum(self.A * self.A))
-
-
-def shape_operator(S: ParametricSurface, params: BcvParams, u: float, v: float,
-                   cfg: FdConfig = DEFAULT_FD) -> ShapeData:
-    """The shape operator of :func:`shape_arrays` at one (u, v), with its
-    basis as vectors at the chart point."""
-    sh = shape_arrays(S, params, u, v, cfg)
-    p = AmbientPoint(params, sh.jet.x, sh.jet.y, sh.jet.z)
-    A = np.array(sh.A, dtype=float)
-    return ShapeData(A=A, lam=float(A[1, 1]), f=float(A[0, 0] + A[1, 1]),
-                     basis=(from_frame(params, p, sh.b1), from_frame(params, p, sh.b2)),
-                     adapted=bool(sh.adapted))
-
-
-class ScalarField:
-    """Scalar function over the chart parameters."""
-
-    def __init__(self, fn: Callable[[float, float], float]):
-        self.fn = fn
-
-    def __call__(self, u: float, v: float) -> float:
-        return float(self.fn(u, v))
-
-
-def mean_curvature_field(S, params, cfg: FdConfig = DEFAULT_FD) -> ScalarField:
-    return ScalarField(lambda u, v: shape_operator(S, params, u, v, cfg).f)
+def shape_operator(S: ParametricSurface, params: BcvParams, u, v,
+                   cfg: FdConfig = DEFAULT_FD) -> ShapeArrays:
+    """Same as :func:`shape_arrays`.  No bcvgeo code calls it: the name stays
+    only because the benchmark tracer (perfbench/tracer.py) looks it up, and
+    its `--trace 1` raises AttributeError without it."""
+    return shape_arrays(S, params, u, v, cfg)
 
 
 def alpha_field(S, params, cfg: FdConfig = DEFAULT_FD):
@@ -467,56 +370,50 @@ def directional_derivative(jet: JetArrays, u, v, W, field, cfg: FdConfig = DEFAU
     return vals[..., 0], (vals[..., 1:k + 1] - vals[..., k + 1:]) / (2.0 * t)
 
 
-def surface_gradient(fld: ScalarField, S, params, u, v,
-                     cfg: FdConfig = DEFAULT_FD, jet: SurfaceJet = None) -> TangentVector:
-    """Gradient of fld on the surface: inverse fundamental form on the
-    chart partial derivatives."""
-    if jet is None:
-        jet = surface_jet(S, params, u, v, cfg)
-    hu = cfg.gradient_step * max(1.0, abs(u))
-    hv = cfg.gradient_step * max(1.0, abs(v))
-    du = (fld(u + hu, v) - fld(u - hu, v)) / (2.0 * hu)
-    dv = (fld(u, v + hv) - fld(u, v - hv)) / (2.0 * hv)
-    coef = np.linalg.solve(jet.I, np.array([du, dv]))
-    return coef[0] * jet.X_u + coef[1] * jet.X_v
-
-
-def surface_laplacian(fld: ScalarField, S, params, u, v,
-                      cfg: FdConfig = DEFAULT_FD) -> float:
-    """Surface Laplacian with the sign convention Delta = -div grad.
+def surface_laplacian(S, params, u, v, field, cfg: FdConfig = DEFAULT_FD):
+    """A chart field and its surface Laplacian, Delta = -div grad, at (u, v).
 
     Divergence form expanded as
         div grad f = I^{ij} d2_ij f + c^j d_j f,
         c^j = (1 / sqrt(det I)) d_i (sqrt(det I) I^{ij});
     second differences use cfg.laplacian_step, the metric coefficients use
-    cfg.directional_step.
-    """
-    h = cfg.laplacian_step
-    hu = h * max(1.0, abs(u))
-    hv = h * max(1.0, abs(v))
-    f0 = fld(u, v)
-    fuu = (fld(u + hu, v) - 2.0 * f0 + fld(u - hu, v)) / (hu * hu)
-    fvv = (fld(u, v + hv) - 2.0 * f0 + fld(u, v - hv)) / (hv * hv)
-    fuv = (fld(u + hu, v + hv) - fld(u + hu, v - hv)
-           - fld(u - hu, v + hv) + fld(u - hu, v - hv)) / (4.0 * hu * hv)
-    du = (fld(u + hu, v) - fld(u - hu, v)) / (2.0 * hu)
-    dv = (fld(u, v + hv) - fld(u, v - hv)) / (2.0 * hv)
+    cfg.directional_step over one jet call at each point and its 4 axis
+    steps.
 
-    ku = cfg.directional_step * max(1.0, abs(u))
-    kv = cfg.directional_step * max(1.0, abs(v))
+    u and v are floats or arrays of one shape P.  As in
+    :func:`directional_derivative`, `field` is called once, with arrays U, V
+    of shape P + (9,): each point, (u +- hu, v), (u, v +- hv), then the four
+    diagonal points; it returns values of shape Q + U.shape.  Returns the
+    field at the points and its Laplacian, each of shape Q + P.
+    """
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    h = cfg.laplacian_step
+    hu = h * np.maximum(1.0, np.abs(u))
+    hv = h * np.maximum(1.0, np.abs(v))
+    f0, fp, fm, fq, fr, fa, fb, fc, fd = np.moveaxis(field(
+        u[..., None] + hu[..., None] * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
+        v[..., None] + hv[..., None] * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])), -1, 0)
+    fuu = (fp - 2.0 * f0 + fm) / (hu * hu)
+    fvv = (fq - 2.0 * f0 + fr) / (hv * hv)
+    fuv = (fa - fb - fc + fd) / (4.0 * hu * hv)
+    du = (fp - fm) / (2.0 * hu)
+    dv = (fq - fr) / (2.0 * hv)
+
+    ku = cfg.directional_step * np.maximum(1.0, np.abs(u))
+    kv = cfg.directional_step * np.maximum(1.0, np.abs(v))
     # sqrt(det I) I^{-1} at (u +- ku, v), (u, v +- kv) and the centre
-    J = surface_jets(S, params, u + ku * np.array([1, -1, 0, 0, 0]),
-                     v + kv * np.array([0, 0, 1, -1, 0]), cfg)
+    J = surface_jets(S, params, u[..., None] + ku[..., None] * np.array([1, -1, 0, 0, 0]),
+                     v[..., None] + kv[..., None] * np.array([0, 0, 1, -1, 0]), cfg)
     det = J.E * J.G - J.F * J.F
     M = np.array([[J.G, -J.F], [-J.F, J.E]]) / np.sqrt(det)
     dM_u = (M[..., 0] - M[..., 1]) / (2.0 * ku)
     dM_v = (M[..., 2] - M[..., 3]) / (2.0 * kv)
-    Iinv = M[..., 4] / np.sqrt(det[4])
-    c = (dM_u[0, :] + dM_v[1, :]) / np.sqrt(det[4])
+    Iinv = M[..., 4] / np.sqrt(det[..., 4])
+    c = (dM_u[0] + dM_v[1]) / np.sqrt(det[..., 4])
 
     div = (Iinv[0, 0] * fuu + (Iinv[0, 1] + Iinv[1, 0]) * fuv + Iinv[1, 1] * fvv
            + c[0] * du + c[1] * dv)
-    return -div
+    return f0, -div
 
 
 def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD):

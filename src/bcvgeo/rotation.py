@@ -238,9 +238,9 @@ def theorem52_obstruction(params: BcvParams, state: ProfileState) -> float:
 class IntegrationConfig:
     """Fixed-step RK4 settings for branch trajectories.
 
-    A step-halved shadow run provides the error estimate when `shadow` is
-    set; there is no adaptive control, so trajectories are reproducible
-    bit-for-bit.  `fd_check` cross-validates the closed-form f' against the
+    There is no adaptive control, so trajectories are reproducible
+    bit-for-bit; :func:`observed_order` measures the integrator's order.
+    `fd_check` cross-validates the closed-form f' against the
     fourth-order 5-point central difference of the recorded f column and
     aborts on disagreement.  That stencil's truncation error is
     h^4 f^(5) / 30, which grows like 1/r^6; the check only applies to rows
@@ -262,7 +262,6 @@ class IntegrationConfig:
     r_stop: Optional[float] = None
     fd_check: bool = True
     fd_check_r_floor: float = 0.2
-    shadow: bool = False
 
     def __post_init__(self):
         if not self.step > 0.0:
@@ -286,7 +285,6 @@ class BranchTrajectory:
     data: np.ndarray           # rows x 9, columns as _kernels.COLUMNS
     status: str
     config: IntegrationConfig
-    shadow_error: Optional[float] = None
     fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL, None if unchecked
 
     def column(self, name: str) -> np.ndarray:
@@ -294,16 +292,6 @@ class BranchTrajectory:
 
     def __len__(self):
         return self.data.shape[0]
-
-
-def _run_once(params: BcvParams, init: ProfileState, step: float, max_rows: int,
-              s_max: float, r_stop: float):
-    out = np.empty((max_rows, len(COLUMNS)))
-    n, status = run_branch_kernel(
-        params.kappa, params.tau, init.r, init.z, init.sigma, init.s,
-        step, max_rows, s_max, r_stop, EPS_F, out,
-    )
-    return out[:n].copy(), status
 
 
 def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
@@ -319,10 +307,12 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     if config is None:
         config = IntegrationConfig()
     _check_radius(params, init.r)
-    r_stop = config.effective_r_stop
-    data, status = _run_once(params, init, config.step, config.max_steps,
-                             config.s_max, r_stop)
-    traj = BranchTrajectory(params=params, data=data, status=STATUS_NAMES[status],
+    out = np.empty((config.max_steps, len(COLUMNS)))
+    n, status = run_branch_kernel(
+        params.kappa, params.tau, init.r, init.z, init.sigma, init.s, config.step,
+        config.max_steps, config.s_max, config.effective_r_stop, EPS_F, out,
+    )
+    traj = BranchTrajectory(params=params, data=out[:n].copy(), status=STATUS_NAMES[status],
                             config=config)
     if config.fd_check and len(traj) >= 5:
         f = traj.column("f")
@@ -336,13 +326,6 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                 raise SelfConsistencyError(
                     f"closed-form f' deviates from finite differences by {worst:.3e}"
                 )
-    if config.shadow:
-        fine, _ = _run_once(params, init, 0.5 * config.step,
-                            2 * config.max_steps, config.s_max, r_stop)
-        m = min(len(data), (len(fine) + 1) // 2)
-        coarse_states = data[:m, 1:4]
-        fine_states = fine[: 2 * m - 1 : 2, 1:4]
-        traj.shadow_error = float(np.max(np.abs(coarse_states - fine_states)))
     return traj
 
 

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams
-from bcvgeo.immersion import ParametricSurface
+from bcvgeo.ambient import BcvParams, frame_dot
+from bcvgeo.biconservative import tangential_bitension_arrays
+from bcvgeo.immersion import ParametricSurface, surface_jets
 
 # parameter pairs exercised throughout: flat, product spaces, twisted models
 PAIRS6 = [
@@ -28,6 +29,18 @@ CYLINDER_PAIRS = [
 
 def make_rng(seed=42):
     return np.random.default_rng(seed)
+
+
+def frame_norm(a):
+    """Metric norm of a vector given in frame components."""
+    return float(np.sqrt(frame_dot(a, a)))
+
+
+def adapted_components(S, params, u, v):
+    """(g(tb, e1), g(tb, e2)) of the tangential bitension tb at (u, v)."""
+    jet = surface_jets(S, params, u, v)
+    tb = tangential_bitension_arrays(S, params, u, v)
+    return frame_dot(tb, jet.T / jet.sin_alpha), frame_dot(tb, jet.JT / jet.sin_alpha)
 
 
 def flat_plane():

@@ -3,22 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams, metric, norm, to_frame
+from bcvgeo.ambient import BcvParams, frame_dot
 from bcvgeo.biconservative import (
+    _ricci_n_tangential,
     constant_angle_codazzi_residual,
     constant_angle_datum_residual,
     constant_angle_quartic_coeffs,
     constant_angle_suite,
     frame_system_residual,
     normal_bitension,
-    ricci_normal_tangential,
-    ricci_normal_tangential_generic,
     tangential_bitension,
     tangential_bitension_arrays,
-    tangential_bitension_components,
 )
 from bcvgeo.errors import DegenerateSurfaceError
-from bcvgeo.immersion import shape_operator, surface_jet
+from bcvgeo.immersion import shape_arrays, surface_jets
 from bcvgeo.rotation import (
     ellipse_curve,
     generic_revolution_surface,
@@ -29,7 +27,8 @@ from bcvgeo.rotation import (
     slant_profile,
 )
 
-from conftest import CYLINDER_PAIRS, flat_plane, kinked_plane, make_rng, sphere_surface
+from conftest import (CYLINDER_PAIRS, adapted_components, flat_plane, frame_norm, kinked_plane,
+                      make_rng, sphere_surface)
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -40,18 +39,26 @@ def slant_surface(params=P_NIL):
     return revolution_surface(params, slant_profile(params, 1.0, 1.0), (-0.5, 1.5))
 
 
+def closed_ricci_n_tangential(params, jet):
+    """The adapted-frame closed form (4 tau^2 - kappa) cos(a) sin(a) e1 of
+    Ric(N)^T, in frame components; the oracle for the basis expansion."""
+    coef = (4.0 * params.tau ** 2 - params.kappa) * jet.cos_alpha * jet.sin_alpha
+    return coef * jet.T / jet.sin_alpha
+
+
 class TestRicciTangential:
     def test_closed_form_matches_generic(self, rng):
         S = slant_surface()
         for _ in range(8):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-0.3, 1.3)
-            jet = surface_jet(S, P_NIL, u, v)
-            closed = ricci_normal_tangential(P_NIL, jet)
-            generic = ricci_normal_tangential_generic(P_NIL, jet)
-            assert norm(P_NIL, closed - generic) < 1e-8
+            sh = shape_arrays(S, P_NIL, u, v)
+            jet = sh.jet
+            closed = closed_ricci_n_tangential(P_NIL, jet)
+            generic = _ricci_n_tangential(P_NIL, sh)
+            assert frame_norm(closed - generic) < 1e-8
             # the coefficient itself
-            coef = metric(P_NIL, generic, jet.e1)
+            coef = frame_dot(generic, jet.T / jet.sin_alpha)
             expected = (4 * P_NIL.tau ** 2 - P_NIL.kappa) * jet.cos_alpha * jet.sin_alpha
             assert coef == pytest.approx(expected, abs=1e-10)
 
@@ -62,43 +69,44 @@ class TestRicciTangential:
 
     def test_vertical_tangency_kills_it(self):
         S = hopf_cylinder(P_NIL, 1.0)
-        jet = surface_jet(S, P_NIL, 0.8, 0.2)
-        assert norm(P_NIL, ricci_normal_tangential(P_NIL, jet)) < 1e-13
+        sh = shape_arrays(S, P_NIL, 0.8, 0.2)
+        assert frame_norm(closed_ricci_n_tangential(P_NIL, sh.jet)) < 1e-13
+        assert frame_norm(_ricci_n_tangential(P_NIL, sh)) < 1e-13
 
     def test_space_form_kills_it_pointwise(self, rng):
         S = generic_revolution_surface(P_FORM, r_mid=0.8, amp=0.15, pitch=0.3)
         for _ in range(6):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-1.2, 1.2)
-            jet = surface_jet(S, P_FORM, u, v)
-            assert norm(P_FORM, ricci_normal_tangential_generic(P_FORM, jet)) < 1e-12
+            sh = shape_arrays(S, P_FORM, u, v)
+            assert frame_norm(_ricci_n_tangential(P_FORM, sh)) < 1e-12
 
 
 class TestTangentialBitension:
     def test_minimal_surfaces_vanish(self):
         # plane (f = 0, grad f = 0)
-        tb = tangential_bitension(flat_plane(), P_FLAT, 0.1, 0.2)
-        assert norm(P_FLAT, tb) < 1e-8
+        tb = tangential_bitension_arrays(flat_plane(), P_FLAT, 0.1, 0.2)
+        assert frame_norm(tb) < 1e-8
         # vertical cylinder over a radial geodesic of the positively curved base
         P = BcvParams(1.0, 0.5)
         tube = hopf_tube(P, *line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
-        assert abs(shape_operator(tube, P, 0.6, 0.3).f) < 1e-8
-        assert norm(P, tangential_bitension(tube, P, 0.6, 0.3)) < 1e-6
+        assert abs(shape_arrays(tube, P, 0.6, 0.3).f) < 1e-8
+        assert frame_norm(tangential_bitension_arrays(tube, P, 0.6, 0.3)) < 1e-6
 
     @pytest.mark.parametrize("params", CYLINDER_PAIRS, ids=str)
     def test_vertical_cylinders_conservative(self, params):
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(params, r0)
             for u, v in [(0.4, -0.5), (2.8, 0.3)]:
-                assert norm(params, tangential_bitension(S, params, u, v)) < 1e-6
+                assert frame_norm(tangential_bitension_arrays(S, params, u, v)) < 1e-6
 
     def test_space_form_cmc_conservative(self):
         S = hopf_cylinder(P_FORM, 0.5)
-        assert norm(P_FORM, tangential_bitension(S, P_FORM, 0.8, 0.2)) < 1e-6
+        assert frame_norm(tangential_bitension_arrays(S, P_FORM, 0.8, 0.2)) < 1e-6
 
     def test_nonconstant_curvature_tube_is_not(self):
         tube = hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0))
-        vals = [norm(P_NIL, tangential_bitension(tube, P_NIL, u, 0.1))
+        vals = [frame_norm(tangential_bitension_arrays(tube, P_NIL, u, 0.1))
                 for u in np.linspace(0.0, 2 * math.pi, 13)]
         assert max(vals) > 1e-3
 
@@ -107,9 +115,9 @@ class TestTangentialBitension:
         for _ in range(5):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-0.3, 1.3)
-            jet = surface_jet(S, P_NIL, u, v)
-            tb = tangential_bitension(S, P_NIL, u, v)
-            assert abs(metric(P_NIL, tb, jet.N)) < 1e-8
+            jet = surface_jets(S, P_NIL, u, v)
+            tb = tangential_bitension_arrays(S, P_NIL, u, v)
+            assert abs(frame_dot(tb, jet.n)) < 1e-8
 
 
 class TestNormalBitension:
@@ -120,19 +128,33 @@ class TestNormalBitension:
     def test_cylinder_closed_form(self, params):
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(params, r0)
-            sh = shape_operator(S, params, 0.8, 0.2)
-            expected = sh.f * (sh.lam ** 2 + 4 * params.tau ** 2 - params.kappa)
+            sh = shape_arrays(S, params, 0.8, 0.2)
+            expected = sh.f * (sh.A[1][1] ** 2 + 4 * params.tau ** 2 - params.kappa)
             assert normal_bitension(S, params, 0.8, 0.2) == pytest.approx(expected, abs=1e-5)
 
     def test_round_sphere_value(self):
         S = sphere_surface(1.0)
-        assert shape_operator(S, P_FLAT, 1.1, 0.8).f == pytest.approx(2.0, abs=1e-8)
+        assert shape_arrays(S, P_FLAT, 1.1, 0.8).f == pytest.approx(2.0, abs=1e-8)
         assert normal_bitension(S, P_FLAT, 1.1, 0.8) == pytest.approx(4.0, abs=1e-5)
 
     def test_sphere_radius_scaling(self):
         R = 2.0
         S = sphere_surface(R)
         assert normal_bitension(S, P_FLAT, 1.1, 0.8) == pytest.approx(4.0 / R ** 3, abs=1e-5)
+
+    @pytest.mark.parametrize("surface,params", [
+        (hopf_cylinder(P_NIL, 1.0), P_NIL),
+        (sphere_surface(1.0), P_FLAT),
+        (generic_revolution_surface(P_NIL), P_NIL),
+    ])
+    def test_grid_call_equals_per_point_calls(self, surface, params):
+        (u0, u1), (v0, v1) = surface.domain
+        U, V = np.meshgrid(np.linspace(u0 + 0.1, u1 - 0.1, 4), np.linspace(v0 + 0.1, v1 - 0.1, 3),
+                           indexing="ij")
+        grid = normal_bitension(surface, params, U, V)
+        assert grid.shape == U.shape
+        for i, j in np.ndindex(U.shape):
+            assert abs(grid[i, j] - normal_bitension(surface, params, U[i, j], V[i, j])) <= 1e-12
 
 
 class TestFrameSystem:
@@ -155,12 +177,12 @@ class TestFrameSystem:
         while count < 12:
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-1.2, 1.2)
-            jet = surface_jet(S, P_NIL, u, v)
+            jet = surface_jets(S, P_NIL, u, v)
             if jet.sin_alpha <= 0.1:
                 continue
             count += 1
             r1, r2 = frame_system_residual(S, P_NIL, u, v)
-            c1, c2 = tangential_bitension_components(S, P_NIL, u, v)
+            c1, c2 = adapted_components(S, P_NIL, u, v)
             assert abs(r1 - c1) < 1e-4
             assert abs(r2 - c2) < 1e-4
 
@@ -243,10 +265,11 @@ class TestBitensionArrays:
         grid = tangential_bitension_arrays(surface, params, U, V)
         assert grid.shape == (3,) + U.shape
         for i, j in np.ndindex(U.shape):
+            # tangential_bitension stays as a pass-through
             tb = tangential_bitension(surface, params, U[i, j], V[i, j])
             one = tangential_bitension_arrays(surface, params, U[i, j], V[i, j])
             assert np.abs(grid[:, i, j] - one).max() <= 1e-12
-            assert np.abs(to_frame(params, tb) - one).max() <= 1e-12
+            assert np.abs(tb - one).max() <= 1e-12
 
     @pytest.mark.parametrize("surface,params", [
         (slant_surface(), P_NIL),

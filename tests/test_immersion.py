@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import (BcvParams, TangentVector, cross, frame_dot, metric, norm,
-                            smoothing_factor, to_frame)
+from bcvgeo.ambient import (BcvParams, coordinate_components, frame_cross, frame_dot,
+                            smoothing_factor)
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
     EPS_ALPHA,
     ParametricSurface,
-    ScalarField,
     alpha_field,
     brioschi_curvature,
     codazzi_residual,
@@ -17,9 +16,7 @@ from bcvgeo.immersion import (
     directional_derivative,
     gauss_residual,
     shape_arrays,
-    shape_operator,
     surface_connection_residual,
-    surface_gradient,
     surface_jet,
     surface_jets,
     surface_laplacian,
@@ -34,7 +31,7 @@ from bcvgeo.rotation import (
 )
 from bcvgeo.suites import _structural_maxima
 
-from conftest import PAIRS6, flat_plane, kinked_plane, make_rng, sphere_surface
+from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, make_rng, sphere_surface
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -44,9 +41,9 @@ def slant_surface(params=P_NIL, r0=1.0, sigma0=1.0, span=(-0.5, 1.5)):
     return revolution_surface(params, slant_profile(params, r0, sigma0), span)
 
 
-def frame_norm(a):
-    """Metric norm of a vector given in frame components."""
-    return float(np.sqrt(frame_dot(a, a)))
+def coords(params, jet, a):
+    """Coordinate components of the vector with frame components a at the jet."""
+    return np.array(coordinate_components(params, jet.x, jet.y, a))
 
 
 def random_samples(surface, rng, n, sin_floor=0.0, params=P_NIL):
@@ -55,7 +52,7 @@ def random_samples(surface, rng, n, sin_floor=0.0, params=P_NIL):
     while len(out) < n:
         u = rng.uniform(u0, u1)
         v = rng.uniform(v0 + 0.1 * (v1 - v0), v1 - 0.1 * (v1 - v0))
-        jet = surface_jet(surface, params, u, v)
+        jet = surface_jets(surface, params, u, v)
         if jet.sin_alpha > sin_floor:
             out.append((u, v, jet))
     return out
@@ -64,24 +61,24 @@ def random_samples(surface, rng, n, sin_floor=0.0, params=P_NIL):
 class TestSurfaceJet:
     def test_horizontal_plane_degenerate(self):
         S = flat_plane()
-        jet = surface_jet(S, P_FLAT, 0.2, -0.3)
+        jet = surface_jets(S, P_FLAT, 0.2, -0.3)
         assert abs(abs(jet.cos_alpha) - 1.0) < 1e-15
-        assert norm(P_FLAT, jet.T) < 1e-15
-        assert not jet.adapted and jet.e1 is None and jet.e2 is None
-        assert abs(abs(jet.N.comps[2]) - 1.0) < 1e-15
+        assert frame_norm(jet.T) < 1e-15
+        assert jet.sin_alpha <= EPS_ALPHA   # no adapted frame
+        assert abs(abs(coords(P_FLAT, jet, jet.n)[2]) - 1.0) < 1e-15
 
     def test_cylinder_vertical_tangency(self):
         P = BcvParams(0.0, 0.7)
         S = hopf_cylinder(P, 1.3)
-        jet = surface_jet(S, P, 0.9, 0.3)
+        jet = surface_jets(S, P, 0.9, 0.3)
         assert abs(jet.cos_alpha) < 1e-14
-        assert np.allclose(jet.e1.comps, [0, 0, 1], atol=1e-14)
+        assert np.allclose(coords(P, jet, jet.T / jet.sin_alpha), [0, 0, 1], atol=1e-14)
 
     def test_slant_angle_formula(self):
         prof = slant_profile(P_NIL, 1.0, 1.0)
         S = slant_surface()
         for u, v in [(0.3, -0.2), (1.7, 0.4), (4.0, 1.2)]:
-            jet = surface_jet(S, P_NIL, u, v)
+            jet = surface_jets(S, P_NIL, u, v)
             st = prof(v)
             F = smoothing_factor(P_NIL, st.r, 0.0)
             rp = F * math.cos(st.sigma)
@@ -95,27 +92,27 @@ class TestSurfaceJet:
             (sphere_surface(), P_FLAT),
         ]:
             for u, v, jet in random_samples(surface, rng, 8, params=params):
-                assert abs(metric(params, jet.T, jet.T) - jet.sin_alpha ** 2) < 1e-9
-                e3 = TangentVector(jet.p, (0, 0, 1))
-                resid = (e3 - jet.T - jet.cos_alpha * jet.N).comps
+                assert abs(frame_dot(jet.T, jet.T) - jet.sin_alpha ** 2) < 1e-9
+                resid = (np.array([0.0, 0.0, 1.0]) - coords(params, jet, jet.T)
+                         - jet.cos_alpha * coords(params, jet, jet.n))
                 assert np.abs(resid).max() < 1e-10
-                assert abs(metric(params, jet.N, jet.N) - 1.0) < 1e-10
-                assert abs(metric(params, jet.N, jet.X_u)) < 1e-10
-                assert abs(metric(params, jet.N, jet.X_v)) < 1e-10
+                assert abs(frame_dot(jet.n, jet.n) - 1.0) < 1e-10
+                assert abs(frame_dot(jet.n, jet.au)) < 1e-10
+                assert abs(frame_dot(jet.n, jet.av)) < 1e-10
 
     def test_quarter_turn_isometry(self, rng):
         S = generic_revolution_surface(P_NIL)
         for u, v, jet in random_samples(S, rng, 10):
             a, b = rng.normal(size=2)
-            X = a * jet.X_u + b * jet.X_v
-            JX = cross(P_NIL, jet.N, X)
-            assert abs(metric(P_NIL, JX, JX) - metric(P_NIL, X, X)) < 1e-9
-            assert abs(metric(P_NIL, JX, X)) < 1e-9
+            X = a * jet.au + b * jet.av
+            JX = frame_cross(jet.n, X)
+            assert abs(frame_dot(JX, JX) - frame_dot(X, X)) < 1e-9
+            assert abs(frame_dot(JX, X)) < 1e-9
 
     def test_degenerate_chart_rejected(self):
         S = ParametricSurface(lambda u, v: (u + v, u + v, 0.0), ((0, 1), (0, 1)))
         with pytest.raises(DegenerateSurfaceError):
-            surface_jet(S, P_FLAT, 0.5, 0.5)
+            surface_jets(S, P_FLAT, 0.5, 0.5)
 
 
 class TestJetArrays:
@@ -134,19 +131,20 @@ class TestJetArrays:
             one = surface_jets(surface, params, U[i, j], V[i, j])
             for name, a, b in zip(grid._fields, grid, one):
                 assert np.allclose(a[..., i, j], b, rtol=0.0, atol=1e-12), name
-            single = shape_operator(surface, params, U[i, j], V[i, j])
+            single = shape_arrays(surface, params, U[i, j], V[i, j])
             A = np.array(sh.A)[:, :, i, j]
-            assert np.abs(A - single.A).max() <= 1e-12
-            assert bool(sh.adapted[i, j]) == single.adapted
+            assert np.abs(A - np.array(single.A)).max() <= 1e-12
+            assert sh.adapted[i, j] == single.adapted
 
     def test_scalar_jet_wraps_the_array_jet(self):
+        # surface_jet stays as a pass-through to surface_jets
         S = slant_surface()
         jet = surface_jet(S, P_NIL, 0.7, 0.4)
         arr = surface_jets(S, P_NIL, np.array([0.7]), np.array([0.4]))
-        assert np.allclose(jet.p.coords(), [arr.x[0], arr.y[0], arr.z[0]], rtol=0.0, atol=1e-15)
-        assert np.allclose(jet.I, [[arr.E[0], arr.F[0]], [arr.F[0], arr.G[0]]], rtol=0.0, atol=1e-15)
+        for name in ("x", "y", "z", "E", "F", "G"):
+            assert np.allclose(getattr(jet, name), getattr(arr, name)[0], rtol=0.0, atol=1e-15)
         assert jet.cos_alpha == pytest.approx(float(arr.cos_alpha[0]), abs=1e-15)
-        assert np.allclose(to_frame(P_NIL, jet.N), arr.n[:, 0], rtol=0.0, atol=1e-15)
+        assert np.allclose(jet.n, arr.n[:, 0], rtol=0.0, atol=1e-15)
 
     def test_batch_error_names_first_failing_point(self):
         us = np.array([0.1, 0.3, 0.7, 0.9])
@@ -162,7 +160,7 @@ class TestJetArrays:
 
 class TestShapeOperator:
     def test_plane_totally_geodesic(self):
-        sh = shape_operator(flat_plane(), P_FLAT, 0.1, 0.2)
+        sh = shape_arrays(flat_plane(), P_FLAT, 0.1, 0.2)
         assert np.abs(sh.A).max() < 1e-10
         assert abs(sh.f) < 1e-10
 
@@ -170,11 +168,11 @@ class TestShapeOperator:
     def test_cylinder_matrix(self, tau, r0):
         P = BcvParams(0.0, tau)
         S = hopf_cylinder(P, r0)
-        sh = shape_operator(S, P, 0.8, 0.2)
+        sh = shape_arrays(S, P, 0.8, 0.2)
         expected = np.array([[0.0, -tau], [-tau, 1.0 / r0]])
-        assert np.abs(sh.A - expected).max() < 1e-4
+        assert np.abs(np.array(sh.A) - expected).max() < 1e-4
         assert sh.f == pytest.approx(1.0 / r0, abs=1e-6)
-        assert sh.lam == pytest.approx(1.0 / r0, abs=1e-6)
+        assert sh.A[1][1] == pytest.approx(1.0 / r0, abs=1e-6)
 
     def test_symmetry(self, rng):
         for surface, params in [
@@ -183,47 +181,40 @@ class TestShapeOperator:
             (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
         ]:
             for u, v, _ in random_samples(surface, rng, 5, params=params):
-                sh = shape_operator(surface, params, u, v)
-                assert abs(sh.A[0, 1] - sh.A[1, 0]) < 1e-6
+                sh = shape_arrays(surface, params, u, v)
+                assert abs(sh.A[0][1] - sh.A[1][0]) < 1e-6
 
     def test_offdiagonal_matches_angle_derivative(self, rng):
         S = slant_surface()
         afld = alpha_field(S, P_NIL)
         for u, v, jet in random_samples(S, rng, 5, sin_floor=0.2):
-            sh = shape_operator(S, P_NIL, u, v)
-            W = to_frame(P_NIL, jet.e2)[:, None]
-            _, e2a = directional_derivative(surface_jets(S, P_NIL, u, v), u, v, W, afld)
-            assert abs(sh.A[0, 1] - (e2a[0] - P_NIL.tau)) < 1e-4
+            sh = shape_arrays(S, P_NIL, u, v)
+            W = (jet.JT / jet.sin_alpha)[:, None]
+            _, e2a = directional_derivative(jet, u, v, W, afld)
+            assert abs(sh.A[0][1] - (e2a[0] - P_NIL.tau)) < 1e-4
 
 
 class TestFields:
+    # each case takes one grid call; the Laplacian returns (field, Delta field)
     def test_constant_field(self):
-        S = flat_plane()
-        c = ScalarField(lambda u, v: 3.25)
-        assert norm(P_FLAT, surface_gradient(c, S, P_FLAT, 0.1, 0.4)) < 1e-12
-        assert abs(surface_laplacian(c, S, P_FLAT, 0.1, 0.4)) < 1e-12
-
-    def test_coordinate_gradient(self):
-        S = flat_plane()
-        fld = ScalarField(lambda u, v: u)
-        g = surface_gradient(fld, S, P_FLAT, 0.2, -0.3)
-        assert np.allclose(g.comps, [1.0, 0.0, 0.0], atol=1e-10)
+        U, V = np.meshgrid([0.1, -0.6], [0.4, 0.7, -0.2], indexing="ij")
+        val, lap = surface_laplacian(flat_plane(), P_FLAT, U, V,
+                                     lambda u, v: np.full(np.shape(u), 3.25))
+        assert lap.shape == U.shape and np.all(val == 3.25)
+        assert np.abs(lap).max() < 1e-12
 
     def test_flat_laplacian_sign(self):
-        S = flat_plane()
-        fld = ScalarField(lambda u, v: u * u + v * v)
-        val = surface_laplacian(fld, S, P_FLAT, 0.2, -0.3)
-        assert val == pytest.approx(-4.0, abs=1e-6)
+        U, V = np.meshgrid([0.2, -0.5], [-0.3, 0.6], indexing="ij")
+        _, lap = surface_laplacian(flat_plane(), P_FLAT, U, V, lambda u, v: u * u + v * v)
+        assert np.abs(lap + 4.0).max() < 1e-6
 
     def test_sphere_eigenfunction(self):
         # cos(polar angle) is a first spherical harmonic: with the
         # Delta = -div grad convention its Laplacian is +2 cos(u) on the
         # unit sphere.
-        S = sphere_surface(1.0)
-        fld = ScalarField(lambda u, v: math.cos(u))
-        for u in (0.8, 1.4, 2.2):
-            val = surface_laplacian(fld, S, P_FLAT, u, 0.9)
-            assert val == pytest.approx(2.0 * math.cos(u), abs=1e-4)
+        us = np.array([0.8, 1.4, 2.2])
+        _, lap = surface_laplacian(sphere_surface(1.0), P_FLAT, us, 0.9, lambda u, v: np.cos(u))
+        assert np.abs(lap - 2.0 * np.cos(us)).max() < 1e-4
 
 
 class TestCurvatureResiduals:
@@ -238,8 +229,8 @@ class TestCurvatureResiduals:
     def test_cylinder_gauss_closed_forms(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
-        sh = shape_operator(S, P, 0.8, 0.2)
-        assert np.linalg.det(sh.A) == pytest.approx(-P.tau ** 2, abs=1e-6)
+        sh = shape_arrays(S, P, 0.8, 0.2)
+        assert np.linalg.det(np.array(sh.A)) == pytest.approx(-P.tau ** 2, abs=1e-6)
         assert abs(brioschi_curvature(S, P, 0.8, 0.2)) < 1e-6
         assert abs(gauss_residual(S, P, 0.8, 0.2)) < 1e-4
 
@@ -269,23 +260,23 @@ class TestCurvatureResiduals:
 
     def test_compatibility_plane(self):
         S = flat_plane()
-        jet = surface_jet(S, P_FLAT, 0.1, 0.2)
-        vec, sc = compatibility_residual(S, P_FLAT, 0.1, 0.2, to_frame(P_FLAT, jet.X_u))
+        jet = surface_jets(S, P_FLAT, 0.1, 0.2)
+        vec, sc = compatibility_residual(S, P_FLAT, 0.1, 0.2, jet.au)
         assert frame_norm(vec) < 1e-10
         assert abs(sc) < 1e-10
 
     def test_compatibility_cylinder_vertical(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
-        jet = surface_jet(S, P, 0.8, 0.2)
-        vec, sc = compatibility_residual(S, P, 0.8, 0.2, to_frame(P, jet.e1))
+        jet = surface_jets(S, P, 0.8, 0.2)
+        vec, sc = compatibility_residual(S, P, 0.8, 0.2, jet.T / jet.sin_alpha)
         assert frame_norm(vec) < 1e-5
         assert abs(sc) < 1e-5
 
     def test_compatibility_generic(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 6, sin_floor=0.15):
-            vec, sc = compatibility_residual(S, P_NIL, u, v, to_frame(P_NIL, jet.e2))
+            vec, sc = compatibility_residual(S, P_NIL, u, v, jet.JT / jet.sin_alpha)
             assert frame_norm(vec) < 1e-4
             assert abs(sc) < 1e-4
 
