@@ -3,7 +3,8 @@
 Layers:
 
 - :mod:`bcvgeo.ambient`        metric, frame, FD connection, curvature,
-                               classification, vertical fibration
+                               classification, vertical fibration; all
+                               componentwise on coordinate arrays
 - :mod:`bcvgeo.immersion`      parametric surfaces, jets, shape operator,
                                structural identity residuals
 - :mod:`bcvgeo.biconservative` conservation residuals of the bienergy
@@ -14,14 +15,7 @@ Layers:
 - :mod:`bcvgeo.cli`            `bcvgeo verify | integrate | mesh`
 """
 
-from .ambient import (
-    BcvParams,
-    GeometryClass,
-    AmbientPoint,
-    TangentVector,
-    classify_space,
-    smoothing_factor,
-)
+from .ambient import BcvParams, GeometryClass, classify_space, smoothing_factor
 from .errors import BcvError, DegenerateSurfaceError, DomainError, SelfConsistencyError
 from .immersion import FdConfig, ParametricSurface
 from .rotation import (
@@ -41,8 +35,6 @@ __all__ = [
     "__version__",
     "BcvParams",
     "GeometryClass",
-    "AmbientPoint",
-    "TangentVector",
     "classify_space",
     "smoothing_factor",
     "BcvError",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import BcvParams, ricci_frame
+from .ambient import BcvParams, ricci
 from .immersion import (
     DEFAULT_FD,
     FdConfig,
@@ -76,7 +76,7 @@ def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
     """Frame components of Ric(N)^T, expanded over the tangent basis of the
     shape arrays `sh`; valid at every angle."""
     n = sh.jet.n
-    return ricci_frame(params, n, sh.b1) * sh.b1 + ricci_frame(params, n, sh.b2) * sh.b2
+    return ricci(params, n, sh.b1) * sh.b1 + ricci(params, n, sh.b2) * sh.b2
 
 
 def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
@@ -115,7 +115,7 @@ def normal_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
         sh = shape_arrays(S, params, U, V, cfg)
         (a00, a01), (a10, a11) = sh.A
         return np.array([sh.f, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11,
-                         ricci_frame(params, sh.jet.n, sh.jet.n)])
+                         ricci(params, sh.jet.n, sh.jet.n)])
 
     (f, norm2, ric_nn), (lap, _, _) = surface_laplacian(S, params, u, v, invariants, cfg)
     return lap + f * norm2 - f * ric_nn

@@ -11,7 +11,9 @@ input error, 3 numeric domain failure.  Outputs are UTF-8 with LF endings.
 CSV and OBJ floats have fixed 17-significant-digit formatting and the JSON
 report writes floats by repr, so identical flags and seeds reproduce
 byte-identical files (wall-clock timing is only included on request, to
-keep the default report deterministic).
+keep the default report deterministic).  The OBJ header names an input
+CSV by its file name only, so a mesh's bytes do not depend on the
+directory the input lives in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -145,7 +148,7 @@ def _mesh_surface(args, parser):
             *(np.asarray(data[c], dtype=float) for c in ("s", "r", "z", "sigma")))
         surface = rot.revolution_surface(params, profile,
                                          (float(s[0]), float(s[-1])))
-        return params, surface, f"revolution profile {args.profile}"
+        return params, surface, f"revolution profile {os.path.basename(args.profile)}"
     if args.kind == "hopf-tube":
         if args.base is None:
             parser.error("--base FILE.csv is required for hopf-tube")
@@ -164,7 +167,7 @@ def _mesh_surface(args, parser):
             return (x_sp(u, 1), y_sp(u, 1))
 
         surface = rot.hopf_tube(params, curve, d_curve, u_domain=(0.0, 1.0))
-        return params, surface, f"hopf-tube base {args.base}"
+        return params, surface, f"hopf-tube base {os.path.basename(args.base)}"
     parser.error(f"unknown mesh kind {args.kind!r}")
 
 

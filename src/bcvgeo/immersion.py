@@ -50,7 +50,7 @@ import numpy as np
 from .ambient import (
     EPS_F,
     BcvParams,
-    christoffels_at,
+    christoffels,
     coordinate_components,
     frame_components,
     frame_cross,
@@ -306,7 +306,7 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
     dNu = (-N[..., 1] + 8.0 * N[..., 2] - 8.0 * N[..., 3] + N[..., 4]) / (12.0 * hu)
     dNv = (-N[..., 5] + 8.0 * N[..., 6] - 8.0 * N[..., 7] + N[..., 8]) / (12.0 * hv)
     c = _at(J, 0)
-    gamma = christoffels_at(params, c.x, c.y)
+    gamma = christoffels(params, c.x, c.y)
 
     def shape_of(dN, X):
         """A X in frame components: minus the tangential part of
@@ -491,7 +491,7 @@ def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
     """Frame components of the tangential part of nabla_W V at the jets.
 
     W is in frame components; V and dV, its chart difference along W, are in
-    coordinate components; gamma = christoffels_at(jet.x, jet.y)."""
+    coordinate components; gamma = christoffels(jet.x, jet.y)."""
     Wc = np.array(coordinate_components(params, jet.x, jet.y, W))
     d = dV + np.einsum("kij...,i...,j...->k...", gamma, Wc, V)
     d = np.array(frame_components(params, jet.x, jet.y, d))
@@ -558,7 +558,7 @@ def compatibility_residual(S, params, u, v, W, cfg: FdConfig = DEFAULT_FD):
         return np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,))
 
     vals, d = directional_derivative(c, u, v, np.expand_dims(W, -1), T_and_cos, cfg)
-    nabla_T = _tangential_covariant(params, c, christoffels_at(params, c.x, c.y), W,
+    nabla_T = _tangential_covariant(params, c, christoffels(params, c.x, c.y), W,
                                     vals[:3], d[:3, ..., 0])
     rhs = sh.apply(W) - params.tau * np.array(frame_cross(c.n, W))
     return nabla_T - c.cos_alpha * rhs, frame_dot(rhs, c.T) + d[3, ..., 0]
@@ -591,7 +591,7 @@ def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     e0, de = directional_derivative(jet, u, v, frame, frame_coords, cfg)
     _, e2a = directional_derivative(jet, u, v, frame[..., 1:], alpha_field(S, params, cfg), cfg)
     lam = shape_arrays(S, params, u, v, cfg).A[1][1]
-    gamma = christoffels_at(params, jet.x, jet.y)
+    gamma = christoffels(params, jet.x, jet.y)
     t = params.tau
     cot = jet.cos_alpha / jet.sin_alpha
     e1, e2 = frame[..., 0], frame[..., 1]

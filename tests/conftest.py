@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bcvgeo.ambient import BcvParams, frame_dot
+from bcvgeo.ambient import BcvParams, frame_components, frame_dot
 from bcvgeo.biconservative import tangential_bitension_arrays
 from bcvgeo.immersion import ParametricSurface, surface_jets
 
@@ -34,6 +34,12 @@ def make_rng(seed=42):
 def frame_norm(a):
     """Metric norm of a vector given in frame components."""
     return float(np.sqrt(frame_dot(a, a)))
+
+
+def frame_of(params, x, y, V):
+    """Frame components, shape (3, m) + the shape of x, of the m vectors
+    V[a] given in coordinate components at the points (x, y)."""
+    return np.array(frame_components(params, x, y, np.swapaxes(V, 0, 1)))
 
 
 def adapted_components(S, params, u, v):

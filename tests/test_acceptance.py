@@ -13,14 +13,12 @@ import numpy as np
 import bcvgeo.rotation as rot
 from bcvgeo.ambient import (
     BcvParams,
-    TangentVector,
     base_metric,
     coordinate_components,
     frame_at,
+    frame_components,
     frame_dot,
     hopf_dpsi,
-    metric,
-    norm,
     ricci,
     ricci_tensor_fd,
 )
@@ -58,8 +56,8 @@ from bcvgeo.rotation import (
 )
 from bcvgeo.suites import sample_domain_points
 
-from conftest import (PAIRS6, CYLINDER_PAIRS, adapted_components, frame_norm, make_rng,
-                      sphere_surface)
+from conftest import (PAIRS6, CYLINDER_PAIRS, adapted_components, frame_norm, frame_of,
+                      make_rng, sphere_surface)
 
 P_NIL = BcvParams(0.0, 0.5)
 
@@ -74,12 +72,10 @@ def test_criterion_01_frame_orthonormality():
     started = time.perf_counter()
     worst = 0.0
     for P in PAIRS6:
-        for p in sample_domain_points(P, rng, 100):
-            es = frame_at(P, p)
-            for i in range(3):
-                for j in range(3):
-                    val = metric(P, es[i], es[j]) - (1.0 if i == j else 0.0)
-                    worst = max(worst, abs(val))
+        x, y, _ = sample_domain_points(P, rng, 100)
+        f = frame_of(P, x, y, frame_at(P, x, y))
+        gram = frame_dot(f[:, :, None], f[:, None, :])
+        worst = max(worst, float(np.abs(gram - np.eye(3)[..., None]).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 1.0
     report(1, ok, f"frame orthonormality: max |g(Ei,Ej)-d_ij| = {worst:.2e} < 1e-10, "
@@ -91,14 +87,12 @@ def test_criterion_02_ricci_oracle():
     started = time.perf_counter()
     worst = 0.0
     for P in PAIRS6:
-        for p in sample_domain_points(P, rng, 20):
-            es = frame_at(P, p)
-            vecs = list(es) + [TangentVector(p, rng.normal(size=3))]
-            ric_fd = ricci_tensor_fd(P, p)
-            for X in vecs:
-                for Y in vecs:
-                    fd = float(X.comps @ ric_fd @ Y.comps)
-                    worst = max(worst, abs(ricci(P, X, Y) - fd))
+        x, y, _ = sample_domain_points(P, rng, 20)
+        # per point: the frame and one random vector, in coordinate components
+        V = np.concatenate([frame_at(P, x, y), rng.normal(size=(1, 20, 3)).transpose(0, 2, 1)])
+        f = frame_of(P, x, y, V)
+        fd = np.einsum("ain,ijn,bjn->abn", V, ricci_tensor_fd(P, x, y), V)
+        worst = max(worst, float(np.abs(ricci(P, f[:, :, None], f[:, None, :]) - fd).max()))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-4 and elapsed < 30.0
     report(2, ok, f"closed-form vs FD curvature: max deviation = {worst:.2e} < 1e-4, "
@@ -110,14 +104,15 @@ def test_criterion_03_submersion():
     worst = 0.0
     vertical_exact = True
     for P in PAIRS6:
-        for p in sample_domain_points(P, rng, 25):
-            e1, e2, e3 = frame_at(P, p)
-            a1, a2 = rng.normal(size=2)
-            H = a1 * e1 + a2 * e2
-            img = hopf_dpsi(H)
-            h_norm = math.sqrt(base_metric(P, p.x, p.y, img, img))
-            worst = max(worst, abs(h_norm - norm(P, H)))
-            vertical_exact &= bool(np.all(hopf_dpsi(e3) == 0.0))
+        x, y, _ = sample_domain_points(P, rng, 25)
+        e1, e2, e3 = frame_at(P, x, y)
+        a = rng.normal(size=(25, 2))
+        H = a[:, 0] * e1 + a[:, 1] * e2
+        img = hopf_dpsi(H)
+        h_norm = np.sqrt(base_metric(P, x, y, img, img))
+        Hf = frame_components(P, x, y, H)
+        worst = max(worst, float(np.abs(h_norm - np.sqrt(frame_dot(Hf, Hf))).max()))
+        vertical_exact &= bool(np.all(hopf_dpsi(e3) == 0.0))
     ok = worst < 1e-8 and vertical_exact
     report(3, ok, f"horizontal isometry: max norm deviation = {worst:.2e} < 1e-8; "
                   f"vertical kernel exact: {vertical_exact}")

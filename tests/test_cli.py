@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -62,6 +63,13 @@ class TestVerify:
         res = run_cli("verify", "--kappa", "1", "--tau", "1",
                       "--suite", "theorem52", "--seed", "1")
         assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["pass"] is True
+
+    @pytest.mark.parametrize("kappa", ["-1e-12", "-1e-20"])
+    def test_small_negative_kappa_passes(self, kappa):
+        # the sampling radius stays of order one as kappa -> 0-
+        res = run_cli("verify", f"--kappa={kappa}", "--tau", "0.5")
+        assert res.returncode == 0, res.stderr or res.stdout
         assert json.loads(res.stdout)["pass"] is True
 
     def test_timing_flag_adds_wall_time(self):
@@ -184,6 +192,25 @@ class TestMesh:
         b = run_cli(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_output_independent_of_input_directory(self, tmp_path):
+        # the header names the input CSV; one file copied into two
+        # directories whose paths differ in length must give the same bytes
+        inputs = _mesh_inputs(tmp_path)
+        for kind, flag in (("revolution", "--profile"), ("hopf-tube", "--base")):
+            args = inputs[kind]
+            src = args[args.index(flag) + 1]
+            outs = []
+            for d in ("a", "a_much_longer_directory_name"):
+                (tmp_path / d).mkdir(exist_ok=True)
+                copy = str(tmp_path / d / os.path.basename(src))
+                shutil.copy(src, copy)
+                res = run_cli("mesh", kind, *[copy if a == src else a for a in args],
+                              "--nu", "6", "--nv", "5")
+                assert res.returncode == 0, res.stderr
+                outs.append(res.stdout)
+            assert outs[0] == outs[1], kind
+            assert outs[0].splitlines()[0].endswith(f" {os.path.basename(src)}")
 
 
 def _mesh_inputs(tmp_path):
