@@ -3,23 +3,18 @@
 The candidate non-constant-curvature family of rotation surfaces is driven
 by the angle form of the profile equations,
 
-    r'     = F math.cos(sigma),              F = 1 + kappa r^2 / 4
-    z'     = math.sin(sigma) math.sqrt(1 + tau^2 r^2)
-    sigma' = math.sin(sigma) (kappa r / 4 - 1 / (3 r)),
+    r'     = F cos(sigma),              F = 1 + kappa r^2 / 4
+    z'     = sin(sigma) sqrt(1 + tau^2 r^2)
+    sigma' = sin(sigma) (kappa r / 4 - 1 / (3 r)),
 
-with the branch mean curvature f = 2 math.sin(sigma) / (3 r) and its arclength
-derivative f' = -4 math.sin(2 sigma) / (9 r^2) recorded per step together with
-the two reduction residuals and the factorised obstruction.
-
-A plain-Python march on floats records the state (s, r, z, sigma) per row;
-one numpy pass then computes the five diagnostic columns for all rows.
+marched by classical RK4 in plain Python on floats, one (s, r, z, sigma)
+row per step.  The reduced formulas evaluated along the rows live in
+`bcvgeo.rotation`.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 STATUS_SMAX = 0
 STATUS_MAX_STEPS = 1
@@ -32,9 +27,6 @@ STATUS_NAMES = {
     STATUS_NEAR_AXIS: "near_axis",
     STATUS_DOMAIN_EXIT: "domain_exit",
 }
-
-# trajectory row layout
-COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
 
 
 def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
@@ -113,45 +105,19 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
     return (rows_s, rows_r, rows_z, rows_g), status
 
 
-def branch_diagnostics(kappa, tau, data):
-    """Fill the f, f_prime, R1, R2 and obstruction columns of the rows x 9
-    array `data` from its (s, r, z, sigma) columns."""
-    r = data[:, 1]
-    sig = data[:, 3]
-    t2 = tau * tau
-    q2 = 1.0 + t2 * r * r
-    q = np.sqrt(q2)
-    sin_s = np.sin(sig)
-    cos_s = np.cos(sig)
-    data[:, 4] = f = 2.0 * sin_s / (3.0 * r)
-    data[:, 5] = fp = -8.0 * sin_s * cos_s / (9.0 * r * r)
-    b = sin_s / q
-    d = tau * r / q
-    cos_a = cos_s / q
-    sin2_a = 1.0 - cos_a * cos_a
-    sig_p = sin_s * (0.25 * kappa * r - 1.0 / (3.0 * r))
-    r_p = (1.0 + 0.25 * kappa * r * r) * cos_s
-    cos_a_p = -sin_s * sig_p / q - t2 * r * r_p * cos_s / (q2 * q)
-    curv = 4.0 * t2 - kappa
-    data[:, 6] = fp * (b * f - 2.0 * tau * d - 2.0 * cos_a_p) - 2.0 * f * curv * cos_a * sin2_a
-    data[:, 7] = fp * (3.0 * d * f - 2.0 * tau * b)
-    data[:, 8] = -curv * f * (np.cos(2.0 * sig) - 1.0 - 2.0 * t2 * r * r) * cos_s
-
-
 def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
                       r_stop, f_stop, out):
-    """March the branch from (s0, r0, z0, sigma0) and fill the first rows of
-    `out` (at least max_rows x 9, columns as COLUMNS).
+    """March the branch from (s0, r0, z0, sigma0) and write the s, r, z and
+    sigma of each row into the first four columns of `out` (at least
+    max_rows rows).
 
     Returns (rows_written, status_code).  Every argument is coerced to a
     Python float (max_rows to int) before the march.
     """
-    kappa, tau = float(kappa), float(tau)
     cols, status = branch_march(
-        kappa, tau, float(r0), float(z0), float(sigma0), float(s0), float(step),
-        int(max_rows), float(s_max), float(r_stop), float(f_stop))
+        float(kappa), float(tau), float(r0), float(z0), float(sigma0), float(s0),
+        float(step), int(max_rows), float(s_max), float(r_stop), float(f_stop))
     n = len(cols[0])
     for j, col in enumerate(cols):
         out[:n, j] = col
-    branch_diagnostics(kappa, tau, out[:n])
     return n, status

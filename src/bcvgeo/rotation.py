@@ -24,8 +24,17 @@ and biconservativity of the revolved surface is equivalent to the pair
 vanishing along the profile, with the reduced coefficients (a, b, c, d)
 expressing T and JT over the chart basis.  The non-CMC candidate branch
 substitutes f = 2 sin(sigma) / (3 r), turning sigma into an autonomous flow
-that the integrator below follows while recording the residual pair and the
-factorised obstruction whose zero set R1 must share.
+that the integrator below follows; `branch_residuals` then gives f, its
+arclength derivative, the residual pair and the factorised obstruction
+whose zero set R1 must share.
+
+Every reduced formula is written once and takes floats or arrays of any
+shape, as `surface_jets` does: the same code fills the diagnostic columns
+of a whole trajectory in one pass and evaluates a single bisection probe.
+Each evaluation checks the domain once (naming the first failing r) and
+takes sin(sigma), cos(sigma) and sqrt(1 + tau^2 r^2) once.  Of the
+equivalent closed forms of the branch's f', the one kept is
+-8 sin(sigma) cos(sigma) / (9 r^2), because it reuses that sin and cos.
 
 Constructors return `ParametricSurface` charts in Cartesian coordinates:
 vertical cylinders over plane curves (curve parameter first, height second)
@@ -38,20 +47,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import (
-    COLUMNS,
-    STATUS_NAMES,
-    branch_march,
-    run_branch_kernel,
-)
+from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from .ambient import EPS_F, BcvParams, smoothing_factor
 from .errors import DomainError, SelfConsistencyError
-from .immersion import ParametricSurface
+from .immersion import ParametricSurface, _first_failure
 
 __all__ = [
     "EPS_R",
@@ -65,8 +70,9 @@ __all__ = [
     "reduced_bicon_system",
     "branch_mean_curvature",
     "branch_f_prime",
-    "branch_sigma_prime",
     "theorem52_obstruction",
+    "branch_r1",
+    "branch_residuals",
     "integrate_noncmc_branch",
     "refine_sign_change",
     "observed_order",
@@ -87,6 +93,17 @@ __all__ = [
 
 EPS_R = 1e-8
 FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
+FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
+
+# trajectory row layout
+COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
+
+
+def _ufunc(f, x):
+    """The numpy ufunc f at x, as a Python float when x is one: the same bits
+    as f gives on an array, and cheaper arithmetic afterwards."""
+    y = f(x)
+    return float(y) if type(x) is float else y
 
 
 @dataclass(frozen=True)
@@ -94,7 +111,8 @@ class ProfileState:
     """Arclength state (s, r, z, sigma) of a profile curve.
 
     Fields are floats, or arrays when a profile is evaluated on an array of
-    s; validation then applies elementwise.
+    s; validation then applies elementwise.  sin(sigma) and cos(sigma) are
+    taken on first use and kept, so the reduced formulas share them.
     """
 
     s: float
@@ -103,22 +121,39 @@ class ProfileState:
     sigma: float
 
     def __post_init__(self):
-        # elementwise; a sum is finite exactly when every term is (short of
-        # overflow)
-        if not (np.isfinite(self.s + self.r + self.z + self.sigma) & (self.r > EPS_R)).all():
+        # a sum is finite exactly when every term is (short of overflow)
+        total = self.s + self.r + self.z + self.sigma
+        if type(total) is float:
+            ok = math.isfinite(total) and self.r > EPS_R
+        else:
+            ok = (np.isfinite(total) & (self.r > EPS_R)).all()
+        if not ok:
             raise DomainError(f"profile state (s, r, z, sigma) = {(self.s, self.r, self.z, self.sigma)} "
                               f"is not finite or has r <= {EPS_R}")
 
+    @cached_property
+    def sin_sigma(self):
+        return _ufunc(np.sin, self.sigma)
 
-def _check_radius(params: BcvParams, r: float):
+    @cached_property
+    def cos_sigma(self):
+        return _ufunc(np.cos, self.sigma)
+
+
+def _check_radius(params: BcvParams, r):
+    """F at r, floats or arrays; raises DomainError naming the first r, in C
+    order, with F <= EPS_F.  A float radius costs one comparison."""
     F = smoothing_factor(params, r, 0.0)
-    if not F > EPS_F:
-        raise DomainError(f"radius r = {r:.6g} has F = {F:.3e} <= {EPS_F}")
+    ok = F > EPS_F
+    if ok is not True:
+        bad = _first_failure(np.asarray(ok), r, F)
+        if bad:
+            r_bad, F_bad = bad
+            raise DomainError(f"radius r = {r_bad!r} has F = {F_bad:.3e} <= {EPS_F}")
     return F
 
 
-@dataclass(frozen=True)
-class ReducedCoefficients:
+class ReducedCoefficients(NamedTuple):
     """Pointwise reduced data of a revolved profile.
 
     (a, b) expand T and (c, d) expand JT over the chart basis (angle
@@ -148,90 +183,97 @@ def reduced_quantities(params: BcvParams, state: ProfileState) -> ReducedCoeffic
     """Evaluate (cos alpha, a, b, c, d, sin sigma, cos sigma) at a state.
 
     r' and z' are reconstructed from sigma via the arclength relations
-    cos(sigma) = r'/F, sin(sigma) = z'/sqrt(1 + tau^2 r^2).
+    cos(sigma) = r'/F, sin(sigma) = z'/q with q = sqrt(1 + tau^2 r^2), which
+    give a = -tau F cos^2(alpha), b = sin(sigma)/q, c = F sin(sigma)/r and
+    d = tau r/q.
     """
     F = _check_radius(params, state.r)
     t = params.tau
     r = state.r
-    q2 = 1.0 + t * t * r * r
-    q = math.sqrt(q2)
-    sin_s = math.sin(state.sigma)
-    cos_s = math.cos(state.sigma)
-    rp = F * cos_s
-    zp = sin_s * q
+    q = _ufunc(np.sqrt, 1.0 + t * t * r * r)
+    sin_s, cos_s = state.sin_sigma, state.cos_sigma
     cos_alpha = cos_s / q
-    a = -rp * rp * t / (F * q2)
-    b = zp / q2
-    c = F * zp / (r * q)
-    d = t * r / q
-    return ReducedCoefficients(cos_alpha=cos_alpha, a=a, b=b, c=c, d=d,
-                               sin_sigma=sin_s, cos_sigma=cos_s)
+    return ReducedCoefficients(cos_alpha, -t * F * cos_alpha * cos_alpha, sin_s / q,
+                               F * sin_s / r, t * r / q, sin_s, cos_s)
 
 
-def reduced_mean_curvature(params: BcvParams, state: ProfileState, sigma_prime: float) -> float:
+def _parallel_term(params: BcvParams, state: ProfileState):
+    """(1/r - kappa r / 4) sin(sigma): the parallel circles' share of f."""
+    r = state.r
+    return (1.0 / r - 0.25 * params.kappa * r) * state.sin_sigma
+
+
+def reduced_mean_curvature(params: BcvParams, state: ProfileState, sigma_prime):
     """f = (1/r - kappa r / 4) sin(sigma) + sigma'."""
     _check_radius(params, state.r)
-    r = state.r
-    return (1.0 / r - 0.25 * params.kappa * r) * math.sin(state.sigma) + sigma_prime
+    return _parallel_term(params, state) + sigma_prime
 
 
-def reduced_bicon_system(params: BcvParams, state: ProfileState, f: float, f_prime: float):
+def reduced_bicon_system(params: BcvParams, state: ProfileState, f, f_prime):
     """Residual pair (R1, R2) of the reduced biconservativity system.
 
-    sigma' is recovered from f through the reduced mean curvature formula,
-    and (cos alpha)' follows by differentiating cos(sigma)/sqrt(1+tau^2 r^2)
-    along arclength with r' = F cos(sigma).
+    sigma' is recovered from f through the reduced mean curvature formula.
+    Differentiating cos(alpha) = cos(sigma)/q along arclength with
+    r' = F cos(sigma) gives (cos alpha)' = a d - b sigma'.
     """
-    F = _check_radius(params, state.r)
-    t = params.tau
-    k = params.kappa
-    r = state.r
     red = reduced_quantities(params, state)
-    q2 = 1.0 + t * t * r * r
-    q = math.sqrt(q2)
-    sigma_prime = f - (1.0 / r - 0.25 * k * r) * red.sin_sigma
-    rp = F * red.cos_sigma
-    cos_a_p = -red.sin_sigma * sigma_prime / q - t * t * r * rp * red.cos_sigma / (q2 * q)
-    sin2_a = 1.0 - red.cos_alpha ** 2
-    curv = 4.0 * t * t - k
-    r1 = f_prime * (red.b * f - 2.0 * t * red.d - 2.0 * cos_a_p) - 2.0 * f * curv * red.cos_alpha * sin2_a
+    t = params.tau
+    sigma_prime = f - _parallel_term(params, state)
+    cos_a_p = red.a * red.d - red.b * sigma_prime
+    sin2_a = 1.0 - red.cos_alpha * red.cos_alpha
+    r1 = (f_prime * (red.b * f - 2.0 * t * red.d - 2.0 * cos_a_p)
+          - 2.0 * f * (4.0 * t * t - params.kappa) * red.cos_alpha * sin2_a)
     r2 = f_prime * (3.0 * red.d * f - 2.0 * t * red.b)
     return r1, r2
 
 
-def branch_mean_curvature(state: ProfileState) -> float:
+def branch_mean_curvature(state: ProfileState):
     """f = 2 sin(sigma) / (3 r) along the non-CMC candidate branch."""
-    return 2.0 * math.sin(state.sigma) / (3.0 * state.r)
+    return 2.0 * state.sin_sigma / (3.0 * state.r)
 
 
-def branch_sigma_prime(params: BcvParams, state: ProfileState) -> float:
-    """sigma' = sin(sigma) (kappa r / 4 - 1/(3 r)) along the branch."""
-    r = state.r
-    return math.sin(state.sigma) * (0.25 * params.kappa * r - 1.0 / (3.0 * r))
-
-
-def branch_f_prime(state: ProfileState) -> float:
+def branch_f_prime(state: ProfileState):
     """Arclength derivative of the branch mean curvature.
 
     Differentiating f = 2 sin(sigma)/(3 r) with the branch laws for sigma'
     and r' = F cos(sigma) cancels every kappa term:
-    f' = -4 sin(2 sigma) / (9 r^2).  A finite-difference cross-check along
-    every integrated trajectory enforces this closed form.
+    f' = -4 sin(2 sigma) / (9 r^2), evaluated as
+    -8 sin(sigma) cos(sigma) / (9 r^2) from the state's sin and cos.  A
+    finite-difference cross-check along every integrated trajectory
+    enforces this closed form.
     """
-    return -4.0 * math.sin(2.0 * state.sigma) / (9.0 * state.r ** 2)
+    return -8.0 * state.sin_sigma * state.cos_sigma / (9.0 * state.r * state.r)
 
 
-def theorem52_obstruction(params: BcvParams, state: ProfileState) -> float:
-    """(kappa - 4 tau^2) f (cos 2 sigma - 1 - 2 tau^2 r^2) cos(sigma),
-    with f taken from the branch; its zero set must coincide with the zero
-    set of R1 along the branch."""
-    _check_radius(params, state.r)
-    t = params.tau
+def _obstruction(params: BcvParams, state: ProfileState, f):
+    """`theorem52_obstruction` at the branch's f, without the domain check."""
+    t2 = params.tau * params.tau
     r = state.r
+    sin_s = state.sin_sigma
+    return 2.0 * (4.0 * t2 - params.kappa) * f * (sin_s * sin_s + t2 * r * r) * state.cos_sigma
+
+
+def theorem52_obstruction(params: BcvParams, state: ProfileState):
+    """(kappa - 4 tau^2) f (cos 2 sigma - 1 - 2 tau^2 r^2) cos(sigma),
+    with f taken from the branch and cos 2 sigma - 1 = -2 sin^2(sigma); its
+    zero set must coincide with the zero set of R1 along the branch."""
+    _check_radius(params, state.r)
+    return _obstruction(params, state, branch_mean_curvature(state))
+
+
+def branch_r1(params: BcvParams, state: ProfileState):
+    """R1 along the branch: the reduced system at the branch's f and f'."""
+    return reduced_bicon_system(params, state, branch_mean_curvature(state),
+                                branch_f_prime(state))[0]
+
+
+def branch_residuals(params: BcvParams, state: ProfileState):
+    """(f, f', R1, R2, obstruction) along the branch at `state`: the
+    diagnostic columns of a trajectory, from one domain check."""
     f = branch_mean_curvature(state)
-    return ((params.kappa - 4.0 * t * t) * f
-            * (math.cos(2.0 * state.sigma) - 1.0 - 2.0 * t * t * r * r)
-            * math.cos(state.sigma))
+    f_prime = branch_f_prime(state)
+    r1, r2 = reduced_bicon_system(params, state, f, f_prime)
+    return f, f_prime, r1, r2, _obstruction(params, state, f)
 
 
 @dataclass
@@ -244,37 +286,29 @@ class IntegrationConfig:
     fourth-order 5-point central difference of the recorded f column and
     aborts on disagreement.  That stencil's truncation error is
     h^4 f^(5) / 30, which grows like 1/r^6; the check only applies to rows
-    with r >= fd_check_r_floor, where at the default step the truncation
+    with r >= FD_CHECK_R_FLOOR, where at the default step the truncation
     stays about four orders of magnitude under FD_CHECK_TOL, so any excess
     is a genuine disagreement.  Below the floor the truncation alone would
     approach the tolerance and the oracle stops being informative.
 
-    `r_stop` optionally raises the near-axis termination radius above the
-    default 10 * EPS_R; recommended for verification sweeps, because along
-    the axis funnel f' ~ 1/r^2 amplifies ulp-level cancellation noise in
-    the recorded residuals.
+    `r_stop` is the near-axis termination radius.  Raise it for
+    verification sweeps, because along the axis funnel f' ~ 1/r^2
+    amplifies ulp-level cancellation noise in the recorded residuals.
     """
 
     step: float = 1e-3
     max_steps: int = 20000
     s_max: float = 5.0
-    near_axis_factor: float = 10.0
-    r_stop: Optional[float] = None
+    r_stop: float = 10 * EPS_R
     fd_check: bool = True
-    fd_check_r_floor: float = 0.2
 
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError("step must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-
-    @property
-    def effective_r_stop(self) -> float:
-        floor = self.near_axis_factor * EPS_R
-        if self.r_stop is not None:
-            floor = max(floor, self.r_stop)
-        return floor
+        if not self.r_stop > EPS_R:
+            raise ValueError(f"r_stop must exceed EPS_R = {EPS_R}")
 
 
 @dataclass
@@ -282,7 +316,7 @@ class BranchTrajectory:
     """Recorded branch run: uniform-step rows plus termination status."""
 
     params: BcvParams
-    data: np.ndarray           # rows x 9, columns as _kernels.COLUMNS
+    data: np.ndarray           # rows x 9, columns as COLUMNS
     status: str
     config: IntegrationConfig
     fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL, None if unchecked
@@ -298,27 +332,31 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                             config: IntegrationConfig = None) -> BranchTrajectory:
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
-    Runs with kappa = 4 tau^2 are permitted but warn through the returned
-    status only; callers verifying the rotational classification should
-    enforce kappa != 4 tau^2 themselves.  Early termination (axis, domain
-    boundary, row budget) is reported in `status` with the partial
-    trajectory attached.
+    The kernel records the states; `branch_residuals` then fills the f,
+    f_prime, R1, R2 and obstruction columns over all rows at once.  Runs
+    with kappa = 4 tau^2 are permitted but warn through the returned status
+    only; callers verifying the rotational classification should enforce
+    kappa != 4 tau^2 themselves.  Early termination (axis, domain boundary,
+    row budget) is reported in `status` with the partial trajectory
+    attached.
     """
     if config is None:
         config = IntegrationConfig()
-    _check_radius(params, init.r)
+    # the whole row budget: a buffer of the rows used lets glibc trim and
+    # refault the heap between trajectories, about 110 page faults a theorem52 op
     out = np.empty((config.max_steps, len(COLUMNS)))
     n, status = run_branch_kernel(
         params.kappa, params.tau, init.r, init.z, init.sigma, init.s, config.step,
-        config.max_steps, config.s_max, config.effective_r_stop, EPS_F, out,
+        config.max_steps, config.s_max, config.r_stop, EPS_F, out,
     )
+    diag = branch_residuals(params, ProfileState(*out[:n, :4].T))
+    out[:n, 4:] = np.transpose(diag)
     traj = BranchTrajectory(params=params, data=out[:n].copy(), status=STATUS_NAMES[status],
                             config=config)
     if config.fd_check and len(traj) >= 5:
-        f = traj.column("f")
-        fp = traj.column("f_prime")
+        f, fp = diag[0], diag[1]
         fd = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * config.step)
-        mask = traj.column("r")[2:-2] >= config.fd_check_r_floor
+        mask = traj.column("r")[2:-2] >= FD_CHECK_R_FLOOR
         if np.any(mask):
             worst = float(np.max(np.abs(fd[mask] - fp[2:-2][mask])))
             traj.fd_check_margin = worst / FD_CHECK_TOL

@@ -207,21 +207,19 @@ def _bitension_norms(surface, params, u, v):
 
 def _suite_biconservative(params: BcvParams, rng) -> SuiteResult:
     worst_tb = 0.0
-    worst_red = 0.0
     samples = 0
-    for r0 in _cylinder_radii(params):
+    radii = _cylinder_radii(params)
+    for r0 in radii:
         cyl = rot.hopf_cylinder(params, r0)
         us, vs = _interior_grid(cyl, 3, 3)
-        f = rot.reduced_mean_curvature(
-            params, rot.ProfileState(0.0, r0, 0.0, math.pi / 2), 0.0
-        )
         tb = _bitension_norms(cyl, params, *np.meshgrid(us, vs, indexing="ij"))
         worst_tb = max(worst_tb, float(tb.max()))
         samples += tb.size
-        for z in vs:
-            state = rot.ProfileState(0.0, r0, z, math.pi / 2)
-            r1, r2 = rot.reduced_bicon_system(params, state, f, 0.0)
-            worst_red = max(worst_red, abs(r1), abs(r2))
+    # one call over the radii: the reduced pair does not depend on z
+    state = rot.ProfileState(0.0, np.array(radii), 0.0, math.pi / 2)
+    f = rot.reduced_mean_curvature(params, state, 0.0)
+    r1, r2 = rot.reduced_bicon_system(params, state, f, 0.0)
+    worst_red = float(np.max(np.abs((r1, r2)), initial=0.0))
     worst = max(worst_tb / 1e-6, worst_red / 1e-8)
     note = f"cylinder bitension {worst_tb:.2e}/1e-06; reduced pair {worst_red:.2e}/1e-08"
     return SuiteResult("biconservative", samples, worst, 1.0, worst < 1.0, note)
@@ -258,12 +256,6 @@ def _random_branch_state(params: BcvParams, rng) -> rot.ProfileState:
             return rot.ProfileState(0.0, r0, 0.0, sigma0)
 
 
-def _branch_r1(params, state):
-    f = rot.branch_mean_curvature(state)
-    fp = rot.branch_f_prime(state)
-    return rot.reduced_bicon_system(params, state, f, fp)[0]
-
-
 def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
     """The non-CMC branch never closes the system away from cylinders."""
     if params.tau == 0.0 or params.is_space_form:
@@ -284,7 +276,7 @@ def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
         R1 = traj.column("R1")
         flips = np.where(R1[:-1] * R1[1:] < 0.0)[0]
         for i in flips:
-            s_r1 = rot.refine_sign_change(params, traj, int(i), _branch_r1)
+            s_r1 = rot.refine_sign_change(params, traj, int(i), rot.branch_r1)
             s_ob = rot.refine_sign_change(params, traj, int(i),
                                           rot.theorem52_obstruction)
             worst_window = max(worst_window, abs(s_r1 - s_ob))

@@ -1,7 +1,7 @@
 """Reference for the branch march: the per-row loop that computed the
 state and the five diagnostic columns together, kept as it was so that the
-split march-plus-diagnostics kernel in `bcvgeo._kernels` can be checked
-against it row by row."""
+march in `bcvgeo._kernels` and the reduced helpers of `bcvgeo.rotation` can
+be checked against it row by row."""
 
 import math
 

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-import bcvgeo.rotation as rot
 from bcvgeo.ambient import (
     BcvParams,
     base_metric,
@@ -39,8 +38,7 @@ from bcvgeo.immersion import (
 from bcvgeo.rotation import (
     IntegrationConfig,
     ProfileState,
-    branch_f_prime,
-    branch_mean_curvature,
+    branch_r1,
     ellipse_curve,
     generic_revolution_surface,
     hopf_cylinder,
@@ -203,11 +201,6 @@ def test_criterion_06_tube_discrimination():
                   f"circular tube max = {circle_max:.2e} < 1e-6")
 
 
-def _branch_r1(params, state):
-    f = branch_mean_curvature(state)
-    return reduced_bicon_system(params, state, f, branch_f_prime(state))[0]
-
-
 def test_criterion_07_branch_never_closes():
     rng = make_rng(107)
     started = time.perf_counter()
@@ -238,7 +231,7 @@ def test_criterion_07_branch_never_closes():
             R1 = traj.column("R1")
             min_max_r1 = min(min_max_r1, float(np.abs(R1).max()))
             for i in np.where(R1[:-1] * R1[1:] < 0.0)[0]:
-                s1 = refine_sign_change(P, traj, int(i), _branch_r1)
+                s1 = refine_sign_change(P, traj, int(i), branch_r1)
                 s2 = refine_sign_change(P, traj, int(i), theorem52_obstruction)
                 worst_window = max(worst_window, abs(s1 - s2))
     elapsed = time.perf_counter() - started

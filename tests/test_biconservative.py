@@ -28,7 +28,7 @@ from bcvgeo.rotation import (
 )
 
 from conftest import (CYLINDER_PAIRS, adapted_components, flat_plane, frame_norm, kinked_plane,
-                      make_rng, sphere_surface)
+                      sphere_surface)
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)

@@ -31,7 +31,7 @@ from bcvgeo.rotation import (
 )
 from bcvgeo.suites import _structural_maxima
 
-from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, make_rng, sphere_surface
+from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, sphere_surface
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)

@@ -4,24 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
-from bcvgeo._kernels import (
-    COLUMNS,
-    STATUS_DOMAIN_EXIT,
-    STATUS_NAMES,
-    branch_march,
-    run_branch_kernel,
-)
+from bcvgeo._kernels import STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_march, run_branch_kernel
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
 from bcvgeo.rotation import (
+    COLUMNS,
+    FD_CHECK_R_FLOOR,
     IntegrationConfig,
     ProfileState,
     base_geodesic_curvature,
     branch_f_prime,
     branch_mean_curvature,
+    branch_r1,
+    branch_residuals,
     circle_curve,
     ellipse_curve,
     fixed_point_radius,
@@ -46,6 +45,15 @@ from conftest import make_rng
 from reference_kernel import branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)
+TWISTED = [(1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)]
+
+
+def float_or_array(lo, hi):
+    """A float in [lo, hi], or an array of them: the reduced helpers take
+    either."""
+    elements = st.floats(lo, hi)
+    return st.one_of(elements, hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=3),
+                                          elements=elements))
 
 
 def projected_normal(params, jet):
@@ -92,13 +100,32 @@ class TestReducedQuantities:
         assert red.d == pytest.approx(P.tau * r / q, abs=1e-14)
         assert red.b ** 2 + red.d ** 2 == pytest.approx(1.0, abs=1e-14)
 
-    @given(st.floats(0.2, 2.0), st.floats(0.01, 3.1), st.floats(-1.5, 1.5))
+    @given(float_or_array(0.2, 2.0), st.floats(0.01, 3.1), st.floats(-1.5, 1.5))
     @settings(max_examples=80, deadline=None)
     def test_tangency_identity(self, r, sigma, tau):
         P = BcvParams(0.5, tau)
         red = reduced_quantities(P, ProfileState(0.0, r, 0.0, sigma))
         sin2_alpha = 1.0 - red.cos_alpha ** 2
-        assert abs(red.b ** 2 + red.d ** 2 - sin2_alpha) < 1e-10
+        assert np.all(np.abs(red.b ** 2 + red.d ** 2 - sin2_alpha) < 1e-10)
+        # an array gives, entry by entry, the bits of the float call
+        for i in np.ndindex(np.shape(r)):
+            one = reduced_quantities(P, ProfileState(0.0, float(np.asarray(r)[i]), 0.0, sigma))
+            for name in ("cos_alpha", "a", "b", "c", "d", "sin_sigma", "cos_sigma"):
+                entry = np.broadcast_to(getattr(red, name), np.shape(r))[i]
+                assert entry.tobytes() == np.float64(getattr(one, name)).tobytes()
+
+    def test_domain_error_names_first_failing_radius(self):
+        # kappa = -1: F = 1 - r^2 / 4 crosses 0 at r = 2
+        P = BcvParams(-1.0, 0.5)
+        r = np.array([1.9, 1.9999999, 2.0, 2.0000001, 2.1])
+        state = ProfileState(0.0, r, 0.0, 1.0)
+        for evaluate in (reduced_quantities, theorem52_obstruction, branch_residuals,
+                         lambda p, s: reduced_mean_curvature(p, s, 0.0)):
+            with pytest.raises(DomainError, match=r"radius r = 2\.0 has F = 0\.000e\+00"):
+                evaluate(P, state)
+        with pytest.raises(DomainError, match=r"radius r = 2\.0000001 has F = -1\.000e-07"):
+            reduced_quantities(P, ProfileState(0.0, r[3:], 0.0, 1.0))
+        reduced_quantities(P, ProfileState(0.0, r[:2], 0.0, 1.0))   # F(1.9999999) = 1e-7
 
 
 class TestReducedMeanCurvature:
@@ -142,14 +169,16 @@ class TestReducedSystem:
                 assert abs(r1) < 1e-10
                 assert abs(r2) < 1e-10
 
-    @given(st.floats(0.3, 1.8), st.floats(0.2, 2.9), st.floats(0.1, 1.2))
+    @given(float_or_array(0.3, 1.8), st.floats(0.2, 2.9), st.floats(0.1, 1.2))
     @settings(max_examples=60, deadline=None)
     def test_branch_curvature_kills_r2(self, r, sigma, tau):
         P = BcvParams(1.0, tau)
         st_ = ProfileState(0.0, r, 0.0, sigma)
         f = branch_mean_curvature(st_)
         r1, r2 = reduced_bicon_system(P, st_, f, branch_f_prime(st_))
-        assert abs(r2) < 1e-13
+        assert np.all(np.abs(r2) < 1e-13)
+        columns = branch_residuals(P, st_)
+        assert np.array(columns[2:4]).tobytes() == np.array((r1, r2)).tobytes()
 
 
 class TestObstruction:
@@ -193,10 +222,18 @@ class TestBranchKernel:
         n_ref, status_ref = reference_kernel(*args, ref)
         n, status = run_branch_kernel(*args, out)
         assert (n, status) == (n_ref, status_ref)
-        # the state columns bit for bit; np.sin may differ from math.sin by
-        # an ulp on some platforms, so the diagnostic columns to 1e-12
+        # the state columns bit for bit
         assert out[:n, :4].tobytes() == ref[:n, :4].tobytes()
-        assert np.abs(out[:n, 4:] - ref[:n, 4:]).max() <= 1e-12
+        # the diagnostic columns from the reduced helpers on the reference's
+        # states: their algebra differs from the loop's, and np.sin may
+        # differ from math.sin by an ulp on some platforms, so to 1e-12
+        P = BcvParams(*args[:2])
+        states = ProfileState(*ref[:n, :4].T)
+        if case == "domain_exit_outside":   # its one row has F <= 0
+            with pytest.raises(DomainError):
+                branch_residuals(P, states)
+        else:
+            assert np.abs(np.array(branch_residuals(P, states)).T - ref[:n, 4:]).max() <= 1e-12
 
     def test_cases_reach_every_status(self):
         statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
@@ -219,7 +256,7 @@ class TestBranchKernel:
         r = traj.column("r")
         F = 1.0 + 0.25 * kappa * r * r
         first = np.sin(traj.column("sigma")) * np.cbrt(r / (F * F))
-        kept = r >= cfg.fd_check_r_floor
+        kept = r >= FD_CHECK_R_FLOOR
         assert np.abs(first[kept] / first[0] - 1.0).max() <= 1e-10
 
 
@@ -310,6 +347,12 @@ class TestBranchIntegration:
         assert status == STATUS_DOMAIN_EXIT
         assert [len(c) for c in cols] == [1, 1, 1, 1]
 
+    def test_stop_radius_must_clear_the_axis_floor(self):
+        # rows stop above r_stop, and a ProfileState needs r > EPS_R
+        assert IntegrationConfig().r_stop == 10 * rot.EPS_R
+        with pytest.raises(ValueError, match="r_stop"):
+            IntegrationConfig(r_stop=rot.EPS_R)
+
     def test_max_steps_termination(self):
         traj = integrate_noncmc_branch(
             P_NIL, ProfileState(0.0, 1.0, 0.0, 0.8),
@@ -321,15 +364,8 @@ class TestBranchIntegration:
     def test_f_prime_check_catches_wrong_closed_form(self, monkeypatch):
         # the fourth-order check must still reject an f' that is off by 2e-4,
         # twice FD_CHECK_TOL
-        kernel = rot.run_branch_kernel
-        col = rot.COLUMNS.index("f_prime")
-
-        def biased_kernel(*args):
-            n, status = kernel(*args)
-            args[-1][:n, col] += 2e-4
-            return n, status
-
-        monkeypatch.setattr(rot, "run_branch_kernel", biased_kernel)
+        exact = rot.branch_f_prime
+        monkeypatch.setattr(rot, "branch_f_prime", lambda state: exact(state) + 2e-4)
         with pytest.raises(SelfConsistencyError, match="2.000e-04"):
             integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0))
 
@@ -340,10 +376,10 @@ class TestBranchIntegration:
             BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0),
             IntegrationConfig(fd_check=False))
         assert unchecked.fd_check_margin is None
-        # every row below fd_check_r_floor: no row is checked
+        # every row below FD_CHECK_R_FLOOR: no row is checked
         below = integrate_noncmc_branch(P_NIL, ProfileState(0.0, 0.15, 0.0, 1.5),
                                         IntegrationConfig(s_max=0.01))
-        assert len(below) >= 5 and below.column("r").max() < below.config.fd_check_r_floor
+        assert len(below) >= 5 and below.column("r").max() < FD_CHECK_R_FLOOR
         assert below.fd_check_margin is None
 
     def test_observed_order_is_four(self):
@@ -352,13 +388,8 @@ class TestBranchIntegration:
         assert abs(order - 4.0) < 0.3
 
 
-def _branch_r1(params, state):
-    f = branch_mean_curvature(state)
-    return reduced_bicon_system(params, state, f, branch_f_prime(state))[0]
-
-
 class TestBranchClassification:
-    @pytest.mark.parametrize("kappa,tau", [(1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)])
+    @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_residual_one_never_closes(self, kappa, tau):
         P = BcvParams(kappa, tau)
         rng = make_rng(hash((kappa, tau)) % 2 ** 31)
@@ -371,13 +402,54 @@ class TestBranchClassification:
             assert np.abs(traj.column("R2")).max() < 1e-10
             assert np.abs(traj.column("R1")).max() > 1e-3
 
-    @pytest.mark.parametrize("kappa,tau", [(1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)])
+    @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_theorem52_suite_passes_for_every_seed(self, kappa, tau):
         # the f' self-check runs on every trajectory, so its truncation error
         # must stay under FD_CHECK_TOL at every seed, not only the default one
         P = BcvParams(kappa, tau)
         failed = [seed for seed in range(40) if not run_suite("theorem52", P, seed).passed]
         assert failed == []
+
+    @pytest.mark.parametrize("kappa,tau", TWISTED)
+    def test_columns_are_the_public_helpers(self, kappa, tau):
+        P = BcvParams(kappa, tau)
+        traj = integrate_noncmc_branch(P, ProfileState(0.0, 0.9, 0.0, 1.2),
+                                       IntegrationConfig(s_max=3.0, r_stop=0.05))
+        states = ProfileState(*traj.data[:, :4].T)
+        assert branch_r1(P, states).tobytes() == traj.column("R1").tobytes()
+        assert theorem52_obstruction(P, states).tobytes() == traj.column("obstruction").tobytes()
+
+    @pytest.mark.parametrize("kappa,tau", TWISTED)
+    def test_bisection_probes_reproduce_flip_rows(self, kappa, tau, monkeypatch):
+        # the suite's bisection evaluates the code and the states of the
+        # columns, so at a flip the two cannot disagree on a sign
+        P = BcvParams(kappa, tau)
+        refine = rot.refine_sign_change
+        calls = []
+
+        def spy(params, traj, i, quantity):
+            calls.append((traj, i, quantity))
+            return refine(params, traj, i, quantity)
+
+        monkeypatch.setattr(rot, "refine_sign_change", spy)
+        for seed in range(5):
+            run_suite("theorem52", P, seed)
+        assert calls
+        names = {branch_r1: "R1", theorem52_obstruction: "obstruction"}
+        for traj, i, quantity in calls:
+            probes = []
+
+            def recorded(params, state):
+                probes.append(state)
+                return quantity(params, state)
+
+            refine(P, traj, i, recorded)
+            # the first two probes sit at offsets 0 and h
+            for state, row in zip(probes[:2], (i, i + 1)):
+                assert (np.array([state.s, state.r, state.z, state.sigma]).tobytes()
+                        == traj.data[row, :4].tobytes())
+                assert (np.float64(quantity(P, state)).tobytes()
+                        == traj.column(names[quantity])[row].tobytes())
 
     def test_residual_proportional_to_obstruction(self):
         P = BcvParams(1.0, 1.0)
@@ -401,7 +473,7 @@ class TestBranchClassification:
         flips = np.where(R1[:-1] * R1[1:] < 0.0)[0]
         assert len(flips) >= 1
         for i in flips:
-            s1 = refine_sign_change(P, traj, int(i), _branch_r1)
+            s1 = refine_sign_change(P, traj, int(i), branch_r1)
             s2 = refine_sign_change(P, traj, int(i), theorem52_obstruction)
             assert abs(s1 - s2) < 1e-8
 
@@ -495,6 +567,5 @@ class TestConstructors:
             jet = surface_jets(S, P, 0.5, v)
             q = math.sqrt(1.0 + P.tau ** 2 * st_.r ** 2)
             assert jet.cos_alpha == pytest.approx(math.cos(st_.sigma) / q, abs=1e-6)
-            sp = rot.branch_sigma_prime(P, st_)
-            fred = reduced_mean_curvature(P, st_, sp)
-            assert shape_arrays(S, P, 0.5, v).f == pytest.approx(fred, abs=1e-4)
+            assert shape_arrays(S, P, 0.5, v).f == pytest.approx(branch_mean_curvature(st_),
+                                                                abs=1e-4)
