@@ -72,6 +72,8 @@ def _params_from(args, parser) -> BcvParams:
 
 def _cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     names = args.suite if args.suite else list(SUITE_NAMES)
     started = time.perf_counter()
     report = run_report(params, names, seed=args.seed)
@@ -89,8 +91,8 @@ def _cmd_integrate(args, parser) -> int:
     params = _params_from(args, parser)
     if not args.r0 > rot.EPS_R:
         parser.error(f"--r0 must exceed {rot.EPS_R}")
-    if args.step <= 0 or args.smax <= 0 or args.max_steps < 1:
-        parser.error("--step and --smax must be positive, --max-steps >= 1")
+    if not (0.0 < args.step < math.inf and 0.0 < args.smax < math.inf) or args.max_steps < 1:
+        parser.error("--step and --smax must be finite and positive, --max-steps >= 1")
     try:
         init = rot.ProfileState(s=0.0, r=args.r0, z=0.0, sigma=args.sigma0)
         cfg = rot.IntegrationConfig(step=args.step, s_max=args.smax,

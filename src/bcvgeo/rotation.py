@@ -332,9 +332,9 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                             config: IntegrationConfig = None) -> BranchTrajectory:
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
-    The kernel records the states; `branch_residuals` then fills the f,
-    f_prime, R1, R2 and obstruction columns over all rows at once.  Runs
-    with kappa = 4 tau^2 are permitted but warn through the returned status
+    The kernel marches (r, sigma) and adds the s and z columns in one
+    array pass; `branch_residuals` then fills the f, f_prime, R1, R2 and
+    obstruction columns over all rows at once.  Runs with kappa = 4 tau^2 are permitted but warn through the returned status
     only; callers verifying the rotational classification should enforce
     kappa != 4 tau^2 themselves.  Early termination (axis, domain boundary,
     row budget) is reported in `status` with the partial trajectory
@@ -372,19 +372,21 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
                        tol: float = 1e-12) -> float:
     """Locate a zero of `quantity` inside the step [s_i, s_{i+1}].
 
-    Bisection on the sub-step offset; each probe advances the row-i state by
-    a single RK4 step of the probed size, which is accurate to O(step^5) and
-    keeps the refinement deterministic.  Probes march the state only; the
-    probe at offset 0 returns the row-i state itself.
+    Bisection on the sub-step offset; each probe advances the row-i (r,
+    sigma) by a single RK4 step of the probed size, which is accurate to
+    O(step^5) and keeps the refinement deterministic.  Probes call the same
+    (r, sigma) march as the trajectory and carry the row-i z, which no
+    branch quantity reads; the probe at offset 0 returns the row-i state
+    itself.
     """
     s0, r0, z0, g0 = (float(x) for x in traj.data[i, :4])
-    kappa, tau = float(params.kappa), float(params.tau)
+    kappa = float(params.kappa)
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        cols, _ = branch_march(kappa, tau, r0, z0, g0, s0, offset, 2, s0 + offset,
-                               EPS_R, EPS_F)
-        return quantity(params, ProfileState(*(c[-1] for c in cols)))
+        rows, _ = branch_march(kappa, r0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
+        s = s0 if len(rows) == 2 else s0 + offset
+        return quantity(params, ProfileState(s, rows[-2], z0, rows[-1]))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

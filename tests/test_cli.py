@@ -72,6 +72,12 @@ class TestVerify:
         assert res.returncode == 0, res.stderr or res.stdout
         assert json.loads(res.stdout)["pass"] is True
 
+    def test_negative_seed_rejected(self):
+        res = run_cli("verify", "--kappa", "1", "--tau", "1", "--suite", "theorem52",
+                      "--seed", "-1")
+        assert res.returncode == 2
+        assert "--seed" in res.stderr and "Traceback" not in res.stderr
+
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",
                       "--suite", "frame", "--timing")
@@ -107,6 +113,31 @@ class TestIntegrate:
         res = run_cli("integrate", "--kappa", "0", "--tau", "0.5",
                       "--r0", "1e-9", "--sigma0", "0.5")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--step", "--smax"])
+    def test_nan_step_or_horizon_rejected(self, flag):
+        res = run_cli("integrate", "--kappa", "1", "--tau", "1", "--r0", "1",
+                      "--sigma0", "1", flag, "nan")
+        assert res.returncode == 2
+        assert "finite" in res.stderr and "Traceback" not in res.stderr
+
+    def test_state_fields_are_the_reference_loop(self):
+        # the profile CSV that `mesh revolution` reads: s, r, z and sigma
+        # are the rows of the one-loop reference march, formatted by _fmt
+        from bcvgeo.ambient import EPS_F
+        from bcvgeo.cli import _fmt
+        from bcvgeo.rotation import COLUMNS, EPS_R
+        from reference_kernel import branch_kernel
+
+        res = run_cli("integrate", "--kappa", "0.0", "--tau", "0.5", "--r0", "1.1",
+                      "--sigma0", "1.5", "--smax", "1.0")
+        assert res.returncode == 0, res.stderr
+        ref = np.empty((20000, len(COLUMNS)))
+        n, _ = branch_kernel(0.0, 0.5, 1.1, 0.0, 1.5, 0.0, 1e-3, 20000, 1.0,
+                             10 * EPS_R, EPS_F, ref)
+        expected = [",".join(_fmt(float(x)) for x in row) for row in ref[:n, :4]]
+        rows = res.stdout.splitlines()[1:-1]
+        assert [",".join(l.split(",")[:4]) for l in rows] == expected
 
     def test_byte_identical_runs(self):
         args = ("integrate", "--kappa", "0", "--tau", "0.5",

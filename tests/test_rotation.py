@@ -235,6 +235,44 @@ class TestBranchKernel:
         else:
             assert np.abs(np.array(branch_residuals(P, states)).T - ref[:n, 4:]).max() <= 1e-12
 
+    def test_seeded_sweep_matches_reference_loop(self):
+        # random starts, sigma0 outside (0, pi) too, every row budget
+        # regime: the quadrature z has the loop's bits wherever the march
+        # stops
+        rng = make_rng(52)
+        statuses = set()
+        for _ in range(240):
+            kappa, tau = rng.uniform(-2.0, 2.0, 2)
+            r0 = rng.uniform(0.05, 2.0)
+            if kappa < 0.0:   # most starts inside the domain, a few outside
+                r0 = min(r0, rng.uniform(0.9, 1.01) * 2.0 / math.sqrt(-kappa))
+            step = 10.0 ** rng.uniform(-3.0, -2.0)
+            s0 = rng.uniform(-1.0, 1.0)
+            args = (kappa, tau, r0, rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, 2.0 * math.pi),
+                    s0, step, int(rng.choice([1, 2, 5, 3000, 20000])), s0 + rng.uniform(0.0, 3.0),
+                    float(rng.choice([10 * rot.EPS_R, 0.05, 0.3])), float(rng.choice([EPS_F, 0.05])))
+            ref = np.empty((args[7], len(COLUMNS)))
+            out = np.empty_like(ref)
+            n_ref, status_ref = reference_kernel(*args, ref)
+            n, status = run_branch_kernel(*args, out)
+            assert (n, status) == (n_ref, status_ref), args
+            assert out[:n, :4].tobytes() == ref[:n, :4].tobytes(), args
+            statuses.add(status)
+        assert statuses == set(STATUS_NAMES)
+
+    def test_march_does_not_depend_on_tau(self):
+        # r' and sigma' do not involve tau: only the z quadrature does
+        cols = {}
+        for tau in (0.0, 1.5):
+            out = np.empty((20000, 4))
+            n, _ = run_branch_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
+                                     0.05, EPS_F, out)
+            cols[tau] = out[:n]
+        flat, twisted = cols[0.0], cols[1.5]
+        assert len(flat) == len(twisted) == 3001
+        assert flat[:, [0, 1, 3]].tobytes() == twisted[:, [0, 1, 3]].tobytes()
+        assert np.all(np.abs(flat[1:, 2] - twisted[1:, 2]) > 0.0)
+
     def test_cases_reach_every_status(self):
         statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
                     for a in KERNEL_CASES.values()}
@@ -342,10 +380,9 @@ class TestBranchIntegration:
 
     def test_domain_guard_in_kernel(self):
         # the stage guard itself, fed a state already outside the domain
-        cols, status = branch_march(-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10,
-                                    1.0, 1e-8, 1e-9)
+        rows, status = branch_march(-1.0, 2.1, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9)
         assert status == STATUS_DOMAIN_EXIT
-        assert [len(c) for c in cols] == [1, 1, 1, 1]
+        assert rows == [2.1, 0.3]
 
     def test_stop_radius_must_clear_the_axis_floor(self):
         # rows stop above r_stop, and a ProfileState needs r > EPS_R
@@ -444,10 +481,11 @@ class TestBranchClassification:
                 return quantity(params, state)
 
             refine(P, traj, i, recorded)
-            # the first two probes sit at offsets 0 and h
+            # the first two probes sit at offsets 0 and h; a probe marches
+            # (r, sigma) only and carries the row-i z, so z is not compared
             for state, row in zip(probes[:2], (i, i + 1)):
-                assert (np.array([state.s, state.r, state.z, state.sigma]).tobytes()
-                        == traj.data[row, :4].tobytes())
+                assert (np.array([state.s, state.r, state.sigma]).tobytes()
+                        == traj.data[row, [0, 1, 3]].tobytes())
                 assert (np.float64(quantity(P, state)).tobytes()
                         == traj.column(names[quantity])[row].tobytes())
 
