@@ -17,7 +17,7 @@ Layers:
 
 from .ambient import BcvParams, GeometryClass, classify_space, smoothing_factor
 from .errors import BcvError, DegenerateSurfaceError, DomainError, SelfConsistencyError
-from .immersion import FdConfig, ParametricSurface
+from .immersion import ParametricSurface
 from .rotation import (
     BranchTrajectory,
     IntegrationConfig,
@@ -41,7 +41,6 @@ __all__ = [
     "DomainError",
     "DegenerateSurfaceError",
     "SelfConsistencyError",
-    "FdConfig",
     "ParametricSurface",
     "ProfileState",
     "ReducedCoefficients",

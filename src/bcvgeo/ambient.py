@@ -39,6 +39,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._stencil import CROSS, Stencil
 from .errors import DomainError
 
 __all__ = [
@@ -183,23 +184,21 @@ def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
     return g
 
 
-def christoffels(params: BcvParams, x, y, step: float = FD_STEP) -> np.ndarray:
+def christoffels(params: BcvParams, x, y) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] at the points (x, y, any z) by
     finite differences.
 
-    Central differences of the metric components feed the Koszul formula on
-    coordinate fields; no hand-derived connection enters anywhere.  Arrays
-    of one shape give Gamma of shape (3, 3, 3) + that shape.  The metric
-    does not depend on z, so its z-difference is exactly zero.
+    Central differences of the metric components over the CROSS stencil
+    feed the Koszul formula on coordinate fields; no hand-derived connection
+    enters anywhere.  Arrays of one shape give Gamma of shape (3, 3, 3) +
+    that shape.  The metric does not depend on z, so its z-difference is
+    exactly zero.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hx = step * np.maximum(1.0, np.abs(x))
-    hy = step * np.maximum(1.0, np.abs(y))
-    dg = np.zeros((3, 3, 3) + x.shape)
-    dg[0] = (metric_matrix(params, x + hx, y) - metric_matrix(params, x - hx, y)) / (2.0 * hx)
-    dg[1] = (metric_matrix(params, x, y + hy) - metric_matrix(params, x, y - hy)) / (2.0 * hy)
-    g = np.moveaxis(metric_matrix(params, x, y), (0, 1), (-2, -1))
+    st = Stencil(CROSS, FD_STEP, x, y)
+    gs = metric_matrix(params, st.U, st.V)
+    dg = np.zeros((3,) + gs.shape[:-1])
+    dg[0], dg[1] = st.d(gs, 1, 0), st.d(gs, 0, 1)
+    g = np.moveaxis(gs[..., 0], (0, 1), (-2, -1))
     ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     sym = np.einsum("ijl...->lij...", dg) + np.einsum("jil...->lij...", dg) - dg
@@ -218,7 +217,7 @@ def ricci(params: BcvParams, a, b):
     return (k - 2.0 * t * t) * (a[0] * b[0] + a[1] * b[1]) + 2.0 * t * t * a[2] * b[2]
 
 
-def ricci_tensor_fd(params: BcvParams, x, y, step2: float = FD_STEP2) -> np.ndarray:
+def ricci_tensor_fd(params: BcvParams, x, y) -> np.ndarray:
     """Ricci tensor Ric_ij in coordinate components at the points
     (x, y, any z), assembled from the FD connection.
 
@@ -227,21 +226,14 @@ def ricci_tensor_fd(params: BcvParams, x, y, step2: float = FD_STEP2) -> np.ndar
     Ric_ij = d_k Gamma^k_ij - d_j Gamma^k_ik + Gamma^k_kl Gamma^l_ij
              - Gamma^k_jl Gamma^l_ik.
     Arrays of one shape give Ric of shape (3, 3) + that shape.  One
-    :func:`christoffels` call covers every point and its x- and y-shifted
-    points; the metric does not depend on z, so the z-difference of Gamma is
-    exactly zero.
+    :func:`christoffels` call covers every point and its CROSS stencil; the
+    metric does not depend on z, so the z-difference of Gamma is exactly zero.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hx = step2 * np.maximum(1.0, np.abs(x))
-    hy = step2 * np.maximum(1.0, np.abs(y))
-    # last axis: the point, (x +- hx, y), (x, y +- hy)
-    G = christoffels(params, np.stack([x, x + hx, x - hx, x, x], axis=-1),
-                     np.stack([y, y, y, y + hy, y - hy], axis=-1))
+    st = Stencil(CROSS, FD_STEP2, x, y)
+    G = christoffels(params, st.U, st.V)
     g0 = G[..., 0]
-    dG = np.zeros((3, 3, 3, 3) + x.shape)
-    dG[0] = (G[..., 1] - G[..., 2]) / (2.0 * hx)
-    dG[1] = (G[..., 3] - G[..., 4]) / (2.0 * hy)
+    dG = np.zeros((3,) + g0.shape)
+    dG[0], dG[1] = st.d(G, 1, 0), st.d(G, 0, 1)
     return (
         np.einsum("kkij...->ij...", dG)
         - np.einsum("jkik...->ij...", dG)

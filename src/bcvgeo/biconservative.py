@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stencil import CROSS, Stencil
 from .ambient import BcvParams, ricci
 from .immersion import (
-    DEFAULT_FD,
-    FdConfig,
     ShapeArrays,
     _adapted_frame,
     _at,
@@ -63,13 +62,16 @@ __all__ = [
 
 QUARTIC_DEGENERATE_TOL = 1e-12
 NEGATIVE_ROOT_TOL = 1e-12
+# chart partials of the mean curvature; wider than the directional step, as a
+# small step would amplify the finite-difference jitter of the mean curvature
+GRADIENT_STEP = 1e-3
 
 
-def tangential_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+def tangential_bitension(S, params, u, v) -> np.ndarray:
     """Same as :func:`tangential_bitension_arrays`.  No bcvgeo code calls it:
     the name stays only because the benchmark tracer (perfbench/tracer.py)
     looks it up, and its `--trace 1` raises AttributeError without it."""
-    return tangential_bitension_arrays(S, params, u, v, cfg)
+    return tangential_bitension_arrays(S, params, u, v)
 
 
 def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
@@ -79,7 +81,7 @@ def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
     return ricci(params, n, sh.b1) * sh.b1 + ricci(params, n, sh.b2) * sh.b2
 
 
-def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> np.ndarray:
+def tangential_bitension_arrays(S, params, u, v) -> np.ndarray:
     """Frame components of 2 A(grad f) + f grad f - 2 f Ric(N)^T at (u, v).
 
     Zero (to tolerance) at every sample exactly when the surface is
@@ -90,14 +92,9 @@ def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> 
     gradient-stencil points, 45 jets per point, comes from one
     :func:`shape_arrays` call, with Ric(N)^T expanded over its tangent basis.
     """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    hu = cfg.gradient_step * np.maximum(1.0, np.abs(u))
-    hv = cfg.gradient_step * np.maximum(1.0, np.abs(v))
-    # last axis: the point, then (u +- hu, v) and (u, v +- hv)
-    sh = shape_arrays(S, params, np.stack([u, u + hu, u - hu, u, u], axis=-1),
-                      np.stack([v, v, v, v + hv, v - hv], axis=-1), cfg)
-    du = (sh.f[..., 1] - sh.f[..., 2]) / (2.0 * hu)
-    dv = (sh.f[..., 3] - sh.f[..., 4]) / (2.0 * hv)
+    st = Stencil(CROSS, GRADIENT_STEP, u, v)
+    sh = shape_arrays(S, params, st.U, st.V)
+    du, dv = st.d(sh.f, 1, 0), st.d(sh.f, 0, 1)
     c = _at(sh, 0)
     j = c.jet
     det = j.E * j.G - j.F * j.F
@@ -105,23 +102,23 @@ def tangential_bitension_arrays(S, params, u, v, cfg: FdConfig = DEFAULT_FD) -> 
     return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * _ricci_n_tangential(params, c)
 
 
-def normal_bitension(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def normal_bitension(S, params, u, v):
     """Delta f + f |A|^2 - f Ric(N, N) at (u, v), floats or arrays of one
     shape.  One :func:`shape_arrays` call covers each point and the 8 points
     of its Laplacian stencil; the entry at the point gives f, |A|^2 and N."""
 
     def invariants(U, V):
         """(f, |A|^2, Ric(N, N)) at (U, V), shape (3,) + U.shape."""
-        sh = shape_arrays(S, params, U, V, cfg)
+        sh = shape_arrays(S, params, U, V)
         (a00, a01), (a10, a11) = sh.A
         return np.array([sh.f, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11,
                          ricci(params, sh.jet.n, sh.jet.n)])
 
-    (f, norm2, ric_nn), (lap, _, _) = surface_laplacian(S, params, u, v, invariants, cfg)
+    (f, norm2, ric_nn), (lap, _, _) = surface_laplacian(S, params, u, v, invariants)
     return lap + f * norm2 - f * ric_nn
 
 
-def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def frame_system_residual(S, params, u, v):
     """The two adapted-frame biconservativity equations at (u, v).
 
     With f = lam + e1(a):
@@ -139,18 +136,18 @@ def frame_system_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     lam and the angle derivatives at each centre and its +-e1, +-e2 steps,
     the angle at +-e1, +-e2 around each of those points.
     """
-    jet = surface_jets(S, params, u, v, cfg)
+    jet = surface_jets(S, params, u, v)
     frame = _adapted_frame(jet, u, v, "frame system")
-    alpha = alpha_field(S, params, cfg)
+    alpha = alpha_field(S, params)
 
     def lam_and_alpha_derivatives(U, V):
         """(lam, e1(a), e2(a)) at (U, V), shape (3,) + U.shape."""
-        sh = shape_arrays(S, params, U, V, cfg)
+        sh = shape_arrays(S, params, U, V)
         _, d = directional_derivative(sh.jet, U, V, _adapted_frame(sh.jet, U, V, "frame system"),
-                                      alpha, cfg)
+                                      alpha)
         return np.array([sh.A[1][1], d[..., 0], d[..., 1]])
 
-    (lam, e1a, e2a), d = directional_derivative(jet, u, v, frame, lam_and_alpha_derivatives, cfg)
+    (lam, e1a, e2a), d = directional_derivative(jet, u, v, frame, lam_and_alpha_derivatives)
     f = lam + e1a
     e1f, e2f = d[0, ..., 0] + d[1, ..., 0], d[0, ..., 1] + d[1, ..., 1]
     k, t = params.kappa, params.tau

@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="include wall time in the report "
                                "(breaks byte-for-byte reproducibility)")
     p_verify.add_argument("--out", default=None, help="output file (default stdout)")
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify.set_defaults(fn=_cmd_verify, parser=p_verify)
 
     p_int = sub.add_parser("integrate", help="integrate the rotational branch")
     _add_params(p_int)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--max-steps", type=int, default=20000,
                        help="row budget (default 20000)")
     p_int.add_argument("--out", default=None, help="output file (default stdout)")
-    p_int.set_defaults(fn=_cmd_integrate)
+    p_int.set_defaults(fn=_cmd_integrate, parser=p_int)
 
     p_mesh = sub.add_parser("mesh", help="export a surface mesh as OBJ")
     p_mesh.add_argument("kind", choices=("hopf-cylinder", "revolution", "hopf-tube"))
@@ -254,15 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh.add_argument("--nu", type=int, default=16, help="grid size in u (default 16)")
     p_mesh.add_argument("--nv", type=int, default=16, help="grid size in v (default 16)")
     p_mesh.add_argument("--out", default=None, help="output file (default stdout)")
-    p_mesh.set_defaults(fn=_cmd_mesh)
+    p_mesh.set_defaults(fn=_cmd_mesh, parser=p_mesh)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args, parser)
+        # input errors are reported with the subcommand's own usage line
+        return args.fn(args, args.parser)
     except DomainError as exc:
         print(f"numeric domain failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,7 +13,8 @@ The jet is computed by one array layer, :func:`surface_jets`: it runs the
 same componentwise arithmetic on x, y, z component floats or on arrays of
 any shape, so a whole stencil or grid row costs one chart call.
 :func:`shape_arrays` evaluates the shape operator at arrays of centres from
-one jet call over the centres and their 8 normal-stencil points.
+one jet call over the centres and their 8 normal-stencil points.  Each chart
+stencil is a :class:`bcvgeo._stencil.Stencil` at its step constant below.
 
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
 f = tr A, the surface Laplacian of chart fields, and residual evaluators for
@@ -42,7 +43,6 @@ one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import namedtuple
 
 import numpy as np
@@ -57,13 +57,12 @@ from .ambient import (
     frame_dot,
     smoothing_factor,
 )
+from ._stencil import CROSS, NINE, WIDE, Stencil, derivative
 from .errors import DegenerateSurfaceError, DomainError
 
 __all__ = [
     "EPS_ALPHA",
     "EPS_GRAM",
-    "FdConfig",
-    "DEFAULT_FD",
     "ParametricSurface",
     "JetArrays",
     "ShapeArrays",
@@ -84,38 +83,14 @@ __all__ = [
 EPS_ALPHA = 1e-7   # below this sin(alpha), the adapted frame is reported absent
 EPS_GRAM = 1e-12   # regularity floor for det of the first fundamental form
 
+# finite-difference steps, each scaled by max(1, |u|) or max(1, |v|)
+CHART_STEP = 1e-5        # central differences of a chart without analytic partials
+NORMAL_STEP = 1e-4       # fourth-order differences of the normal for the shape operator
+DIRECTIONAL_STEP = 1e-4  # first derivatives along tangent vectors and of the metric
+SECOND_STEP = 1e-3       # second partials of the fundamental form (Brioschi)
+LAPLACIAN_STEP = 5e-3    # the widest: field jitter grows as 1/h^2 in second differences
 
-@dataclass
-class FdConfig:
-    """Finite-difference step sizes for surface derivatives.
-
-    chart_step       central differences of the chart itself (no analytic
-                     partials supplied)
-    normal_step      fourth-order differences of the normal field feeding
-                     the shape operator
-    directional_step first directional derivatives of fields along tangent
-                     vectors
-    gradient_step    chart partials of the mean curvature inside the
-                     tangential bitension; wider than directional_step
-                     because the mean curvature field carries
-                     finite-difference jitter that a small step would
-                     amplify
-    second_step      second partials of the fundamental form (intrinsic
-                     curvature stencil)
-    laplacian_step   second-difference stencil of the surface Laplacian;
-                     jitter in the differentiated field grows as 1/h^2, so
-                     this is the widest step of all
-    """
-
-    chart_step: float = 1e-5
-    normal_step: float = 1e-4
-    directional_step: float = 1e-4
-    gradient_step: float = 1e-3
-    second_step: float = 1e-3
-    laplacian_step: float = 5e-3
-
-
-DEFAULT_FD = FdConfig()
+DEFAULT_FD = None   # not used by bcvgeo: the benchmark tracer imports the name
 
 
 def _components(c, u, v) -> np.ndarray:
@@ -162,16 +137,14 @@ class ParametricSurface:
         """Chart coordinates, shape (3,) + the broadcast shape of u and v."""
         return _components(self.chart(u, v), u, v)
 
-    def partials_at(self, u, v, cfg: FdConfig = DEFAULT_FD):
+    def partials_at(self, u, v):
         """(X_u, X_v) in coordinate components, each shaped like coords."""
         if self.partials is not None:
             xu, xv = self.partials(u, v)
             return _components(xu, u, v), _components(xv, u, v)
-        hu = cfg.chart_step * np.maximum(1.0, np.abs(u))
-        hv = cfg.chart_step * np.maximum(1.0, np.abs(v))
-        xu = (self.coords(u + hu, v) - self.coords(u - hu, v)) / (2.0 * hu)
-        xv = (self.coords(u, v + hv) - self.coords(u, v - hv)) / (2.0 * hv)
-        return xu, xv
+        st = Stencil(CROSS, CHART_STEP, u, v)
+        X = self.coords(st.U, st.V)
+        return st.d(X, 1, 0), st.d(X, 0, 1)
 
     def grid(self, nu: int, nv: int):
         (u0, u1), (v0, v1) = self.domain
@@ -202,8 +175,7 @@ def _first_failure(ok, *fields):
     return [float(np.broadcast_to(f, np.shape(ok)).flat[i]) for f in fields]
 
 
-def surface_jets(S: ParametricSurface, params: BcvParams, u, v,
-                 cfg: FdConfig = DEFAULT_FD) -> JetArrays:
+def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
     """First-order jet of S at (u, v), floats or arrays of one shape.
 
     The arithmetic is componentwise, so floats and arrays run the same
@@ -220,7 +192,7 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v,
         uu, vv, xx, yy, zz, ff = bad
         raise DomainError(f"{S.name}: point ({xx:.6g}, {yy:.6g}, {zz:.6g}) at (u, v) = "
                           f"({uu:.6g}, {vv:.6g}) is not finite or has F = {ff:.3e} <= {EPS_F}")
-    xu, xv = S.partials_at(u, v, cfg)
+    xu, xv = S.partials_at(u, v)
     au = frame_components(params, x, y, xu)
     av = frame_components(params, x, y, xv)
     E, F, G = frame_dot(au, au), frame_dot(au, av), frame_dot(av, av)
@@ -241,12 +213,11 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v,
                      T=np.array(T), JT=np.array(frame_cross(n, T)))
 
 
-def surface_jet(S: ParametricSurface, params: BcvParams, u, v,
-                cfg: FdConfig = DEFAULT_FD) -> JetArrays:
+def surface_jet(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
     """Same as :func:`surface_jets`.  No bcvgeo code calls it: the name stays
     only because the benchmark tracer (perfbench/tracer.py) looks it up, and
     its `--trace 1` raises AttributeError without it."""
-    return surface_jets(S, params, u, v, cfg)
+    return surface_jets(S, params, u, v)
 
 
 def _basis(au, av, T, JT, sin_a):
@@ -284,8 +255,7 @@ def _at(x, i):
     return x[..., i]
 
 
-def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
-                 cfg: FdConfig = DEFAULT_FD) -> ShapeArrays:
+def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     """Shape operator A X = -(nabla_X N)^T at centres (u, v) of any shape.
 
     One jet call covers every centre and its 8 normal-stencil points: the
@@ -294,17 +264,10 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
     symbols.  The matrix is taken in the adapted frame where sin(alpha) >
     EPS_ALPHA, else in a Gram-Schmidt basis of the chart partials.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    hu = cfg.normal_step * np.maximum(1.0, np.abs(u))
-    hv = cfg.normal_step * np.maximum(1.0, np.abs(v))
-    # last axis: the centre, its u-stencil, then its v-stencil
-    U = np.stack([u, u + 2 * hu, u + hu, u - hu, u - 2 * hu, u, u, u, u], axis=-1)
-    V = np.stack([v, v, v, v, v, v + 2 * hv, v + hv, v - hv, v - 2 * hv], axis=-1)
-    J = surface_jets(S, params, U, V, cfg)
+    st = Stencil(WIDE, NORMAL_STEP, u, v)
+    J = surface_jets(S, params, st.U, st.V)
     N = np.array(coordinate_components(params, J.x, J.y, J.n))
-    dNu = (-N[..., 1] + 8.0 * N[..., 2] - 8.0 * N[..., 3] + N[..., 4]) / (12.0 * hu)
-    dNv = (-N[..., 5] + 8.0 * N[..., 6] - 8.0 * N[..., 7] + N[..., 8]) / (12.0 * hv)
+    dNu, dNv = st.d(N, 1, 0), st.d(N, 0, 1)
     c = _at(J, 0)
     gamma = christoffels(params, c.x, c.y)
 
@@ -327,28 +290,27 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v,
     return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted)
 
 
-def shape_operator(S: ParametricSurface, params: BcvParams, u, v,
-                   cfg: FdConfig = DEFAULT_FD) -> ShapeArrays:
+def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     """Same as :func:`shape_arrays`.  No bcvgeo code calls it: the name stays
     only because the benchmark tracer (perfbench/tracer.py) looks it up, and
     its `--trace 1` raises AttributeError without it."""
-    return shape_arrays(S, params, u, v, cfg)
+    return shape_arrays(S, params, u, v)
 
 
-def alpha_field(S, params, cfg: FdConfig = DEFAULT_FD):
+def alpha_field(S, params):
     """Angle function alpha(u, v) = arccos g(E3, N), a chart field on floats
     or arrays of one shape."""
-    return lambda u, v: np.arccos(surface_jets(S, params, u, v, cfg).cos_alpha)
+    return lambda u, v: np.arccos(surface_jets(S, params, u, v).cos_alpha)
 
 
-def directional_derivative(jet: JetArrays, u, v, W, field, cfg: FdConfig = DEFAULT_FD):
+def directional_derivative(jet: JetArrays, u, v, W, field):
     """A chart field and its derivatives along tangent vectors, at points (u, v).
 
     `jet` is the :func:`surface_jets` of the points, of shape P, and W, of
     shape (3,) + P + (k,), holds k tangent vectors per point in frame
     components.  With W = xi X_u + eta X_v (Cramer's rule on I), the chart
     line (u + s xi, v + s eta) has velocity W at s = 0, so the central
-    difference over s = +-t, t = directional_step / max(1, |xi|, |eta|),
+    difference over s = +-t, t = DIRECTIONAL_STEP / max(1, |xi|, |eta|),
     converges to W(field).
 
     `field` is called once, with arrays U, V of shape P + (1 + 2k,): each
@@ -362,23 +324,23 @@ def directional_derivative(jet: JetArrays, u, v, W, field, cfg: FdConfig = DEFAU
     r1 = frame_dot(W, np.expand_dims(jet.av, -1))
     det = E * G - F * F
     xi, eta = (G * r0 - F * r1) / det, (E * r1 - F * r0) / det
-    t = cfg.directional_step / np.maximum(1.0, np.maximum(np.abs(xi), np.abs(eta)))
+    t = DIRECTIONAL_STEP / np.maximum(1.0, np.maximum(np.abs(xi), np.abs(eta)))
     u, v = np.expand_dims(u, -1), np.expand_dims(v, -1)
     vals = field(np.concatenate([u, u + t * xi, u - t * xi], axis=-1),
                  np.concatenate([v, v + t * eta, v - t * eta], axis=-1))
     k = t.shape[-1]
-    return vals[..., 0], (vals[..., 1:k + 1] - vals[..., k + 1:]) / (2.0 * t)
+    return vals[..., 0], derivative((vals[..., 1:k + 1], vals[..., k + 1:]), (1, -1), 1, t)
 
 
-def surface_laplacian(S, params, u, v, field, cfg: FdConfig = DEFAULT_FD):
+def surface_laplacian(S, params, u, v, field):
     """A chart field and its surface Laplacian, Delta = -div grad, at (u, v).
 
     Divergence form expanded as
         div grad f = I^{ij} d2_ij f + c^j d_j f,
         c^j = (1 / sqrt(det I)) d_i (sqrt(det I) I^{ij});
-    second differences use cfg.laplacian_step, the metric coefficients use
-    cfg.directional_step over one jet call at each point and its 4 axis
-    steps.
+    the field is differenced over the NINE stencil at LAPLACIAN_STEP, the
+    metric coefficients over one jet call on the CROSS stencil at
+    DIRECTIONAL_STEP.
 
     u and v are floats or arrays of one shape P.  As in
     :func:`directional_derivative`, `field` is called once, with arrays U, V
@@ -386,37 +348,21 @@ def surface_laplacian(S, params, u, v, field, cfg: FdConfig = DEFAULT_FD):
     diagonal points; it returns values of shape Q + U.shape.  Returns the
     field at the points and its Laplacian, each of shape Q + P.
     """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    h = cfg.laplacian_step
-    hu = h * np.maximum(1.0, np.abs(u))
-    hv = h * np.maximum(1.0, np.abs(v))
-    f0, fp, fm, fq, fr, fa, fb, fc, fd = np.moveaxis(field(
-        u[..., None] + hu[..., None] * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
-        v[..., None] + hv[..., None] * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1])), -1, 0)
-    fuu = (fp - 2.0 * f0 + fm) / (hu * hu)
-    fvv = (fq - 2.0 * f0 + fr) / (hv * hv)
-    fuv = (fa - fb - fc + fd) / (4.0 * hu * hv)
-    du = (fp - fm) / (2.0 * hu)
-    dv = (fq - fr) / (2.0 * hv)
-
-    ku = cfg.directional_step * np.maximum(1.0, np.abs(u))
-    kv = cfg.directional_step * np.maximum(1.0, np.abs(v))
-    # sqrt(det I) I^{-1} at (u +- ku, v), (u, v +- kv) and the centre
-    J = surface_jets(S, params, u[..., None] + ku[..., None] * np.array([1, -1, 0, 0, 0]),
-                     v[..., None] + kv[..., None] * np.array([0, 0, 1, -1, 0]), cfg)
+    st = Stencil(NINE, LAPLACIAN_STEP, u, v)
+    f = field(st.U, st.V)
+    mst = Stencil(CROSS, DIRECTIONAL_STEP, u, v)
+    J = surface_jets(S, params, mst.U, mst.V)
     det = J.E * J.G - J.F * J.F
-    M = np.array([[J.G, -J.F], [-J.F, J.E]]) / np.sqrt(det)
-    dM_u = (M[..., 0] - M[..., 1]) / (2.0 * ku)
-    dM_v = (M[..., 2] - M[..., 3]) / (2.0 * kv)
-    Iinv = M[..., 4] / np.sqrt(det[..., 4])
-    c = (dM_u[0] + dM_v[1]) / np.sqrt(det[..., 4])
+    M = np.array([[J.G, -J.F], [-J.F, J.E]]) / np.sqrt(det)   # sqrt(det I) I^{-1}
+    Iinv = M[..., 0] / np.sqrt(det[..., 0])
+    c = (mst.d(M[0], 1, 0) + mst.d(M[1], 0, 1)) / np.sqrt(det[..., 0])
 
-    div = (Iinv[0, 0] * fuu + (Iinv[0, 1] + Iinv[1, 0]) * fuv + Iinv[1, 1] * fvv
-           + c[0] * du + c[1] * dv)
-    return f0, -div
+    div = (Iinv[0, 0] * st.d(f, 2, 0) + (Iinv[0, 1] + Iinv[1, 0]) * st.d(f, 1, 1)
+           + Iinv[1, 1] * st.d(f, 0, 2) + c[0] * st.d(f, 1, 0) + c[1] * st.d(f, 0, 1))
+    return f[..., 0], -div
 
 
-def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def brioschi_curvature(S, params, u, v):
     """Intrinsic Gauss curvature from the first fundamental form alone.
 
     Second central differences of (E, F, G) feed the Brioschi determinant
@@ -424,27 +370,12 @@ def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     operator.  One jet call covers every point (u, v) and its 8 stencil
     points.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    hu = cfg.second_step * np.maximum(1.0, np.abs(u))
-    hv = cfg.second_step * np.maximum(1.0, np.abs(v))
-    # last axis: the centre, (u +- hu, v), (u, v +- hv), then the four diagonal points
-    J = surface_jets(S, params,
-                     u[..., None] + hu[..., None] * np.array([0, 1, -1, 0, 0, 1, 1, -1, -1]),
-                     v[..., None] + hv[..., None] * np.array([0, 0, 0, 1, -1, 1, -1, 1, -1]), cfg)
-    E0, Ep, Em, Eq, Er = np.moveaxis(J.E[..., :5], -1, 0)
-    F0, Fp, Fm_, Fq, Fr, Fa, Fb, Fc, Fd = np.moveaxis(J.F, -1, 0)
-    G0, Gp, Gm, Gq, Gr = np.moveaxis(J.G[..., :5], -1, 0)
-
-    Eu = (Ep - Em) / (2 * hu)
-    Ev = (Eq - Er) / (2 * hv)
-    Gu = (Gp - Gm) / (2 * hu)
-    Gv = (Gq - Gr) / (2 * hv)
-    Fu = (Fp - Fm_) / (2 * hu)
-    Fv = (Fq - Fr) / (2 * hv)
-    Evv = (Eq - 2 * E0 + Er) / (hv * hv)
-    Guu = (Gp - 2 * G0 + Gm) / (hu * hu)
-    Fuv = (Fa - Fb - Fc + Fd) / (4 * hu * hv)
+    st = Stencil(NINE, SECOND_STEP, u, v)
+    J = surface_jets(S, params, st.U, st.V)
+    E0, F0, G0 = J.E[..., 0], J.F[..., 0], J.G[..., 0]
+    Eu, Ev, Evv = st.d(J.E, 1, 0), st.d(J.E, 0, 1), st.d(J.E, 0, 2)
+    Gu, Gv, Guu = st.d(J.G, 1, 0), st.d(J.G, 0, 1), st.d(J.G, 2, 0)
+    Fu, Fv, Fuv = st.d(J.F, 1, 0), st.d(J.F, 0, 1), st.d(J.F, 1, 1)
 
     M1 = np.array([
         [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
@@ -461,15 +392,15 @@ def brioschi_curvature(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     return (det1 - det2) / den
 
 
-def gauss_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def gauss_residual(S, params, u, v):
     """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha) at (u, v).
 
     K is the intrinsic (Brioschi) curvature, det A the extrinsic one; the
     residual vanishes on genuine immersed surfaces, making this a two-sided
     check of both curvature routes.
     """
-    sh = shape_arrays(S, params, u, v, cfg)
-    K = brioschi_curvature(S, params, u, v, cfg)
+    sh = shape_arrays(S, params, u, v)
+    K = brioschi_curvature(S, params, u, v)
     (a00, a01), (a10, a11) = sh.A
     k, t = params.kappa, params.tau
     return K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * sh.jet.cos_alpha ** 2
@@ -498,7 +429,7 @@ def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
     return d - frame_dot(d, jet.n) * jet.n
 
 
-def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def codazzi_residual(S, params, u, v):
     """Residuals of the two adapted-frame compatibility equations at (u, v).
 
     First:  e1(e2(a)) + lam cot(a) e2(a) + cot(a) e1(a)(e2(a) - 2 tau)
@@ -514,21 +445,20 @@ def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     around each of those points; and the shape operator at the centre and
     its +-e1 steps for lam.
     """
-    jet = surface_jets(S, params, u, v, cfg)
+    jet = surface_jets(S, params, u, v)
     frame = _adapted_frame(jet, u, v, "compatibility residuals")
-    alpha = alpha_field(S, params, cfg)
+    alpha = alpha_field(S, params)
 
     def alpha_derivatives(U, V):
         """(e1(a), e2(a)) at (U, V), shape (2,) + U.shape."""
-        J = surface_jets(S, params, U, V, cfg)
-        _, d = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"),
-                                      alpha, cfg)
+        J = surface_jets(S, params, U, V)
+        _, d = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"), alpha)
         return np.moveaxis(d, -1, 0)
 
     # dea[i][..., j] = e_j(e_i(a))
-    (e1a, e2a), dea = directional_derivative(jet, u, v, frame, alpha_derivatives, cfg)
+    (e1a, e2a), dea = directional_derivative(jet, u, v, frame, alpha_derivatives)
     lam, e1_lam = directional_derivative(
-        jet, u, v, frame[..., :1], lambda U, V: shape_arrays(S, params, U, V, cfg).A[1][1], cfg)
+        jet, u, v, frame[..., :1], lambda U, V: shape_arrays(S, params, U, V).A[1][1])
     e1_e2a, e2_e1a, e2_e2a, e1_lam = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1], e1_lam[..., 0]
 
     k, t = params.kappa, params.tau
@@ -539,7 +469,7 @@ def codazzi_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     return r1, r2
 
 
-def compatibility_residual(S, params, u, v, W, cfg: FdConfig = DEFAULT_FD):
+def compatibility_residual(S, params, u, v, W):
     """Residuals of the derivative law of T along tangent vectors W.
 
     W holds one tangent vector per point (u, v), in frame components of
@@ -549,22 +479,22 @@ def compatibility_residual(S, params, u, v, W, cfg: FdConfig = DEFAULT_FD):
     with the vector in frame components.  Both vanish on immersed surfaces.
     T and cos(a) are differenced together along W from one jet batch.
     """
-    sh = shape_arrays(S, params, u, v, cfg)
+    sh = shape_arrays(S, params, u, v)
     c = sh.jet
 
     def T_and_cos(U, V):
         """Coordinate components of T, then cos(a), at (U, V)."""
-        J = surface_jets(S, params, U, V, cfg)
+        J = surface_jets(S, params, U, V)
         return np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,))
 
-    vals, d = directional_derivative(c, u, v, np.expand_dims(W, -1), T_and_cos, cfg)
+    vals, d = directional_derivative(c, u, v, np.expand_dims(W, -1), T_and_cos)
     nabla_T = _tangential_covariant(params, c, christoffels(params, c.x, c.y), W,
                                     vals[:3], d[:3, ..., 0])
     rhs = sh.apply(W) - params.tau * np.array(frame_cross(c.n, W))
     return nabla_T - c.cos_alpha * rhs, frame_dot(rhs, c.T) + d[3, ..., 0]
 
 
-def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
+def surface_connection_residual(S, params, u, v):
     """Max deviation of the adapted-frame surface connection from its
     closed form, at (u, v):
 
@@ -577,20 +507,20 @@ def surface_connection_residual(S, params, u, v, cfg: FdConfig = DEFAULT_FD):
     computed by finite differences of the adapted frame fields over each
     centre and its +-e1, +-e2 steps.
     """
-    jet = surface_jets(S, params, u, v, cfg)
+    jet = surface_jets(S, params, u, v)
     what = "surface connection check"
     frame = _adapted_frame(jet, u, v, what)
 
     def frame_coords(U, V):
         """Coordinate components of (e1, e2) at (U, V), shape (3, 2) + U.shape."""
-        J = surface_jets(S, params, U, V, cfg)
+        J = surface_jets(S, params, U, V)
         e = np.moveaxis(_adapted_frame(J, U, V, what), -1, 1)
         return np.array(coordinate_components(params, J.x, J.y, e))
 
     # de[:, j, ..., i] = d_{e_i} e_j
-    e0, de = directional_derivative(jet, u, v, frame, frame_coords, cfg)
-    _, e2a = directional_derivative(jet, u, v, frame[..., 1:], alpha_field(S, params, cfg), cfg)
-    lam = shape_arrays(S, params, u, v, cfg).A[1][1]
+    e0, de = directional_derivative(jet, u, v, frame, frame_coords)
+    _, e2a = directional_derivative(jet, u, v, frame[..., 1:], alpha_field(S, params))
+    lam = shape_arrays(S, params, u, v).A[1][1]
     gamma = christoffels(params, jet.x, jet.y)
     t = params.tau
     cot = jet.cos_alpha / jet.sin_alpha

@@ -54,7 +54,8 @@ import numpy as np
 
 from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
 from ._spline import CubicSpline
-from .ambient import EPS_F, BcvParams, smoothing_factor
+from ._stencil import derivative
+from .ambient import EPS_F, BcvParams, christoffels, smoothing_factor
 from .errors import DomainError, SelfConsistencyError
 from .immersion import ParametricSurface, _first_failure
 
@@ -87,13 +88,13 @@ __all__ = [
     "circle_curve",
     "ellipse_curve",
     "line_curve",
-    "base_christoffels",
     "base_geodesic_curvature",
 ]
 
 EPS_R = 1e-8
 FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
 FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
+CURVE_STEP = 1e-5     # differences of a base curve, scaled by max(1, |u|)
 
 # trajectory row layout
 COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
@@ -282,7 +283,7 @@ class IntegrationConfig:
 
     There is no adaptive control, so trajectories are reproducible
     bit-for-bit; :func:`observed_order` measures the integrator's order.
-    `fd_check` cross-validates the closed-form f' against the
+    Every trajectory cross-validates the closed-form f' against the
     fourth-order 5-point central difference of the recorded f column and
     aborts on disagreement.  That stencil's truncation error is
     h^4 f^(5) / 30, which grows like 1/r^6; the check only applies to rows
@@ -300,7 +301,6 @@ class IntegrationConfig:
     max_steps: int = 20000
     s_max: float = 5.0
     r_stop: float = 10 * EPS_R
-    fd_check: bool = True
 
     def __post_init__(self):
         if not self.step > 0.0:
@@ -334,11 +334,12 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
 
     The kernel marches (r, sigma) and adds the s and z columns in one
     array pass; `branch_residuals` then fills the f, f_prime, R1, R2 and
-    obstruction columns over all rows at once.  Runs with kappa = 4 tau^2 are permitted but warn through the returned status
-    only; callers verifying the rotational classification should enforce
-    kappa != 4 tau^2 themselves.  Early termination (axis, domain boundary,
-    row budget) is reported in `status` with the partial trajectory
-    attached.
+    obstruction columns over all rows at once, and f' is checked as
+    :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
+    permitted and not flagged; callers verifying the rotational
+    classification enforce kappa != 4 tau^2 themselves.  Early termination
+    (axis, domain boundary, row budget) is reported in `status` with the
+    partial trajectory attached.
     """
     if config is None:
         config = IntegrationConfig()
@@ -353,9 +354,9 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     out[:n, 4:] = np.transpose(diag)
     traj = BranchTrajectory(params=params, data=out[:n].copy(), status=STATUS_NAMES[status],
                             config=config)
-    if config.fd_check and len(traj) >= 5:
+    if n >= 5:
         f, fp = diag[0], diag[1]
-        fd = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * config.step)
+        fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)
         mask = traj.column("r")[2:-2] >= FD_CHECK_R_FLOOR
         if np.any(mask):
             worst = float(np.max(np.abs(fd[mask] - fp[2:-2][mask])))
@@ -419,8 +420,7 @@ def observed_order(params: BcvParams, init: ProfileState, base_step: float,
     finals = []
     for k in range(3):
         h = base_step / 2 ** k
-        cfg = IntegrationConfig(step=h, max_steps=int(round(s_end / h)) + 2,
-                                s_max=s_end, fd_check=False)
+        cfg = IntegrationConfig(step=h, max_steps=int(round(s_end / h)) + 2, s_max=s_end)
         traj = integrate_noncmc_branch(params, init, cfg)
         finals.append(traj.data[-1, 1:4])
     d1 = float(np.max(np.abs(finals[0] - finals[1])))
@@ -615,48 +615,27 @@ def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
 # base-surface geodesic curvature (for tube diagnostics)
 
 
-def base_christoffels(params: BcvParams, x: float, y: float, step: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols of the base metric h = (dx^2 + dy^2)/F^2 by FD."""
-    def h_mat(xx, yy):
-        F = smoothing_factor(params, xx, yy)
-        if not F > EPS_F:
-            raise DomainError(f"base point ({xx:.4g}, {yy:.4g}) outside domain")
-        return np.eye(2) / (F * F)
-
-    hx = step * max(1.0, abs(x))
-    hy = step * max(1.0, abs(y))
-    dg = np.empty((2, 2, 2))
-    dg[0] = (h_mat(x + hx, y) - h_mat(x - hx, y)) / (2 * hx)
-    dg[1] = (h_mat(x, y + hy) - h_mat(x, y - hy)) / (2 * hy)
-    ginv = np.linalg.inv(h_mat(x, y))
-    sym = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    return 0.5 * np.einsum("kl,lij->kij", ginv, sym)
-
-
 def base_geodesic_curvature(params: BcvParams, curve, u: float, normal2,
-                            curve_derivative=None, step: float = 1e-5) -> float:
+                            curve_derivative=None) -> float:
     """Geodesic curvature of a plane curve in the base metric h.
 
     `normal2` fixes the co-orientation (it should be the projected surface
     normal for tube diagnostics, h-unit for horizontal normals); for a
     regular curve gamma,
 
-        kappa_g = h(gamma'' + Gamma(gamma', gamma'), n) / h(gamma', gamma').
+        kappa_g = h(gamma'' + Gamma(gamma', gamma'), n) / h(gamma', gamma'),
+
+    with Gamma the (x, y) block of :func:`christoffels` at tau = 0.
     """
     x, y = curve(u)
-    h = step * max(1.0, abs(u))
+    h = CURVE_STEP * max(1.0, abs(u))
+    line = curve if curve_derivative is None else curve_derivative
+    vals = [np.asarray(line(w), dtype=float) for w in (u, u + h, u - h)]
     if curve_derivative is not None:
-        d = np.asarray(curve_derivative(u), dtype=float)
-        dp = np.asarray(curve_derivative(u + h), dtype=float)
-        dm = np.asarray(curve_derivative(u - h), dtype=float)
-        dd = (dp - dm) / (2 * h)
+        d, dd = vals[0], derivative(vals, (0, 1, -1), 1, h)
     else:
-        cp = np.asarray(curve(u + h), dtype=float)
-        cm = np.asarray(curve(u - h), dtype=float)
-        c0 = np.asarray(curve(u), dtype=float)
-        d = (cp - cm) / (2 * h)
-        dd = (cp - 2 * c0 + cm) / (h * h)
-    gamma = base_christoffels(params, x, y)
+        d, dd = derivative(vals, (0, 1, -1), 1, h), derivative(vals, (0, 1, -1), 2, h)
+    gamma = christoffels(BcvParams(params.kappa, 0.0), x, y)[:2, :2, :2]
     acc = dd + np.einsum("kij,i,j->k", gamma, d, d)
     F = smoothing_factor(params, x, y)
     n = np.asarray(normal2, dtype=float)

@@ -49,13 +49,14 @@ def _stencil_derivatives(field, p, step=FD_STEP):
     return np.array(d)
 
 
-def connection(params, p, X, field, step=FD_STEP):
+def connection(params, p, X, field):
     """Covariant derivative nabla_X V at the points p of the vector field
     V = field(x, y, z); X, V and the result in coordinate components.  The
-    chart derivative of V is taken on this module's own stencil; only the
-    Christoffel symbols come from :func:`christoffels`."""
-    dV = _stencil_derivatives(field, p, step)
-    gamma = christoffels(params, p[0], p[1], step)
+    chart derivative of V is taken on this module's own stencil at the
+    step of :func:`christoffels`; only the Christoffel symbols come from
+    that function."""
+    dV = _stencil_derivatives(field, p)
+    gamma = christoffels(params, p[0], p[1])
     return (np.einsum("i...,ik...->k...", X, dV)
             + np.einsum("kij...,i...,j...->k...", gamma, X, field(*p)))
 

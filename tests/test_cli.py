@@ -78,6 +78,11 @@ class TestVerify:
         assert res.returncode == 2
         assert "--seed" in res.stderr and "Traceback" not in res.stderr
 
+    def test_input_error_shows_verify_usage(self):
+        res = run_cli("verify", "--kappa", "1", "--tau", "1", "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage: bcvgeo verify")
+
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",
                       "--suite", "frame", "--timing")
@@ -120,6 +125,12 @@ class TestIntegrate:
                       "--sigma0", "1", flag, "nan")
         assert res.returncode == 2
         assert "finite" in res.stderr and "Traceback" not in res.stderr
+
+    def test_input_error_shows_integrate_usage(self):
+        res = run_cli("integrate", "--kappa", "1", "--tau", "1", "--r0", "1",
+                      "--sigma0", "1", "--step", "nan")
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage: bcvgeo integrate")
 
     def test_state_fields_are_the_reference_loop(self):
         # the profile CSV that `mesh revolution` reads: s, r, z and sigma
@@ -325,3 +336,8 @@ class TestMeshInputErrors:
         assert res.returncode == 2
         assert str(base) in res.stderr and "column x" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_input_error_shows_mesh_usage(self):
+        res = run_cli("mesh", "hopf-cylinder", "--kappa", "1", "--tau", "1")
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage: bcvgeo mesh")

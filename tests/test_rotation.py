@@ -409,10 +409,6 @@ class TestBranchIntegration:
     def test_fd_check_margin_recorded(self):
         traj = integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0))
         assert 0.0 < traj.fd_check_margin < 1e-3
-        unchecked = integrate_noncmc_branch(
-            BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0),
-            IntegrationConfig(fd_check=False))
-        assert unchecked.fd_check_margin is None
         # every row below FD_CHECK_R_FLOOR: no row is checked
         below = integrate_noncmc_branch(P_NIL, ProfileState(0.0, 0.15, 0.0, 1.5),
                                         IntegrationConfig(s_max=0.01))

@@ -25,3 +25,29 @@ def test_traced_names_resolve_to_callables(tracer):
     for modname, attr, _ in tracer.TRACED:
         assert callable(getattr(importlib.import_module(modname), attr, None)), \
             f"{modname}.{attr}"
+
+
+def test_install_and_restore_round_trip(tracer):
+    # install() imports names of its own from bcvgeo and wraps every traced
+    # function; a traced jet call must run, and restore() must undo it all
+    from bcvgeo import immersion as imm
+    from bcvgeo.ambient import BcvParams
+    from bcvgeo.rotation import generic_revolution_surface
+
+    before = {(m, a): getattr(importlib.import_module(m), a) for m, a, _ in tracer.TRACED}
+    coords = imm.ParametricSurface.coords
+    P = BcvParams(1.0, 0.5)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert imm.surface_jet is not before[("bcvgeo.immersion", "surface_jet")]
+        t.begin_op(0)
+        imm.surface_jet(generic_revolution_surface(P), P, 0.3, 0.2)
+        calls = t.summary({0})["calls"]
+        assert calls["immersion.surface_jet"] == 1 and calls["immersion.chart"] >= 1
+        assert t.jet_keys_unique == 1
+    finally:
+        t.restore()
+    for (m, a), fn in before.items():
+        assert getattr(importlib.import_module(m), a) is fn, f"{m}.{a}"
+    assert imm.ParametricSurface.coords is coords
