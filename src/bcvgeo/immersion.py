@@ -30,12 +30,20 @@ return arrays of that shape, with vectors in frame components as in
 call per stage however many points are given: :func:`directional_derivative`,
 the one finite difference of a chart field along tangent vectors, calls its
 field once on every point and its forward and backward chart steps, and a
-field may itself be such a derivative.  For e_i(e_j(alpha)) in
-:func:`codazzi_residual` the stages are the centres; each centre and its
-+-e1, +-e2 steps; +-e1, +-e2 around each of those points for alpha; and the
-shape operator at the centre and its +-e1 steps for lam.  A stage that needs
-the adapted frame raises DegenerateSurfaceError naming the first (u, v), in
-C order, where sin(alpha) <= EPS_ALPHA.
+field may itself be such a derivative.  The structural residuals share the
+stages of one grid through :class:`Stages`:
+
+1. the WIDE normal stencil and the NINE Brioschi stencil of each centre,
+   one jet call, give the centre jet, the shape operator, K and the
+   Christoffel symbols, for Gauss, Codazzi and the law of T;
+2. each centre and its +-e1, +-e2 steps, one jet call, give the law of T
+   along e2 and the points of the next two stages;
+3. +-e1, +-e2 around each point of stage 2 give the angle derivatives of
+   :func:`codazzi_residual`;
+4. the shape operator at the +-e1 steps gives its e1(lam).
+
+A stage that needs the adapted frame raises DegenerateSurfaceError naming
+the first (u, v), in C order, where sin(alpha) <= EPS_ALPHA.
 
 Sign conventions.  A X = -(nabla_X N)^T, and the Laplacian is the geometer's
 one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
@@ -44,6 +52,7 @@ one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +83,7 @@ __all__ = [
     "directional_derivative",
     "surface_laplacian",
     "brioschi_curvature",
+    "Stages",
     "gauss_residual",
     "codazzi_residual",
     "compatibility_residual",
@@ -266,10 +276,16 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     """
     st = Stencil(WIDE, NORMAL_STEP, u, v)
     J = surface_jets(S, params, st.U, st.V)
+    c = _at(J, 0)
+    return _shape(params, st, J, christoffels(params, c.x, c.y))
+
+
+def _shape(params, st, J, gamma) -> ShapeArrays:
+    """:func:`shape_arrays` from the jets J over the WIDE stencil st and the
+    Christoffel symbols gamma at its centres."""
     N = np.array(coordinate_components(params, J.x, J.y, J.n))
     dNu, dNv = st.d(N, 1, 0), st.d(N, 0, 1)
     c = _at(J, 0)
-    gamma = christoffels(params, c.x, c.y)
 
     def shape_of(dN, X):
         """A X in frame components: minus the tangential part of
@@ -319,6 +335,13 @@ def directional_derivative(jet: JetArrays, u, v, W, field):
     own stencil the same way).  Returns the field at the points, shape
     Q + P, and W(field), shape Q + P + (k,).
     """
+    U, V, t = _steps(jet, u, v, W)
+    return _central(field(U, V), t)
+
+
+def _steps(jet, u, v, W):
+    """The points of :func:`directional_derivative`, U and V of shape
+    P + (1 + 2k,), and its steps t, of shape P + (k,)."""
     E, F, G = (np.expand_dims(a, -1) for a in (jet.E, jet.F, jet.G))
     r0 = frame_dot(W, np.expand_dims(jet.au, -1))
     r1 = frame_dot(W, np.expand_dims(jet.av, -1))
@@ -326,8 +349,13 @@ def directional_derivative(jet: JetArrays, u, v, W, field):
     xi, eta = (G * r0 - F * r1) / det, (E * r1 - F * r0) / det
     t = DIRECTIONAL_STEP / np.maximum(1.0, np.maximum(np.abs(xi), np.abs(eta)))
     u, v = np.expand_dims(u, -1), np.expand_dims(v, -1)
-    vals = field(np.concatenate([u, u + t * xi, u - t * xi], axis=-1),
-                 np.concatenate([v, v + t * eta, v - t * eta], axis=-1))
+    return (np.concatenate([u, u + t * xi, u - t * xi], axis=-1),
+            np.concatenate([v, v + t * eta, v - t * eta], axis=-1), t)
+
+
+def _central(vals, t):
+    """Values at the points of :func:`_steps` -> (value at each point,
+    central differences along its k vectors)."""
     k = t.shape[-1]
     return vals[..., 0], derivative((vals[..., 1:k + 1], vals[..., k + 1:]), (1, -1), 1, t)
 
@@ -371,7 +399,11 @@ def brioschi_curvature(S, params, u, v):
     points.
     """
     st = Stencil(NINE, SECOND_STEP, u, v)
-    J = surface_jets(S, params, st.U, st.V)
+    return _brioschi(st, surface_jets(S, params, st.U, st.V))
+
+
+def _brioschi(st, J):
+    """:func:`brioschi_curvature` from the jets J over the NINE stencil st."""
     E0, F0, G0 = J.E[..., 0], J.F[..., 0], J.G[..., 0]
     Eu, Ev, Evv = st.d(J.E, 1, 0), st.d(J.E, 0, 1), st.d(J.E, 0, 2)
     Gu, Gv, Guu = st.d(J.G, 1, 0), st.d(J.G, 0, 1), st.d(J.G, 2, 0)
@@ -392,18 +424,63 @@ def brioschi_curvature(S, params, u, v):
     return (det1 - det2) / den
 
 
-def gauss_residual(S, params, u, v):
+Centres = namedtuple("Centres", "u v jet shape K gamma")
+
+
+class Stages:
+    """The stages of the structural residuals at centres (u, v), shared by
+    :func:`gauss_residual`, :func:`codazzi_residual` and
+    :func:`compatibility_residual`.
+
+    Stage 1, on construction, is one jet call over each centre's WIDE normal
+    and NINE Brioschi stencils, which share the centre.  It gives `centres`:
+    (u, v), their jet, shape operator, Brioschi curvature K and Christoffel
+    symbols.  Stage 2, on first use of `steps`, is one jet call over each
+    centre and its +-e1, +-e2 steps.  :meth:`at` restricts stage 1 to a
+    mask of centres, so the later stages are evaluated there alone.
+    """
+
+    def __init__(self, S: ParametricSurface, params: BcvParams, u, v):
+        self.S, self.params = S, params
+        wide, nine = Stencil(WIDE, NORMAL_STEP, u, v), Stencil(NINE, SECOND_STEP, u, v)
+        J = surface_jets(S, params, np.concatenate([wide.U, nine.U[..., 1:]], axis=-1),
+                         np.concatenate([wide.V, nine.V[..., 1:]], axis=-1))
+        c = _at(J, 0)
+        gamma = christoffels(params, c.x, c.y)
+        w = len(WIDE)
+        shape = _shape(params, wide, _at(J, slice(0, w)), gamma)
+        K = _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)]))
+        self.centres = Centres(u, v, c, shape, K, gamma)
+
+    def at(self, mask):
+        """These stages at the centres where `mask` holds."""
+        sub = object.__new__(Stages)
+        sub.S, sub.params, sub.centres = self.S, self.params, _at(self.centres, mask)
+        return sub
+
+    @cached_property
+    def steps(self):
+        """Stage 2: (frame, U, V, t, J), the adapted frame at the centres,
+        the points (U, V) of each centre, its +e1, +e2 and its -e1, -e2
+        steps on a last axis of length 5, the steps t and the jets there."""
+        c = self.centres
+        frame = _adapted_frame(c.jet, c.u, c.v, "compatibility residuals")
+        U, V, t = _steps(c.jet, c.u, c.v, frame)
+        return frame, U, V, t, surface_jets(self.S, self.params, U, V)
+
+
+def gauss_residual(S, params, u, v, stages: Stages = None):
     """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha) at (u, v).
 
     K is the intrinsic (Brioschi) curvature, det A the extrinsic one; the
     residual vanishes on genuine immersed surfaces, making this a two-sided
-    check of both curvature routes.
+    check of both curvature routes, read from stage 1 of the
+    :class:`Stages` of (u, v), `stages` if given.
     """
-    sh = shape_arrays(S, params, u, v)
-    K = brioschi_curvature(S, params, u, v)
-    (a00, a01), (a10, a11) = sh.A
+    c = (Stages(S, params, u, v) if stages is None else stages).centres
+    (a00, a01), (a10, a11) = c.shape.A
     k, t = params.kappa, params.tau
-    return K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * sh.jet.cos_alpha ** 2
+    return c.K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2
 
 
 def _adapted_frame(jet: JetArrays, u, v, what: str):
@@ -429,7 +506,7 @@ def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
     return d - frame_dot(d, jet.n) * jet.n
 
 
-def codazzi_residual(S, params, u, v):
+def codazzi_residual(S, params, u, v, stages: Stages = None):
     """Residuals of the two adapted-frame compatibility equations at (u, v).
 
     First:  e1(e2(a)) + lam cot(a) e2(a) + cot(a) e1(a)(e2(a) - 2 tau)
@@ -439,59 +516,55 @@ def codazzi_residual(S, params, u, v):
 
     Both vanish identically on immersed surfaces; the derivatives here are
     nested directional finite differences, so the residuals measure the
-    whole jet/shape pipeline at once.  They are built in stages of one
-    batch each: the centres; each centre and its +-e1, +-e2 steps, where
-    e1(a) and e2(a) are differenced from the angle at a further +-e1, +-e2
-    around each of those points; and the shape operator at the centre and
-    its +-e1 steps for lam.
+    whole jet/shape pipeline at once.  Past the :class:`Stages` of (u, v),
+    `stages` if given, two jet calls remain: the angle around each point of
+    stage 2, and the shape operator at the +-e1 steps for e1(lam).
     """
-    jet = surface_jets(S, params, u, v)
-    frame = _adapted_frame(jet, u, v, "compatibility residuals")
-    alpha = alpha_field(S, params)
-
-    def alpha_derivatives(U, V):
-        """(e1(a), e2(a)) at (U, V), shape (2,) + U.shape."""
-        J = surface_jets(S, params, U, V)
-        _, d = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"), alpha)
-        return np.moveaxis(d, -1, 0)
-
+    st = Stages(S, params, u, v) if stages is None else stages
+    c = st.centres
+    _, U, V, t, J = st.steps
+    _, da = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"),
+                                   alpha_field(S, params))
     # dea[i][..., j] = e_j(e_i(a))
-    (e1a, e2a), dea = directional_derivative(jet, u, v, frame, alpha_derivatives)
-    lam, e1_lam = directional_derivative(
-        jet, u, v, frame[..., :1], lambda U, V: shape_arrays(S, params, U, V).A[1][1])
-    e1_e2a, e2_e1a, e2_e2a, e1_lam = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1], e1_lam[..., 0]
+    (e1a, e2a), dea = _central(np.moveaxis(da, -1, 0), t)
+    lam = c.shape.A[1][1]
+    lam_e1 = shape_arrays(S, params, U[..., [1, 3]], V[..., [1, 3]]).A[1][1]   # at +-e1
+    e1_lam = derivative((lam_e1[..., 0], lam_e1[..., 1]), (1, -1), 1, t[..., 0])
+    e1_e2a, e2_e1a, e2_e2a = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1]
 
-    k, t = params.kappa, params.tau
-    cot = jet.cos_alpha / jet.sin_alpha
-    r1 = e1_e2a + lam * cot * e2a + cot * e1a * (e2a - 2.0 * t) - e2_e1a
-    r2 = (cot * (2.0 * e2a * e2a - lam * e1a - 6.0 * t * e2a + 4.0 * t * t + lam * lam)
-          + e1_lam - e2_e2a - (4.0 * t * t - k) * jet.cos_alpha * jet.sin_alpha)
+    k, tau = params.kappa, params.tau
+    cot = c.jet.cos_alpha / c.jet.sin_alpha
+    r1 = e1_e2a + lam * cot * e2a + cot * e1a * (e2a - 2.0 * tau) - e2_e1a
+    r2 = (cot * (2.0 * e2a * e2a - lam * e1a - 6.0 * tau * e2a + 4.0 * tau * tau + lam * lam)
+          + e1_lam - e2_e2a - (4.0 * tau * tau - k) * c.jet.cos_alpha * c.jet.sin_alpha)
     return r1, r2
 
 
-def compatibility_residual(S, params, u, v, W):
+def compatibility_residual(S, params, u, v, W=None, stages: Stages = None):
     """Residuals of the derivative law of T along tangent vectors W.
 
     W holds one tangent vector per point (u, v), in frame components of
-    shape (3,) + the point shape.  Returns (vector, scalar):
+    shape (3,) + the point shape, by default the adapted e2 = JT / sin(a).
+    Returns (vector, scalar):
         vector = (nabla_W T)^tangential - cos(a) (A W - tau J W)
         scalar = g(A W - tau J W, T) + W(cos a)
     with the vector in frame components.  Both vanish on immersed surfaces.
-    T and cos(a) are differenced together along W from one jet batch.
+    T and cos(a) are differenced together along W from one jet batch, which
+    along e2 is part of stage 2 of the :class:`Stages` of (u, v), `stages`
+    if given.
     """
-    sh = shape_arrays(S, params, u, v)
-    c = sh.jet
-
-    def T_and_cos(U, V):
-        """Coordinate components of T, then cos(a), at (U, V)."""
+    st = Stages(S, params, u, v) if stages is None else stages
+    c = st.centres
+    if W is None:
+        frame, _, _, t, J = st.steps
+        W, t, J = frame[..., 1], t[..., 1:], _at(J, [0, 2, 4])   # the centre and +-e2
+    else:
+        U, V, t = _steps(c.jet, u, v, np.expand_dims(W, -1))
         J = surface_jets(S, params, U, V)
-        return np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,))
-
-    vals, d = directional_derivative(c, u, v, np.expand_dims(W, -1), T_and_cos)
-    nabla_T = _tangential_covariant(params, c, christoffels(params, c.x, c.y), W,
-                                    vals[:3], d[:3, ..., 0])
-    rhs = sh.apply(W) - params.tau * np.array(frame_cross(c.n, W))
-    return nabla_T - c.cos_alpha * rhs, frame_dot(rhs, c.T) + d[3, ..., 0]
+    vals, d = _central(np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,)), t)
+    nabla_T = _tangential_covariant(params, c.jet, c.gamma, W, vals[:3], d[:3, ..., 0])
+    rhs = c.shape.apply(W) - params.tau * np.array(frame_cross(c.jet.n, W))
+    return nabla_T - c.jet.cos_alpha * rhs, frame_dot(rhs, c.jet.T) + d[3, ..., 0]
 
 
 def surface_connection_residual(S, params, u, v):

@@ -55,7 +55,7 @@ import numpy as np
 from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
-from .ambient import EPS_F, BcvParams, christoffels, smoothing_factor
+from .ambient import EPS_F, BcvParams, smoothing_factor
 from .errors import DomainError, SelfConsistencyError
 from .immersion import ParametricSurface, _first_failure
 
@@ -65,7 +65,6 @@ __all__ = [
     "ReducedCoefficients",
     "IntegrationConfig",
     "BranchTrajectory",
-    "orbit_metric",
     "reduced_quantities",
     "reduced_mean_curvature",
     "reduced_bicon_system",
@@ -77,24 +76,18 @@ __all__ = [
     "integrate_noncmc_branch",
     "refine_sign_change",
     "observed_order",
-    "fixed_point_radius",
     "hopf_cylinder",
     "hopf_tube",
     "revolution_surface",
     "generic_revolution_surface",
-    "slant_profile",
-    "spline_profile",
     "spline_profile_columns",
     "circle_curve",
     "ellipse_curve",
-    "line_curve",
-    "base_geodesic_curvature",
 ]
 
 EPS_R = 1e-8
 FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
 FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
-CURVE_STEP = 1e-5     # differences of a base curve, scaled by max(1, |u|)
 
 # trajectory row layout
 COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
@@ -169,15 +162,6 @@ class ReducedCoefficients(NamedTuple):
     d: float
     sin_sigma: float
     cos_sigma: float
-
-
-def orbit_metric(params: BcvParams, r: float) -> np.ndarray:
-    """Orbital distance metric diag(1/F^2, 1/(1 + tau^2 r^2)) at radius r."""
-    if r < 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r}")
-    F = _check_radius(params, r)
-    q2 = 1.0 + params.tau ** 2 * r * r
-    return np.diag([1.0 / (F * F), 1.0 / q2])
 
 
 def reduced_quantities(params: BcvParams, state: ProfileState) -> ReducedCoefficients:
@@ -428,13 +412,6 @@ def observed_order(params: BcvParams, init: ProfileState, base_step: float,
     return math.log2(d1 / d2)
 
 
-def fixed_point_radius(kappa: float) -> float:
-    """Stationary radius sqrt(4 / (3 kappa)) of the branch flow, kappa > 0."""
-    if kappa <= 0:
-        raise ValueError("stationary radius exists only for kappa > 0")
-    return math.sqrt(4.0 / (3.0 * kappa))
-
-
 # ---------------------------------------------------------------------------
 # surface constructors
 
@@ -457,20 +434,6 @@ def ellipse_curve(a: float, b: float):
 
     def d_curve(u):
         return (-a * np.sin(u), b * np.cos(u))
-
-    return curve, d_curve
-
-
-def line_curve(p0, direction):
-    """Affine line u -> p0 + u * direction in the base plane."""
-    p0 = (float(p0[0]), float(p0[1]))
-    d = (float(direction[0]), float(direction[1]))
-
-    def curve(u):
-        return (p0[0] + u * d[0], p0[1] + u * d[1])
-
-    def d_curve(u):
-        return d
 
     return curve, d_curve
 
@@ -537,43 +500,6 @@ def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileStat
                              normal_sign=-1.0, name=name)
 
 
-def slant_profile(params: BcvParams, r0: float, sigma0: float) -> Callable[[float], ProfileState]:
-    """Closed-form constant-sigma profile for kappa = 0.
-
-    With F = 1 the radius grows linearly, r(s) = r0 + s cos(sigma0), and the
-    height integrates in closed form through
-    G(u) = (u sqrt(1 + tau^2 u^2) + asinh(tau u)/tau) / 2.  The revolved
-    surface has varying angle function and varying mean curvature
-    sin(sigma0)/r, which makes it the workhorse generic test surface.
-    """
-    if params.kappa != 0.0:
-        raise ValueError("closed-form slant profiles require kappa = 0")
-    c0 = math.cos(sigma0)
-    s0 = math.sin(sigma0)
-    if abs(c0) < 1e-12:
-        raise ValueError("sigma0 = pi/2 is the cylinder; use hopf_cylinder")
-    t = params.tau
-
-    def G(u):
-        if t == 0.0:
-            return u
-        return 0.5 * (u * np.sqrt(1.0 + t * t * u * u) + np.arcsinh(t * u) / t)
-
-    G0 = G(r0)
-
-    def profile(s):
-        r = r0 + s * c0
-        z = (s0 / c0) * (G(r) - G0)
-        return ProfileState(s=s, r=r, z=z, sigma=sigma0)
-
-    return profile
-
-
-def spline_profile(traj: BranchTrajectory):
-    """Cubic-spline interpolant of an integrated trajectory as a profile."""
-    return spline_profile_columns(*(traj.column(c) for c in ("s", "r", "z", "sigma")))
-
-
 def spline_profile_columns(s, r, z, sigma):
     """Profile interpolating (s, r, z, sigma) columns by cubic splines in s.
 
@@ -609,36 +535,3 @@ def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
     return ParametricSurface(chart, ((0.0, 2.0 * math.pi), s_domain),
                              partials=partials, normal_sign=-1.0,
                              name="generic-revolution")
-
-
-# ---------------------------------------------------------------------------
-# base-surface geodesic curvature (for tube diagnostics)
-
-
-def base_geodesic_curvature(params: BcvParams, curve, u: float, normal2,
-                            curve_derivative=None) -> float:
-    """Geodesic curvature of a plane curve in the base metric h.
-
-    `normal2` fixes the co-orientation (it should be the projected surface
-    normal for tube diagnostics, h-unit for horizontal normals); for a
-    regular curve gamma,
-
-        kappa_g = h(gamma'' + Gamma(gamma', gamma'), n) / h(gamma', gamma'),
-
-    with Gamma the (x, y) block of :func:`christoffels` at tau = 0.
-    """
-    x, y = curve(u)
-    h = CURVE_STEP * max(1.0, abs(u))
-    line = curve if curve_derivative is None else curve_derivative
-    vals = [np.asarray(line(w), dtype=float) for w in (u, u + h, u - h)]
-    if curve_derivative is not None:
-        d, dd = vals[0], derivative(vals, (0, 1, -1), 1, h)
-    else:
-        d, dd = derivative(vals, (0, 1, -1), 1, h), derivative(vals, (0, 1, -1), 2, h)
-    gamma = christoffels(BcvParams(params.kappa, 0.0), x, y)[:2, :2, :2]
-    acc = dd + np.einsum("kij,i,j->k", gamma, d, d)
-    F = smoothing_factor(params, x, y)
-    n = np.asarray(normal2, dtype=float)
-    h_acc_n = float(acc @ n) / (F * F)
-    h_dd = float(d @ d) / (F * F)
-    return h_acc_n / h_dd

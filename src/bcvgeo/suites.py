@@ -157,16 +157,21 @@ def _structural_maxima(params: BcvParams):
     """Worst residual of each structural family over the interior grids of
     the structural surfaces, and the number of grid points.
 
-    Each residual takes a surface's whole grid in one call.  Codazzi and the
-    derivative law of T are evaluated only where the adapted frame is well
-    conditioned (sin(alpha) > 0.1, |cot(alpha)| < 10), so the stencil of a
-    skipped point is never evaluated.
+    Each grid is one :class:`bcvgeo.immersion.Stages` evaluation, shared by
+    the residuals: stage 1, one jet call over every point's normal and
+    Brioschi stencils, gives the jet, Gauss and the centre shape operator
+    and Christoffel symbols of Codazzi and the derivative law of T; stage 2,
+    one jet call over the +-e1, +-e2 steps, serves Codazzi and the law of T
+    along e2.  Codazzi and the law of T are evaluated only where the
+    adapted frame is well conditioned (sin(alpha) > 0.1, |cot(alpha)| <
+    10), so the later stages of a skipped point are never evaluated.
     """
     worst = {"jet": 0.0, "gauss": 0.0, "codazzi": 0.0, "compat": 0.0}
     samples = 0
     for surface, nu, nv in _structural_surfaces(params):
         U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
-        J = imm.surface_jets(surface, params, U, V)
+        stages = imm.Stages(surface, params, U, V)
+        J = stages.centres.jet
         samples += U.size
         # |T|^2 = sin^2(alpha) and E3 = T + cos(alpha) N, in coordinate components
         T = np.array(ambient.coordinate_components(params, J.x, J.y, J.T))
@@ -176,16 +181,16 @@ def _structural_maxima(params: BcvParams):
         worst["jet"] = max(worst["jet"],
                            float(np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2).max()),
                            float(np.abs(e3 - T - J.cos_alpha * N).max()))
-        worst["gauss"] = max(worst["gauss"],
-                             float(np.abs(imm.gauss_residual(surface, params, U, V)).max()))
+        worst["gauss"] = max(worst["gauss"], float(np.abs(
+            imm.gauss_residual(surface, params, U, V, stages)).max()))
         ok = J.sin_alpha > 0.1
         ok[ok] = np.abs(J.cos_alpha[ok] / J.sin_alpha[ok]) < 10.0
         if ok.any():
-            c1, c2 = imm.codazzi_residual(surface, params, U[ok], V[ok])
+            sub = stages.at(ok)
+            c1, c2 = imm.codazzi_residual(surface, params, U[ok], V[ok], sub)
             worst["codazzi"] = max(worst["codazzi"], float(np.abs(c1).max()),
                                    float(np.abs(c2).max()))
-            vec, sc = imm.compatibility_residual(surface, params, U[ok], V[ok],
-                                                 J.JT[:, ok] / J.sin_alpha[ok])
+            vec, sc = imm.compatibility_residual(surface, params, U[ok], V[ok], stages=sub)
             worst["compat"] = max(worst["compat"],
                                   float(np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)).max()),
                                   float(np.abs(sc).max()))

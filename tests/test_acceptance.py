@@ -49,13 +49,13 @@ from bcvgeo.rotation import (
     reduced_mean_curvature,
     refine_sign_change,
     revolution_surface,
-    slant_profile,
     theorem52_obstruction,
 )
 from bcvgeo.suites import sample_domain_points
 
 from conftest import (PAIRS6, CYLINDER_PAIRS, adapted_components, frame_norm, frame_of,
                       make_rng, sphere_surface)
+from profiles import slant_profile
 
 P_NIL = BcvParams(0.0, 0.5)
 

@@ -22,13 +22,12 @@ from bcvgeo.rotation import (
     generic_revolution_surface,
     hopf_cylinder,
     hopf_tube,
-    line_curve,
     revolution_surface,
-    slant_profile,
 )
 
 from conftest import (CYLINDER_PAIRS, adapted_components, flat_plane, frame_norm, kinked_plane,
                       sphere_surface)
+from profiles import line_curve, slant_profile
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)

@@ -5,10 +5,12 @@ import pytest
 
 from bcvgeo.ambient import (BcvParams, coordinate_components, frame_cross, frame_dot,
                             smoothing_factor)
+from bcvgeo import immersion
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
     EPS_ALPHA,
     ParametricSurface,
+    Stages,
     alpha_field,
     brioschi_curvature,
     codazzi_residual,
@@ -27,11 +29,11 @@ from bcvgeo.rotation import (
     hopf_cylinder,
     hopf_tube,
     revolution_surface,
-    slant_profile,
 )
-from bcvgeo.suites import _structural_maxima
+from bcvgeo.suites import _interior_grid, _structural_maxima, _structural_surfaces, run_suite
 
 from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, sphere_surface
+from profiles import slant_profile
 
 P_FLAT = BcvParams(0.0, 0.0)
 P_NIL = BcvParams(0.0, 0.5)
@@ -295,6 +297,14 @@ def interior_grid(surface, nu=3, nv=4, margin=0.15):
                        indexing="ij")
 
 
+def parabolic_cylinder():
+    """z = u^2 / 2 in flat space: the normal is vertical along u = 0, where
+    sin(alpha) = |u| / sqrt(1 + u^2) vanishes."""
+    return ParametricSurface(lambda u, v: (u, v, 0.5 * u * u), ((-1.0, 1.0), (-1.0, 1.0)),
+                             partials=lambda u, v: ((1.0, 0.0, u), (0.0, 1.0, 0.0)),
+                             name="parabolic-cylinder")
+
+
 def e2_field(S, params, u, v):
     """The adapted e2 = JT / sin(alpha) at (u, v), in frame components."""
     J = surface_jets(S, params, u, v)
@@ -310,6 +320,7 @@ class TestResidualArrays:
         "codazzi": lambda S, P, u, v: codazzi_residual(S, P, u, v),
         "compatibility": lambda S, P, u, v: compatibility_residual(S, P, u, v,
                                                                    e2_field(S, P, u, v)),
+        "compatibility-e2": lambda S, P, u, v: compatibility_residual(S, P, u, v),
         "connection": lambda S, P, u, v: surface_connection_residual(S, P, u, v),
     }
 
@@ -328,9 +339,7 @@ class TestResidualArrays:
             assert np.abs(g - one).max() <= 1e-12, name
 
     def test_codazzi_batch_names_first_unadapted_point(self):
-        # z = u^2 / 2 in flat space: the normal is vertical along u = 0
-        S = ParametricSurface(lambda u, v: (u, v, 0.5 * u * u), ((-1.0, 1.0), (-1.0, 1.0)),
-                              partials=lambda u, v: ((1.0, 0.0, u), (0.0, 1.0, 0.0)))
+        S = parabolic_cylinder()
         U, V = np.array([0.3, 0.0, 0.0]), np.array([0.1, 0.2, 0.4])
         assert surface_jets(S, P_FLAT, U, V).sin_alpha[1] < EPS_ALPHA
         with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0, 0\.2\)"):
@@ -362,3 +371,120 @@ def test_structural_maxima_match_per_point_values(params):
     atol = {"jet": 1e-15, "gauss": 1e-12, "codazzi": 1e-7, "compat": 1e-12}
     for k in recorded:
         assert abs(worst[k] - recorded[k]) <= atol[k], k
+
+
+def suite_mask(jet):
+    """The points where the gauss-codazzi suite evaluates Codazzi and the
+    law of T: sin(alpha) > 0.1 and |cot(alpha)| < 10."""
+    ok = jet.sin_alpha > 0.1
+    ok[ok] = np.abs(jet.cos_alpha[ok] / jet.sin_alpha[ok]) < 10.0
+    return ok
+
+
+def assert_same_bits(a, b):
+    """a and b are equal bit for bit: arrays, or (nested) tuples of them."""
+    if isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_bits(x, y)
+        return
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def standalone_maxima(params, surfaces):
+    """The gauss, codazzi and compat maxima of _structural_maxima, from one
+    standalone call of each residual per grid, so with no shared stages."""
+    worst = dict.fromkeys(("gauss", "codazzi", "compat"), 0.0)
+    for surface, nu, nv in surfaces:
+        U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
+        jet = surface_jets(surface, params, U, V)
+        worst["gauss"] = max(worst["gauss"],
+                             float(np.abs(gauss_residual(surface, params, U, V)).max()))
+        ok = suite_mask(jet)
+        if ok.any():
+            c1, c2 = codazzi_residual(surface, params, U[ok], V[ok])
+            worst["codazzi"] = max(worst["codazzi"], float(np.abs(c1).max()),
+                                   float(np.abs(c2).max()))
+            vec, sc = compatibility_residual(surface, params, U[ok], V[ok],
+                                             jet.JT[:, ok] / jet.sin_alpha[ok])
+            worst["compat"] = max(worst["compat"],
+                                  float(np.sqrt(np.maximum(frame_dot(vec, vec), 0.0)).max()),
+                                  float(np.abs(sc).max()))
+    return worst
+
+
+class TestStages:
+    GRIDS = [(S, P, nu, nv) for P in PAIRS6 for S, nu, nv in _structural_surfaces(P)]
+    # the mask drops the column u = 0, where sin(alpha) = 0
+    GRIDS.append((parabolic_cylinder(), P_FLAT, 5, 3))
+
+    @pytest.mark.parametrize("surface,params,nu,nv", GRIDS,
+                             ids=lambda x: getattr(x, "name", None) or str(x))
+    def test_staged_residuals_equal_standalone_calls(self, surface, params, nu, nv):
+        U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
+        stages = Stages(surface, params, U, V)
+        c = stages.centres
+        # stage 1 is one jet call over the normal and Brioschi stencils
+        assert_same_bits(c.jet, surface_jets(surface, params, U, V))
+        assert_same_bits(c.shape.A, shape_arrays(surface, params, U, V).A)
+        assert_same_bits(c.K, brioschi_curvature(surface, params, U, V))
+        assert_same_bits(gauss_residual(surface, params, U, V, stages),
+                         gauss_residual(surface, params, U, V))
+        ok = suite_mask(c.jet)
+        assert ok.any()
+        u, v, sub = U[ok], V[ok], stages.at(ok)
+        assert_same_bits(codazzi_residual(surface, params, u, v, sub),
+                         codazzi_residual(surface, params, u, v))
+        # along e2 the law of T reads the jets of stage 2
+        assert_same_bits(compatibility_residual(surface, params, u, v, stages=sub),
+                         compatibility_residual(surface, params, u, v, e2_field(surface, params, u, v)))
+
+    @pytest.mark.parametrize("params", PAIRS6, ids=str)
+    def test_structural_maxima_equal_standalone_maxima(self, params):
+        worst, _ = _structural_maxima(params)
+        assert {k: worst[k] for k in ("gauss", "codazzi", "compat")} == \
+            standalone_maxima(params, _structural_surfaces(params))
+
+    def test_mask_dropping_some_points(self, monkeypatch):
+        S = parabolic_cylinder()
+        U, V = np.meshgrid(*_interior_grid(S, 5, 3), indexing="ij")
+        assert suite_mask(surface_jets(S, P_FLAT, U, V)).sum() == 12
+        monkeypatch.setattr("bcvgeo.suites._structural_surfaces", lambda params: [(S, 5, 3)])
+        worst, samples = _structural_maxima(P_FLAT)
+        assert samples == 15
+        assert {k: worst[k] for k in ("gauss", "codazzi", "compat")} == \
+            standalone_maxima(P_FLAT, [(S, 5, 3)])
+        # the law of T is evaluated at the 12 kept points, where it reads rounding
+        assert 0.0 < worst["compat"] < 1e-12 and worst["codazzi"] < 1e-12
+
+    def test_mask_dropping_every_point(self, monkeypatch):
+        # sin(alpha) = 0 on the plane z = 0: Codazzi and the law of T would
+        # raise there, so only the jet and Gauss residuals are reported
+        plane = flat_plane()
+        U, V = np.meshgrid(*_interior_grid(plane, 3, 3), indexing="ij")
+        with pytest.raises(DegenerateSurfaceError):
+            codazzi_residual(plane, P_FLAT, U, V)
+        monkeypatch.setattr("bcvgeo.suites._structural_surfaces", lambda params: [(plane, 3, 3)])
+        worst, samples = _structural_maxima(P_FLAT)
+        assert samples == 9
+        assert worst["codazzi"] == worst["compat"] == 0.0
+        assert worst["jet"] < 1e-9 and worst["gauss"] < 1e-8
+
+
+def test_gauss_codazzi_jet_count(monkeypatch):
+    """One gauss-codazzi run at (0, 0.5) makes 20 surface_jets calls over
+    4,810 points: 74 grid points on 5 grids, each with stage 1 (17 points
+    per grid point), stage 2 (5), the angle around stage 2 (25) and the
+    shape operator at the +-e1 steps (18).  With no stages shared between
+    the residuals, the same run made 45 calls over 6,586 points."""
+    sizes = []
+    jets = immersion.surface_jets
+
+    def counted(S, params, u, v):
+        sizes.append(np.broadcast(u, v).size)
+        return jets(S, params, u, v)
+
+    monkeypatch.setattr(immersion, "surface_jets", counted)
+    assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5)).passed
+    assert (len(sizes), sum(sizes)) == (20, 4810)

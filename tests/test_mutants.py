@@ -1,0 +1,81 @@
+"""`verify` must catch a broken structural formula.
+
+Each case rewrites one term of one residual formula in the source of its
+function, puts the rewritten function in place with `monkeypatch`, and
+asserts that `suites.run_report` fails, through the `gauss-codazzi` suite,
+at exactly the pairs of PAIRS7 where the term is not zero: off the space
+forms for a factor kappa - 4 tau^2, and where tau != 0 for a factor tau.
+The control case, with no rewrite, passes at all seven.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from bcvgeo import immersion
+from bcvgeo.ambient import BcvParams
+from bcvgeo.suites import run_report
+
+# one pair per GeometryClass
+PAIRS7 = [BcvParams(0.0, 0.0), BcvParams(4.0, 1.0), BcvParams(1.0, 0.0), BcvParams(-1.0, 0.0),
+          BcvParams(1.0, 1.0), BcvParams(-1.0, 0.5), BcvParams(0.0, 0.5)]
+
+
+def twisted(P):
+    return P.kappa != 4.0 * P.tau ** 2
+
+
+def tau_nonzero(P):
+    return P.tau != 0.0
+
+
+# (function, term as written, its replacement, where the term is not zero)
+MUTANTS = {
+    "codazzi-2: drop (4 tau^2 - kappa) cos a sin a": (
+        "codazzi_residual",
+        "e1_lam - e2_e2a - (4.0 * tau * tau - k) * c.jet.cos_alpha * c.jet.sin_alpha)",
+        "e1_lam - e2_e2a)", twisted),
+    "gauss: drop (kappa - 4 tau^2) cos^2 a": (
+        "gauss_residual", " - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2", "", twisted),
+    "law of T: drop tau J W": (
+        "compatibility_residual", " - params.tau * np.array(frame_cross(c.jet.n, W))", "",
+        tau_nonzero),
+    "codazzi-1: flip the sign of 2 tau": (
+        "codazzi_residual", "cot * e1a * (e2a - 2.0 * tau)", "cot * e1a * (e2a + 2.0 * tau)",
+        tau_nonzero),
+}
+
+
+def install_mutant(monkeypatch, name, term, replacement):
+    """Replace immersion.<name> by its source with `term` rewritten."""
+    source = textwrap.dedent(inspect.getsource(getattr(immersion, name)))
+    assert source.count(term) == 1, f"{term!r} not found once in {name}"
+    namespace = {}
+    exec(compile(source.replace(term, replacement), f"<mutant of {name}>", "exec"),
+         vars(immersion), namespace)
+    monkeypatch.setattr(immersion, name, namespace[name])
+
+
+def failing_pairs():
+    """The pairs of PAIRS7 where run_report fails, checking that the
+    gauss-codazzi suite is among the failed suites there."""
+    failed = []
+    for params in PAIRS7:
+        report = run_report(params)
+        if not report["pass"]:
+            suites = {s["name"]: s["pass"] for s in report["suites"]}
+            assert suites["gauss-codazzi"] is False, (params, suites)
+            failed.append(params)
+    return failed
+
+
+def test_unmutated_formulas_pass_everywhere():
+    assert failing_pairs() == []
+
+
+@pytest.mark.parametrize("case", sorted(MUTANTS))
+def test_mutant_is_killed(monkeypatch, case):
+    name, term, replacement, term_nonzero = MUTANTS[case]
+    install_mutant(monkeypatch, name, term, replacement)
+    assert failing_pairs() == [P for P in PAIRS7 if term_nonzero(P)], case

@@ -16,32 +16,29 @@ from bcvgeo.rotation import (
     FD_CHECK_R_FLOOR,
     IntegrationConfig,
     ProfileState,
-    base_geodesic_curvature,
     branch_f_prime,
     branch_mean_curvature,
     branch_r1,
     branch_residuals,
     circle_curve,
     ellipse_curve,
-    fixed_point_radius,
     hopf_cylinder,
     hopf_tube,
     integrate_noncmc_branch,
     observed_order,
-    orbit_metric,
     reduced_bicon_system,
     reduced_mean_curvature,
     reduced_quantities,
     refine_sign_change,
     revolution_surface,
-    slant_profile,
-    spline_profile,
     spline_profile_columns,
     theorem52_obstruction,
 )
 from bcvgeo.suites import run_suite
 
 from conftest import make_rng
+from profiles import (base_geodesic_curvature, fixed_point_radius, orbit_metric, slant_profile,
+                      spline_profile)
 from reference_kernel import branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)
