@@ -91,6 +91,8 @@ def tangential_bitension_arrays(S, params, u, v) -> np.ndarray:
     shape (3,) + that shape.  The shape operator at each point and at its 4
     gradient-stencil points, 45 jets per point, comes from one
     :func:`shape_arrays` call, with Ric(N)^T expanded over its tangent basis.
+    S may be a :class:`bcvgeo.immersion.SurfaceBatch`, with its centres on
+    axis 0, so one call covers several surfaces.
     """
     st = Stencil(CROSS, GRADIENT_STEP, u, v)
     sh = shape_arrays(S, params, st.U, st.V)

@@ -45,6 +45,11 @@ stages of one grid through :class:`Stages`:
 A stage that needs the adapted frame raises DegenerateSurfaceError naming
 the first (u, v), in C order, where sin(alpha) <= EPS_ALPHA.
 
+The axis-0 rule.  Every stage keeps the centres on axis 0 of the arrays it
+passes to the chart, its stencil points on later axes.  So one pipeline
+takes a :class:`SurfaceBatch`, several surfaces stacked on axis 0, as it
+takes one surface, and each value has the bits of its member's own pipeline.
+
 Sign conventions.  A X = -(nabla_X N)^T, and the Laplacian is the geometer's
 one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
 """
@@ -73,6 +78,7 @@ __all__ = [
     "EPS_ALPHA",
     "EPS_GRAM",
     "ParametricSurface",
+    "SurfaceBatch",
     "JetArrays",
     "ShapeArrays",
     "surface_jets",
@@ -164,6 +170,50 @@ class ParametricSurface:
         return f"ParametricSurface({self.name}, domain={self.domain})"
 
 
+class SurfaceBatch:
+    """Several surfaces as one chart, for one jet pipeline over all of them.
+
+    `members` are (surface, count) pairs of one normal_sign: along axis 0 of
+    the centre arrays the first `count` rows lie on the first surface, and
+    so on.  By the axis-0 rule each member's chart and partials, finite
+    differences included, run on that member's rows alone.
+    """
+
+    def __init__(self, members):
+        self.members = tuple((S, int(n)) for S, n in members)
+        signs = {S.normal_sign for S, _ in self.members}
+        if len(signs) != 1:
+            raise ValueError(f"a surface batch needs members of one normal_sign, "
+                             f"got {sorted(signs)}")
+        self.normal_sign = signs.pop()
+        self.name = "+".join(S.name for S, _ in self.members)
+        self._ends = np.cumsum([n for _, n in self.members])
+
+    def _rows(self):
+        """(member surface, its slice of axis 0) in order."""
+        return [(S, slice(end - n, end)) for (S, n), end in zip(self.members, self._ends)]
+
+    def at(self, mask):
+        """The batch of the centres where `mask`, shaped like them, holds."""
+        return SurfaceBatch([(S, np.count_nonzero(mask[rows])) for S, rows in self._rows()])
+
+    def _stacked(self, u, v, fn):
+        """fn(member, its rows of u, its rows of v), a tuple of arrays of
+        shape (3,) + those rows' shape, stacked along the rows."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        if u.ndim == 0 or len(u) != self._ends[-1]:
+            raise ValueError(f"{self.name}: points of shape {u.shape} do not hold "
+                             f"{self._ends[-1]} centres on axis 0")
+        parts = [fn(S, u[rows], v[rows]) for S, rows in self._rows()]
+        return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+    def coords(self, u, v) -> np.ndarray:
+        return self._stacked(u, v, lambda S, u, v: (S.coords(u, v),))[0]
+
+    def partials_at(self, u, v):
+        return self._stacked(u, v, lambda S, u, v: S.partials_at(u, v))
+
+
 class JetArrays(namedtuple("JetArrays", "x y z xu xv au av E F G n cos_alpha sin_alpha T JT")):
     """First-order jet at floats or arrays (u, v), one entry per point.
 
@@ -185,33 +235,45 @@ def _first_failure(ok, *fields):
     return [float(np.broadcast_to(f, np.shape(ok)).flat[i]) for f in fields]
 
 
+def _name_at_failure(S, ok):
+    """The name of S, or for a batch of its member, at the first point, in
+    C order, where `ok` is false."""
+    if not isinstance(S, SurfaceBatch):
+        return S.name
+    row = int(np.argmin(ok)) // (ok.size // len(ok))
+    return S.members[int(np.searchsorted(S._ends, row, side="right"))][0].name
+
+
 def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
-    """First-order jet of S at (u, v), floats or arrays of one shape.
+    """First-order jet of S, a surface or a :class:`SurfaceBatch`, at (u, v),
+    floats or arrays of one shape.
 
     The arithmetic is componentwise, so floats and arrays run the same
     code.  Raises DomainError when a chart point is not finite or has
     F <= EPS_F, and DegenerateSurfaceError when the chart partials are
     dependent (Gram determinant at or below EPS_GRAM); either names the
-    first failing (u, v).
+    surface and the first failing (u, v).
     """
     x, y, z = S.coords(u, v)
     Fc = smoothing_factor(params, x, y)
-    bad = _first_failure(np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (Fc > EPS_F),
-                         u, v, x, y, z, Fc)
+    ok = np.isfinite(x) & np.isfinite(y) & np.isfinite(z) & (Fc > EPS_F)
+    bad = _first_failure(ok, u, v, x, y, z, Fc)
     if bad:
         uu, vv, xx, yy, zz, ff = bad
-        raise DomainError(f"{S.name}: point ({xx:.6g}, {yy:.6g}, {zz:.6g}) at (u, v) = "
-                          f"({uu:.6g}, {vv:.6g}) is not finite or has F = {ff:.3e} <= {EPS_F}")
+        raise DomainError(f"{_name_at_failure(S, ok)}: point ({xx:.6g}, {yy:.6g}, {zz:.6g}) "
+                          f"at (u, v) = ({uu:.6g}, {vv:.6g}) is not finite or has "
+                          f"F = {ff:.3e} <= {EPS_F}")
     xu, xv = S.partials_at(u, v)
     au = frame_components(params, x, y, xu)
     av = frame_components(params, x, y, xv)
     E, F, G = frame_dot(au, au), frame_dot(au, av), frame_dot(av, av)
     det = E * G - F * F
-    bad = _first_failure(det > EPS_GRAM, u, v, det)
+    ok = det > EPS_GRAM
+    bad = _first_failure(ok, u, v, det)
     if bad:
         raise DegenerateSurfaceError(
-            f"{S.name}: chart partials dependent at (u, v) = ({bad[0]:.6g}, {bad[1]:.6g}), "
-            f"det I = {bad[2]:.3e}")
+            f"{_name_at_failure(S, ok)}: chart partials dependent at (u, v) = "
+            f"({bad[0]:.6g}, {bad[1]:.6g}), det I = {bad[2]:.3e}")
     w = frame_cross(au, av)
     nn = np.sqrt(frame_dot(w, w))
     n = (S.normal_sign * w[0] / nn, S.normal_sign * w[1] / nn, S.normal_sign * w[2] / nn)
@@ -272,7 +334,8 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     coordinate components of N are differenced to fourth order along the
     chart directions and corrected with the finite-difference Christoffel
     symbols.  The matrix is taken in the adapted frame where sin(alpha) >
-    EPS_ALPHA, else in a Gram-Schmidt basis of the chart partials.
+    EPS_ALPHA, else in a Gram-Schmidt basis of the chart partials.  S may
+    be a :class:`SurfaceBatch`, with its centres on axis 0.
     """
     st = Stencil(WIDE, NORMAL_STEP, u, v)
     J = surface_jets(S, params, st.U, st.V)
@@ -437,7 +500,10 @@ class Stages:
     (u, v), their jet, shape operator, Brioschi curvature K and Christoffel
     symbols.  Stage 2, on first use of `steps`, is one jet call over each
     centre and its +-e1, +-e2 steps.  :meth:`at` restricts stage 1 to a
-    mask of centres, so the later stages are evaluated there alone.
+    mask of centres, so the later stages are evaluated there alone.  For a
+    :class:`SurfaceBatch` S each stage is one jet call over all members;
+    :meth:`at` restricts S to each member's kept rows, and the residuals of
+    the restricted stages take that batch, their `S`, as their surface.
     """
 
     def __init__(self, S: ParametricSurface, params: BcvParams, u, v):
@@ -455,7 +521,8 @@ class Stages:
     def at(self, mask):
         """These stages at the centres where `mask` holds."""
         sub = object.__new__(Stages)
-        sub.S, sub.params, sub.centres = self.S, self.params, _at(self.centres, mask)
+        sub.S = self.S.at(mask) if isinstance(self.S, SurfaceBatch) else self.S
+        sub.params, sub.centres = self.params, _at(self.centres, mask)
         return sub
 
     @cached_property

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
+from ._kernels import STATUS_NAMES, branch_heights, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
 from .ambient import EPS_F, BcvParams, smoothing_factor
@@ -295,31 +295,43 @@ class IntegrationConfig:
             raise ValueError(f"r_stop must exceed EPS_R = {EPS_R}")
 
 
-@dataclass
 class BranchTrajectory:
-    """Recorded branch run: uniform-step rows plus termination status."""
+    """Recorded branch run: uniform-step rows plus termination status.
 
-    params: BcvParams
-    data: np.ndarray           # rows x 9, columns as COLUMNS
-    status: str
-    config: IntegrationConfig
-    fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL, None if unchecked
+    `data` holds the rows, columns as COLUMNS.  Its z column, a quadrature
+    over r and sigma from z0, is filled on the first read of `data` or
+    `column("z")`, which theorem52 and its bisection never make.
+    """
+
+    def __init__(self, params: BcvParams, rows, z0, status: str, config: IntegrationConfig):
+        self.params, self.status, self.config = params, status, config
+        self._rows, self._z0 = rows, z0
+        self.fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        rows = self._rows
+        rows[:, 2] = branch_heights(self.params.kappa, self.params.tau, self._z0,
+                                    self.config.step, rows[:, 1], rows[:, 3])
+        return rows
 
     def column(self, name: str) -> np.ndarray:
-        return self.data[:, COLUMNS.index(name)]
+        rows = self.data if name == "z" else self._rows
+        return rows[:, COLUMNS.index(name)]
 
     def __len__(self):
-        return self.data.shape[0]
+        return self._rows.shape[0]
 
 
 def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                             config: IntegrationConfig = None) -> BranchTrajectory:
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
-    The kernel marches (r, sigma) and adds the s and z columns in one
-    array pass; `branch_residuals` then fills the f, f_prime, R1, R2 and
-    obstruction columns over all rows at once, and f' is checked as
-    :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
+    The kernel marches (r, sigma) and adds the s column in one array pass;
+    `branch_residuals` then fills the f, f_prime, R1, R2 and obstruction
+    columns over all rows at once, and f' is checked as
+    :class:`IntegrationConfig` says.  The z column waits for its first read
+    (:class:`BranchTrajectory`).  Runs with kappa = 4 tau^2 are
     permitted and not flagged; callers verifying the rotational
     classification enforce kappa != 4 tau^2 themselves.  Early termination
     (axis, domain boundary, row budget) is reported in `status` with the
@@ -331,13 +343,13 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     # refault the heap between trajectories, about 110 page faults a theorem52 op
     out = np.empty((config.max_steps, len(COLUMNS)))
     n, status = run_branch_kernel(
-        params.kappa, params.tau, init.r, init.z, init.sigma, init.s, config.step,
+        params.kappa, init.r, init.sigma, init.s, config.step,
         config.max_steps, config.s_max, config.r_stop, EPS_F, out,
     )
-    diag = branch_residuals(params, ProfileState(*out[:n, :4].T))
+    # no branch quantity reads z, so the states carry z = 0
+    diag = branch_residuals(params, ProfileState(out[:n, 0], out[:n, 1], 0.0, out[:n, 3]))
     out[:n, 4:] = np.transpose(diag)
-    traj = BranchTrajectory(params=params, data=out[:n].copy(), status=STATUS_NAMES[status],
-                            config=config)
+    traj = BranchTrajectory(params, out[:n].copy(), init.z, STATUS_NAMES[status], config)
     if n >= 5:
         f, fp = diag[0], diag[1]
         fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)
@@ -360,18 +372,19 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     Bisection on the sub-step offset; each probe advances the row-i (r,
     sigma) by a single RK4 step of the probed size, which is accurate to
     O(step^5) and keeps the refinement deterministic.  Probes call the same
-    (r, sigma) march as the trajectory and carry the row-i z, which no
-    branch quantity reads; the probe at offset 0 returns the row-i state
-    itself.
+    (r, sigma) march as the trajectory and read only the row-i s, r and
+    sigma: they carry z = 0, which no branch quantity reads, so a bisection
+    leaves the z column unfilled.  The probe at offset 0 returns the row-i
+    state itself.
     """
-    s0, r0, z0, g0 = (float(x) for x in traj.data[i, :4])
+    s0, r0, g0 = (float(traj.column(c)[i]) for c in ("s", "r", "sigma"))
     kappa = float(params.kappa)
     h = traj.config.step
 
     def value_at(offset: float) -> float:
         rows, _ = branch_march(kappa, r0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
         s = s0 if len(rows) == 2 else s0 + offset
-        return quantity(params, ProfileState(s, rows[-2], z0, rows[-1]))
+        return quantity(params, ProfileState(s, rows[-2], 0.0, rows[-1]))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

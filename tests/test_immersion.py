@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bcvgeo.ambient import (BcvParams, coordinate_components, frame_cross, frame_dot,
-                            smoothing_factor)
+from bcvgeo.ambient import (BcvParams, coordinate_components, frame_components, frame_cross,
+                            frame_dot, smoothing_factor)
 from bcvgeo import immersion
+from bcvgeo.biconservative import tangential_bitension_arrays
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
     EPS_ALPHA,
     ParametricSurface,
     Stages,
+    SurfaceBatch,
     alpha_field,
     brioschi_curvature,
     codazzi_residual,
@@ -24,13 +28,17 @@ from bcvgeo.immersion import (
     surface_laplacian,
 )
 from bcvgeo.rotation import (
+    ProfileState,
     ellipse_curve,
     generic_revolution_surface,
     hopf_cylinder,
     hopf_tube,
+    reduced_bicon_system,
+    reduced_mean_curvature,
     revolution_surface,
 )
-from bcvgeo.suites import _interior_grid, _structural_maxima, _structural_surfaces, run_suite
+from bcvgeo.suites import (_batch, _cylinder_radii, _interior_grid, _scaled_ellipse,
+                           _structural_maxima, _structural_surfaces, run_report, run_suite)
 
 from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, sphere_surface
 from profiles import slant_profile
@@ -472,12 +480,8 @@ class TestStages:
         assert worst["jet"] < 1e-9 and worst["gauss"] < 1e-8
 
 
-def test_gauss_codazzi_jet_count(monkeypatch):
-    """One gauss-codazzi run at (0, 0.5) makes 20 surface_jets calls over
-    4,810 points: 74 grid points on 5 grids, each with stage 1 (17 points
-    per grid point), stage 2 (5), the angle around stage 2 (25) and the
-    shape operator at the +-e1 steps (18).  With no stages shared between
-    the residuals, the same run made 45 calls over 6,586 points."""
+def count_jets(monkeypatch):
+    """The number of points of each surface_jets call from now on."""
     sizes = []
     jets = immersion.surface_jets
 
@@ -486,5 +490,202 @@ def test_gauss_codazzi_jet_count(monkeypatch):
         return jets(S, params, u, v)
 
     monkeypatch.setattr(immersion, "surface_jets", counted)
+    return sizes
+
+
+def test_gauss_codazzi_jet_count(monkeypatch):
+    """One gauss-codazzi run at (0, 0.5) makes 4 surface_jets calls over
+    4,810 points: 74 grid points on 5 grids in one surface batch, with
+    stage 1 (17 points per grid point), stage 2 (5), the angle around stage
+    2 (25) and the shape operator at the +-e1 steps (18).  With one
+    pipeline per grid the same run made 20 calls, and with no stages shared
+    between the residuals 45 calls over 6,586 points."""
+    sizes = count_jets(monkeypatch)
     assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5)).passed
-    assert (len(sizes), sum(sizes)) == (20, 4810)
+    assert (len(sizes), sum(sizes)) == (4, 4810)
+
+
+@pytest.mark.parametrize("params", PAIRS6, ids=str)
+@pytest.mark.parametrize("suite", ["biconservative", "theorem44"])
+def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
+    # every surface of the suite in one tangential_bitension_arrays call:
+    # 45 jets per point, its 5 gradient points times 9 normal-stencil points
+    sizes = count_jets(monkeypatch)
+    result = run_suite(suite, params)
+    assert sizes == [45 * result.samples]
+
+
+def joined(parts, axis):
+    """Per-member results, arrays or (nested, named) tuples of them, joined
+    along `axis`."""
+    if isinstance(parts[0], tuple):
+        items = [joined(list(p), axis) for p in zip(*parts)]
+        return parts[0]._make(items) if hasattr(parts[0], "_make") else tuple(items)
+    return np.concatenate([np.asarray(p) for p in parts], axis=axis)
+
+
+def fd_graph():
+    """A graph over the flat plane with finite-difference chart partials."""
+    return ParametricSurface(lambda u, v: (u, v, 0.3 * np.sin(u) * np.cos(v) + 0.2 * u * v),
+                             ((-1.0, 1.0), (-1.0, 1.0)), name="fd-graph")
+
+
+def with_fd_member(params):
+    """The structural grids at params, and the ellipse tube again with
+    finite-difference partials."""
+    curve, _ = _scaled_ellipse(params)
+    return _structural_surfaces(params) + [(hopf_tube(params, curve, name="fd-tube"), 4, 3)]
+
+
+class TestSurfaceBatch:
+    # (params, grids, rows of each member that the suite's mask keeps)
+    CASES = [(P, with_fd_member(P), None) for P in PAIRS6]
+    # the mask drops one column of the parabolic cylinder and all of the plane
+    CASES.append((P_FLAT, [(parabolic_cylinder(), 5, 3), (flat_plane(), 3, 3), (fd_graph(), 4, 3)],
+                  [12, 0, 12]))
+
+    @pytest.mark.parametrize("params,grids,kept", CASES,
+                             ids=[f"{P}-{len(grids)}-members" for P, grids, _ in CASES])
+    def test_batch_equals_member_calls(self, params, grids, kept):
+        batch, U, V = _batch([(S, *np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
+                              for S, nu, nv in grids])
+        stages = Stages(batch, params, U, V)
+        ok = suite_mask(stages.centres.jet)
+        sub = stages.at(ok)
+        counts = [n for _, n in sub.S.members]
+        assert counts == [int(ok[rows].sum()) for _, rows in batch._rows()]
+        assert kept is None or counts == kept
+        got = {"centres": stages.centres, "gauss": gauss_residual(batch, params, U, V, stages),
+               "steps": sub.steps, "codazzi": codazzi_residual(sub.S, params, U[ok], V[ok], sub),
+               "compat": compatibility_residual(sub.S, params, U[ok], V[ok], stages=sub),
+               "bitension": tangential_bitension_arrays(batch, params, U, V)}
+        want = {k: [] for k in got}
+        for S, nu, nv in grids:
+            u, v = (a.ravel() for a in np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
+            own = Stages(S, params, u, v)
+            want["centres"].append(own.centres)
+            want["gauss"].append(gauss_residual(S, params, u, v))
+            want["bitension"].append(tangential_bitension_arrays(S, params, u, v))
+            keep = suite_mask(own.centres.jet)
+            if keep.any():
+                u, v = u[keep], v[keep]
+                want["steps"].append(own.at(keep).steps)
+                want["codazzi"].append(codazzi_residual(S, params, u, v))
+                want["compat"].append(compatibility_residual(S, params, u, v,
+                                                             e2_field(S, params, u, v)))
+        for name, value in got.items():
+            # stage 2 keeps the centres on the next-to-last axis
+            assert_same_bits(value, joined(want[name], -2 if name == "steps" else -1))
+
+    def test_member_with_no_rows(self):
+        # a member stays in the batch with count 0: its chart sees empty arrays
+        batch = SurfaceBatch([(flat_plane(), 0), (fd_graph(), 2)])
+        u, v = np.array([0.1, 0.4]), np.array([0.2, -0.3])
+        assert_same_bits(surface_jets(batch, P_FLAT, u, v), surface_jets(fd_graph(), P_FLAT, u, v))
+        with pytest.raises(ValueError, match="2 centres on axis 0"):
+            surface_jets(batch, P_FLAT, np.zeros(3), np.zeros(3))
+
+    def test_mixed_normal_signs_rejected(self):
+        with pytest.raises(ValueError, match="normal_sign"):
+            SurfaceBatch([(flat_plane(), 2), (sphere_surface(), 2)])
+        with pytest.raises(ValueError, match="normal_sign"):
+            SurfaceBatch([])
+
+    def test_degenerate_error_names_member(self):
+        batch = SurfaceBatch([(flat_plane(), 2), (kinked_plane(), 3)])
+        u = np.array([0.1, 0.7, 0.3, 0.6, 0.9])
+        with pytest.raises(DegenerateSurfaceError,
+                           match=r"^kinked-plane: .*\(u, v\) = \(0\.6, 0\.25\)"):
+            surface_jets(batch, P_FLAT, u, 0.25)
+
+    def test_domain_error_names_member(self):
+        P = BcvParams(-1.0, 0.0)   # domain x^2 + y^2 < 4
+        def plane(name):
+            return ParametricSurface(lambda u, v: (u, v, 0.0), ((0.0, 3.0), (0.0, 1.0)), name=name)
+        batch = SurfaceBatch([(plane("inner"), 2), (plane("outer"), 2)])
+        u = np.array([1.0, 1.5, 1.0, 2.5])
+        with pytest.raises(DomainError, match=r"^outer: .*\(u, v\) = \(2\.5, 0\.5\)"):
+            surface_jets(batch, P, u, 0.5)
+        # the first failing stencil point of stage 1 lies on the outer member
+        with pytest.raises(DomainError, match=r"^outer: "):
+            Stages(batch, P, np.array([1.0, 1.5, 1.0, 1.99999]), np.full(4, 0.5))
+
+
+def bitension_norms(S, params, u, v):
+    """|tangential bitension| of one surface, with no batch."""
+    return np.linalg.norm(tangential_bitension_arrays(S, params, u, v), axis=0)
+
+
+def per_surface_entries(params):
+    """The gauss-codazzi, biconservative and theorem44 entries of run_report
+    computed as the suites computed them before they batched their
+    surfaces: one standalone pipeline per surface."""
+    grids = _structural_surfaces(params)
+    worst = standalone_maxima(params, grids)
+    worst["jet"], samples = 0.0, 0
+    for surface, nu, nv in grids:
+        U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
+        J = surface_jets(surface, params, U, V)
+        samples += U.size
+        T, N = coords(params, J, J.T), coords(params, J, J.n)
+        Tf = frame_components(params, J.x, J.y, T)
+        worst["jet"] = max(worst["jet"], float(np.abs(frame_dot(Tf, Tf) - J.sin_alpha ** 2).max()),
+                           float(np.abs(np.array([0.0, 0.0, 1.0])[:, None, None]
+                                        - T - J.cos_alpha * N).max()))
+    tols = {"jet": 1e-9, "gauss": 1e-4, "codazzi": 1e-3, "compat": 1e-4}
+    keys = ("jet", "gauss", "codazzi", "compat")
+    ratio = max(worst[k] / tols[k] for k in keys)
+    entries = {"gauss-codazzi": (samples, ratio, ratio < 1.0,
+                                 "; ".join(f"{k} {worst[k]:.2e}/{tols[k]:.0e}" for k in keys))}
+
+    worst_tb, samples = 0.0, 0
+    radii = _cylinder_radii(params)
+    for r0 in radii:
+        cyl = hopf_cylinder(params, r0)
+        tb = bitension_norms(cyl, params, *np.meshgrid(*_interior_grid(cyl, 3, 3), indexing="ij"))
+        worst_tb = max(worst_tb, float(tb.max()))
+        samples += tb.size
+    state = ProfileState(0.0, np.array(radii), 0.0, math.pi / 2)
+    red = reduced_bicon_system(params, state, reduced_mean_curvature(params, state, 0.0), 0.0)
+    worst_red = float(np.max(np.abs(red), initial=0.0))
+    ratio = max(worst_tb / 1e-6, worst_red / 1e-8)
+    entries["biconservative"] = (samples, ratio, ratio < 1.0,
+                                 f"cylinder bitension {worst_tb:.2e}/1e-06; "
+                                 f"reduced pair {worst_red:.2e}/1e-08")
+
+    circle, samples = 0.0, 0
+    radii = _cylinder_radii(params, radii=(1.0, 0.5))
+    if radii:
+        cyl = hopf_cylinder(params, radii[0])
+        tb = bitension_norms(cyl, params, *np.meshgrid(*_interior_grid(cyl, 4, 3), indexing="ij"))
+        circle, samples = float(tb.max()), tb.size
+    tube = hopf_tube(params, *_scaled_ellipse(params))
+    tb = bitension_norms(tube, params, np.linspace(0.0, 2.0 * math.pi, 13), 0.1)
+    ellipse = float(tb.max())
+    entries["theorem44"] = (samples + tb.size, circle / 1e-6, circle < 1e-6 and ellipse > 1e-3,
+                            f"circular tube {circle:.2e} < 1e-06; "
+                            f"ellipse tube max {ellipse:.2e} > 1e-03")
+    return entries
+
+
+@st.composite
+def edge_pairs(draw):
+    """kappa < 0 with a cylinder radius of the suites next to F = 0.1, the
+    floor below which a radius is dropped; or |kappa - 4 tau^2| about 1e-6."""
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        return BcvParams(-3.6 / (r * r) * (1.0 + draw(st.floats(-1e-3, 1e-3))),
+                         draw(st.floats(0.0, 1.2)))
+    tau = draw(st.floats(0.05, 1.2))
+    gap = draw(st.floats(0.5e-6, 2e-6)) * draw(st.sampled_from([-1.0, 1.0]))
+    return BcvParams(4.0 * tau * tau + gap, tau)
+
+
+@given(edge_pairs(), st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batched_suites_equal_per_surface_reference(params, seed):
+    report = run_report(params, ["gauss-codazzi", "biconservative", "theorem44"], seed)
+    want = per_surface_entries(params)
+    for entry in report["suites"]:
+        got = (entry["samples"], entry["max_residual"], entry["pass"], entry["note"])
+        assert got == want[entry["name"]], (params, entry["name"])

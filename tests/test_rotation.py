@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
-from bcvgeo._kernels import STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_march, run_branch_kernel
+from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_heights, branch_march,
+                             run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
@@ -196,6 +197,18 @@ class TestObstruction:
 
 # kernel arguments: kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
 # r_stop, f_stop
+
+
+def split_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop, out):
+    """The rows of a trajectory, with the reference loop's arguments: the s,
+    r and sigma columns of run_branch_kernel, and z from branch_heights as
+    BranchTrajectory fills it on first read."""
+    n, status = run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop,
+                                  f_stop, out)
+    out[:n, 2] = branch_heights(kappa, tau, z0, step, out[:n, 1], out[:n, 3])
+    return n, status
+
+
 KERNEL_CASES = {
     "smax": (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, EPS_F),
     "max_steps": (0.0, 0.5, 1.0, 0.0, 0.8, 0.0, 1e-3, 50, 10.0, 1e-7, EPS_F),
@@ -217,7 +230,7 @@ class TestBranchKernel:
         ref = np.empty((args[7], len(COLUMNS)))
         out = np.empty_like(ref)
         n_ref, status_ref = reference_kernel(*args, ref)
-        n, status = run_branch_kernel(*args, out)
+        n, status = split_kernel(*args, out)
         assert (n, status) == (n_ref, status_ref)
         # the state columns bit for bit
         assert out[:n, :4].tobytes() == ref[:n, :4].tobytes()
@@ -251,7 +264,7 @@ class TestBranchKernel:
             ref = np.empty((args[7], len(COLUMNS)))
             out = np.empty_like(ref)
             n_ref, status_ref = reference_kernel(*args, ref)
-            n, status = run_branch_kernel(*args, out)
+            n, status = split_kernel(*args, out)
             assert (n, status) == (n_ref, status_ref), args
             assert out[:n, :4].tobytes() == ref[:n, :4].tobytes(), args
             statuses.add(status)
@@ -262,8 +275,8 @@ class TestBranchKernel:
         cols = {}
         for tau in (0.0, 1.5):
             out = np.empty((20000, 4))
-            n, _ = run_branch_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
-                                     0.05, EPS_F, out)
+            n, _ = split_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
+                                0.05, EPS_F, out)
             cols[tau] = out[:n]
         flat, twisted = cols[0.0], cols[1.5]
         assert len(flat) == len(twisted) == 3001
@@ -296,6 +309,33 @@ class TestBranchKernel:
 
 
 class TestBranchIntegration:
+    def test_z_is_filled_on_first_read(self, monkeypatch):
+        heights = rot.branch_heights
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return heights(*args)
+
+        monkeypatch.setattr(rot, "branch_heights", counted)
+        # theorem52, its f' check and its bisection never read z
+        for seed in range(3):
+            run_suite("theorem52", BcvParams(1.0, 1.0), seed)
+        assert calls == []
+        args = (-1.0, 0.5, 0.8, 0.25, 1.1, 0.0, 1e-3, 20000, 2.0, 10 * rot.EPS_R, EPS_F)
+        kappa, tau, r0, z0, sigma0, s0, step, max_steps, s_max, r_stop, _ = args
+        traj = integrate_noncmc_branch(BcvParams(kappa, tau), ProfileState(s0, r0, z0, sigma0),
+                                       IntegrationConfig(step, max_steps, s_max, r_stop))
+        assert calls == [] and len(traj.column("r")) == len(traj)
+        # the first read fills z once, with the reference loop's bits
+        z = traj.column("z")
+        rows = traj.data
+        assert len(calls) == 1
+        ref = np.empty((max_steps, len(COLUMNS)))
+        n, _ = reference_kernel(*args, ref)
+        assert n == len(traj) and z.tobytes() == ref[:n, 2].tobytes()
+        assert rows[:, :4].tobytes() == ref[:n, :4].tobytes()
+
     def test_stationary_radius(self):
         kappa = 3.0
         P = BcvParams(kappa, 1.0)
@@ -475,7 +515,7 @@ class TestBranchClassification:
 
             refine(P, traj, i, recorded)
             # the first two probes sit at offsets 0 and h; a probe marches
-            # (r, sigma) only and carries the row-i z, so z is not compared
+            # (r, sigma) only and carries z = 0, so z is not compared
             for state, row in zip(probes[:2], (i, i + 1)):
                 assert (np.array([state.s, state.r, state.sigma]).tobytes()
                         == traj.data[row, [0, 1, 3]].tobytes())
