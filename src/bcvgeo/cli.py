@@ -19,6 +19,7 @@ directory the input lives in.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -209,7 +210,11 @@ def _cmd_mesh(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bcvgeo` parser, built on the first call and shared after it:
+    parsing keeps no state in the parser, so every call of :func:`main` in
+    one process can use the same one."""
     parser = argparse.ArgumentParser(
         prog="bcvgeo",
         description="Verification tooling for surfaces in the "
@@ -259,6 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one `bcvgeo` command and return its exit code; a usage error
+    exits 2 through argparse.  The parser is built on the first call in a
+    process, not at import, and reused by every later call."""
     args = build_parser().parse_args(argv)
     try:
         # input errors are reported with the subcommand's own usage line

@@ -51,6 +51,13 @@ class SuiteResult:
         }
 
 
+def _worst(*arrays) -> float:
+    """Largest entry of the arrays, NaN if any entry is NaN.  Python's
+    `max` keeps a NaN only when it comes first, so over residuals it could
+    drop a NaN family and pass."""
+    return float(np.max([np.max(a) for a in arrays]))
+
+
 def domain_radius(params: BcvParams, fill: float = 0.75) -> float:
     """Safe sampling radius: for kappa < 0 the fraction fill of the
     boundary radius 2 / sqrt(-kappa), taken as at most 2, its value at
@@ -67,17 +74,17 @@ def sample_domain_points(params: BcvParams, rng, n: int, z_span: float = 1.0):
     """Coordinate arrays x, y, z of n reproducible points well inside the
     domain (F >= 1 - 0.75^2 when kappa < 0).
 
-    Draws go point by point, (rho, phi, z), through scalar math functions:
-    this order and arithmetic fix the points a seed gives, and where the
-    suite's later draws start."""
+    One ``rng.random((n, 3))`` call gives each point's unit draws for rho,
+    phi and z, in that order, and each is mapped as ``Generator.uniform``
+    maps its draw, lo + (hi - lo) * draw.  So the points a seed gives, and
+    where the suite's later draws start, are those of three ``uniform``
+    calls per point."""
     rmax = domain_radius(params)
-    x, y, z = np.empty((3, n))
-    for i in range(n):
-        rho = rmax * math.sqrt(rng.uniform(0.0, 1.0))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        z[i] = rng.uniform(-z_span, z_span)
-        x[i], y[i] = rho * math.cos(phi), rho * math.sin(phi)
-    return x, y, z
+    d = rng.random((n, 3))
+    rho = rmax * np.sqrt(d[:, 0])
+    phi = 2.0 * math.pi * d[:, 1]
+    z = -z_span + 2.0 * z_span * d[:, 2]
+    return rho * np.cos(phi), rho * np.sin(phi), z
 
 
 def _cylinder_radii(params: BcvParams, radii=(0.5, 1.0, 2.0), floor: float = 0.1):
@@ -125,8 +132,7 @@ def _suite_submersion(params: BcvParams, rng) -> SuiteResult:
     h_norm = np.sqrt(ambient.base_metric(params, x, y, img, img))
     Hf = ambient.frame_components(params, x, y, H)
     H_norm = np.sqrt(ambient.frame_dot(Hf, Hf))
-    worst = max(float(np.abs(h_norm - H_norm).max()),
-                float(np.abs(ambient.hopf_dpsi(e3)).max()))
+    worst = _worst(np.abs(h_norm - H_norm), np.abs(ambient.hopf_dpsi(e3)))
     return SuiteResult("submersion", x.size, worst, 1e-8, worst < 1e-8)
 
 
@@ -188,8 +194,8 @@ def _structural_maxima(params: BcvParams):
     N = np.array(ambient.coordinate_components(params, J.x, J.y, J.n))
     Tf = ambient.frame_components(params, J.x, J.y, T)
     e3 = np.array([0.0, 0.0, 1.0])[:, None]
-    worst = {"jet": max(float(np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2).max()),
-                        float(np.abs(e3 - T - J.cos_alpha * N).max())),
+    worst = {"jet": _worst(np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2),
+                           np.abs(e3 - T - J.cos_alpha * N)),
              "gauss": float(np.abs(imm.gauss_residual(batch, params, U, V, stages)).max()),
              "codazzi": 0.0, "compat": 0.0}
     ok = J.sin_alpha > 0.1
@@ -197,17 +203,17 @@ def _structural_maxima(params: BcvParams):
     if ok.any():
         sub = stages.at(ok)
         c1, c2 = imm.codazzi_residual(sub.S, params, U[ok], V[ok], sub)
-        worst["codazzi"] = max(float(np.abs(c1).max()), float(np.abs(c2).max()))
+        worst["codazzi"] = _worst(np.abs(c1), np.abs(c2))
         vec, sc = imm.compatibility_residual(sub.S, params, U[ok], V[ok], stages=sub)
-        worst["compat"] = max(float(np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)).max()),
-                              float(np.abs(sc).max()))
+        worst["compat"] = _worst(np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)),
+                                 np.abs(sc))
     return worst, U.size
 
 
 def _suite_gauss_codazzi(params: BcvParams, rng) -> SuiteResult:
     tols = {"jet": 1e-9, "gauss": 1e-4, "codazzi": 1e-3, "compat": 1e-4}
     ratios, samples = _structural_maxima(params)
-    worst = max(ratios[k] / tols[k] for k in ratios)
+    worst = _worst(*(ratios[k] / tols[k] for k in ratios))
     note = "; ".join(f"{k} {ratios[k]:.2e}/{tols[k]:.0e}" for k in ratios)
     return SuiteResult("gauss-codazzi", samples, worst, 1.0, worst < 1.0, note)
 
@@ -233,7 +239,7 @@ def _suite_biconservative(params: BcvParams, rng) -> SuiteResult:
     f = rot.reduced_mean_curvature(params, state, 0.0)
     r1, r2 = rot.reduced_bicon_system(params, state, f, 0.0)
     worst_red = float(np.max(np.abs((r1, r2)), initial=0.0))
-    worst = max(worst_tb / 1e-6, worst_red / 1e-8)
+    worst = _worst(worst_tb / 1e-6, worst_red / 1e-8)
     note = f"cylinder bitension {worst_tb:.2e}/1e-06; reduced pair {worst_red:.2e}/1e-08"
     return SuiteResult("biconservative", tb.size, worst, 1.0, worst < 1.0, note)
 
@@ -259,8 +265,9 @@ def _suite_theorem44(params: BcvParams, rng) -> SuiteResult:
 
 
 def _random_branch_state(params: BcvParams, rng) -> rot.ProfileState:
-    rmax = domain_radius(params)
-    r0 = rng.uniform(0.6, min(1.6, 0.8 * rmax))
+    hi = min(1.6, 0.8 * domain_radius(params))
+    # [0.6, hi] is empty once kappa < -4, where the domain is that narrow
+    r0 = rng.uniform(0.6 if hi >= 0.6 else 0.5 * hi, hi)
     while True:
         sigma0 = rng.uniform(0.15, math.pi - 0.15)
         if abs(math.cos(sigma0)) > 0.1:
@@ -272,9 +279,7 @@ def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
     if params.tau == 0.0 or params.is_space_form:
         return SuiteResult("theorem52", 0, 0.0, 1.0, True,
                            "skipped: needs tau != 0 and kappa != 4 tau^2")
-    worst_r2 = 0.0
-    worst_window = 0.0
-    min_r1 = math.inf
+    abs_r2, max_r1, windows = [], [], [0.0]
     samples = 0
     for _ in range(runs):
         init = _random_branch_state(params, rng)
@@ -282,16 +287,18 @@ def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
             params, init, rot.IntegrationConfig(s_max=3.0, r_stop=0.05)
         )
         samples += len(traj)
-        worst_r2 = max(worst_r2, float(np.abs(traj.column("R2")).max()))
-        min_r1 = min(min_r1, float(np.abs(traj.column("R1")).max()))
         R1 = traj.column("R1")
+        abs_r2.append(np.abs(traj.column("R2")))
+        max_r1.append(np.abs(R1).max())
         flips = np.where(R1[:-1] * R1[1:] < 0.0)[0]
         for i in flips:
             s_r1 = rot.refine_sign_change(params, traj, int(i), rot.branch_r1)
             s_ob = rot.refine_sign_change(params, traj, int(i),
                                           rot.theorem52_obstruction)
-            worst_window = max(worst_window, abs(s_r1 - s_ob))
-    worst = max(worst_r2 / 1e-10, worst_window / 1e-8)
+            windows.append(abs(s_r1 - s_ob))
+    worst_r2, worst_window = _worst(*abs_r2), _worst(windows)
+    min_r1 = float(np.min(max_r1))
+    worst = _worst(worst_r2 / 1e-10, worst_window / 1e-8)
     passed = worst < 1.0 and min_r1 > 1e-3
     note = (f"max |R2| {worst_r2:.2e} < 1e-10; min over runs of max |R1| "
             f"{min_r1:.2e} > 1e-03; zero windows {worst_window:.2e} < 1e-08")

@@ -83,6 +83,19 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo verify")
 
+    @pytest.mark.parametrize("kappa", ["-4.5", "-6", "-14.4", "-100"])
+    def test_narrow_domain_gives_a_report(self, kappa):
+        # below kappa = -4 theorem52's old r0 window [0.6, 0.8 rmax] was empty
+        res = run_cli("verify", f"--kappa={kappa}", "--tau", "0.5")
+        assert res.returncode in (0, 1, 3), res.stderr
+        assert "Traceback" not in res.stderr
+        if res.returncode == 3:
+            assert res.stderr.startswith("numeric")
+        else:
+            report = json.loads(res.stdout)
+            assert report["pass"] is (res.returncode == 0)
+            assert report["suites"][-1]["name"] == "theorem52"
+
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",
                       "--suite", "frame", "--timing")
@@ -90,6 +103,40 @@ class TestVerify:
         assert "wall_time_s" in report
         plain = run_cli("verify", "--kappa", "0", "--tau", "0.5", "--suite", "frame")
         assert "wall_time_s" not in json.loads(plain.stdout)
+
+
+class TestInProcessDriver:
+    """Successive `cli.main` calls in one process, as the benchmark makes
+    them, write what a fresh process writes for each argv: nothing leaks
+    from one call to the next through the shared parser."""
+
+    ARGVS = [
+        ["verify", "--kappa", "1", "--tau", "1", "--suite", "theorem52", "--suite", "frame"],
+        ["verify", "--kappa", "1", "--tau", "1"],
+        ["verify", "--kappa", "nan", "--tau", "0.5"],
+        ["verify", "--kappa", "0", "--suite", "frame"],
+        ["integrate", "--kappa", "0", "--tau", "0.5", "--r0", "1.1", "--sigma0", "1.5",
+         "--smax", "0.05"],
+        ["mesh", "hopf-cylinder", "--kappa", "1", "--tau", "1", "--r0", "0.8",
+         "--nu", "4", "--nv", "3"],
+    ]
+
+    def test_outputs_equal_fresh_processes(self, capsys, monkeypatch):
+        from bcvgeo import cli
+
+        # usage lines wrap at the terminal width; fix it for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        codes = []
+        for argv in self.ARGVS:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            res = run_cli(*argv)
+            assert (code, out, err) == (res.returncode, res.stdout, res.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 2, 0, 0]
 
 
 class TestIntegrate:
