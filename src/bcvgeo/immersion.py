@@ -30,8 +30,8 @@ return arrays of that shape, with vectors in frame components as in
 call per stage however many points are given: :func:`directional_derivative`,
 the one finite difference of a chart field along tangent vectors, calls its
 field once on every point and its forward and backward chart steps, and a
-field may itself be such a derivative.  The structural residuals share the
-stages of one grid through :class:`Stages`:
+field may itself be such a derivative.  The structural residuals take only
+the :class:`Stages` of their centres (u, v), which they share:
 
 1. the WIDE normal stencil and the NINE Brioschi stencil of each centre,
    one jet call, give the centre jet, the shape operator, K and the
@@ -502,8 +502,8 @@ class Stages:
     centre and its +-e1, +-e2 steps.  :meth:`at` restricts stage 1 to a
     mask of centres, so the later stages are evaluated there alone.  For a
     :class:`SurfaceBatch` S each stage is one jet call over all members;
-    :meth:`at` restricts S to each member's kept rows, and the residuals of
-    the restricted stages take that batch, their `S`, as their surface.
+    :meth:`at` restricts S to each member's kept rows.  The residuals read
+    their surface, parameters and centres from the stages alone.
     """
 
     def __init__(self, S: ParametricSurface, params: BcvParams, u, v):
@@ -536,17 +536,16 @@ class Stages:
         return frame, U, V, t, surface_jets(self.S, self.params, U, V)
 
 
-def gauss_residual(S, params, u, v, stages: Stages = None):
-    """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha) at (u, v).
+def gauss_residual(stages: Stages):
+    """K - det A - tau^2 - (kappa - 4 tau^2) cos^2(alpha) at the centres.
 
     K is the intrinsic (Brioschi) curvature, det A the extrinsic one; the
     residual vanishes on genuine immersed surfaces, making this a two-sided
-    check of both curvature routes, read from stage 1 of the
-    :class:`Stages` of (u, v), `stages` if given.
+    check of both curvature routes, read from stage 1 of `stages`.
     """
-    c = (Stages(S, params, u, v) if stages is None else stages).centres
+    c = stages.centres
     (a00, a01), (a10, a11) = c.shape.A
-    k, t = params.kappa, params.tau
+    k, t = stages.params.kappa, stages.params.tau
     return c.K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2
 
 
@@ -573,8 +572,8 @@ def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
     return d - frame_dot(d, jet.n) * jet.n
 
 
-def codazzi_residual(S, params, u, v, stages: Stages = None):
-    """Residuals of the two adapted-frame compatibility equations at (u, v).
+def codazzi_residual(stages: Stages):
+    """Residuals of the two adapted-frame compatibility equations at the centres.
 
     First:  e1(e2(a)) + lam cot(a) e2(a) + cot(a) e1(a)(e2(a) - 2 tau)
             - e2(e1(a))
@@ -583,13 +582,12 @@ def codazzi_residual(S, params, u, v, stages: Stages = None):
 
     Both vanish identically on immersed surfaces; the derivatives here are
     nested directional finite differences, so the residuals measure the
-    whole jet/shape pipeline at once.  Past the :class:`Stages` of (u, v),
-    `stages` if given, two jet calls remain: the angle around each point of
-    stage 2, and the shape operator at the +-e1 steps for e1(lam).
+    whole jet/shape pipeline at once.  Past stages 1 and 2, two jet calls
+    remain: the angle around each point of stage 2, and the shape operator
+    at the +-e1 steps for e1(lam).
     """
-    st = Stages(S, params, u, v) if stages is None else stages
-    c = st.centres
-    _, U, V, t, J = st.steps
+    S, params, c = stages.S, stages.params, stages.centres
+    _, U, V, t, J = stages.steps
     _, da = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"),
                                    alpha_field(S, params))
     # dea[i][..., j] = e_j(e_i(a))
@@ -607,26 +605,24 @@ def codazzi_residual(S, params, u, v, stages: Stages = None):
     return r1, r2
 
 
-def compatibility_residual(S, params, u, v, W=None, stages: Stages = None):
-    """Residuals of the derivative law of T along tangent vectors W.
+def compatibility_residual(stages: Stages, W=None):
+    """Residuals of the derivative law of T along tangent vectors W at the centres.
 
-    W holds one tangent vector per point (u, v), in frame components of
-    shape (3,) + the point shape, by default the adapted e2 = JT / sin(a).
+    W holds one tangent vector per centre, in frame components of shape
+    (3,) + the centre shape, by default the adapted e2 = JT / sin(a).
     Returns (vector, scalar):
         vector = (nabla_W T)^tangential - cos(a) (A W - tau J W)
         scalar = g(A W - tau J W, T) + W(cos a)
     with the vector in frame components.  Both vanish on immersed surfaces.
     T and cos(a) are differenced together along W from one jet batch, which
-    along e2 is part of stage 2 of the :class:`Stages` of (u, v), `stages`
-    if given.
+    along e2 is part of stage 2.
     """
-    st = Stages(S, params, u, v) if stages is None else stages
-    c = st.centres
+    S, params, c = stages.S, stages.params, stages.centres
     if W is None:
-        frame, _, _, t, J = st.steps
+        frame, _, _, t, J = stages.steps
         W, t, J = frame[..., 1], t[..., 1:], _at(J, [0, 2, 4])   # the centre and +-e2
     else:
-        U, V, t = _steps(c.jet, u, v, np.expand_dims(W, -1))
+        U, V, t = _steps(c.jet, c.u, c.v, np.expand_dims(W, -1))
         J = surface_jets(S, params, U, V)
     vals, d = _central(np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,)), t)
     nabla_T = _tangential_covariant(params, c.jet, c.gamma, W, vals[:3], d[:3, ..., 0])

@@ -1,11 +1,14 @@
 """Named verification suites behind the `verify` command.
 
-Each suite draws its samples from a seeded generator, evaluates a family of
-residuals, and reports one entry {name, samples, max_residual, tolerance,
-pass}.  Simple suites report the raw worst residual against its tolerance;
-compound suites (several residual families with different tolerances)
-report the worst residual-to-tolerance ratio against 1.0 and explain the
-breakdown in `note`.
+Each suite draws its samples from a seeded generator, evaluates its
+residuals, and states its claims as :class:`Check` records: values, a
+bound, and whether the values must stay below or above it.  One function,
+:func:`_entry`, turns a suite's name, sample count and checks into its
+report entry {name, samples, max_residual, tolerance, pass, note}.  A suite
+with one unlabelled check reports the raw worst value against its bound; a
+suite with several reports the worst upper-bound ratio (worst value over
+bound) against 1.0 and lists every check in `note`.  A check with no
+values is skipped, and a NaN value fails its suite.
 
 The registry order is fixed, and every suite derives its own RNG stream
 from (seed, suite index), so reports are reproducible for given flags.
@@ -14,7 +17,7 @@ from (seed, suite index), so reports are reproducible for given flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from . import ambient, biconservative as bic, immersion as imm, rotation as rot
 from .ambient import BcvParams
 
 __all__ = [
-    "SuiteResult",
+    "Check",
     "SUITE_NAMES",
     "run_suite",
     "run_report",
@@ -31,31 +34,48 @@ __all__ = [
 ]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    samples: int
-    max_residual: float
-    tolerance: float
-    passed: bool
-    note: str = ""
+class Check(namedtuple("Check", "label values bound above", defaults=(False,))):
+    """One claim of a suite: its values, an array or a list or tuple of
+    arrays, stay below `bound`, or above it when `above` holds."""
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "note": self.note,
-        }
+    @property
+    def worst(self):
+        """The largest value, the smallest for a lower bound, or None if
+        there are no values.  NaN if any value is NaN: Python's `max` keeps
+        a NaN only when it comes first, so it could drop one and pass."""
+        arrays = self.values if isinstance(self.values, (list, tuple)) else [self.values]
+        v = np.concatenate([np.empty(0), *map(np.ravel, arrays)])
+        return None if v.size == 0 else float(v.min() if self.above else v.max())
 
 
-def _worst(*arrays) -> float:
-    """Largest entry of the arrays, NaN if any entry is NaN.  Python's
-    `max` keeps a NaN only when it comes first, so over residuals it could
-    drop a NaN family and pass."""
-    return float(np.max([np.max(a) for a in arrays]))
+def _entry(name: str, samples: int, checks) -> dict:
+    """The report entry of a suite from its checks.
+
+    One unlabelled check gives its worst value as `max_residual`, its bound
+    as `tolerance` and an empty note.  Otherwise `max_residual` is the
+    worst ratio of an upper-bound check to its bound, the tolerance 1.0,
+    and `note` lists each check as "label worst/bound"; in a suite that
+    also has a lower bound, upper bounds print "label worst < bound" and
+    lower bounds "label worst > bound".  Either way the suite passes if
+    `max_residual` is below `tolerance` and every lower bound holds.  A
+    check with no values adds no ratio and prints "skipped: label"."""
+    below = " < " if any(c.above for c in checks) else "/"
+    ratios, holds, notes = [], [], []
+    for c in checks:
+        worst = c.worst
+        if worst is None:
+            notes.append(f"skipped: {c.label}")
+        elif c.above:
+            holds.append(worst > c.bound)
+            notes.append(f"{c.label} {worst:.2e} > {c.bound:.0e}")
+        else:
+            ratios.append(worst / c.bound)
+            notes.append(f"{c.label} {worst:.2e}{below}{c.bound:.0e}")
+    worst, tolerance = float(np.max(ratios, initial=0.0)), 1.0
+    if len(checks) == 1 and not checks[0].label:
+        worst, tolerance, notes = checks[0].worst, checks[0].bound, []
+    return {"name": name, "samples": samples, "max_residual": worst, "tolerance": tolerance,
+            "pass": worst < tolerance and all(holds), "note": "; ".join(notes)}
 
 
 def domain_radius(params: BcvParams, fill: float = 0.75) -> float:
@@ -103,15 +123,14 @@ def _frame_of(params: BcvParams, x, y, V):
     return np.array(ambient.frame_components(params, x, y, np.swapaxes(V, 0, 1)))
 
 
-def _suite_frame(params: BcvParams, rng) -> SuiteResult:
+def _suite_frame(params: BcvParams, rng) -> dict:
     x, y, _ = sample_domain_points(params, rng, 100)
     f = _frame_of(params, x, y, ambient.frame_at(params, x, y))
     gram = ambient.frame_dot(f[:, :, None], f[:, None, :])
-    worst = float(np.abs(gram - np.eye(3)[..., None]).max())
-    return SuiteResult("frame", x.size, worst, 1e-10, worst < 1e-10)
+    return _entry("frame", x.size, [Check("", np.abs(gram - np.eye(3)[..., None]), 1e-10)])
 
 
-def _suite_ricci(params: BcvParams, rng) -> SuiteResult:
+def _suite_ricci(params: BcvParams, rng) -> dict:
     x, y, _ = sample_domain_points(params, rng, 20)
     # per point: the frame and two random vectors, in coordinate components
     V = np.concatenate([ambient.frame_at(params, x, y),
@@ -119,11 +138,10 @@ def _suite_ricci(params: BcvParams, rng) -> SuiteResult:
     f = _frame_of(params, x, y, V)
     closed = ambient.ricci(params, f[:, :, None], f[:, None, :])
     fd = np.einsum("ain,ijn,bjn->abn", V, ambient.ricci_tensor_fd(params, x, y), V)
-    worst = float(np.abs(closed - fd).max())
-    return SuiteResult("ricci", closed.size, worst, 1e-4, worst < 1e-4)
+    return _entry("ricci", closed.size, [Check("", np.abs(closed - fd), 1e-4)])
 
 
-def _suite_submersion(params: BcvParams, rng) -> SuiteResult:
+def _suite_submersion(params: BcvParams, rng) -> dict:
     x, y, _ = sample_domain_points(params, rng, 50)
     e1, e2, e3 = ambient.frame_at(params, x, y)
     a = rng.normal(size=(x.size, 2))
@@ -132,8 +150,8 @@ def _suite_submersion(params: BcvParams, rng) -> SuiteResult:
     h_norm = np.sqrt(ambient.base_metric(params, x, y, img, img))
     Hf = ambient.frame_components(params, x, y, H)
     H_norm = np.sqrt(ambient.frame_dot(Hf, Hf))
-    worst = _worst(np.abs(h_norm - H_norm), np.abs(ambient.hopf_dpsi(e3)))
-    return SuiteResult("submersion", x.size, worst, 1e-8, worst < 1e-8)
+    return _entry("submersion", x.size,
+                  [Check("", (np.abs(h_norm - H_norm), np.abs(ambient.hopf_dpsi(e3))), 1e-8)])
 
 
 def _structural_surfaces(params: BcvParams):
@@ -169,9 +187,9 @@ def _batch(grids):
             np.concatenate([v.ravel() for _, v in points]))
 
 
-def _structural_maxima(params: BcvParams):
-    """Worst residual of each structural family over the interior grids of
-    the structural surfaces, and the number of grid points.
+def _structural_checks(params: BcvParams):
+    """The check of each structural family over the interior grids of the
+    structural surfaces, and the number of grid points.
 
     All grids are one :class:`bcvgeo.immersion.SurfaceBatch`, so one
     :class:`bcvgeo.immersion.Stages` evaluation serves every surface and
@@ -181,9 +199,8 @@ def _structural_maxima(params: BcvParams):
     one jet call over the +-e1, +-e2 steps, serves Codazzi and the law of T
     along e2.  Codazzi and the law of T are evaluated only where the
     adapted frame is well conditioned (sin(alpha) > 0.1, |cot(alpha)| <
-    10), so the later stages of a skipped point are never evaluated.  Each
-    maximum is taken over the points of all grids at once, which is the
-    maximum of the per-grid maxima.
+    10), so the later stages of a skipped point are never evaluated; where
+    no point is kept, those two checks have no values.
     """
     batch, U, V = _batch([(S, *np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
                           for S, nu, nv in _structural_surfaces(params)])
@@ -194,28 +211,22 @@ def _structural_maxima(params: BcvParams):
     N = np.array(ambient.coordinate_components(params, J.x, J.y, J.n))
     Tf = ambient.frame_components(params, J.x, J.y, T)
     e3 = np.array([0.0, 0.0, 1.0])[:, None]
-    worst = {"jet": _worst(np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2),
-                           np.abs(e3 - T - J.cos_alpha * N)),
-             "gauss": float(np.abs(imm.gauss_residual(batch, params, U, V, stages)).max()),
-             "codazzi": 0.0, "compat": 0.0}
+    jet = (np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2), np.abs(e3 - T - J.cos_alpha * N))
+    codazzi = compat = ()
     ok = J.sin_alpha > 0.1
     ok[ok] = np.abs(J.cos_alpha[ok] / J.sin_alpha[ok]) < 10.0
     if ok.any():
         sub = stages.at(ok)
-        c1, c2 = imm.codazzi_residual(sub.S, params, U[ok], V[ok], sub)
-        worst["codazzi"] = _worst(np.abs(c1), np.abs(c2))
-        vec, sc = imm.compatibility_residual(sub.S, params, U[ok], V[ok], stages=sub)
-        worst["compat"] = _worst(np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)),
-                                 np.abs(sc))
-    return worst, U.size
+        codazzi = np.abs(imm.codazzi_residual(sub))
+        vec, sc = imm.compatibility_residual(sub)
+        compat = (np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)), np.abs(sc))
+    return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
+            Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], U.size
 
 
-def _suite_gauss_codazzi(params: BcvParams, rng) -> SuiteResult:
-    tols = {"jet": 1e-9, "gauss": 1e-4, "codazzi": 1e-3, "compat": 1e-4}
-    ratios, samples = _structural_maxima(params)
-    worst = _worst(*(ratios[k] / tols[k] for k in ratios))
-    note = "; ".join(f"{k} {ratios[k]:.2e}/{tols[k]:.0e}" for k in ratios)
-    return SuiteResult("gauss-codazzi", samples, worst, 1.0, worst < 1.0, note)
+def _suite_gauss_codazzi(params: BcvParams, rng) -> dict:
+    checks, samples = _structural_checks(params)
+    return _entry("gauss-codazzi", samples, checks)
 
 
 def _bitension_norms(params: BcvParams, grids):
@@ -227,24 +238,21 @@ def _bitension_norms(params: BcvParams, grids):
     return np.linalg.norm(bic.tangential_bitension_arrays(batch, params, u, v), axis=0)
 
 
-def _suite_biconservative(params: BcvParams, rng) -> SuiteResult:
+def _suite_biconservative(params: BcvParams, rng) -> dict:
     radii = _cylinder_radii(params)
     # one bitension call over the grids of all the cylinders
     grids = [(cyl, *np.meshgrid(*_interior_grid(cyl, 3, 3), indexing="ij"))
              for cyl in (rot.hopf_cylinder(params, r0) for r0 in radii)]
     tb = _bitension_norms(params, grids)
-    worst_tb = float(np.max(tb, initial=0.0))
     # one call over the radii: the reduced pair does not depend on z
     state = rot.ProfileState(0.0, np.array(radii), 0.0, math.pi / 2)
     f = rot.reduced_mean_curvature(params, state, 0.0)
-    r1, r2 = rot.reduced_bicon_system(params, state, f, 0.0)
-    worst_red = float(np.max(np.abs((r1, r2)), initial=0.0))
-    worst = _worst(worst_tb / 1e-6, worst_red / 1e-8)
-    note = f"cylinder bitension {worst_tb:.2e}/1e-06; reduced pair {worst_red:.2e}/1e-08"
-    return SuiteResult("biconservative", tb.size, worst, 1.0, worst < 1.0, note)
+    reduced = np.abs(rot.reduced_bicon_system(params, state, f, 0.0))
+    return _entry("biconservative", tb.size, [Check("cylinder bitension", tb, 1e-6),
+                                              Check("reduced pair", reduced, 1e-8)])
 
 
-def _suite_theorem44(params: BcvParams, rng) -> SuiteResult:
+def _suite_theorem44(params: BcvParams, rng) -> dict:
     """CMC tube stays conservative, non-CMC tube visibly is not."""
     radii = _cylinder_radii(params, radii=(1.0, 0.5))
     grids = []
@@ -256,12 +264,9 @@ def _suite_theorem44(params: BcvParams, rng) -> SuiteResult:
     grids.append((rot.hopf_tube(params, curve, dcurve), tube_u, 0.1))
     # one bitension call over the circular tube's grid, then the ellipse tube's
     tb = _bitension_norms(params, grids)
-    circle_worst = float(np.max(tb[:-tube_u.size], initial=0.0))
-    ellipse_max = float(tb[-tube_u.size:].max())
-    passed = circle_worst < 1e-6 and ellipse_max > 1e-3
-    note = (f"circular tube {circle_worst:.2e} < 1e-06; "
-            f"ellipse tube max {ellipse_max:.2e} > 1e-03")
-    return SuiteResult("theorem44", tb.size, circle_worst / 1e-6, 1.0, passed, note)
+    return _entry("theorem44", tb.size, [
+        Check("circular tube", tb[:-tube_u.size], 1e-6),
+        Check("ellipse tube max", tb[-tube_u.size:].max(), 1e-3, above=True)])
 
 
 def _random_branch_state(params: BcvParams, rng) -> rot.ProfileState:
@@ -274,11 +279,11 @@ def _random_branch_state(params: BcvParams, rng) -> rot.ProfileState:
             return rot.ProfileState(0.0, r0, 0.0, sigma0)
 
 
-def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
+def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> dict:
     """The non-CMC branch never closes the system away from cylinders."""
     if params.tau == 0.0 or params.is_space_form:
-        return SuiteResult("theorem52", 0, 0.0, 1.0, True,
-                           "skipped: needs tau != 0 and kappa != 4 tau^2")
+        # no branch to march: one check with no values, its label the reason
+        return _entry("theorem52", 0, [Check("needs tau != 0 and kappa != 4 tau^2", (), 1.0)])
     abs_r2, max_r1, windows = [], [], [0.0]
     samples = 0
     for _ in range(runs):
@@ -296,13 +301,10 @@ def _suite_theorem52(params: BcvParams, rng, runs: int = 3) -> SuiteResult:
             s_ob = rot.refine_sign_change(params, traj, int(i),
                                           rot.theorem52_obstruction)
             windows.append(abs(s_r1 - s_ob))
-    worst_r2, worst_window = _worst(*abs_r2), _worst(windows)
-    min_r1 = float(np.min(max_r1))
-    worst = _worst(worst_r2 / 1e-10, worst_window / 1e-8)
-    passed = worst < 1.0 and min_r1 > 1e-3
-    note = (f"max |R2| {worst_r2:.2e} < 1e-10; min over runs of max |R1| "
-            f"{min_r1:.2e} > 1e-03; zero windows {worst_window:.2e} < 1e-08")
-    return SuiteResult("theorem52", samples, worst, 1.0, passed, note)
+    return _entry("theorem52", samples, [
+        Check("max |R2|", abs_r2, 1e-10),
+        Check("min over runs of max |R1|", max_r1, 1e-3, above=True),
+        Check("zero windows", windows, 1e-8)])
 
 
 _REGISTRY = (
@@ -318,7 +320,7 @@ _REGISTRY = (
 SUITE_NAMES = tuple(name for name, _ in _REGISTRY)
 
 
-def run_suite(name: str, params: BcvParams, seed: int = 42) -> SuiteResult:
+def run_suite(name: str, params: BcvParams, seed: int = 42) -> dict:
     for idx, (nm, fn) in enumerate(_REGISTRY):
         if nm == name:
             rng = np.random.default_rng([seed, idx])
@@ -339,6 +341,6 @@ def run_report(params: BcvParams, names=None, seed: int = 42) -> dict:
         "kappa": params.kappa,
         "tau": params.tau,
         "seed": seed,
-        "suites": [r.as_dict() for r in results],
-        "pass": all(r.passed for r in results),
+        "suites": results,
+        "pass": all(r["pass"] for r in results),
     }

@@ -19,6 +19,10 @@ PAIRS6 = [
     BcvParams(4.0, 1.0),
 ]
 
+# one pair per GeometryClass
+PAIRS7 = [BcvParams(0.0, 0.0), BcvParams(4.0, 1.0), BcvParams(1.0, 0.0), BcvParams(-1.0, 0.0),
+          BcvParams(1.0, 1.0), BcvParams(-1.0, 0.5), BcvParams(0.0, 0.5)]
+
 # non-space-form pairs that admit vertical cylinders of radius 0.5, 1 and 2
 CYLINDER_PAIRS = [
     BcvParams(1.0, 0.0),

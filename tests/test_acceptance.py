@@ -29,6 +29,7 @@ from bcvgeo.biconservative import (
     tangential_bitension_arrays,
 )
 from bcvgeo.immersion import (
+    Stages,
     codazzi_residual,
     compatibility_residual,
     gauss_residual,
@@ -143,17 +144,18 @@ def test_criterion_04_structural_identities():
                     abs(frame_dot(jet.T, jet.T) - jet.sin_alpha ** 2),
                     float(np.abs(np.array([0.0, 0.0, 1.0]) - T - jet.cos_alpha * N).max()),
                 )
-                worst["gauss"] = max(worst["gauss"], abs(gauss_residual(surface, P, u, v)))
+                stages = Stages(surface, P, u, v)
+                worst["gauss"] = max(worst["gauss"], abs(gauss_residual(stages)))
                 if jet.sin_alpha > 0.1 and abs(jet.cos_alpha / jet.sin_alpha) < 10.0:
-                    c1, c2 = codazzi_residual(surface, P, u, v)
+                    c1, c2 = codazzi_residual(stages)
                     worst["codazzi"] = max(worst["codazzi"], abs(c1), abs(c2))
-                    vec, sc = compatibility_residual(surface, P, u, v, jet.JT / jet.sin_alpha)
+                    vec, sc = compatibility_residual(stages, jet.JT / jet.sin_alpha)
                     worst["compat"] = max(worst["compat"], float(np.sqrt(frame_dot(vec, vec))),
                                           abs(sc))
     # dense intrinsic-vs-extrinsic sweep on the revolution surface
     for u in np.linspace(0.2, 2 * math.pi - 0.2, 20):
         for v in np.linspace(-0.35, 1.35, 20):
-            worst["gauss"] = max(worst["gauss"], abs(gauss_residual(slant, P_NIL, u, v)))
+            worst["gauss"] = max(worst["gauss"], abs(gauss_residual(Stages(slant, P_NIL, u, v))))
     ok = (worst["gauss"] < 1e-4 and worst["codazzi"] < 1e-3
           and worst["compat"] < 1e-4 and worst["jet"] < 1e-9)
     report(4, ok, "structural identities: "

@@ -38,7 +38,7 @@ from bcvgeo.rotation import (
     revolution_surface,
 )
 from bcvgeo.suites import (_batch, _cylinder_radii, _interior_grid, _scaled_ellipse,
-                           _structural_maxima, _structural_surfaces, run_report, run_suite)
+                           _structural_checks, _structural_surfaces, run_report, run_suite)
 
 from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, sphere_surface
 from profiles import slant_profile
@@ -229,12 +229,12 @@ class TestFields:
 
 class TestCurvatureResiduals:
     def test_plane_gauss_zero(self):
-        assert abs(gauss_residual(flat_plane(), P_FLAT, 0.1, 0.2)) < 1e-8
+        assert abs(gauss_residual(Stages(flat_plane(), P_FLAT, 0.1, 0.2))) < 1e-8
 
     def test_sphere_intrinsic_curvature(self):
         S = sphere_surface(1.0)
         assert brioschi_curvature(S, P_FLAT, 1.1, 0.8) == pytest.approx(1.0, abs=1e-5)
-        assert abs(gauss_residual(S, P_FLAT, 1.1, 0.8)) < 1e-5
+        assert abs(gauss_residual(Stages(S, P_FLAT, 1.1, 0.8))) < 1e-5
 
     def test_cylinder_gauss_closed_forms(self):
         P = BcvParams(0.0, 0.5)
@@ -242,17 +242,17 @@ class TestCurvatureResiduals:
         sh = shape_arrays(S, P, 0.8, 0.2)
         assert np.linalg.det(np.array(sh.A)) == pytest.approx(-P.tau ** 2, abs=1e-6)
         assert abs(brioschi_curvature(S, P, 0.8, 0.2)) < 1e-6
-        assert abs(gauss_residual(S, P, 0.8, 0.2)) < 1e-4
+        assert abs(gauss_residual(Stages(S, P, 0.8, 0.2))) < 1e-4
 
     def test_gauss_residual_grid(self, rng):
         S = slant_surface()
         for u, v, _ in random_samples(S, rng, 12):
-            assert abs(gauss_residual(S, P_NIL, u, v)) < 1e-4
+            assert abs(gauss_residual(Stages(S, P_NIL, u, v))) < 1e-4
 
     def test_codazzi_cylinder(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
-        r1, r2 = codazzi_residual(S, P, 0.8, 0.2)
+        r1, r2 = codazzi_residual(Stages(S, P, 0.8, 0.2))
         assert abs(r1) < 1e-4
         assert abs(r2) < 1e-4
 
@@ -264,14 +264,14 @@ class TestCurvatureResiduals:
             for u, v, jet in random_samples(surface, rng, 6, sin_floor=0.15, params=params):
                 if abs(jet.cos_alpha / jet.sin_alpha) > 10:
                     continue
-                r1, r2 = codazzi_residual(surface, params, u, v)
+                r1, r2 = codazzi_residual(Stages(surface, params, u, v))
                 assert abs(r1) < 1e-3
                 assert abs(r2) < 1e-3
 
     def test_compatibility_plane(self):
         S = flat_plane()
         jet = surface_jets(S, P_FLAT, 0.1, 0.2)
-        vec, sc = compatibility_residual(S, P_FLAT, 0.1, 0.2, jet.au)
+        vec, sc = compatibility_residual(Stages(S, P_FLAT, 0.1, 0.2), jet.au)
         assert frame_norm(vec) < 1e-10
         assert abs(sc) < 1e-10
 
@@ -279,14 +279,14 @@ class TestCurvatureResiduals:
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
         jet = surface_jets(S, P, 0.8, 0.2)
-        vec, sc = compatibility_residual(S, P, 0.8, 0.2, jet.T / jet.sin_alpha)
+        vec, sc = compatibility_residual(Stages(S, P, 0.8, 0.2), jet.T / jet.sin_alpha)
         assert frame_norm(vec) < 1e-5
         assert abs(sc) < 1e-5
 
     def test_compatibility_generic(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 6, sin_floor=0.15):
-            vec, sc = compatibility_residual(S, P_NIL, u, v, jet.JT / jet.sin_alpha)
+            vec, sc = compatibility_residual(Stages(S, P_NIL, u, v), jet.JT / jet.sin_alpha)
             assert frame_norm(vec) < 1e-4
             assert abs(sc) < 1e-4
 
@@ -324,11 +324,11 @@ class TestResidualArrays:
                 (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL)]
     EVALUATORS = {
         "brioschi": lambda S, P, u, v: brioschi_curvature(S, P, u, v),
-        "gauss": lambda S, P, u, v: gauss_residual(S, P, u, v),
-        "codazzi": lambda S, P, u, v: codazzi_residual(S, P, u, v),
-        "compatibility": lambda S, P, u, v: compatibility_residual(S, P, u, v,
+        "gauss": lambda S, P, u, v: gauss_residual(Stages(S, P, u, v)),
+        "codazzi": lambda S, P, u, v: codazzi_residual(Stages(S, P, u, v)),
+        "compatibility": lambda S, P, u, v: compatibility_residual(Stages(S, P, u, v),
                                                                    e2_field(S, P, u, v)),
-        "compatibility-e2": lambda S, P, u, v: compatibility_residual(S, P, u, v),
+        "compatibility-e2": lambda S, P, u, v: compatibility_residual(Stages(S, P, u, v)),
         "connection": lambda S, P, u, v: surface_connection_residual(S, P, u, v),
     }
 
@@ -351,7 +351,14 @@ class TestResidualArrays:
         U, V = np.array([0.3, 0.0, 0.0]), np.array([0.1, 0.2, 0.4])
         assert surface_jets(S, P_FLAT, U, V).sin_alpha[1] < EPS_ALPHA
         with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0, 0\.2\)"):
-            codazzi_residual(S, P_FLAT, U, V)
+            codazzi_residual(Stages(S, P_FLAT, U, V))
+
+
+def structural_maxima(params):
+    """The worst value of each check of _structural_checks, None for a
+    check with no values, and the number of grid points."""
+    checks, samples = _structural_checks(params)
+    return {c.label: c.worst for c in checks}, samples
 
 
 # Worst jet, gauss, codazzi and compatibility residuals of the gauss-codazzi
@@ -371,7 +378,7 @@ PER_POINT_MAXIMA = {
 @pytest.mark.parametrize("params", PAIRS6 + [BcvParams(1.0, 1.0), BcvParams(-1.0, 0.5)],
                          ids=str)
 def test_structural_maxima_match_per_point_values(params):
-    worst, samples = _structural_maxima(params)
+    worst, samples = structural_maxima(params)
     recorded = dict(zip(("jet", "gauss", "codazzi", "compat"),
                         PER_POINT_MAXIMA[(params.kappa, params.tau)]))
     # Codazzi nests two differences of the angle at step 1e-4, so an ulp of
@@ -401,21 +408,21 @@ def assert_same_bits(a, b):
 
 
 def standalone_maxima(params, surfaces):
-    """The gauss, codazzi and compat maxima of _structural_maxima, from one
-    standalone call of each residual per grid, so with no shared stages."""
+    """The gauss, codazzi and compat maxima of _structural_checks, from the
+    own Stages of each grid and of its kept points, so with no batch."""
     worst = dict.fromkeys(("gauss", "codazzi", "compat"), 0.0)
     for surface, nu, nv in surfaces:
         U, V = np.meshgrid(*_interior_grid(surface, nu, nv), indexing="ij")
         jet = surface_jets(surface, params, U, V)
         worst["gauss"] = max(worst["gauss"],
-                             float(np.abs(gauss_residual(surface, params, U, V)).max()))
+                             float(np.abs(gauss_residual(Stages(surface, params, U, V))).max()))
         ok = suite_mask(jet)
         if ok.any():
-            c1, c2 = codazzi_residual(surface, params, U[ok], V[ok])
+            kept = Stages(surface, params, U[ok], V[ok])
+            c1, c2 = codazzi_residual(kept)
             worst["codazzi"] = max(worst["codazzi"], float(np.abs(c1).max()),
                                    float(np.abs(c2).max()))
-            vec, sc = compatibility_residual(surface, params, U[ok], V[ok],
-                                             jet.JT[:, ok] / jet.sin_alpha[ok])
+            vec, sc = compatibility_residual(kept, jet.JT[:, ok] / jet.sin_alpha[ok])
             worst["compat"] = max(worst["compat"],
                                   float(np.sqrt(np.maximum(frame_dot(vec, vec), 0.0)).max()),
                                   float(np.abs(sc).max()))
@@ -437,20 +444,18 @@ class TestStages:
         assert_same_bits(c.jet, surface_jets(surface, params, U, V))
         assert_same_bits(c.shape.A, shape_arrays(surface, params, U, V).A)
         assert_same_bits(c.K, brioschi_curvature(surface, params, U, V))
-        assert_same_bits(gauss_residual(surface, params, U, V, stages),
-                         gauss_residual(surface, params, U, V))
         ok = suite_mask(c.jet)
         assert ok.any()
         u, v, sub = U[ok], V[ok], stages.at(ok)
-        assert_same_bits(codazzi_residual(surface, params, u, v, sub),
-                         codazzi_residual(surface, params, u, v))
+        kept = Stages(surface, params, u, v)
+        assert_same_bits(codazzi_residual(sub), codazzi_residual(kept))
         # along e2 the law of T reads the jets of stage 2
-        assert_same_bits(compatibility_residual(surface, params, u, v, stages=sub),
-                         compatibility_residual(surface, params, u, v, e2_field(surface, params, u, v)))
+        assert_same_bits(compatibility_residual(sub),
+                         compatibility_residual(kept, e2_field(surface, params, u, v)))
 
     @pytest.mark.parametrize("params", PAIRS6, ids=str)
     def test_structural_maxima_equal_standalone_maxima(self, params):
-        worst, _ = _structural_maxima(params)
+        worst, _ = structural_maxima(params)
         assert {k: worst[k] for k in ("gauss", "codazzi", "compat")} == \
             standalone_maxima(params, _structural_surfaces(params))
 
@@ -459,7 +464,7 @@ class TestStages:
         U, V = np.meshgrid(*_interior_grid(S, 5, 3), indexing="ij")
         assert suite_mask(surface_jets(S, P_FLAT, U, V)).sum() == 12
         monkeypatch.setattr("bcvgeo.suites._structural_surfaces", lambda params: [(S, 5, 3)])
-        worst, samples = _structural_maxima(P_FLAT)
+        worst, samples = structural_maxima(P_FLAT)
         assert samples == 15
         assert {k: worst[k] for k in ("gauss", "codazzi", "compat")} == \
             standalone_maxima(P_FLAT, [(S, 5, 3)])
@@ -468,15 +473,16 @@ class TestStages:
 
     def test_mask_dropping_every_point(self, monkeypatch):
         # sin(alpha) = 0 on the plane z = 0: Codazzi and the law of T would
-        # raise there, so only the jet and Gauss residuals are reported
+        # raise there, so only the jet and Gauss residuals are reported and
+        # the checks of the other two are skipped
         plane = flat_plane()
         U, V = np.meshgrid(*_interior_grid(plane, 3, 3), indexing="ij")
         with pytest.raises(DegenerateSurfaceError):
-            codazzi_residual(plane, P_FLAT, U, V)
+            codazzi_residual(Stages(plane, P_FLAT, U, V))
         monkeypatch.setattr("bcvgeo.suites._structural_surfaces", lambda params: [(plane, 3, 3)])
-        worst, samples = _structural_maxima(P_FLAT)
+        worst, samples = structural_maxima(P_FLAT)
         assert samples == 9
-        assert worst["codazzi"] == worst["compat"] == 0.0
+        assert worst["codazzi"] is worst["compat"] is None
         assert worst["jet"] < 1e-9 and worst["gauss"] < 1e-8
 
 
@@ -501,7 +507,7 @@ def test_gauss_codazzi_jet_count(monkeypatch):
     pipeline per grid the same run made 20 calls, and with no stages shared
     between the residuals 45 calls over 6,586 points."""
     sizes = count_jets(monkeypatch)
-    assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5)).passed
+    assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5))["pass"]
     assert (len(sizes), sum(sizes)) == (4, 4810)
 
 
@@ -512,7 +518,7 @@ def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
     # 45 jets per point, its 5 gradient points times 9 normal-stencil points
     sizes = count_jets(monkeypatch)
     result = run_suite(suite, params)
-    assert sizes == [45 * result.samples]
+    assert sizes == [45 * result["samples"]]
 
 
 def joined(parts, axis):
@@ -555,24 +561,24 @@ class TestSurfaceBatch:
         counts = [n for _, n in sub.S.members]
         assert counts == [int(ok[rows].sum()) for _, rows in batch._rows()]
         assert kept is None or counts == kept
-        got = {"centres": stages.centres, "gauss": gauss_residual(batch, params, U, V, stages),
-               "steps": sub.steps, "codazzi": codazzi_residual(sub.S, params, U[ok], V[ok], sub),
-               "compat": compatibility_residual(sub.S, params, U[ok], V[ok], stages=sub),
+        got = {"centres": stages.centres, "gauss": gauss_residual(stages),
+               "steps": sub.steps, "codazzi": codazzi_residual(sub),
+               "compat": compatibility_residual(sub),
                "bitension": tangential_bitension_arrays(batch, params, U, V)}
         want = {k: [] for k in got}
         for S, nu, nv in grids:
             u, v = (a.ravel() for a in np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
             own = Stages(S, params, u, v)
             want["centres"].append(own.centres)
-            want["gauss"].append(gauss_residual(S, params, u, v))
+            want["gauss"].append(gauss_residual(own))
             want["bitension"].append(tangential_bitension_arrays(S, params, u, v))
             keep = suite_mask(own.centres.jet)
             if keep.any():
                 u, v = u[keep], v[keep]
                 want["steps"].append(own.at(keep).steps)
-                want["codazzi"].append(codazzi_residual(S, params, u, v))
-                want["compat"].append(compatibility_residual(S, params, u, v,
-                                                             e2_field(S, params, u, v)))
+                kept = Stages(S, params, u, v)
+                want["codazzi"].append(codazzi_residual(kept))
+                want["compat"].append(compatibility_residual(kept, e2_field(S, params, u, v)))
         for name, value in got.items():
             # stage 2 keeps the centres on the next-to-last axis
             assert_same_bits(value, joined(want[name], -2 if name == "steps" else -1))
@@ -651,7 +657,8 @@ def per_surface_entries(params):
     ratio = max(worst_tb / 1e-6, worst_red / 1e-8)
     entries["biconservative"] = (samples, ratio, ratio < 1.0,
                                  f"cylinder bitension {worst_tb:.2e}/1e-06; "
-                                 f"reduced pair {worst_red:.2e}/1e-08")
+                                 f"reduced pair {worst_red:.2e}/1e-08" if radii else
+                                 "skipped: cylinder bitension; skipped: reduced pair")
 
     circle, samples = 0.0, 0
     radii = _cylinder_radii(params, radii=(1.0, 0.5))
@@ -662,9 +669,9 @@ def per_surface_entries(params):
     tube = hopf_tube(params, *_scaled_ellipse(params))
     tb = bitension_norms(tube, params, np.linspace(0.0, 2.0 * math.pi, 13), 0.1)
     ellipse = float(tb.max())
+    circle_note = f"circular tube {circle:.2e} < 1e-06" if radii else "skipped: circular tube"
     entries["theorem44"] = (samples + tb.size, circle / 1e-6, circle < 1e-6 and ellipse > 1e-3,
-                            f"circular tube {circle:.2e} < 1e-06; "
-                            f"ellipse tube max {ellipse:.2e} > 1e-03")
+                            f"{circle_note}; ellipse tube max {ellipse:.2e} > 1e-03")
     return entries
 
 

@@ -14,12 +14,8 @@ import textwrap
 import pytest
 
 from bcvgeo import immersion
-from bcvgeo.ambient import BcvParams
 from bcvgeo.suites import run_report
-
-# one pair per GeometryClass
-PAIRS7 = [BcvParams(0.0, 0.0), BcvParams(4.0, 1.0), BcvParams(1.0, 0.0), BcvParams(-1.0, 0.0),
-          BcvParams(1.0, 1.0), BcvParams(-1.0, 0.5), BcvParams(0.0, 0.5)]
+from conftest import PAIRS7
 
 
 def twisted(P):

@@ -477,7 +477,7 @@ class TestBranchClassification:
         # the f' self-check runs on every trajectory, so its truncation error
         # must stay under FD_CHECK_TOL at every seed, not only the default one
         P = BcvParams(kappa, tau)
-        failed = [seed for seed in range(40) if not run_suite("theorem52", P, seed).passed]
+        failed = [seed for seed in range(40) if not run_suite("theorem52", P, seed)["pass"]]
         assert failed == []
 
     @pytest.mark.parametrize("kappa,tau", TWISTED)

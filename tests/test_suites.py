@@ -1,16 +1,54 @@
-"""The verification suites' sampling and their reductions over residuals."""
+"""The verification suites' sampling, their reductions over residuals and
+their default reports."""
 
+import contextlib
+import io
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from bcvgeo import ambient, immersion
+from bcvgeo import ambient, cli, immersion
+from bcvgeo import biconservative as bic
 from bcvgeo import rotation as rot
 from bcvgeo.ambient import BcvParams
-from bcvgeo.suites import _random_branch_state, domain_radius, run_suite, sample_domain_points
+from bcvgeo.suites import (Check, _cylinder_radii, _entry, _random_branch_state, domain_radius,
+                           run_report, run_suite, sample_domain_points)
+from conftest import PAIRS7
 
 P_NIL = BcvParams(0.0, 0.5)
+PINNED = pathlib.Path(__file__).parent / "data" / "verify_reports.json"
+
+
+def pinned_reports():
+    """Exit code and output of `verify` with every suite at each pair of
+    PAIRS7 and (1, 0.25), seeds 0 and 42, from `cli.main` in this process."""
+    reports = []
+    for P in PAIRS7 + [BcvParams(1.0, 0.25)]:
+        for seed in (0, 42):
+            argv = ["verify", "--kappa", repr(P.kappa), "--tau", repr(P.tau), "--seed", str(seed)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            reports.append({"argv": argv, "exit": code, "stdout": out.getvalue()})
+    return reports
+
+
+def test_default_reports_are_pinned():
+    """The reports equal tests/data/verify_reports.json byte for byte.  When
+    a report is meant to change, regenerate the file from the repository
+    root with
+
+        PYTHONPATH=src:tests python -c "import json, test_suites as t; \\
+            print(json.dumps(t.pinned_reports(), indent=1))" > tests/data/verify_reports.json
+    """
+    want = json.loads(PINNED.read_text(encoding="utf-8"))
+    got = pinned_reports()
+    assert [r["argv"] for r in got] == [r["argv"] for r in want]
+    for g, w in zip(got, want):
+        assert (g["exit"], g["stdout"]) == (w["exit"], w["stdout"]), g["argv"]
 
 
 def scalar_sample(params, rng, n, z_span=1.0):
@@ -71,9 +109,9 @@ class TestNanResidualFails:
 
     def gauss_codazzi(self):
         result = run_suite("gauss-codazzi", P_NIL)
-        assert result.passed is False
-        assert math.isnan(result.max_residual)
-        return result.note
+        assert result["pass"] is False
+        assert math.isnan(result["max_residual"])
+        return result["note"]
 
     def test_jet(self, monkeypatch):
         init = immersion.Stages.__init__
@@ -115,8 +153,33 @@ class TestNanResidualFails:
             return r1, nan_like(r2)
         monkeypatch.setattr(rot, "reduced_bicon_system", nan_r2)
         result = run_suite("biconservative", P_NIL)
-        assert result.passed is False
-        assert "reduced pair nan" in result.note
+        assert result["pass"] is False
+        assert "reduced pair nan" in result["note"]
+
+    def test_theorem44_ellipse_tube(self, monkeypatch):
+        # the lower-bound check: the ellipse tube's points come last
+        bitension = bic.tangential_bitension_arrays
+
+        def nan_last_point(*args):
+            tb = bitension(*args)
+            tb[:, -1] = np.nan
+            return tb
+        monkeypatch.setattr(bic, "tangential_bitension_arrays", nan_last_point)
+        result = run_suite("theorem44", P_NIL)
+        assert result["pass"] is False
+        assert "ellipse tube max nan > 1e-03" in result["note"]
+
+    def test_frame_single_check(self, monkeypatch):
+        frame_at = ambient.frame_at
+
+        def nan_last_point(*args):
+            E = frame_at(*args)
+            E[..., -1] = np.nan
+            return E
+        monkeypatch.setattr(ambient, "frame_at", nan_last_point)
+        result = run_suite("frame", P_NIL)
+        assert result["pass"] is False
+        assert math.isnan(result["max_residual"])
 
     def test_submersion_vertical_image(self, monkeypatch):
         dpsi = ambient.hopf_dpsi
@@ -128,8 +191,8 @@ class TestNanResidualFails:
             return dpsi(v) if len(calls) == 1 else nan_like(dpsi(v))
         monkeypatch.setattr(ambient, "hopf_dpsi", nan_from_second_call)
         result = run_suite("submersion", P_NIL)
-        assert result.passed is False
-        assert math.isnan(result.max_residual)
+        assert result["pass"] is False
+        assert math.isnan(result["max_residual"])
 
     @pytest.mark.parametrize("column", ["R1", "R2"])
     def test_theorem52_column_of_a_later_run(self, monkeypatch, column):
@@ -145,5 +208,27 @@ class TestNanResidualFails:
         monkeypatch.setattr(rot, "integrate_noncmc_branch", nan_column)
         result = run_suite("theorem52", BcvParams(1.0, 1.0))
         assert len(runs) == 3
-        assert result.passed is False
-        assert f"max |{column}| nan" in result.note
+        assert result["pass"] is False
+        assert f"max |{column}| nan" in result["note"]
+
+
+def test_a_lower_bound_holds_for_every_value():
+    # a failed lower bound fails the suite, whatever the upper-bound ratio
+    checks = [Check("up", np.array([0.5]), 1.0), Check("low", [0.2, 2e-4], 1e-3, above=True)]
+    entry = _entry("s", 1, checks)
+    assert (entry["max_residual"], entry["tolerance"], entry["pass"]) == (0.5, 1.0, False)
+    assert entry["note"] == "up 5.00e-01 < 1e+00; low 2.00e-04 > 1e-03"
+
+
+@pytest.mark.parametrize("kappa", [-14.4, -100.0])
+def test_suites_with_no_cylinder_skip_its_checks(kappa):
+    # no cylinder radius of the suites lies in the domain
+    params = BcvParams(kappa, 0.5)
+    assert _cylinder_radii(params, radii=(0.5, 1.0, 2.0)) == []
+    report = run_report(params, ["biconservative", "theorem44"])
+    bicon, t44 = report["suites"]
+    assert bicon == {"name": "biconservative", "samples": 0, "max_residual": 0.0,
+                     "tolerance": 1.0, "pass": True,
+                     "note": "skipped: cylinder bitension; skipped: reduced pair"}
+    assert (t44["samples"], t44["max_residual"], t44["pass"]) == (13, 0.0, True)
+    assert t44["note"].startswith("skipped: circular tube; ellipse tube max ")
