@@ -3,9 +3,11 @@
 C2 piecewise cubics through tabulated points (x_i, y_i), with not-a-knot
 ends or, for closed curves, periodic ends; the same splines as
 scipy.interpolate.CubicSpline with bc_type "not-a-knot" or "periodic".  The
-slopes at the knots come from one tridiagonal solve.  Importing
-scipy.interpolate would cost about 50 MB of resident memory, for the two
-spline-backed charts of the `mesh` command alone.
+slopes at the knots come from one tridiagonal solve (two for periodic
+ends), a Thomas recursion on Python floats that is bit-equal to the same
+recursion on numpy arrays.  Importing scipy.interpolate would cost about
+50 MB of resident memory, for the two spline-backed charts of the `mesh`
+command alone.
 """
 
 from __future__ import annotations
@@ -16,21 +18,25 @@ import numpy as np
 def _solve_tridiagonal(lower, diag, upper, rhs):
     """Thomas algorithm: row i reads lower[i] s[i-1] + diag[i] s[i] +
     upper[i] s[i+1] = rhs[i] (lower[0] and upper[-1] unused).  The spline
-    systems are diagonally dominant, so no pivoting is needed."""
+    systems are diagonally dominant, so no pivoting is needed.
+
+    The recursion runs on Python floats, lists in and one array out: each
+    step rounds as it would on numpy float64 scalars, so the slopes are
+    bit-equal to the same loop over arrays, at a third of its cost."""
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     n = len(diag)
-    c = np.empty(n)
-    d = np.empty(n)
+    c = [0.0] * n
+    d = [0.0] * n
     c[0] = upper[0] / diag[0]
     d[0] = rhs[0] / diag[0]
     for i in range(1, n):
         m = diag[i] - lower[i] * c[i - 1]
         c[i] = upper[i] / m if i < n - 1 else 0.0
         d[i] = (rhs[i] - lower[i] * d[i - 1]) / m
-    s = np.empty(n)
-    s[-1] = d[-1]
+    # back substitution in place: d becomes the solution
     for i in range(n - 2, -1, -1):
-        s[i] = d[i] - c[i] * s[i + 1]
-    return s
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
 
 
 class CubicSpline:

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -101,10 +102,10 @@ def _cmd_integrate(args, parser) -> int:
         traj = rot.integrate_noncmc_branch(params, init, cfg)
     except DomainError as exc:
         parser.error(str(exc))
-    lines = ["s,r,z,sigma,f,R1,R2,obstruction"]
     keep = [0, 1, 2, 3, 4, 6, 7, 8]  # drop the internal f' column
-    for row in traj.data:
-        lines.append(",".join(_fmt(float(row[i])) for i in keep))
+    row = ",".join(["{:.17g}"] * len(keep))      # _fmt of each float
+    lines = ["s,r,z,sigma,f,R1,R2,obstruction"]
+    lines.extend(map(row.format, *traj.data[:, keep].T.tolist()))
     lines.append(f"# status: {traj.status}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -115,22 +116,83 @@ def _cmd_integrate(args, parser) -> int:
 
 
 def _read_csv_columns(path, required, parser):
+    """The columns `required` of the CSV file `path`, as a mapping of name
+    to float array; an input error exits 2 through `parser`, naming the file.
+
+    The header is the first line with any text, a leading "#" dropped; its
+    comma-separated cells, stripped of blanks and double quotes, name the
+    columns, and the first of two equal names counts.  Below it, a line
+    with no text before a "#" (blank, or a comment such as `integrate`'s
+    closing "# status:" line) is skipped, and so is the text after a "#".
+    Every other line is a data row with as many cells as the header, whose
+    cells in the required columns are decimal numbers, blanks around them
+    allowed.  The required columns must be finite and at least 4 rows long.
+    """
     try:
-        data = np.genfromtxt(path, delimiter=",", names=True, comments="#")
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            header = ""
+            for row, line in enumerate(fh, 1):
+                header = line.strip().removeprefix("#").strip()
+                if header:
+                    break
+            if not header:
+                parser.error(f"{path}: no header line, the file is empty")
+            names = [c.strip(' \t"') for c in header.split(",")]
+            missing = [c for c in required if c not in names]
+            if missing:
+                parser.error(f"{path}: missing columns {', '.join(missing)}")
+            index = [names.index(c) for c in required]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # no rows at all is reported below
+                data = np.loadtxt(_data_rows(fh, len(names)), delimiter=",", ndmin=2,
+                                  usecols=index)
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc}")
-    names = data.dtype.names or ()
-    missing = [c for c in required if c not in names]
-    if missing:
-        parser.error(f"{path}: missing columns {', '.join(missing)}")
-    if data.shape == ():
-        data = data.reshape(1)
+    except ValueError as exc:
+        parser.error(f"{path}: {_unreadable_row(path, row, names, required) or exc}")
     if data.shape[0] < 4:
         parser.error(f"{path}: need at least 4 rows for a spline profile")
+    columns = dict(zip(required, data.T))
     for c in required:
-        if not np.all(np.isfinite(data[c])):
+        if not np.all(np.isfinite(columns[c])):
             parser.error(f"{path}: column {c} has non-finite values")
-    return data
+    return columns
+
+
+def _data_rows(lines, width):
+    """The text before any "#" of each line that has some, checked to have
+    `width` cells; ValueError at the first that has not."""
+    for line in lines:
+        text = line.partition("#")[0]
+        if text.strip():
+            if text.count(",") != width - 1:
+                raise ValueError("ragged row")
+            yield text
+
+
+def _unreadable_row(path, header_row, names, required):
+    """Where the first data row below line `header_row` has a cell count
+    other than the header's, or no number in a required column; None if
+    there is no such row."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for n, line in enumerate(fh, 1):
+            text = line.partition("#")[0]
+            if n <= header_row or not text.strip():
+                continue
+            cells = text.split(",")
+            if len(cells) != len(names):
+                return f"line {n} has {len(cells)} cells, the header {len(names)}"
+            for c in required:
+                cell = cells[names.index(c)]
+                # Python's float() reads what loadtxt does, and digit
+                # underscores and non-ASCII digits besides
+                try:
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError
+                    float(cell)
+                except ValueError:
+                    return f"line {n}: column {c} is not a number: {cell.strip()!r}"
+    return None
 
 
 def _mesh_surface(args, parser):
@@ -143,21 +205,18 @@ def _mesh_surface(args, parser):
     if args.kind == "revolution":
         if args.profile is None:
             parser.error("--profile FILE.csv is required for revolution")
-        data = _read_csv_columns(args.profile, ("s", "r", "z", "sigma"), parser)
-        s = np.asarray(data["s"], dtype=float)
+        columns = _read_csv_columns(args.profile, ("s", "r", "z", "sigma"), parser)
+        s = columns["s"]
         if not np.all(np.diff(s) > 0):
             parser.error(f"{args.profile}: s column must be strictly increasing")
-        profile = rot.spline_profile_columns(
-            *(np.asarray(data[c], dtype=float) for c in ("s", "r", "z", "sigma")))
+        profile = rot.spline_profile_columns(*columns.values())
         surface = rot.revolution_surface(params, profile,
                                          (float(s[0]), float(s[-1])))
         return params, surface, f"revolution profile {os.path.basename(args.profile)}"
     if args.kind == "hopf-tube":
         if args.base is None:
             parser.error("--base FILE.csv is required for hopf-tube")
-        data = _read_csv_columns(args.base, ("x", "y"), parser)
-        xs = np.asarray(data["x"], dtype=float)
-        ys = np.asarray(data["y"], dtype=float)
+        xs, ys = _read_csv_columns(args.base, ("x", "y"), parser).values()
         ts = np.linspace(0.0, 1.0, len(xs))
         closed = abs(xs[0] - xs[-1]) < 1e-12 and abs(ys[0] - ys[-1]) < 1e-12
         x_sp = CubicSpline(ts, xs, periodic=closed)

@@ -1,9 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ import bcvgeo
 RUN = [sys.executable, "-m", "bcvgeo"]
 # the child process imports the same bcvgeo as the tests
 SRC = os.path.dirname(os.path.dirname(bcvgeo.__file__))
+PINNED = Path(__file__).parent / "data" / "cli_outputs.json"
 
 
 def run_cli(*args):
@@ -320,6 +326,65 @@ def _mesh_inputs(tmp_path):
     }
 
 
+def pinned_cli_outputs():
+    """Exit code, sha256 and byte length of the output of `integrate` at
+    three pairs and of `mesh` of each kind at 16x16, from `cli.main` in this
+    process.  The first `integrate` runs to the default --smax (5,001 rows)
+    and writes the profile that `mesh revolution` reads; the others write
+    to stdout."""
+    from bcvgeo import cli
+
+    def run(argv, out=None):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        data = Path(out).read_bytes() if out else buf.getvalue().encode("utf-8")
+        return {"argv": argv, "exit": code, "sha256": hashlib.sha256(data).hexdigest(),
+                "bytes": len(data)}
+
+    with tempfile.TemporaryDirectory() as tmp:
+        prof = os.path.join(tmp, "profile.csv")
+        base = os.path.join(tmp, "ellipse.csv")
+        rows = ["x,y"] + [f"{math.cos(2 * math.pi * (i % 64) / 64)!r},"
+                          f"{0.7 * math.sin(2 * math.pi * (i % 64) / 64)!r}" for i in range(65)]
+        Path(base).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        grid = ["--nu", "16", "--nv", "16"]
+        cases = [
+            run(["integrate", "--kappa", "0.0", "--tau", "0.5", "--r0", "1.1",
+                 "--sigma0", "1.5", "--out", prof], prof),
+            run(["integrate", "--kappa", "1.0", "--tau", "1.0", "--r0", "1.0",
+                 "--sigma0", "1.0", "--smax", "1.0"]),
+            run(["integrate", "--kappa", "-1.0", "--tau", "0.5", "--r0", "0.9",
+                 "--sigma0", "1.2", "--smax", "2.0"]),
+            run(["mesh", "hopf-cylinder", "--kappa", "1.0", "--tau", "1.0", "--r0", "0.9",
+                 *grid]),
+            run(["mesh", "revolution", "--kappa", "0.0", "--tau", "0.5", "--profile", prof,
+                 *grid]),
+            run(["mesh", "hopf-tube", "--kappa", "-1.0", "--tau", "0.5", "--base", base,
+                 *grid]),
+        ]
+    # the input files live in a temporary directory: pin their names only
+    for case in cases:
+        case["argv"] = [os.path.basename(a) if a in (prof, base) else a
+                        for a in case["argv"]]
+    return cases
+
+
+def test_cli_outputs_are_pinned():
+    """The outputs equal tests/data/cli_outputs.json byte for byte.  When an
+    output is meant to change, regenerate the file from the repository root
+    with
+
+        PYTHONPATH=src:tests python -c "import json, test_cli as t; \\
+            print(json.dumps(t.pinned_cli_outputs(), indent=1))" > tests/data/cli_outputs.json
+    """
+    want = json.loads(PINNED.read_text(encoding="utf-8"))
+    got = pinned_cli_outputs()
+    assert [c["argv"] for c in got] == [c["argv"] for c in want]
+    for g, w in zip(got, want):
+        assert g == w, g["argv"]
+
+
 def _header(text, key):
     return [l.split()[2:] for l in text.splitlines() if l.startswith(f"# {key} ")]
 
@@ -360,7 +425,39 @@ class TestMeshBitension:
                     if l.startswith("# max_tangential_bitension")]) == 1
 
 
+# rows of a smooth profile inside the (0, 0.5) domain, and a closed ellipse
+PROFILE_ROWS = [f"{0.1 * i!r},{1.0 + 0.05 * i!r},{0.02 * i!r},{0.3 + 0.01 * i!r}"
+                for i in range(8)]
+BASE_ROWS = [f"{math.cos(2 * math.pi * i / 12)!r},{0.7 * math.sin(2 * math.pi * i / 12)!r}"
+             for i in range(13)]
+INPUTS = {"--profile": ("revolution", "s,r,z,sigma", PROFILE_ROWS),
+          "--base": ("hopf-tube", "x,y", BASE_ROWS)}
+
+
+def mesh_from(capsys, tmp_path, flag, lines, name="in.csv"):
+    """Exit code, OBJ lines after the first (which names the file) and
+    stderr of `mesh` at (0, 0.5) on a 4x4 grid, the input CSV holding
+    `lines`; an exception escaping `cli.main` fails the test."""
+    from bcvgeo import cli
+
+    path = tmp_path / name
+    # lone surrogates in `lines` stand for bytes that are not UTF-8
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape"))
+    kind = INPUTS[flag][0]
+    try:
+        code = cli.main(["mesh", kind, "--kappa", "0", "--tau", "0.5", flag, str(path),
+                         "--nu", "4", "--nv", "4"])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.splitlines()[1:], err
+
+
 class TestMeshInputErrors:
+    """The CSV grammar of `_read_csv_columns`, for --profile and --base.  An
+    accepted variant gives the mesh of the plain file; a rejected input exits
+    2 with a message naming the file, and the line where there is one."""
+
     def test_non_finite_profile_value_is_a_usage_error(self, tmp_path):
         prof = tmp_path / "profile.csv"
         rows = ["s,r,z,sigma"] + [f"{0.1 * i},{'nan' if i == 3 else 1.0 + 0.1 * i},0.0,0.2"
@@ -388,3 +485,84 @@ class TestMeshInputErrors:
         res = run_cli("mesh", "hopf-cylinder", "--kappa", "1", "--tau", "1")
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo mesh")
+
+    @staticmethod
+    def variants(header, rows):
+        spaced = ", ".join(header.split(","))
+        return {
+            "spaced header": [spaced] + rows,
+            "commented header": ["# " + header] + rows,
+            "quoted header": [",".join(f'"{c}"' for c in header.split(","))] + rows,
+            "blank lines and comments": ["", header, ""] + rows[:3] + ["", " \t", "  # note"]
+                                        + rows[3:] + ["# status: smax_reached"],
+            "blanks around cells": [header] + [c.replace(",", " , ") for c in rows],
+            "inline comment": [header] + [rows[0] + " # first row"] + rows[1:],
+            "latin-1 comment": [header] + rows + ["# caf\udce9"],
+            "CRLF line ends": [header + "\r"] + [row + "\r" for row in rows],
+            "columns reordered and extra": [",".join(["extra"] + header.split(",")[::-1])]
+                                           + [",".join(["abc"] + row.split(",")[::-1])
+                                              for row in rows],
+        }
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_accepted_variants_give_the_plain_mesh(self, capsys, tmp_path, flag):
+        _, header, rows = INPUTS[flag]
+        code, plain, err = mesh_from(capsys, tmp_path, flag, [header] + rows)
+        assert code == 0, err
+        assert len([l for l in plain if l.startswith("v ")]) == 16
+        for name, lines in self.variants(header, rows).items():
+            assert mesh_from(capsys, tmp_path, flag, lines) == (0, plain, ""), name
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    @pytest.mark.parametrize("cell", ["abc", "", "1_2", "0x1p-2"])
+    def test_non_numeric_cell_names_file_line_and_column(self, capsys, tmp_path, flag, cell):
+        _, header, rows = INPUTS[flag]
+        first = header.split(",")[0]
+        bad = rows[:3] + [cell + rows[3][rows[3].index(","):]] + rows[4:]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad)
+        assert code == 2
+        assert f"in.csv: line 5: column {first} is not a number: {cell!r}" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_ragged_row_names_file_and_line(self, capsys, tmp_path, flag):
+        _, header, rows = INPUTS[flag]
+        width = len(header.split(","))
+        short = rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + short)
+        assert code == 2
+        assert f"in.csv: line 5 has {width - 1} cells, the header {width}" in err
+        # a row longer than the header, though its extra cell is in no
+        # required column
+        long = rows[:5] + [rows[5] + ",9"] + rows[6:]
+        code, _, err = mesh_from(capsys, tmp_path, flag, ["", header] + long)
+        assert code == 2
+        assert f"in.csv: line 8 has {width + 1} cells, the header {width}" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    @pytest.mark.parametrize("lines", [[], ["", "  "]])
+    def test_empty_file_is_a_usage_error(self, capsys, tmp_path, flag, lines):
+        code, _, err = mesh_from(capsys, tmp_path, flag, lines)
+        assert code == 2
+        assert "in.csv: no header line, the file is empty" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_missing_columns(self, capsys, tmp_path, flag):
+        _, header, rows = INPUTS[flag]
+        last = header.rsplit(",", 1)[1]
+        lines = [header.rsplit(",", 1)[0]] + [row.rsplit(",", 1)[0] for row in rows]
+        code, _, err = mesh_from(capsys, tmp_path, flag, lines)
+        assert code == 2
+        assert f"in.csv: missing columns {last}" in err
+        # a comment line above the header is read as the header
+        code, _, err = mesh_from(capsys, tmp_path, flag, ["# made by hand", header] + rows)
+        assert code == 2
+        assert f"in.csv: missing columns {', '.join(header.split(','))}" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_fewer_than_four_rows(self, capsys, tmp_path, flag, n_rows):
+        _, header, rows = INPUTS[flag]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + rows[:n_rows])
+        assert code == 2
+        assert "in.csv: need at least 4 rows for a spline profile" in err
+        assert "Warning" not in err
