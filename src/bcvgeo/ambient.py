@@ -170,13 +170,20 @@ def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
     F = smoothing_factor(params, x, y)
     if not np.all(F > EPS_F):
         raise DomainError(f"metric evaluated outside domain, F = {np.min(F):.3e}")
-    t = params.tau
     q = 1.0 / F
+    q2 = q * q
+    if not np.all(q2):
+        # where 1/F^2 underflows, the dx^2 + dy^2 block vanishes and g is singular
+        i = int(np.argmin(q2))
+        xi, yi, fi = (float(np.broadcast_to(c, np.shape(F)).flat[i]) for c in (x, y, F))
+        raise DomainError(f"metric singular at (x, y) = ({xi:.6g}, {yi:.6g}): "
+                          f"1/F^2 underflows at F = {fi:.3e}")
+    t = params.tau
     a = t * y / F     # the dx and dy coefficients of w3
     b = -t * x / F
     g = np.empty((3, 3) + np.shape(F))
-    g[0, 0] = q * q + a * a
-    g[1, 1] = q * q + b * b
+    g[0, 0] = q2 + a * a
+    g[1, 1] = q2 + b * b
     g[2, 2] = 1.0
     g[0, 1] = g[1, 0] = a * b
     g[0, 2] = g[2, 0] = a

@@ -35,18 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stencil import CROSS, Stencil
+from ._stencil import derivative
 from .ambient import BcvParams, ricci
-from .immersion import (
-    ShapeArrays,
-    _adapted_frame,
-    _at,
-    alpha_field,
-    directional_derivative,
-    shape_arrays,
-    surface_jets,
-    surface_laplacian,
-)
+from .immersion import ShapeArrays, Stages, _at, _central
 
 __all__ = [
     "QuarticReport",
@@ -62,16 +53,14 @@ __all__ = [
 
 QUARTIC_DEGENERATE_TOL = 1e-12
 NEGATIVE_ROOT_TOL = 1e-12
-# chart partials of the mean curvature; wider than the directional step, as a
-# small step would amplify the finite-difference jitter of the mean curvature
-GRADIENT_STEP = 1e-3
 
 
 def tangential_bitension(S, params, u, v) -> np.ndarray:
-    """Same as :func:`tangential_bitension_arrays`.  No bcvgeo code calls it:
-    the name stays only because the benchmark tracer (perfbench/tracer.py)
-    looks it up, and its `--trace 1` raises AttributeError without it."""
-    return tangential_bitension_arrays(S, params, u, v)
+    """:func:`tangential_bitension_arrays` of the Stages of S at (u, v).  No
+    bcvgeo code calls it: the name stays only because the benchmark tracer
+    (perfbench/tracer.py) looks it up, and its `--trace 1` raises
+    AttributeError without it."""
+    return tangential_bitension_arrays(Stages(S, params, u, v))
 
 
 def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
@@ -81,47 +70,42 @@ def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
     return ricci(params, n, sh.b1) * sh.b1 + ricci(params, n, sh.b2) * sh.b2
 
 
-def tangential_bitension_arrays(S, params, u, v) -> np.ndarray:
-    """Frame components of 2 A(grad f) + f grad f - 2 f Ric(N)^T at (u, v).
+def tangential_bitension_arrays(stages: Stages) -> np.ndarray:
+    """Frame components of 2 A(grad f) + f grad f - 2 f Ric(N)^T at the
+    centres of `stages`.
 
     Zero (to tolerance) at every sample exactly when the surface is
     biconservative there.  The mean curvature enters as a chart field so
     its gradient is an honest finite difference, with no closed form
-    assumed.  u and v are floats or arrays of one shape; the result has
-    shape (3,) + that shape.  The shape operator at each point and at its 4
-    gradient-stencil points, 45 jets per point, comes from one
-    :func:`shape_arrays` call, with Ric(N)^T expanded over its tangent basis.
-    S may be a :class:`bcvgeo.immersion.SurfaceBatch`, with its centres on
-    axis 0, so one call covers several surfaces.
+    assumed.  The result has shape (3,) + the centre shape.  It reads only
+    the `gradient` stage, the shape operator at each centre and its 4
+    gradient-stencil points, 45 jets per centre in one call, with Ric(N)^T
+    expanded over the tangent basis at the centre.
     """
-    st = Stencil(CROSS, GRADIENT_STEP, u, v)
-    sh = shape_arrays(S, params, st.U, st.V)
+    st, sh = stages.gradient
     du, dv = st.d(sh.f, 1, 0), st.d(sh.f, 0, 1)
     c = _at(sh, 0)
     j = c.jet
     det = j.E * j.G - j.F * j.F
     grad_f = (j.G * du - j.F * dv) / det * j.au + (j.E * dv - j.F * du) / det * j.av
-    return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * _ricci_n_tangential(params, c)
+    ric = _ricci_n_tangential(stages.params, c)
+    return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * ric
 
 
-def normal_bitension(S, params, u, v):
-    """Delta f + f |A|^2 - f Ric(N, N) at (u, v), floats or arrays of one
-    shape.  One :func:`shape_arrays` call covers each point and the 8 points
-    of its Laplacian stencil; the entry at the point gives f, |A|^2 and N."""
-
-    def invariants(U, V):
-        """(f, |A|^2, Ric(N, N)) at (U, V), shape (3,) + U.shape."""
-        sh = shape_arrays(S, params, U, V)
-        (a00, a01), (a10, a11) = sh.A
-        return np.array([sh.f, a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11,
-                         ricci(params, sh.jet.n, sh.jet.n)])
-
-    (f, norm2, ric_nn), (lap, _, _) = surface_laplacian(S, params, u, v, invariants)
-    return lap + f * norm2 - f * ric_nn
+def normal_bitension(stages: Stages):
+    """Delta f + f |A|^2 - f Ric(N, N) at the centres of `stages`.  It reads
+    only the `laplacian` stage: the shape operator at each centre and the 8
+    points of its Laplacian stencil, 81 jets per centre, and the metric
+    over a CROSS stencil, 5 more."""
+    sh, delta = stages.laplacian
+    c = _at(sh, 0)
+    (a00, a01), (a10, a11) = c.A
+    norm2 = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    return delta(sh.f) + c.f * norm2 - c.f * ricci(stages.params, c.jet.n, c.jet.n)
 
 
-def frame_system_residual(S, params, u, v):
-    """The two adapted-frame biconservativity equations at (u, v).
+def frame_system_residual(stages: Stages):
+    """The two adapted-frame biconservativity equations at the centres.
 
     With f = lam + e1(a):
 
@@ -129,33 +113,22 @@ def frame_system_residual(S, params, u, v):
              - 2 (4 tau^2 - kappa) f cos(a) sin(a)
         R2 = 2 e1(f) (e2(a) - tau) + (3 lam + e1(a)) e2(f)
 
-    e1(a), e2(a) are directional differences of the angle field and
-    e_i(f) differences of the field lam + e1(a), so this route shares no
-    intermediate values with :func:`tangential_bitension_arrays`; the two
-    agree component-by-component (factor one), which the test suite pins
-    down.
-    The stages are batched as in :func:`bcvgeo.immersion.codazzi_residual`:
-    lam and the angle derivatives at each centre and its +-e1, +-e2 steps,
-    the angle at +-e1, +-e2 around each of those points.
+    e1(a), e2(a) and their derivatives come from the `angles` stage, and
+    e_i(lam) from lam at the +-e_i steps, the stages `lam_e1` and `lam_e2`.
+    So this route shares no intermediate values with
+    :func:`tangential_bitension_arrays`; the two agree component-by-component
+    (factor one), which the test suite pins down.
     """
-    jet = surface_jets(S, params, u, v)
-    frame = _adapted_frame(jet, u, v, "frame system")
-    alpha = alpha_field(S, params)
-
-    def lam_and_alpha_derivatives(U, V):
-        """(lam, e1(a), e2(a)) at (U, V), shape (3,) + U.shape."""
-        sh = shape_arrays(S, params, U, V)
-        _, d = directional_derivative(sh.jet, U, V, _adapted_frame(sh.jet, U, V, "frame system"),
-                                      alpha)
-        return np.array([sh.A[1][1], d[..., 0], d[..., 1]])
-
-    (lam, e1a, e2a), d = directional_derivative(jet, u, v, frame, lam_and_alpha_derivatives)
+    c, t = stages.centres, stages.steps[3]
+    (e1a, e2a), dea = _central(stages.angles, t)
+    lam = c.shape.A[1][1]
     f = lam + e1a
-    e1f, e2f = d[0, ..., 0] + d[1, ..., 0], d[0, ..., 1] + d[1, ..., 1]
-    k, t = params.kappa, params.tau
-    r1 = (e1f * (lam + 3.0 * e1a) + 2.0 * e2f * (e2a - t)
-          - 2.0 * (4.0 * t * t - k) * f * jet.cos_alpha * jet.sin_alpha)
-    r2 = 2.0 * e1f * (e2a - t) + (3.0 * lam + e1a) * e2f
+    e1f = derivative(stages.lam_e1, (1, -1), 1, t[..., 0]) + dea[0][..., 0]
+    e2f = derivative(stages.lam_e2, (1, -1), 1, t[..., 1]) + dea[0][..., 1]
+    k, tau = stages.params.kappa, stages.params.tau
+    r1 = (e1f * (lam + 3.0 * e1a) + 2.0 * e2f * (e2a - tau)
+          - 2.0 * (4.0 * tau * tau - k) * f * c.jet.cos_alpha * c.jet.sin_alpha)
+    r2 = 2.0 * e1f * (e2a - tau) + (3.0 * lam + e1a) * e2f
     return r1, r2
 
 

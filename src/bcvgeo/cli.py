@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from . import __version__, biconservative as bic, rotation as rot
+from . import __version__, biconservative as bic, immersion as imm, rotation as rot
 from ._spline import CubicSpline
 from .ambient import BcvParams
 from .errors import BcvError, DomainError
@@ -243,7 +243,8 @@ def _cmd_mesh(args, parser) -> int:
     try:
         # one batched call per grid row: u fixed, all v
         for i, u in enumerate(us):
-            tb[i] = np.linalg.norm(bic.tangential_bitension_arrays(surface, params, u, vs), axis=0)
+            tb[i] = np.linalg.norm(
+                bic.tangential_bitension_arrays(imm.Stages(surface, params, u, vs)), axis=0)
             verts.extend(surface.coords(u, vs).T)
     except BcvError as exc:
         print(f"mesh aborted, no output written: {exc}", file=sys.stderr)

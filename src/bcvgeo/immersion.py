@@ -17,30 +17,30 @@ one jet call over the centres and their 8 normal-stencil points.  Each chart
 stencil is a :class:`bcvgeo._stencil.Stencil` at its step constant below.
 
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
-f = tr A, the surface Laplacian of chart fields, and residual evaluators for
-the structural identities every immersed surface must satisfy
-(intrinsic-vs-extrinsic curvature, the two scalar compatibility equations
-of the adapted frame, and the derivative law of T).  All surface
-derivatives are finite differences along the chart; nothing requires
-symbolic input from chart authors.
+f = tr A, and residual evaluators for the structural identities every
+immersed surface must satisfy (intrinsic-vs-extrinsic curvature, the two
+scalar compatibility equations of the adapted frame, the derivative law of
+T and the surface connection).  All surface derivatives are finite
+differences along the chart; nothing requires symbolic input from chart
+authors.
 
-The residual evaluators take (u, v) as floats or as arrays of one shape and
-return arrays of that shape, with vectors in frame components as in
-:class:`JetArrays`.  Nested derivatives are built in stages, one batched
-call per stage however many points are given: :func:`directional_derivative`,
-the one finite difference of a chart field along tangent vectors, calls its
-field once on every point and its forward and backward chart steps, and a
-field may itself be such a derivative.  The structural residuals take only
-the :class:`Stages` of their centres (u, v), which they share:
+Every surface oracle, here and in :mod:`bcvgeo.biconservative`, is a
+residual of one :class:`Stages` of its centres (u, v), floats or arrays of
+one shape, and returns arrays of that shape, with vectors in frame
+components as in :class:`JetArrays`.  Each stage is one batched jet call
+(two for the Laplacian), made on first read and shared by every residual
+that reads it:
 
-1. the WIDE normal stencil and the NINE Brioschi stencil of each centre,
-   one jet call, give the centre jet, the shape operator, K and the
-   Christoffel symbols, for Gauss, Codazzi and the law of T;
-2. each centre and its +-e1, +-e2 steps, one jet call, give the law of T
-   along e2 and the points of the next two stages;
-3. +-e1, +-e2 around each point of stage 2 give the angle derivatives of
-   :func:`codazzi_residual`;
-4. the shape operator at the +-e1 steps gives its e1(lam).
+1. `centres`: the centre jet, shape operator, Brioschi K and Christoffel
+   symbols, from each centre's WIDE normal and NINE Brioschi stencils;
+2. `steps`: the jets at each centre and its +-e1, +-e2 steps (:func:`_steps`);
+3. `angles`: e1(a) and e2(a) at each point of `steps`, from +-e1, +-e2
+   around it;
+4. `lam_e1`, `lam_e2`: lam = A(e2, e2) at the +-e1 and at the +-e2 steps;
+5. `gradient`: the shape operator over each centre's CROSS stencil, for
+   grad f in the tangential bitension, which reads no other stage;
+6. `laplacian`: the shape operator over each centre's NINE stencil and the
+   metric over its CROSS stencil, for Delta f in the normal bitension.
 
 A stage that needs the adapted frame raises DegenerateSurfaceError naming
 the first (u, v), in C order, where sin(alpha) <= EPS_ALPHA.
@@ -85,10 +85,6 @@ __all__ = [
     "shape_arrays",
     "surface_jet",
     "shape_operator",
-    "alpha_field",
-    "directional_derivative",
-    "surface_laplacian",
-    "brioschi_curvature",
     "Stages",
     "gauss_residual",
     "codazzi_residual",
@@ -104,6 +100,9 @@ CHART_STEP = 1e-5        # central differences of a chart without analytic parti
 NORMAL_STEP = 1e-4       # fourth-order differences of the normal for the shape operator
 DIRECTIONAL_STEP = 1e-4  # first derivatives along tangent vectors and of the metric
 SECOND_STEP = 1e-3       # second partials of the fundamental form (Brioschi)
+# chart partials of the mean curvature; wider than the directional step, as a
+# small step would amplify the finite-difference jitter of the mean curvature
+GRADIENT_STEP = 1e-3
 LAPLACIAN_STEP = 5e-3    # the widest: field jitter grows as 1/h^2 in second differences
 
 DEFAULT_FD = None   # not used by bcvgeo: the benchmark tracer imports the name
@@ -376,35 +375,16 @@ def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays
     return shape_arrays(S, params, u, v)
 
 
-def alpha_field(S, params):
-    """Angle function alpha(u, v) = arccos g(E3, N), a chart field on floats
-    or arrays of one shape."""
-    return lambda u, v: np.arccos(surface_jets(S, params, u, v).cos_alpha)
-
-
-def directional_derivative(jet: JetArrays, u, v, W, field):
-    """A chart field and its derivatives along tangent vectors, at points (u, v).
-
-    `jet` is the :func:`surface_jets` of the points, of shape P, and W, of
-    shape (3,) + P + (k,), holds k tangent vectors per point in frame
-    components.  With W = xi X_u + eta X_v (Cramer's rule on I), the chart
-    line (u + s xi, v + s eta) has velocity W at s = 0, so the central
-    difference over s = +-t, t = DIRECTIONAL_STEP / max(1, |xi|, |eta|),
-    converges to W(field).
-
-    `field` is called once, with arrays U, V of shape P + (1 + 2k,): each
-    point, its k forward steps, then its k backward steps; it returns values
-    of shape Q + U.shape for any leading shape Q (a nested field batches its
-    own stencil the same way).  Returns the field at the points, shape
-    Q + P, and W(field), shape Q + P + (k,).
-    """
-    U, V, t = _steps(jet, u, v, W)
-    return _central(field(U, V), t)
-
-
 def _steps(jet, u, v, W):
-    """The points of :func:`directional_derivative`, U and V of shape
-    P + (1 + 2k,), and its steps t, of shape P + (k,)."""
+    """Each point (u, v) of shape P and its forward and backward steps along
+    the k tangent vectors W, of shape (3,) + P + (k,) in frame components.
+
+    With W = xi X_u + eta X_v (Cramer's rule on I), the chart line
+    (u + s xi, v + s eta) has velocity W at s = 0, so the central
+    difference over s = +-t, t = DIRECTIONAL_STEP / max(1, |xi|, |eta|),
+    converges to the derivative along W.  Returns U and V of shape
+    P + (1 + 2k,): each point, its k forward steps, then its k backward
+    steps; and the steps t, of shape P + (k,)."""
     E, F, G = (np.expand_dims(a, -1) for a in (jet.E, jet.F, jet.G))
     r0 = frame_dot(W, np.expand_dims(jet.au, -1))
     r1 = frame_dot(W, np.expand_dims(jet.av, -1))
@@ -417,56 +397,40 @@ def _steps(jet, u, v, W):
 
 
 def _central(vals, t):
-    """Values at the points of :func:`_steps` -> (value at each point,
-    central differences along its k vectors)."""
+    """Values of shape Q + P + (1 + 2k,) at the points of :func:`_steps` ->
+    (value at each point, shape Q + P; central differences along its k
+    vectors, shape Q + P + (k,))."""
     k = t.shape[-1]
     return vals[..., 0], derivative((vals[..., 1:k + 1], vals[..., k + 1:]), (1, -1), 1, t)
 
 
-def surface_laplacian(S, params, u, v, field):
-    """A chart field and its surface Laplacian, Delta = -div grad, at (u, v).
+def _laplacian(st, mst, J, f):
+    """Delta f = -div grad f at the centres of the NINE stencil st, from the
+    field values f, of shape Q + st.U.shape, over st and the jets J over the
+    CROSS stencil mst of the same centres; returns shape Q + the centre shape.
 
     Divergence form expanded as
         div grad f = I^{ij} d2_ij f + c^j d_j f,
-        c^j = (1 / sqrt(det I)) d_i (sqrt(det I) I^{ij});
-    the field is differenced over the NINE stencil at LAPLACIAN_STEP, the
-    metric coefficients over one jet call on the CROSS stencil at
-    DIRECTIONAL_STEP.
-
-    u and v are floats or arrays of one shape P.  As in
-    :func:`directional_derivative`, `field` is called once, with arrays U, V
-    of shape P + (9,): each point, (u +- hu, v), (u, v +- hv), then the four
-    diagonal points; it returns values of shape Q + U.shape.  Returns the
-    field at the points and its Laplacian, each of shape Q + P.
+        c^j = (1 / sqrt(det I)) d_i (sqrt(det I) I^{ij}),
+    with the metric coefficients differenced over mst.
     """
-    st = Stencil(NINE, LAPLACIAN_STEP, u, v)
-    f = field(st.U, st.V)
-    mst = Stencil(CROSS, DIRECTIONAL_STEP, u, v)
-    J = surface_jets(S, params, mst.U, mst.V)
     det = J.E * J.G - J.F * J.F
     M = np.array([[J.G, -J.F], [-J.F, J.E]]) / np.sqrt(det)   # sqrt(det I) I^{-1}
     Iinv = M[..., 0] / np.sqrt(det[..., 0])
     c = (mst.d(M[0], 1, 0) + mst.d(M[1], 0, 1)) / np.sqrt(det[..., 0])
-
     div = (Iinv[0, 0] * st.d(f, 2, 0) + (Iinv[0, 1] + Iinv[1, 0]) * st.d(f, 1, 1)
            + Iinv[1, 1] * st.d(f, 0, 2) + c[0] * st.d(f, 1, 0) + c[1] * st.d(f, 0, 1))
-    return f[..., 0], -div
-
-
-def brioschi_curvature(S, params, u, v):
-    """Intrinsic Gauss curvature from the first fundamental form alone.
-
-    Second central differences of (E, F, G) feed the Brioschi determinant
-    formula, giving a route to K that never sees the normal or the shape
-    operator.  One jet call covers every point (u, v) and its 8 stencil
-    points.
-    """
-    st = Stencil(NINE, SECOND_STEP, u, v)
-    return _brioschi(st, surface_jets(S, params, st.U, st.V))
+    return -div
 
 
 def _brioschi(st, J):
-    """:func:`brioschi_curvature` from the jets J over the NINE stencil st."""
+    """Intrinsic Gauss curvature from the first fundamental form alone, at
+    the centres of the NINE stencil st from the jets J over it.
+
+    Second central differences of (E, F, G) feed the Brioschi determinant
+    formula, giving a route to K that never sees the normal or the shape
+    operator.
+    """
     E0, F0, G0 = J.E[..., 0], J.F[..., 0], J.G[..., 0]
     Eu, Ev, Evv = st.d(J.E, 1, 0), st.d(J.E, 0, 1), st.d(J.E, 0, 2)
     Gu, Gv, Guu = st.d(J.G, 1, 0), st.d(J.G, 0, 1), st.d(J.G, 2, 0)
@@ -487,53 +451,95 @@ def _brioschi(st, J):
     return (det1 - det2) / den
 
 
-Centres = namedtuple("Centres", "u v jet shape K gamma")
+Centres = namedtuple("Centres", "jet shape K gamma")
 
 
 class Stages:
-    """The stages of the structural residuals at centres (u, v), shared by
-    :func:`gauss_residual`, :func:`codazzi_residual` and
-    :func:`compatibility_residual`.
+    """The finite-difference stages of every surface oracle at centres (u, v),
+    as listed in the module docstring.  Each stage is a cached property,
+    evaluated on first read and shared by every residual that reads it, so
+    a residual costs only the stages no earlier residual has read.
 
-    Stage 1, on construction, is one jet call over each centre's WIDE normal
-    and NINE Brioschi stencils, which share the centre.  It gives `centres`:
-    (u, v), their jet, shape operator, Brioschi curvature K and Christoffel
-    symbols.  Stage 2, on first use of `steps`, is one jet call over each
-    centre and its +-e1, +-e2 steps.  :meth:`at` restricts stage 1 to a
-    mask of centres, so the later stages are evaluated there alone.  For a
-    :class:`SurfaceBatch` S each stage is one jet call over all members;
-    :meth:`at` restricts S to each member's kept rows.  The residuals read
-    their surface, parameters and centres from the stages alone.
+    :meth:`at` restricts `centres` to a mask of centres, so the later
+    stages are evaluated there alone.  For a :class:`SurfaceBatch` S each
+    stage is one jet call over all members; :meth:`at` restricts S to each
+    member's kept rows.  The residuals read their surface, parameters and
+    centres from the stages alone.
     """
 
     def __init__(self, S: ParametricSurface, params: BcvParams, u, v):
-        self.S, self.params = S, params
-        wide, nine = Stencil(WIDE, NORMAL_STEP, u, v), Stencil(NINE, SECOND_STEP, u, v)
-        J = surface_jets(S, params, np.concatenate([wide.U, nine.U[..., 1:]], axis=-1),
-                         np.concatenate([wide.V, nine.V[..., 1:]], axis=-1))
-        c = _at(J, 0)
-        gamma = christoffels(params, c.x, c.y)
-        w = len(WIDE)
-        shape = _shape(params, wide, _at(J, slice(0, w)), gamma)
-        K = _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)]))
-        self.centres = Centres(u, v, c, shape, K, gamma)
+        self.S, self.params, self.u, self.v = S, params, u, v
 
     def at(self, mask):
         """These stages at the centres where `mask` holds."""
-        sub = object.__new__(Stages)
-        sub.S = self.S.at(mask) if isinstance(self.S, SurfaceBatch) else self.S
-        sub.params, sub.centres = self.params, _at(self.centres, mask)
+        S = self.S.at(mask) if isinstance(self.S, SurfaceBatch) else self.S
+        u, v = np.broadcast_arrays(np.asarray(self.u, dtype=float), np.asarray(self.v, dtype=float))
+        sub = Stages(S, self.params, u[mask], v[mask])
+        sub.centres = _at(self.centres, mask)
         return sub
 
     @cached_property
+    def centres(self):
+        """(jet, shape, K, gamma) at the centres: one jet call over the WIDE
+        and NINE stencils of each centre, 17 points."""
+        wide, nine = (Stencil(WIDE, NORMAL_STEP, self.u, self.v),
+                      Stencil(NINE, SECOND_STEP, self.u, self.v))
+        J = surface_jets(self.S, self.params, np.concatenate([wide.U, nine.U[..., 1:]], axis=-1),
+                         np.concatenate([wide.V, nine.V[..., 1:]], axis=-1))
+        c = _at(J, 0)
+        gamma = christoffels(self.params, c.x, c.y)
+        w = len(WIDE)
+        shape = _shape(self.params, wide, _at(J, slice(0, w)), gamma)
+        return Centres(c, shape, _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)])), gamma)
+
+    @cached_property
     def steps(self):
-        """Stage 2: (frame, U, V, t, J), the adapted frame at the centres,
-        the points (U, V) of each centre, its +e1, +e2 and its -e1, -e2
-        steps on a last axis of length 5, the steps t and the jets there."""
-        c = self.centres
-        frame = _adapted_frame(c.jet, c.u, c.v, "compatibility residuals")
-        U, V, t = _steps(c.jet, c.u, c.v, frame)
+        """(frame, U, V, t, J): the adapted frame at the centres, the points
+        (U, V) of each centre, its +e1, +e2 and its -e1, -e2 steps on a
+        last axis of length 5, the steps t and the jets there."""
+        frame = _adapted_frame(self.centres.jet, self.u, self.v, "stepping along e1, e2")
+        U, V, t = _steps(self.centres.jet, self.u, self.v, frame)
         return frame, U, V, t, surface_jets(self.S, self.params, U, V)
+
+    @cached_property
+    def angles(self):
+        """(e1(a), e2(a)) at the points of `steps`, shape (2,) + their shape."""
+        _, U, V, _, J = self.steps
+        U, V, t = _steps(J, U, V, _adapted_frame(J, U, V, "alpha derivative"))
+        _, da = _central(np.arccos(surface_jets(self.S, self.params, U, V).cos_alpha), t)
+        return np.moveaxis(da, -1, 0)
+
+    @cached_property
+    def lam_e1(self):
+        """lam at the +e1 and -e1 steps, shape (2,) + the centre shape."""
+        _, U, V, _, _ = self.steps
+        lam = shape_arrays(self.S, self.params, U[..., [1, 3]], V[..., [1, 3]]).A[1][1]
+        return np.moveaxis(lam, -1, 0)
+
+    @cached_property
+    def lam_e2(self):
+        """lam at the +e2 and -e2 steps, shape (2,) + the centre shape."""
+        _, U, V, _, _ = self.steps
+        lam = shape_arrays(self.S, self.params, U[..., [2, 4]], V[..., [2, 4]]).A[1][1]
+        return np.moveaxis(lam, -1, 0)
+
+    @cached_property
+    def gradient(self):
+        """(st, sh): the CROSS stencil st at GRADIENT_STEP and the shape
+        arrays sh at its points, 45 jets per centre."""
+        st = Stencil(CROSS, GRADIENT_STEP, self.u, self.v)
+        return st, shape_arrays(self.S, self.params, st.U, st.V)
+
+    @cached_property
+    def laplacian(self):
+        """(sh, delta): the shape arrays sh over the NINE stencil at
+        LAPLACIAN_STEP, and delta, which takes field values over that
+        stencil to their Laplacian at the centres (:func:`_laplacian`)."""
+        st = Stencil(NINE, LAPLACIAN_STEP, self.u, self.v)
+        mst = Stencil(CROSS, DIRECTIONAL_STEP, self.u, self.v)
+        sh = shape_arrays(self.S, self.params, st.U, st.V)
+        J = surface_jets(self.S, self.params, mst.U, mst.V)
+        return sh, lambda f: _laplacian(st, mst, J, f)
 
 
 def gauss_residual(stages: Stages):
@@ -541,7 +547,7 @@ def gauss_residual(stages: Stages):
 
     K is the intrinsic (Brioschi) curvature, det A the extrinsic one; the
     residual vanishes on genuine immersed surfaces, making this a two-sided
-    check of both curvature routes, read from stage 1 of `stages`.
+    check of both curvature routes, read from the `centres` stage.
     """
     c = stages.centres
     (a00, a01), (a10, a11) = c.shape.A
@@ -582,22 +588,17 @@ def codazzi_residual(stages: Stages):
 
     Both vanish identically on immersed surfaces; the derivatives here are
     nested directional finite differences, so the residuals measure the
-    whole jet/shape pipeline at once.  Past stages 1 and 2, two jet calls
-    remain: the angle around each point of stage 2, and the shape operator
-    at the +-e1 steps for e1(lam).
+    whole jet/shape pipeline at once.  They read the stages `centres`,
+    `steps`, `angles` and `lam_e1`.
     """
-    S, params, c = stages.S, stages.params, stages.centres
-    _, U, V, t, J = stages.steps
-    _, da = directional_derivative(J, U, V, _adapted_frame(J, U, V, "alpha derivative"),
-                                   alpha_field(S, params))
+    c, t = stages.centres, stages.steps[3]
     # dea[i][..., j] = e_j(e_i(a))
-    (e1a, e2a), dea = _central(np.moveaxis(da, -1, 0), t)
+    (e1a, e2a), dea = _central(stages.angles, t)
     lam = c.shape.A[1][1]
-    lam_e1 = shape_arrays(S, params, U[..., [1, 3]], V[..., [1, 3]]).A[1][1]   # at +-e1
-    e1_lam = derivative((lam_e1[..., 0], lam_e1[..., 1]), (1, -1), 1, t[..., 0])
+    e1_lam = derivative(stages.lam_e1, (1, -1), 1, t[..., 0])
     e1_e2a, e2_e1a, e2_e2a = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1]
 
-    k, tau = params.kappa, params.tau
+    k, tau = stages.params.kappa, stages.params.tau
     cot = c.jet.cos_alpha / c.jet.sin_alpha
     r1 = e1_e2a + lam * cot * e2a + cot * e1a * (e2a - 2.0 * tau) - e2_e1a
     r2 = (cot * (2.0 * e2a * e2a - lam * e1a - 6.0 * tau * e2a + 4.0 * tau * tau + lam * lam)
@@ -605,34 +606,30 @@ def codazzi_residual(stages: Stages):
     return r1, r2
 
 
-def compatibility_residual(stages: Stages, W=None):
-    """Residuals of the derivative law of T along tangent vectors W at the centres.
+def compatibility_residual(stages: Stages):
+    """Residuals of the derivative law of T along e1 and e2 at the centres.
 
-    W holds one tangent vector per centre, in frame components of shape
-    (3,) + the centre shape, by default the adapted e2 = JT / sin(a).
-    Returns (vector, scalar):
+    For W = e1 and W = e2, on a last axis of length 2, returns (vector,
+    scalar):
         vector = (nabla_W T)^tangential - cos(a) (A W - tau J W)
         scalar = g(A W - tau J W, T) + W(cos a)
     with the vector in frame components.  Both vanish on immersed surfaces.
-    T and cos(a) are differenced together along W from one jet batch, which
-    along e2 is part of stage 2.
+    T and cos(a) are differenced together from the jets of `steps`.
     """
-    S, params, c = stages.S, stages.params, stages.centres
-    if W is None:
-        frame, _, _, t, J = stages.steps
-        W, t, J = frame[..., 1], t[..., 1:], _at(J, [0, 2, 4])   # the centre and +-e2
-    else:
-        U, V, t = _steps(c.jet, c.u, c.v, np.expand_dims(W, -1))
-        J = surface_jets(S, params, U, V)
+    params = stages.params
+    frame, _, _, t, J = stages.steps
     vals, d = _central(np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,)), t)
-    nabla_T = _tangential_covariant(params, c.jet, c.gamma, W, vals[:3], d[:3, ..., 0])
-    rhs = c.shape.apply(W) - params.tau * np.array(frame_cross(c.jet.n, W))
-    return nabla_T - c.jet.cos_alpha * rhs, frame_dot(rhs, c.jet.T) + d[3, ..., 0]
+    # the centre values, with a last axis to broadcast against (e1, e2)
+    jet, shape, gamma, vals = _at((stages.centres.jet, stages.centres.shape,
+                                   stages.centres.gamma, vals), None)
+    nabla_T = _tangential_covariant(params, jet, gamma, frame, vals[:3], d[:3])
+    rhs = shape.apply(frame) - params.tau * np.array(frame_cross(jet.n, frame))
+    return nabla_T - jet.cos_alpha * rhs, frame_dot(rhs, jet.T) + d[3]
 
 
-def surface_connection_residual(S, params, u, v):
+def surface_connection_residual(stages: Stages):
     """Max deviation of the adapted-frame surface connection from its
-    closed form, at (u, v):
+    closed form, at the centres:
 
         nabla_e1 e1 =  cot(a) (e2(a) - 2 tau) e2
         nabla_e2 e1 =  lam cot(a) e2
@@ -640,36 +637,29 @@ def surface_connection_residual(S, params, u, v):
         nabla_e2 e2 = -lam cot(a) e1
 
     where nabla is the tangential projection of the ambient derivative,
-    computed by finite differences of the adapted frame fields over each
-    centre and its +-e1, +-e2 steps.
+    computed by finite differences of the adapted frame fields over the
+    points of `steps`.
     """
-    jet = surface_jets(S, params, u, v)
-    what = "surface connection check"
-    frame = _adapted_frame(jet, u, v, what)
-
-    def frame_coords(U, V):
-        """Coordinate components of (e1, e2) at (U, V), shape (3, 2) + U.shape."""
-        J = surface_jets(S, params, U, V)
-        e = np.moveaxis(_adapted_frame(J, U, V, what), -1, 1)
-        return np.array(coordinate_components(params, J.x, J.y, e))
-
+    params, c = stages.params, stages.centres
+    frame, U, V, t, J = stages.steps
+    e = np.moveaxis(_adapted_frame(J, U, V, "surface connection check"), -1, 1)
     # de[:, j, ..., i] = d_{e_i} e_j
-    e0, de = directional_derivative(jet, u, v, frame, frame_coords)
-    _, e2a = directional_derivative(jet, u, v, frame[..., 1:], alpha_field(S, params))
-    lam = shape_arrays(S, params, u, v).A[1][1]
-    gamma = christoffels(params, jet.x, jet.y)
-    t = params.tau
-    cot = jet.cos_alpha / jet.sin_alpha
+    e0, de = _central(np.array(coordinate_components(params, J.x, J.y, e)), t)
+    e2a = stages.angles[1][..., 0]
+    lam = c.shape.A[1][1]
+    tau = params.tau
+    cot = c.jet.cos_alpha / c.jet.sin_alpha
     e1, e2 = frame[..., 0], frame[..., 1]
     closed = {
-        (0, 0): cot * (e2a[..., 0] - 2.0 * t) * e2,
+        (0, 0): cot * (e2a - 2.0 * tau) * e2,
         (1, 0): lam * cot * e2,
-        (0, 1): -cot * (e2a[..., 0] - 2.0 * t) * e1,
+        (0, 1): -cot * (e2a - 2.0 * tau) * e1,
         (1, 1): -lam * cot * e1,
     }
     worst = 0.0
     for (i, j), expect in closed.items():
-        got = _tangential_covariant(params, jet, gamma, frame[..., i], e0[:, j], de[:, j, ..., i])
+        got = _tangential_covariant(params, c.jet, c.gamma, frame[..., i], e0[:, j],
+                                    de[:, j, ..., i])
         diff = got - expect
         worst = np.maximum(worst, np.sqrt(np.maximum(frame_dot(diff, diff), 0.0)))
     return worst

@@ -75,7 +75,6 @@ __all__ = [
     "branch_residuals",
     "integrate_noncmc_branch",
     "refine_sign_change",
-    "observed_order",
     "hopf_cylinder",
     "hopf_tube",
     "revolution_surface",
@@ -266,10 +265,9 @@ class IntegrationConfig:
     """Fixed-step RK4 settings for branch trajectories.
 
     There is no adaptive control, so trajectories are reproducible
-    bit-for-bit; :func:`observed_order` measures the integrator's order.
-    Every trajectory cross-validates the closed-form f' against the
-    fourth-order 5-point central difference of the recorded f column and
-    aborts on disagreement.  That stencil's truncation error is
+    bit-for-bit.  Every trajectory cross-validates the closed-form f'
+    against the fourth-order 5-point central difference of the recorded f
+    column and aborts on disagreement.  That stencil's truncation error is
     h^4 f^(5) / 30, which grows like 1/r^6; the check only applies to rows
     with r >= FD_CHECK_R_FLOOR, where at the default step the truncation
     stays about four orders of magnitude under FD_CHECK_TOL, so any excess
@@ -405,24 +403,6 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
         else:
             lo, flo = mid, fm
     return s0 + 0.5 * (lo + hi)
-
-
-def observed_order(params: BcvParams, init: ProfileState, base_step: float,
-                   s_end: float) -> float:
-    """Richardson estimate of the integrator's convergence order.
-
-    Compares final states of runs at h, h/2, h/4 over [0, s_end]:
-    order = log2(|y_h - y_{h/2}| / |y_{h/2} - y_{h/4}|).
-    """
-    finals = []
-    for k in range(3):
-        h = base_step / 2 ** k
-        cfg = IntegrationConfig(step=h, max_steps=int(round(s_end / h)) + 2, s_max=s_end)
-        traj = integrate_noncmc_branch(params, init, cfg)
-        finals.append(traj.data[-1, 1:4])
-    d1 = float(np.max(np.abs(finals[0] - finals[1])))
-    d2 = float(np.max(np.abs(finals[1] - finals[2])))
-    return math.log2(d1 / d2)
 
 
 # ---------------------------------------------------------------------------

@@ -192,15 +192,16 @@ def _structural_checks(params: BcvParams):
     structural surfaces, and the number of grid points.
 
     All grids are one :class:`bcvgeo.immersion.SurfaceBatch`, so one
-    :class:`bcvgeo.immersion.Stages` evaluation serves every surface and
-    every residual: stage 1, one jet call over every point's normal and
-    Brioschi stencils, gives the jet, Gauss and the centre shape operator
-    and Christoffel symbols of Codazzi and the derivative law of T; stage 2,
-    one jet call over the +-e1, +-e2 steps, serves Codazzi and the law of T
-    along e2.  Codazzi and the law of T are evaluated only where the
-    adapted frame is well conditioned (sin(alpha) > 0.1, |cot(alpha)| <
-    10), so the later stages of a skipped point are never evaluated; where
-    no point is kept, those two checks have no values.
+    :class:`bcvgeo.immersion.Stages` serves every surface and every
+    residual: its `centres`, one jet call over every point's normal and
+    Brioschi stencils, give the jet, Gauss and the centre shape operator
+    and Christoffel symbols of Codazzi and the derivative law of T; its
+    `steps`, one jet call over the +-e1, +-e2 steps, serve Codazzi and the
+    law of T, of which the suite reads the e2 column.  Codazzi and the law
+    of T are evaluated only where the adapted frame is well conditioned
+    (sin(alpha) > 0.1, |cot(alpha)| < 10), so the later stages of a skipped
+    point are never evaluated; where no point is kept, those two checks
+    have no values.
     """
     batch, U, V = _batch([(S, *np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
                           for S, nu, nv in _structural_surfaces(params)])
@@ -218,7 +219,7 @@ def _structural_checks(params: BcvParams):
     if ok.any():
         sub = stages.at(ok)
         codazzi = np.abs(imm.codazzi_residual(sub))
-        vec, sc = imm.compatibility_residual(sub)
+        vec, sc = (r[..., 1] for r in imm.compatibility_residual(sub))   # along e2
         compat = (np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)), np.abs(sc))
     return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
             Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], U.size
@@ -235,7 +236,8 @@ def _bitension_norms(params: BcvParams, grids):
     if not grids:
         return np.zeros(0)
     batch, u, v = _batch(grids)
-    return np.linalg.norm(bic.tangential_bitension_arrays(batch, params, u, v), axis=0)
+    return np.linalg.norm(bic.tangential_bitension_arrays(imm.Stages(batch, params, u, v)),
+                          axis=0)
 
 
 def _suite_biconservative(params: BcvParams, rng) -> dict:

@@ -10,7 +10,8 @@ import numpy as np
 from bcvgeo._stencil import derivative
 from bcvgeo.ambient import BcvParams, christoffels, smoothing_factor
 from bcvgeo.errors import DomainError
-from bcvgeo.rotation import BranchTrajectory, ProfileState, _check_radius, spline_profile_columns
+from bcvgeo.rotation import (BranchTrajectory, IntegrationConfig, ProfileState, _check_radius,
+                             integrate_noncmc_branch, spline_profile_columns)
 
 CURVE_STEP = 1e-5     # differences of a base curve, scaled by max(1, |u|)
 
@@ -109,3 +110,21 @@ def base_geodesic_curvature(params: BcvParams, curve, u: float, normal2,
     h_acc_n = float(acc @ n) / (F * F)
     h_dd = float(d @ d) / (F * F)
     return h_acc_n / h_dd
+
+
+def observed_order(params: BcvParams, init: ProfileState, base_step: float,
+                   s_end: float) -> float:
+    """Richardson estimate of the integrator's convergence order.
+
+    Compares final states of runs at h, h/2, h/4 over [0, s_end]:
+    order = log2(|y_h - y_{h/2}| / |y_{h/2} - y_{h/4}|).
+    """
+    finals = []
+    for k in range(3):
+        h = base_step / 2 ** k
+        cfg = IntegrationConfig(step=h, max_steps=int(round(s_end / h)) + 2, s_max=s_end)
+        traj = integrate_noncmc_branch(params, init, cfg)
+        finals.append(traj.data[-1, 1:4])
+    d1 = float(np.max(np.abs(finals[0] - finals[1])))
+    d2 = float(np.max(np.abs(finals[1] - finals[2])))
+    return math.log2(d1 / d2)

@@ -100,6 +100,15 @@ class TestSmoothingFactor:
         with pytest.raises(DomainError):
             christoffels(P, 1.0, 0.0)
 
+    def test_singular_metric_rejected(self):
+        # F = 2.5e307: 1/F^2 underflows, so g would have rank 1; the error
+        # names the first such point
+        P = BcvParams(1e308, 0.5)
+        with pytest.raises(DomainError, match=r"singular at \(x, y\) = \(1, 0\)"):
+            metric_matrix(P, np.array([0.0, 1.0]), 0.0)
+        with pytest.raises(DomainError, match="singular"):
+            christoffels(P, 1.0, 0.0)
+
     @given(st.floats(-10, 10), st.floats(allow_nan=False, allow_infinity=False),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from bcvgeo.biconservative import (
     tangential_bitension_arrays,
 )
 from bcvgeo.errors import DegenerateSurfaceError
-from bcvgeo.immersion import shape_arrays, surface_jets
+from bcvgeo.immersion import Stages, shape_arrays, surface_jets
 from bcvgeo.rotation import (
     ellipse_curve,
     generic_revolution_surface,
@@ -84,28 +84,28 @@ class TestRicciTangential:
 class TestTangentialBitension:
     def test_minimal_surfaces_vanish(self):
         # plane (f = 0, grad f = 0)
-        tb = tangential_bitension_arrays(flat_plane(), P_FLAT, 0.1, 0.2)
+        tb = tangential_bitension_arrays(Stages(flat_plane(), P_FLAT, 0.1, 0.2))
         assert frame_norm(tb) < 1e-8
         # vertical cylinder over a radial geodesic of the positively curved base
         P = BcvParams(1.0, 0.5)
         tube = hopf_tube(P, *line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
         assert abs(shape_arrays(tube, P, 0.6, 0.3).f) < 1e-8
-        assert frame_norm(tangential_bitension_arrays(tube, P, 0.6, 0.3)) < 1e-6
+        assert frame_norm(tangential_bitension_arrays(Stages(tube, P, 0.6, 0.3))) < 1e-6
 
     @pytest.mark.parametrize("params", CYLINDER_PAIRS, ids=str)
     def test_vertical_cylinders_conservative(self, params):
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(params, r0)
             for u, v in [(0.4, -0.5), (2.8, 0.3)]:
-                assert frame_norm(tangential_bitension_arrays(S, params, u, v)) < 1e-6
+                assert frame_norm(tangential_bitension_arrays(Stages(S, params, u, v))) < 1e-6
 
     def test_space_form_cmc_conservative(self):
         S = hopf_cylinder(P_FORM, 0.5)
-        assert frame_norm(tangential_bitension_arrays(S, P_FORM, 0.8, 0.2)) < 1e-6
+        assert frame_norm(tangential_bitension_arrays(Stages(S, P_FORM, 0.8, 0.2))) < 1e-6
 
     def test_nonconstant_curvature_tube_is_not(self):
         tube = hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0))
-        vals = [frame_norm(tangential_bitension_arrays(tube, P_NIL, u, 0.1))
+        vals = [frame_norm(tangential_bitension_arrays(Stages(tube, P_NIL, u, 0.1)))
                 for u in np.linspace(0.0, 2 * math.pi, 13)]
         assert max(vals) > 1e-3
 
@@ -115,13 +115,13 @@ class TestTangentialBitension:
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-0.3, 1.3)
             jet = surface_jets(S, P_NIL, u, v)
-            tb = tangential_bitension_arrays(S, P_NIL, u, v)
+            tb = tangential_bitension_arrays(Stages(S, P_NIL, u, v))
             assert abs(frame_dot(tb, jet.n)) < 1e-8
 
 
 class TestNormalBitension:
     def test_plane_zero(self):
-        assert abs(normal_bitension(flat_plane(), P_FLAT, 0.1, 0.2)) < 1e-10
+        assert abs(normal_bitension(Stages(flat_plane(), P_FLAT, 0.1, 0.2))) < 1e-10
 
     @pytest.mark.parametrize("params", CYLINDER_PAIRS, ids=str)
     def test_cylinder_closed_form(self, params):
@@ -129,17 +129,19 @@ class TestNormalBitension:
             S = hopf_cylinder(params, r0)
             sh = shape_arrays(S, params, 0.8, 0.2)
             expected = sh.f * (sh.A[1][1] ** 2 + 4 * params.tau ** 2 - params.kappa)
-            assert normal_bitension(S, params, 0.8, 0.2) == pytest.approx(expected, abs=1e-5)
+            got = normal_bitension(Stages(S, params, 0.8, 0.2))
+            assert got == pytest.approx(expected, abs=1e-5)
 
     def test_round_sphere_value(self):
         S = sphere_surface(1.0)
         assert shape_arrays(S, P_FLAT, 1.1, 0.8).f == pytest.approx(2.0, abs=1e-8)
-        assert normal_bitension(S, P_FLAT, 1.1, 0.8) == pytest.approx(4.0, abs=1e-5)
+        assert normal_bitension(Stages(S, P_FLAT, 1.1, 0.8)) == pytest.approx(4.0, abs=1e-5)
 
     def test_sphere_radius_scaling(self):
         R = 2.0
         S = sphere_surface(R)
-        assert normal_bitension(S, P_FLAT, 1.1, 0.8) == pytest.approx(4.0 / R ** 3, abs=1e-5)
+        got = normal_bitension(Stages(S, P_FLAT, 1.1, 0.8))
+        assert got == pytest.approx(4.0 / R ** 3, abs=1e-5)
 
     @pytest.mark.parametrize("surface,params", [
         (hopf_cylinder(P_NIL, 1.0), P_NIL),
@@ -150,22 +152,23 @@ class TestNormalBitension:
         (u0, u1), (v0, v1) = surface.domain
         U, V = np.meshgrid(np.linspace(u0 + 0.1, u1 - 0.1, 4), np.linspace(v0 + 0.1, v1 - 0.1, 3),
                            indexing="ij")
-        grid = normal_bitension(surface, params, U, V)
+        grid = normal_bitension(Stages(surface, params, U, V))
         assert grid.shape == U.shape
         for i, j in np.ndindex(U.shape):
-            assert abs(grid[i, j] - normal_bitension(surface, params, U[i, j], V[i, j])) <= 1e-12
+            one = normal_bitension(Stages(surface, params, U[i, j], V[i, j]))
+            assert abs(grid[i, j] - one) <= 1e-12
 
 
 class TestFrameSystem:
     def test_minimal_tube_zero(self):
         P = BcvParams(1.0, 0.5)
         tube = hopf_tube(P, *line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
-        r1, r2 = frame_system_residual(tube, P, 0.6, 0.3)
+        r1, r2 = frame_system_residual(Stages(tube, P, 0.6, 0.3))
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
 
     def test_cylinder_zero(self):
         S = hopf_cylinder(P_NIL, 1.0)
-        r1, r2 = frame_system_residual(S, P_NIL, 0.8, 0.2)
+        r1, r2 = frame_system_residual(Stages(S, P_NIL, 0.8, 0.2))
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
 
     def test_matches_bitension_components(self, rng):
@@ -180,7 +183,7 @@ class TestFrameSystem:
             if jet.sin_alpha <= 0.1:
                 continue
             count += 1
-            r1, r2 = frame_system_residual(S, P_NIL, u, v)
+            r1, r2 = frame_system_residual(Stages(S, P_NIL, u, v))
             c1, c2 = adapted_components(S, P_NIL, u, v)
             assert abs(r1 - c1) < 1e-4
             assert abs(r2 - c2) < 1e-4
@@ -261,12 +264,12 @@ class TestBitensionArrays:
         (u0, u1), (v0, v1) = surface.domain
         U, V = np.meshgrid(np.linspace(u0, u1, 4), np.linspace(v0 + 0.1, v1 - 0.1, 3),
                            indexing="ij")
-        grid = tangential_bitension_arrays(surface, params, U, V)
+        grid = tangential_bitension_arrays(Stages(surface, params, U, V))
         assert grid.shape == (3,) + U.shape
         for i, j in np.ndindex(U.shape):
             # tangential_bitension stays as a pass-through
             tb = tangential_bitension(surface, params, U[i, j], V[i, j])
-            one = tangential_bitension_arrays(surface, params, U[i, j], V[i, j])
+            one = tangential_bitension_arrays(Stages(surface, params, U[i, j], V[i, j]))
             assert np.abs(grid[:, i, j] - one).max() <= 1e-12
             assert np.abs(tb - one).max() <= 1e-12
 
@@ -279,13 +282,13 @@ class TestBitensionArrays:
         (u0, u1), (v0, v1) = surface.domain
         U, V = np.meshgrid(np.linspace(u0 + 0.1, u1 - 0.1, 3), np.linspace(v0 + 0.3, v1 - 0.3, 4),
                            indexing="ij")
-        grid = frame_system_residual(surface, params, U, V)
+        grid = frame_system_residual(Stages(surface, params, U, V))
         for i, j in np.ndindex(U.shape):
-            one = frame_system_residual(surface, params, U[i, j], V[i, j])
+            one = frame_system_residual(Stages(surface, params, U[i, j], V[i, j]))
             assert max(abs(g[i, j] - o) for g, o in zip(grid, one)) <= 1e-12
 
     def test_batch_error_names_first_failing_stencil_point(self):
         # the point u = 0.4995 is regular, but its gradient-stencil centre
         # u + 1e-3 is not, and it fails before the later point u = 0.9
         with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0\.5005, 0\.25\)"):
-            tangential_bitension_arrays(kinked_plane(), P_FLAT, [0.2, 0.4995, 0.9], 0.25)
+            tangential_bitension_arrays(Stages(kinked_plane(), P_FLAT, [0.2, 0.4995, 0.9], 0.25))

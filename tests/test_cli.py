@@ -89,9 +89,10 @@ class TestVerify:
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo verify")
 
-    @pytest.mark.parametrize("kappa", ["-4.5", "-6", "-14.4", "-100"])
+    @pytest.mark.parametrize("kappa", ["-4.5", "-6", "-14.4", "-100", "1e308"])
     def test_narrow_domain_gives_a_report(self, kappa):
-        # below kappa = -4 theorem52's old r0 window [0.6, 0.8 rmax] was empty
+        # below kappa = -4 theorem52's old r0 window [0.6, 0.8 rmax] was empty;
+        # at kappa = 1e308 the metric is singular, as 1/F^2 underflows
         res = run_cli("verify", f"--kappa={kappa}", "--tau", "0.5")
         assert res.returncode in (0, 1, 3), res.stderr
         assert "Traceback" not in res.stderr
@@ -408,6 +409,7 @@ class TestMeshBitension:
     def test_worst_uv_is_the_per_vertex_argmax(self, tmp_path):
         from bcvgeo import biconservative as bic
         from bcvgeo import cli
+        from bcvgeo.immersion import Stages
 
         args = ["mesh", "hopf-tube", *_mesh_inputs(tmp_path)["hopf-tube"],
                 "--nu", "9", "--nv", "5"]
@@ -416,7 +418,7 @@ class TestMeshBitension:
         parser = cli.build_parser()
         params, surface, _ = cli._mesh_surface(parser.parse_args(args), parser)
         us, vs = surface.grid(9, 5)
-        norms = [[np.linalg.norm(bic.tangential_bitension_arrays(surface, params, u, v))
+        norms = [[np.linalg.norm(bic.tangential_bitension_arrays(Stages(surface, params, u, v)))
                   for v in vs] for u in us]
         i, j = np.unravel_index(np.argmax(norms), (9, 5))
         (u, v), = _header(res.stdout, "worst_uv")

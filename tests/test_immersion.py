@@ -8,24 +8,26 @@ from hypothesis import strategies as st
 from bcvgeo.ambient import (BcvParams, coordinate_components, frame_components, frame_cross,
                             frame_dot, smoothing_factor)
 from bcvgeo import immersion
-from bcvgeo.biconservative import tangential_bitension_arrays
+from bcvgeo._stencil import CROSS, NINE, Stencil
+from bcvgeo.biconservative import frame_system_residual, normal_bitension, tangential_bitension_arrays
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
+    DIRECTIONAL_STEP,
     EPS_ALPHA,
+    LAPLACIAN_STEP,
+    SECOND_STEP,
     ParametricSurface,
     Stages,
     SurfaceBatch,
-    alpha_field,
-    brioschi_curvature,
+    _brioschi,
+    _laplacian,
     codazzi_residual,
     compatibility_residual,
-    directional_derivative,
     gauss_residual,
     shape_arrays,
     surface_connection_residual,
     surface_jet,
     surface_jets,
-    surface_laplacian,
 )
 from bcvgeo.rotation import (
     ProfileState,
@@ -196,26 +198,36 @@ class TestShapeOperator:
 
     def test_offdiagonal_matches_angle_derivative(self, rng):
         S = slant_surface()
-        afld = alpha_field(S, P_NIL)
         for u, v, jet in random_samples(S, rng, 5, sin_floor=0.2):
             sh = shape_arrays(S, P_NIL, u, v)
-            W = (jet.JT / jet.sin_alpha)[:, None]
-            _, e2a = directional_derivative(jet, u, v, W, afld)
-            assert abs(sh.A[0][1] - (e2a[0] - P_NIL.tau)) < 1e-4
+            e2a = Stages(S, P_NIL, u, v).angles[1][..., 0]   # e2(a) at the centre
+            assert abs(sh.A[0][1] - (e2a - P_NIL.tau)) < 1e-4
+
+
+def laplacian(S, params, u, v, field):
+    """Delta of the chart field `field` at (u, v), from the stencils and
+    jets of the Laplacian stage of Stages."""
+    st, mst = Stencil(NINE, LAPLACIAN_STEP, u, v), Stencil(CROSS, DIRECTIONAL_STEP, u, v)
+    return _laplacian(st, mst, surface_jets(S, params, mst.U, mst.V), field(st.U, st.V))
+
+
+def brioschi(S, params, u, v):
+    """Brioschi K at (u, v) from its own jets over the NINE stencil."""
+    st = Stencil(NINE, SECOND_STEP, u, v)
+    return _brioschi(st, surface_jets(S, params, st.U, st.V))
 
 
 class TestFields:
-    # each case takes one grid call; the Laplacian returns (field, Delta field)
+    # each case takes one grid call
     def test_constant_field(self):
         U, V = np.meshgrid([0.1, -0.6], [0.4, 0.7, -0.2], indexing="ij")
-        val, lap = surface_laplacian(flat_plane(), P_FLAT, U, V,
-                                     lambda u, v: np.full(np.shape(u), 3.25))
-        assert lap.shape == U.shape and np.all(val == 3.25)
+        lap = laplacian(flat_plane(), P_FLAT, U, V, lambda u, v: np.full(np.shape(u), 3.25))
+        assert lap.shape == U.shape
         assert np.abs(lap).max() < 1e-12
 
     def test_flat_laplacian_sign(self):
         U, V = np.meshgrid([0.2, -0.5], [-0.3, 0.6], indexing="ij")
-        _, lap = surface_laplacian(flat_plane(), P_FLAT, U, V, lambda u, v: u * u + v * v)
+        lap = laplacian(flat_plane(), P_FLAT, U, V, lambda u, v: u * u + v * v)
         assert np.abs(lap + 4.0).max() < 1e-6
 
     def test_sphere_eigenfunction(self):
@@ -223,7 +235,7 @@ class TestFields:
         # Delta = -div grad convention its Laplacian is +2 cos(u) on the
         # unit sphere.
         us = np.array([0.8, 1.4, 2.2])
-        _, lap = surface_laplacian(sphere_surface(1.0), P_FLAT, us, 0.9, lambda u, v: np.cos(u))
+        lap = laplacian(sphere_surface(1.0), P_FLAT, us, 0.9, lambda u, v: np.cos(u))
         assert np.abs(lap - 2.0 * np.cos(us)).max() < 1e-4
 
 
@@ -233,7 +245,7 @@ class TestCurvatureResiduals:
 
     def test_sphere_intrinsic_curvature(self):
         S = sphere_surface(1.0)
-        assert brioschi_curvature(S, P_FLAT, 1.1, 0.8) == pytest.approx(1.0, abs=1e-5)
+        assert brioschi(S, P_FLAT, 1.1, 0.8) == pytest.approx(1.0, abs=1e-5)
         assert abs(gauss_residual(Stages(S, P_FLAT, 1.1, 0.8))) < 1e-5
 
     def test_cylinder_gauss_closed_forms(self):
@@ -241,7 +253,7 @@ class TestCurvatureResiduals:
         S = hopf_cylinder(P, 1.0)
         sh = shape_arrays(S, P, 0.8, 0.2)
         assert np.linalg.det(np.array(sh.A)) == pytest.approx(-P.tau ** 2, abs=1e-6)
-        assert abs(brioschi_curvature(S, P, 0.8, 0.2)) < 1e-6
+        assert abs(brioschi(S, P, 0.8, 0.2)) < 1e-6
         assert abs(gauss_residual(Stages(S, P, 0.8, 0.2))) < 1e-4
 
     def test_gauss_residual_grid(self, rng):
@@ -268,34 +280,27 @@ class TestCurvatureResiduals:
                 assert abs(r1) < 1e-3
                 assert abs(r2) < 1e-3
 
-    def test_compatibility_plane(self):
-        S = flat_plane()
-        jet = surface_jets(S, P_FLAT, 0.1, 0.2)
-        vec, sc = compatibility_residual(Stages(S, P_FLAT, 0.1, 0.2), jet.au)
-        assert frame_norm(vec) < 1e-10
-        assert abs(sc) < 1e-10
-
     def test_compatibility_cylinder_vertical(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
-        jet = surface_jets(S, P, 0.8, 0.2)
-        vec, sc = compatibility_residual(Stages(S, P, 0.8, 0.2), jet.T / jet.sin_alpha)
-        assert frame_norm(vec) < 1e-5
-        assert abs(sc) < 1e-5
+        vec, sc = compatibility_residual(Stages(S, P, 0.8, 0.2))
+        assert frame_norm(vec[..., 0]) < 1e-5   # along e1
+        assert abs(sc[0]) < 1e-5
 
     def test_compatibility_generic(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 6, sin_floor=0.15):
-            vec, sc = compatibility_residual(Stages(S, P_NIL, u, v), jet.JT / jet.sin_alpha)
-            assert frame_norm(vec) < 1e-4
-            assert abs(sc) < 1e-4
+            vec, sc = compatibility_residual(Stages(S, P_NIL, u, v))
+            for i in range(2):   # along e1 and e2
+                assert frame_norm(vec[..., i]) < 1e-4
+                assert abs(sc[i]) < 1e-4
 
     def test_surface_connection_closed_forms(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 5, sin_floor=0.15):
             if abs(jet.cos_alpha / jet.sin_alpha) > 10:
                 continue
-            assert surface_connection_residual(S, P_NIL, u, v) < 1e-3
+            assert surface_connection_residual(Stages(S, P_NIL, u, v)) < 1e-3
 
 
 def interior_grid(surface, nu=3, nv=4, margin=0.15):
@@ -313,23 +318,24 @@ def parabolic_cylinder():
                              name="parabolic-cylinder")
 
 
-def e2_field(S, params, u, v):
-    """The adapted e2 = JT / sin(alpha) at (u, v), in frame components."""
-    J = surface_jets(S, params, u, v)
-    return J.JT / J.sin_alpha
+def e2_column(compat):
+    """The law of T along e2, as the gauss-codazzi suite reads it, from the
+    (vector, scalar) of compatibility_residual."""
+    return tuple(r[..., 1] for r in compat)
 
 
 class TestResidualArrays:
     SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(P_NIL), P_NIL),
                 (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL)]
     EVALUATORS = {
-        "brioschi": lambda S, P, u, v: brioschi_curvature(S, P, u, v),
+        "brioschi": brioschi,
         "gauss": lambda S, P, u, v: gauss_residual(Stages(S, P, u, v)),
         "codazzi": lambda S, P, u, v: codazzi_residual(Stages(S, P, u, v)),
-        "compatibility": lambda S, P, u, v: compatibility_residual(Stages(S, P, u, v),
-                                                                   e2_field(S, P, u, v)),
-        "compatibility-e2": lambda S, P, u, v: compatibility_residual(Stages(S, P, u, v)),
-        "connection": lambda S, P, u, v: surface_connection_residual(S, P, u, v),
+        # (e1, e2) on the first axis, so that the centres come last
+        "compatibility": lambda S, P, u, v: tuple(
+            np.moveaxis(r, -1, 0) for r in compatibility_residual(Stages(S, P, u, v))),
+        "compatibility-e2": lambda S, P, u, v: e2_column(compatibility_residual(Stages(S, P, u, v))),
+        "connection": lambda S, P, u, v: surface_connection_residual(Stages(S, P, u, v)),
     }
 
     @pytest.mark.parametrize("name", sorted(EVALUATORS))
@@ -422,7 +428,7 @@ def standalone_maxima(params, surfaces):
             c1, c2 = codazzi_residual(kept)
             worst["codazzi"] = max(worst["codazzi"], float(np.abs(c1).max()),
                                    float(np.abs(c2).max()))
-            vec, sc = compatibility_residual(kept, jet.JT[:, ok] / jet.sin_alpha[ok])
+            vec, sc = e2_column(compatibility_residual(kept))
             worst["compat"] = max(worst["compat"],
                                   float(np.sqrt(np.maximum(frame_dot(vec, vec), 0.0)).max()),
                                   float(np.abs(sc).max()))
@@ -443,15 +449,13 @@ class TestStages:
         # stage 1 is one jet call over the normal and Brioschi stencils
         assert_same_bits(c.jet, surface_jets(surface, params, U, V))
         assert_same_bits(c.shape.A, shape_arrays(surface, params, U, V).A)
-        assert_same_bits(c.K, brioschi_curvature(surface, params, U, V))
+        assert_same_bits(c.K, brioschi(surface, params, U, V))
         ok = suite_mask(c.jet)
         assert ok.any()
         u, v, sub = U[ok], V[ok], stages.at(ok)
         kept = Stages(surface, params, u, v)
         assert_same_bits(codazzi_residual(sub), codazzi_residual(kept))
-        # along e2 the law of T reads the jets of stage 2
-        assert_same_bits(compatibility_residual(sub),
-                         compatibility_residual(kept, e2_field(surface, params, u, v)))
+        assert_same_bits(compatibility_residual(sub), compatibility_residual(kept))
 
     @pytest.mark.parametrize("params", PAIRS6, ids=str)
     def test_structural_maxima_equal_standalone_maxima(self, params):
@@ -521,6 +525,44 @@ def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
     assert sizes == [45 * result["samples"]]
 
 
+class TestSharedStages:
+    """Each stage of a Stages is one jet call, made on first read and never
+    again, whichever residual reads it."""
+
+    SURFACE = generic_revolution_surface(P_NIL)
+
+    def centres_grid(self):
+        U, V = interior_grid(self.SURFACE)
+        return U, V, Stages(self.SURFACE, P_NIL, U, V)
+
+    def test_bitension_reads_only_its_gradient_stage(self, monkeypatch):
+        U, V, stages = self.centres_grid()
+        sizes = count_jets(monkeypatch)
+        tangential_bitension_arrays(stages)
+        assert sizes == [45 * U.size]
+        assert "centres" not in vars(stages)
+        tangential_bitension_arrays(stages)
+        assert len(sizes) == 1
+
+    def test_frame_system_after_codazzi_reuses_steps_and_angles(self, monkeypatch):
+        U, V, stages = self.centres_grid()
+        codazzi_residual(stages)
+        steps, angles = stages.steps, stages.angles
+        sizes = count_jets(monkeypatch)
+        frame_system_residual(stages)
+        # only lam at the +-e2 steps, 9 normal-stencil points each
+        assert sizes == [18 * U.size]
+        assert stages.steps is steps and stages.angles is angles
+
+    def test_normal_bitension_reads_only_its_laplacian_stage(self, monkeypatch):
+        U, V, stages = self.centres_grid()
+        sizes = count_jets(monkeypatch)
+        normal_bitension(stages)
+        # the shape operator over the 9-point stencil, and the metric over 5 points
+        assert sizes == [81 * U.size, 5 * U.size]
+        assert not {"centres", "steps", "gradient"} & set(vars(stages))
+
+
 def joined(parts, axis):
     """Per-member results, arrays or (nested, named) tuples of them, joined
     along `axis`."""
@@ -564,24 +606,25 @@ class TestSurfaceBatch:
         got = {"centres": stages.centres, "gauss": gauss_residual(stages),
                "steps": sub.steps, "codazzi": codazzi_residual(sub),
                "compat": compatibility_residual(sub),
-               "bitension": tangential_bitension_arrays(batch, params, U, V)}
+               "bitension": tangential_bitension_arrays(stages)}
         want = {k: [] for k in got}
         for S, nu, nv in grids:
             u, v = (a.ravel() for a in np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
             own = Stages(S, params, u, v)
             want["centres"].append(own.centres)
             want["gauss"].append(gauss_residual(own))
-            want["bitension"].append(tangential_bitension_arrays(S, params, u, v))
+            want["bitension"].append(tangential_bitension_arrays(own))
             keep = suite_mask(own.centres.jet)
             if keep.any():
                 u, v = u[keep], v[keep]
                 want["steps"].append(own.at(keep).steps)
                 kept = Stages(S, params, u, v)
                 want["codazzi"].append(codazzi_residual(kept))
-                want["compat"].append(compatibility_residual(kept, e2_field(S, params, u, v)))
+                want["compat"].append(compatibility_residual(kept))
         for name, value in got.items():
-            # stage 2 keeps the centres on the next-to-last axis
-            assert_same_bits(value, joined(want[name], -2 if name == "steps" else -1))
+            # stage 2 and the law of T along (e1, e2) keep the centres on the
+            # next-to-last axis
+            assert_same_bits(value, joined(want[name], -2 if name in ("steps", "compat") else -1))
 
     def test_member_with_no_rows(self):
         # a member stays in the batch with count 0: its chart sees empty arrays
@@ -614,12 +657,12 @@ class TestSurfaceBatch:
             surface_jets(batch, P, u, 0.5)
         # the first failing stencil point of stage 1 lies on the outer member
         with pytest.raises(DomainError, match=r"^outer: "):
-            Stages(batch, P, np.array([1.0, 1.5, 1.0, 1.99999]), np.full(4, 0.5))
+            Stages(batch, P, np.array([1.0, 1.5, 1.0, 1.99999]), np.full(4, 0.5)).centres
 
 
 def bitension_norms(S, params, u, v):
     """|tangential bitension| of one surface, with no batch."""
-    return np.linalg.norm(tangential_bitension_arrays(S, params, u, v), axis=0)
+    return np.linalg.norm(tangential_bitension_arrays(Stages(S, params, u, v)), axis=0)
 
 
 def per_surface_entries(params):

@@ -35,7 +35,7 @@ MUTANTS = {
     "gauss: drop (kappa - 4 tau^2) cos^2 a": (
         "gauss_residual", " - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2", "", twisted),
     "law of T: drop tau J W": (
-        "compatibility_residual", " - params.tau * np.array(frame_cross(c.jet.n, W))", "",
+        "compatibility_residual", " - params.tau * np.array(frame_cross(jet.n, frame))", "",
         tau_nonzero),
     "codazzi-1: flip the sign of 2 tau": (
         "codazzi_residual", "cot * e1a * (e2a - 2.0 * tau)", "cot * e1a * (e2a + 2.0 * tau)",

@@ -26,7 +26,6 @@ from bcvgeo.rotation import (
     hopf_cylinder,
     hopf_tube,
     integrate_noncmc_branch,
-    observed_order,
     reduced_bicon_system,
     reduced_mean_curvature,
     reduced_quantities,
@@ -38,8 +37,8 @@ from bcvgeo.rotation import (
 from bcvgeo.suites import run_suite
 
 from conftest import make_rng
-from profiles import (base_geodesic_curvature, fixed_point_radius, orbit_metric, slant_profile,
-                      spline_profile)
+from profiles import (base_geodesic_curvature, fixed_point_radius, observed_order, orbit_metric,
+                      slant_profile, spline_profile)
 from reference_kernel import branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)
