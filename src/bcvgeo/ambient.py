@@ -97,6 +97,15 @@ class GeometryClass(Enum):
     NIL3 = "nil3"
 
 
+def _first_failure(ok, *fields):
+    """The values of `fields` at the first point, in C order, where `ok`, a
+    bool or an array of bools, is false; None when it holds everywhere."""
+    if np.all(ok):
+        return None
+    i = int(np.argmin(ok))
+    return [float(np.broadcast_to(f, np.shape(ok)).flat[i]) for f in fields]
+
+
 def smoothing_factor(params: BcvParams, x: float, y: float) -> float:
     """Conformal factor F(x, y) = 1 + kappa (x^2 + y^2) / 4."""
     return 1.0 + 0.25 * params.kappa * (x * x + y * y)
@@ -166,18 +175,19 @@ def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
     """Coordinate components g_ij(x, y); independent of z.
 
     Floats give a 3x3 matrix; arrays of one shape give shape (3, 3) + that
-    shape."""
+    shape.  DomainError names the first (x, y) where F <= EPS_F or 1/F^2 = 0."""
     F = smoothing_factor(params, x, y)
-    if not np.all(F > EPS_F):
-        raise DomainError(f"metric evaluated outside domain, F = {np.min(F):.3e}")
+    bad = _first_failure(F > EPS_F, x, y, F)
+    if bad:
+        raise DomainError(f"metric evaluated outside domain, F = {bad[2]:.3e} "
+                          f"at (x, y) = ({bad[0]:.6g}, {bad[1]:.6g})")
     q = 1.0 / F
     q2 = q * q
-    if not np.all(q2):
-        # where 1/F^2 underflows, the dx^2 + dy^2 block vanishes and g is singular
-        i = int(np.argmin(q2))
-        xi, yi, fi = (float(np.broadcast_to(c, np.shape(F)).flat[i]) for c in (x, y, F))
-        raise DomainError(f"metric singular at (x, y) = ({xi:.6g}, {yi:.6g}): "
-                          f"1/F^2 underflows at F = {fi:.3e}")
+    # where 1/F^2 underflows, the dx^2 + dy^2 block vanishes and g is singular
+    bad = _first_failure(q2 > 0.0, x, y, F)
+    if bad:
+        raise DomainError(f"metric singular at (x, y) = ({bad[0]:.6g}, {bad[1]:.6g}): "
+                          f"1/F^2 underflows at F = {bad[2]:.3e}")
     t = params.tau
     a = t * y / F     # the dx and dy coefficients of w3
     b = -t * x / F
@@ -257,8 +267,10 @@ def hopf_dpsi(c) -> np.ndarray:
 
 def base_metric(params: BcvParams, x, y, w1, w2):
     """Base metric h = (dx^2 + dy^2) / F^2 applied to the 2-vectors w1, w2
-    at (x, y), componentwise."""
+    at (x, y), componentwise; DomainError names the first (x, y) with F <= EPS_F."""
     F = smoothing_factor(params, x, y)
-    if not np.all(F > EPS_F):
-        raise DomainError(f"base point outside domain, F = {np.min(F):.3e}")
+    bad = _first_failure(F > EPS_F, x, y, F)
+    if bad:
+        raise DomainError(f"base point outside domain, F = {bad[2]:.3e} "
+                          f"at (x, y) = ({bad[0]:.6g}, {bad[1]:.6g})")
     return (w1[0] * w2[0] + w1[1] * w2[1]) / (F * F)

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._stencil import derivative
 from .ambient import BcvParams, ricci
-from .immersion import ShapeArrays, Stages, _at, _central
+from .immersion import ShapeArrays, Stages, _at, _central, _chart_coefficients
 
 __all__ = [
     "QuarticReport",
@@ -86,8 +86,8 @@ def tangential_bitension_arrays(stages: Stages) -> np.ndarray:
     du, dv = st.d(sh.f, 1, 0), st.d(sh.f, 0, 1)
     c = _at(sh, 0)
     j = c.jet
-    det = j.E * j.G - j.F * j.F
-    grad_f = (j.G * du - j.F * dv) / det * j.au + (j.E * dv - j.F * du) / det * j.av
+    xi, eta = _chart_coefficients(j.E, j.F, j.G, du, dv)   # grad f = xi X_u + eta X_v
+    grad_f = xi * j.au + eta * j.av
     ric = _ricci_n_tangential(stages.params, c)
     return 2.0 * c.apply(grad_f) + c.f * grad_f - 2.0 * c.f * ric
 

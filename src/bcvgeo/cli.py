@@ -76,9 +76,8 @@ def _cmd_verify(args, parser) -> int:
     params = _params_from(args, parser)
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    names = args.suite if args.suite else list(SUITE_NAMES)
     started = time.perf_counter()
-    report = run_report(params, names, seed=args.seed)
+    report = run_report(params, args.suite, seed=args.seed)
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
@@ -90,17 +89,15 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_integrate(args, parser) -> int:
+    """The branch trajectory from (--r0, --sigma0) as CSV; an input that
+    ProfileState or IntegrationConfig rejects exits 2 with the usage line."""
     params = _params_from(args, parser)
-    if not args.r0 > rot.EPS_R:
-        parser.error(f"--r0 must exceed {rot.EPS_R}")
-    if not (0.0 < args.step < math.inf and 0.0 < args.smax < math.inf) or args.max_steps < 1:
-        parser.error("--step and --smax must be finite and positive, --max-steps >= 1")
     try:
         init = rot.ProfileState(s=0.0, r=args.r0, z=0.0, sigma=args.sigma0)
         cfg = rot.IntegrationConfig(step=args.step, s_max=args.smax,
                                     max_steps=args.max_steps)
         traj = rot.integrate_noncmc_branch(params, init, cfg)
-    except DomainError as exc:
+    except (DomainError, ValueError) as exc:
         parser.error(str(exc))
     keep = [0, 1, 2, 3, 4, 6, 7, 8]  # drop the internal f' column
     row = ",".join(["{:.17g}"] * len(keep))      # _fmt of each float
@@ -300,11 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--r0", type=float, required=True, help="initial radius")
     p_int.add_argument("--sigma0", type=float, required=True,
                        help="initial profile angle (radians)")
-    p_int.add_argument("--step", type=float, default=1e-3, help="RK4 step (default 1e-3)")
-    p_int.add_argument("--smax", type=float, default=5.0,
-                       help="arclength horizon (default 5)")
-    p_int.add_argument("--max-steps", type=int, default=20000,
-                       help="row budget (default 20000)")
+    p_int.add_argument("--step", type=float, default=rot.IntegrationConfig.step,
+                       help="RK4 step (default %(default)g)")
+    p_int.add_argument("--smax", type=float, default=rot.IntegrationConfig.s_max,
+                       help="arclength horizon (default %(default)g)")
+    p_int.add_argument("--max-steps", type=int, default=rot.IntegrationConfig.max_steps,
+                       help="row budget (default %(default)d)")
     p_int.add_argument("--out", default=None, help="output file (default stdout)")
     p_int.set_defaults(fn=_cmd_integrate, parser=p_int)
 

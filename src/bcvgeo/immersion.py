@@ -19,10 +19,9 @@ stencil is a :class:`bcvgeo._stencil.Stencil` at its step constant below.
 On top of the jet sit the shape operator A = -(nabla N)^T and mean curvature
 f = tr A, and residual evaluators for the structural identities every
 immersed surface must satisfy (intrinsic-vs-extrinsic curvature, the two
-scalar compatibility equations of the adapted frame, the derivative law of
-T and the surface connection).  All surface derivatives are finite
-differences along the chart; nothing requires symbolic input from chart
-authors.
+scalar compatibility equations of the adapted frame and the derivative law
+of T).  All surface derivatives are finite differences along the chart;
+nothing requires symbolic input from chart authors.
 
 Every surface oracle, here and in :mod:`bcvgeo.biconservative`, is a
 residual of one :class:`Stages` of its centres (u, v), floats or arrays of
@@ -64,6 +63,7 @@ import numpy as np
 from .ambient import (
     EPS_F,
     BcvParams,
+    _first_failure,
     christoffels,
     coordinate_components,
     frame_components,
@@ -89,7 +89,6 @@ __all__ = [
     "gauss_residual",
     "codazzi_residual",
     "compatibility_residual",
-    "surface_connection_residual",
 ]
 
 EPS_ALPHA = 1e-7   # below this sin(alpha), the adapted frame is reported absent
@@ -225,15 +224,6 @@ class JetArrays(namedtuple("JetArrays", "x y z xu xv au av E F G n cos_alpha sin
     __slots__ = ()
 
 
-def _first_failure(ok, *fields):
-    """The values of `fields` at the first point, in C order, where `ok` is
-    false; None when it holds everywhere."""
-    if ok.all():
-        return None
-    i = int(np.argmin(ok))
-    return [float(np.broadcast_to(f, np.shape(ok)).flat[i]) for f in fields]
-
-
 def _name_at_failure(S, ok):
     """The name of S, or for a batch of its member, at the first point, in
     C order, where `ok` is false."""
@@ -358,12 +348,11 @@ def _shape(params, st, J, gamma) -> ShapeArrays:
 
     Au, Av = shape_of(dNu, c.xu), shape_of(dNv, c.xv)
     b1, b2, adapted = _basis(c.au, c.av, c.T, c.JT, c.sin_alpha)
-    det = c.E * c.G - c.F * c.F
     Ab = []
     for b in (b1, b2):
-        # b = xi X_u + eta X_v (Cramer's rule on I), so A b = xi A X_u + eta A X_v
-        r0, r1 = frame_dot(b, c.au), frame_dot(b, c.av)
-        Ab.append((c.G * r0 - c.F * r1) / det * Au + (c.E * r1 - c.F * r0) / det * Av)
+        # b = xi X_u + eta X_v, so A b = xi A X_u + eta A X_v
+        xi, eta = _chart_coefficients(c.E, c.F, c.G, frame_dot(b, c.au), frame_dot(b, c.av))
+        Ab.append(xi * Au + eta * Av)
     A = tuple(tuple(frame_dot(Abj, bi) for Abj in Ab) for bi in (b1, b2))
     return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted)
 
@@ -375,21 +364,27 @@ def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays
     return shape_arrays(S, params, u, v)
 
 
+def _chart_coefficients(E, F, G, r0, r1):
+    """(xi, eta) with W = xi X_u + eta X_v for the tangent vector W with
+    g(W, X_u) = r0 and g(W, X_v) = r1: Cramer's rule on the first
+    fundamental form (E, F, G), componentwise."""
+    det = E * G - F * F
+    return (G * r0 - F * r1) / det, (E * r1 - F * r0) / det
+
+
 def _steps(jet, u, v, W):
     """Each point (u, v) of shape P and its forward and backward steps along
     the k tangent vectors W, of shape (3,) + P + (k,) in frame components.
 
-    With W = xi X_u + eta X_v (Cramer's rule on I), the chart line
+    With W = xi X_u + eta X_v (:func:`_chart_coefficients`), the chart line
     (u + s xi, v + s eta) has velocity W at s = 0, so the central
     difference over s = +-t, t = DIRECTIONAL_STEP / max(1, |xi|, |eta|),
     converges to the derivative along W.  Returns U and V of shape
     P + (1 + 2k,): each point, its k forward steps, then its k backward
     steps; and the steps t, of shape P + (k,)."""
     E, F, G = (np.expand_dims(a, -1) for a in (jet.E, jet.F, jet.G))
-    r0 = frame_dot(W, np.expand_dims(jet.au, -1))
-    r1 = frame_dot(W, np.expand_dims(jet.av, -1))
-    det = E * G - F * F
-    xi, eta = (G * r0 - F * r1) / det, (E * r1 - F * r0) / det
+    xi, eta = _chart_coefficients(E, F, G, frame_dot(W, np.expand_dims(jet.au, -1)),
+                                 frame_dot(W, np.expand_dims(jet.av, -1)))
     t = DIRECTIONAL_STEP / np.maximum(1.0, np.maximum(np.abs(xi), np.abs(eta)))
     u, v = np.expand_dims(u, -1), np.expand_dims(v, -1)
     return (np.concatenate([u, u + t * xi, u - t * xi], axis=-1),
@@ -625,41 +620,3 @@ def compatibility_residual(stages: Stages):
     nabla_T = _tangential_covariant(params, jet, gamma, frame, vals[:3], d[:3])
     rhs = shape.apply(frame) - params.tau * np.array(frame_cross(jet.n, frame))
     return nabla_T - jet.cos_alpha * rhs, frame_dot(rhs, jet.T) + d[3]
-
-
-def surface_connection_residual(stages: Stages):
-    """Max deviation of the adapted-frame surface connection from its
-    closed form, at the centres:
-
-        nabla_e1 e1 =  cot(a) (e2(a) - 2 tau) e2
-        nabla_e2 e1 =  lam cot(a) e2
-        nabla_e1 e2 = -cot(a) (e2(a) - 2 tau) e1
-        nabla_e2 e2 = -lam cot(a) e1
-
-    where nabla is the tangential projection of the ambient derivative,
-    computed by finite differences of the adapted frame fields over the
-    points of `steps`.
-    """
-    params, c = stages.params, stages.centres
-    frame, U, V, t, J = stages.steps
-    e = np.moveaxis(_adapted_frame(J, U, V, "surface connection check"), -1, 1)
-    # de[:, j, ..., i] = d_{e_i} e_j
-    e0, de = _central(np.array(coordinate_components(params, J.x, J.y, e)), t)
-    e2a = stages.angles[1][..., 0]
-    lam = c.shape.A[1][1]
-    tau = params.tau
-    cot = c.jet.cos_alpha / c.jet.sin_alpha
-    e1, e2 = frame[..., 0], frame[..., 1]
-    closed = {
-        (0, 0): cot * (e2a - 2.0 * tau) * e2,
-        (1, 0): lam * cot * e2,
-        (0, 1): -cot * (e2a - 2.0 * tau) * e1,
-        (1, 1): -lam * cot * e1,
-    }
-    worst = 0.0
-    for (i, j), expect in closed.items():
-        got = _tangential_covariant(params, c.jet, c.gamma, frame[..., i], e0[:, j],
-                                    de[:, j, ..., i])
-        diff = got - expect
-        worst = np.maximum(worst, np.sqrt(np.maximum(frame_dot(diff, diff), 0.0)))
-    return worst

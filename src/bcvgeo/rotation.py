@@ -21,8 +21,8 @@ and biconservativity of the revolved surface is equivalent to the pair
     R1 = f' [b f - 2 tau d - 2 (cos a)'] - 2 f (4 tau^2 - kappa) cos(a) sin^2(a)
     R2 = f' (3 d f - 2 tau b)
 
-vanishing along the profile, with the reduced coefficients (a, b, c, d)
-expressing T and JT over the chart basis.  The non-CMC candidate branch
+vanishing along the profile, with the reduced coefficients (a, b) of T
+and d of JT over the chart basis.  The non-CMC candidate branch
 substitutes f = 2 sin(sigma) / (3 r), turning sigma into an autonomous flow
 that the integrator below follows; `branch_residuals` then gives f, its
 arclength derivative, the residual pair and the factorised obstruction
@@ -55,9 +55,9 @@ import numpy as np
 from ._kernels import STATUS_NAMES, branch_heights, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
-from .ambient import EPS_F, BcvParams, smoothing_factor
+from .ambient import EPS_F, BcvParams, _first_failure, smoothing_factor
 from .errors import DomainError, SelfConsistencyError
-from .immersion import ParametricSurface, _first_failure
+from .immersion import ParametricSurface
 
 __all__ = [
     "EPS_R",
@@ -80,13 +80,13 @@ __all__ = [
     "revolution_surface",
     "generic_revolution_surface",
     "spline_profile_columns",
-    "circle_curve",
     "ellipse_curve",
 ]
 
 EPS_R = 1e-8
 FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
 FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
+BISECTION_TOL = 1e-12   # width at which `refine_sign_change` stops bisecting
 
 # trajectory row layout
 COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
@@ -139,7 +139,7 @@ def _check_radius(params: BcvParams, r):
     F = smoothing_factor(params, r, 0.0)
     ok = F > EPS_F
     if ok is not True:
-        bad = _first_failure(np.asarray(ok), r, F)
+        bad = _first_failure(ok, r, F)
         if bad:
             r_bad, F_bad = bad
             raise DomainError(f"radius r = {r_bad!r} has F = {F_bad:.3e} <= {EPS_F}")
@@ -149,36 +149,32 @@ def _check_radius(params: BcvParams, r):
 class ReducedCoefficients(NamedTuple):
     """Pointwise reduced data of a revolved profile.
 
-    (a, b) expand T and (c, d) expand JT over the chart basis (angle
-    derivative, arclength derivative); cos_alpha = cos(sigma) / sqrt(1 +
-    tau^2 r^2).  The identity b^2 + d^2 = sin^2(alpha) holds exactly.
+    (a, b) expand T over the chart basis (angle derivative, arclength
+    derivative), and d is the arclength component of JT; cos_alpha =
+    cos(sigma) / sqrt(1 + tau^2 r^2).  The identity b^2 + d^2 =
+    sin^2(alpha) holds exactly.
     """
 
     cos_alpha: float
     a: float
     b: float
-    c: float
     d: float
-    sin_sigma: float
-    cos_sigma: float
 
 
 def reduced_quantities(params: BcvParams, state: ProfileState) -> ReducedCoefficients:
-    """Evaluate (cos alpha, a, b, c, d, sin sigma, cos sigma) at a state.
+    """Evaluate (cos alpha, a, b, d) at a state.
 
     r' and z' are reconstructed from sigma via the arclength relations
     cos(sigma) = r'/F, sin(sigma) = z'/q with q = sqrt(1 + tau^2 r^2), which
-    give a = -tau F cos^2(alpha), b = sin(sigma)/q, c = F sin(sigma)/r and
-    d = tau r/q.
+    give a = -tau F cos^2(alpha), b = sin(sigma)/q and d = tau r/q.
     """
     F = _check_radius(params, state.r)
     t = params.tau
     r = state.r
     q = _ufunc(np.sqrt, 1.0 + t * t * r * r)
-    sin_s, cos_s = state.sin_sigma, state.cos_sigma
-    cos_alpha = cos_s / q
-    return ReducedCoefficients(cos_alpha, -t * F * cos_alpha * cos_alpha, sin_s / q,
-                               F * sin_s / r, t * r / q, sin_s, cos_s)
+    cos_alpha = state.cos_sigma / q
+    return ReducedCoefficients(cos_alpha, -t * F * cos_alpha * cos_alpha, state.sin_sigma / q,
+                               t * r / q)
 
 
 def _parallel_term(params: BcvParams, state: ProfileState):
@@ -277,6 +273,9 @@ class IntegrationConfig:
     `r_stop` is the near-axis termination radius.  Raise it for
     verification sweeps, because along the axis funnel f' ~ 1/r^2
     amplifies ulp-level cancellation noise in the recorded residuals.
+
+    Raises ValueError unless `step` and `s_max` are finite and positive,
+    `max_steps` is at least 1 and `r_stop` exceeds EPS_R.
     """
 
     step: float = 1e-3
@@ -285,8 +284,9 @@ class IntegrationConfig:
     r_stop: float = 10 * EPS_R
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.s_max < math.inf):
+            raise ValueError(f"step {self.step!r} and s_max {self.s_max!r} must be finite "
+                             "and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if not self.r_stop > EPS_R:
@@ -363,17 +363,18 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
 
 
 def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
-                       quantity: Callable[[BcvParams, ProfileState], float],
-                       tol: float = 1e-12) -> float:
+                       quantity: Callable[[BcvParams, ProfileState], float]) -> float:
     """Locate a zero of `quantity` inside the step [s_i, s_{i+1}].
 
-    Bisection on the sub-step offset; each probe advances the row-i (r,
-    sigma) by a single RK4 step of the probed size, which is accurate to
-    O(step^5) and keeps the refinement deterministic.  Probes call the same
-    (r, sigma) march as the trajectory and read only the row-i s, r and
-    sigma: they carry z = 0, which no branch quantity reads, so a bisection
-    leaves the z column unfilled.  The probe at offset 0 returns the row-i
-    state itself.
+    Bisection on the sub-step offset, down to a width of BISECTION_TOL;
+    each probe advances the row-i (r, sigma) by a single RK4 step of the
+    probed size, which is accurate to O(step^5) and keeps the refinement
+    deterministic.  Probes call the same (r, sigma) march as the trajectory
+    and read only the row-i s, r and sigma: they carry z = 0, which no
+    branch quantity reads, so a bisection leaves the z column unfilled.
+    The probe at offset 0 returns the row-i state itself.  Halving the step
+    h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4 loops
+    later it raises SelfConsistencyError naming the step.
     """
     s0, r0, g0 = (float(traj.column(c)[i]) for c in ("s", "r", "sigma"))
     kappa = float(params.kappa)
@@ -393,7 +394,13 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
         return s0 + h
     if flo * fhi > 0.0:
         raise ValueError("no sign change in the given step")
-    while hi - lo > tol:
+    cap = math.ceil(math.log2(h / BISECTION_TOL)) + 4
+    loops = 0
+    while hi - lo > BISECTION_TOL:
+        if loops == cap:
+            raise SelfConsistencyError(f"bisection in step {i} (s = {s0!r}) is still "
+                                       f"{hi - lo:.3e} wide after {cap} halvings")
+        loops += 1
         mid = 0.5 * (lo + hi)
         fm = value_at(mid)
         if fm == 0.0:
@@ -409,17 +416,6 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
 # surface constructors
 
 
-def circle_curve(r0: float):
-    """Counterclockwise circle of radius r0 with its derivative."""
-    def curve(u):
-        return (r0 * np.cos(u), r0 * np.sin(u))
-
-    def d_curve(u):
-        return (-r0 * np.sin(u), r0 * np.cos(u))
-
-    return curve, d_curve
-
-
 def ellipse_curve(a: float, b: float):
     """Axis-aligned ellipse (a cos u, b sin u) with its derivative."""
     def curve(u):
@@ -432,9 +428,8 @@ def ellipse_curve(a: float, b: float):
 
 
 def hopf_tube(params: BcvParams, base_curve, curve_derivative=None,
-              u_domain=(0.0, 2.0 * math.pi), v_domain=(-1.0, 1.0),
-              name: str = "hopf-tube") -> ParametricSurface:
-    """Vertical cylinder over a plane curve: (u, v) -> (x(u), y(u), v).
+              u_domain=(0.0, 2.0 * math.pi), name: str = "hopf-tube") -> ParametricSurface:
+    """Vertical cylinder over a plane curve: (u, v) -> (x(u), y(u), v), v in [-1, 1].
 
     The chart is tangent to the vertical direction everywhere, so the angle
     function is pi/2 and the mean curvature equals the geodesic curvature
@@ -452,24 +447,22 @@ def hopf_tube(params: BcvParams, base_curve, curve_derivative=None,
             dx, dy = curve_derivative(u)
             return (dx, dy, 0.0), (0.0, 0.0, 1.0)
 
-    return ParametricSurface(chart, (u_domain, v_domain), partials=partials,
+    return ParametricSurface(chart, (u_domain, (-1.0, 1.0)), partials=partials,
                              normal_sign=-1.0, name=name)
 
 
-def hopf_cylinder(params: BcvParams, r0: float, v_domain=(-1.0, 1.0)) -> ParametricSurface:
+def hopf_cylinder(params: BcvParams, r0: float) -> ParametricSurface:
     """Vertical cylinder over the circle of radius r0 about the axis."""
     if not r0 > EPS_R:
         raise DomainError(f"cylinder radius r0 = {r0:.3e} <= {EPS_R}")
     _check_radius(params, r0)
-    curve, d_curve = circle_curve(r0)
-    return hopf_tube(params, curve, d_curve, v_domain=v_domain,
-                     name=f"hopf-cylinder-r{r0:g}")
+    curve, d_curve = ellipse_curve(r0, r0)
+    return hopf_tube(params, curve, d_curve, name=f"hopf-cylinder-r{r0:g}")
 
 
 def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileState],
-                       s_domain, theta_domain=(0.0, 2.0 * math.pi),
-                       name: str = "revolution") -> ParametricSurface:
-    """Revolve an arclength profile: (theta, s) -> (r cos, r sin, z).
+                       s_domain) -> ParametricSurface:
+    """Revolve an arclength profile: (theta, s) -> (r cos, r sin, z), theta in [0, 2 pi].
 
     Chart partials are analytic: the theta direction rotates the profile
     point, and the arclength direction uses the structural relations
@@ -489,8 +482,8 @@ def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileStat
         x_s = (rp * ct, rp * sn, zp)
         return x_theta, x_s
 
-    return ParametricSurface(chart, (theta_domain, s_domain), partials=partials,
-                             normal_sign=-1.0, name=name)
+    return ParametricSurface(chart, ((0.0, 2.0 * math.pi), s_domain), partials=partials,
+                             normal_sign=-1.0, name="revolution")
 
 
 def spline_profile_columns(s, r, z, sigma):
@@ -508,9 +501,9 @@ def spline_profile_columns(s, r, z, sigma):
 
 
 def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
-                               amp: float = 0.25, pitch: float = 0.4,
-                               s_domain=(-1.5, 1.5)) -> ParametricSurface:
-    """Smooth non-arclength revolution chart (r_mid + amp sin s, theta, pitch s).
+                               amp: float = 0.25, pitch: float = 0.4) -> ParametricSurface:
+    """Smooth non-arclength revolution chart (r_mid + amp sin s, theta, pitch s),
+    with theta in [0, 2 pi] and s in [-1.5, 1.5].
 
     Handy for identities that hold for arbitrary immersed charts; the
     structural residual evaluators never assume arclength parametrisation.
@@ -525,6 +518,6 @@ def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
         ct, sn = np.cos(theta), np.sin(theta)
         return (-r * sn, r * ct, 0.0), (rp * ct, rp * sn, pitch)
 
-    return ParametricSurface(chart, ((0.0, 2.0 * math.pi), s_domain),
+    return ParametricSurface(chart, ((0.0, 2.0 * math.pi), (-1.5, 1.5)),
                              partials=partials, normal_sign=-1.0,
                              name="generic-revolution")

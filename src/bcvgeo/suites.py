@@ -90,9 +90,9 @@ def domain_radius(params: BcvParams, fill: float = 0.75) -> float:
     return 1.5
 
 
-def sample_domain_points(params: BcvParams, rng, n: int, z_span: float = 1.0):
+def sample_domain_points(params: BcvParams, rng, n: int):
     """Coordinate arrays x, y, z of n reproducible points well inside the
-    domain (F >= 1 - 0.75^2 when kappa < 0).
+    domain (F >= 1 - 0.75^2 when kappa < 0), with z in [-1, 1].
 
     One ``rng.random((n, 3))`` call gives each point's unit draws for rho,
     phi and z, in that order, and each is mapped as ``Generator.uniform``
@@ -103,13 +103,13 @@ def sample_domain_points(params: BcvParams, rng, n: int, z_span: float = 1.0):
     d = rng.random((n, 3))
     rho = rmax * np.sqrt(d[:, 0])
     phi = 2.0 * math.pi * d[:, 1]
-    z = -z_span + 2.0 * z_span * d[:, 2]
+    z = -1.0 + 2.0 * d[:, 2]
     return rho * np.cos(phi), rho * np.sin(phi), z
 
 
-def _cylinder_radii(params: BcvParams, radii=(0.5, 1.0, 2.0), floor: float = 0.1):
-    """Requested cylinder radii restricted to the domain (F above floor)."""
-    return [r for r in radii if ambient.smoothing_factor(params, r, 0.0) > floor]
+def _cylinder_radii(params: BcvParams, radii=(0.5, 1.0, 2.0)):
+    """Requested cylinder radii restricted to the domain (F above 0.1)."""
+    return [r for r in radii if ambient.smoothing_factor(params, r, 0.0) > 0.1]
 
 
 def _scaled_ellipse(params: BcvParams):
@@ -169,12 +169,11 @@ def _structural_surfaces(params: BcvParams):
     return surfaces
 
 
-def _interior_grid(surface, nu, nv, margin=0.12):
+def _interior_grid(surface, nu, nv):
+    """nu by nv values spanning the domain of `surface` less 12 % at each end."""
     (u0, u1), (v0, v1) = surface.domain
-    du, dv = u1 - u0, v1 - v0
-    us = np.linspace(u0 + margin * du, u1 - margin * du, nu)
-    vs = np.linspace(v0 + margin * dv, v1 - margin * dv, nv)
-    return us, vs
+    mu, mv = 0.12 * (u1 - u0), 0.12 * (v1 - v0)
+    return np.linspace(u0 + mu, u1 - mu, nu), np.linspace(v0 + mv, v1 - mv, nv)
 
 
 def _batch(grids):

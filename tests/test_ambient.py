@@ -100,6 +100,16 @@ class TestSmoothingFactor:
         with pytest.raises(DomainError):
             christoffels(P, 1.0, 0.0)
 
+    @pytest.mark.parametrize("evaluate,prefix", [
+        (metric_matrix, "metric evaluated outside domain"),
+        (lambda P, x, y: base_metric(P, x, y, (1.0, 0.0), (1.0, 0.0)),
+         "base point outside domain")], ids=["metric_matrix", "base_metric"])
+    def test_domain_error_names_the_first_point(self, evaluate, prefix):
+        # kappa = -4: F = 1 - x^2 is 0.75, 0 and -1.25 at the three points
+        where = r", F = 0\.000e\+00 at \(x, y\) = \(1, 0\)"
+        with pytest.raises(DomainError, match=prefix + where):
+            evaluate(BcvParams(-4.0, 0.0), np.array([0.5, 1.0, 1.5]), 0.0)
+
     def test_singular_metric_rejected(self):
         # F = 2.5e307: 1/F^2 underflows, so g would have rank 1; the error
         # names the first such point

@@ -180,9 +180,13 @@ class TestIntegrate:
         assert res.returncode == 2
         assert "finite" in res.stderr and "Traceback" not in res.stderr
 
-    def test_input_error_shows_integrate_usage(self):
-        res = run_cli("integrate", "--kappa", "1", "--tau", "1", "--r0", "1",
-                      "--sigma0", "1", "--step", "nan")
+    @pytest.mark.parametrize("flag,value", [("--step", "nan"), ("--smax", "nan"),
+                                            ("--step", "inf"), ("--r0", "0")])
+    def test_input_error_shows_integrate_usage(self, flag, value):
+        # ProfileState and IntegrationConfig check the values; the command
+        # turns their errors into exit 2
+        flags = {"--kappa": "1", "--tau": "1", "--r0": "1", "--sigma0": "1", flag: value}
+        res = run_cli("integrate", *[a for kv in flags.items() for a in kv])
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo integrate")
 

@@ -25,7 +25,6 @@ from bcvgeo.immersion import (
     compatibility_residual,
     gauss_residual,
     shape_arrays,
-    surface_connection_residual,
     surface_jet,
     surface_jets,
 )
@@ -56,6 +55,45 @@ def slant_surface(params=P_NIL, r0=1.0, sigma0=1.0, span=(-0.5, 1.5)):
 def coords(params, jet, a):
     """Coordinate components of the vector with frame components a at the jet."""
     return np.array(coordinate_components(params, jet.x, jet.y, a))
+
+
+def surface_connection_residual(stages: Stages):
+    """Max deviation of the adapted-frame surface connection from its
+    closed form, at the centres:
+
+        nabla_e1 e1 =  cot(a) (e2(a) - 2 tau) e2
+        nabla_e2 e1 =  lam cot(a) e2
+        nabla_e1 e2 = -cot(a) (e2(a) - 2 tau) e1
+        nabla_e2 e2 = -lam cot(a) e1
+
+    where nabla is the tangential projection of the ambient derivative,
+    computed by finite differences of the adapted frame fields over the
+    points of `steps`.  No subcommand checks the connection, so this oracle
+    lives with its tests.
+    """
+    params, c = stages.params, stages.centres
+    frame, U, V, t, J = stages.steps
+    e = np.moveaxis(immersion._adapted_frame(J, U, V, "surface connection check"), -1, 1)
+    # de[:, j, ..., i] = d_{e_i} e_j
+    e0, de = immersion._central(np.array(coordinate_components(params, J.x, J.y, e)), t)
+    e2a = stages.angles[1][..., 0]
+    lam = c.shape.A[1][1]
+    tau = params.tau
+    cot = c.jet.cos_alpha / c.jet.sin_alpha
+    e1, e2 = frame[..., 0], frame[..., 1]
+    closed = {
+        (0, 0): cot * (e2a - 2.0 * tau) * e2,
+        (1, 0): lam * cot * e2,
+        (0, 1): -cot * (e2a - 2.0 * tau) * e1,
+        (1, 1): -lam * cot * e1,
+    }
+    worst = 0.0
+    for (i, j), expect in closed.items():
+        got = immersion._tangential_covariant(params, c.jet, c.gamma, frame[..., i],
+                                              e0[:, j], de[:, j, ..., i])
+        diff = got - expect
+        worst = np.maximum(worst, np.sqrt(np.maximum(frame_dot(diff, diff), 0.0)))
+    return worst
 
 
 def random_samples(surface, rng, n, sin_floor=0.0, params=P_NIL):

@@ -6,6 +6,9 @@ asserts that `suites.run_report` fails, through the `gauss-codazzi` suite,
 at exactly the pairs of PAIRS7 where the term is not zero: off the space
 forms for a factor kappa - 4 tau^2, and where tau != 0 for a factor tau.
 The control case, with no rewrite, passes at all seven.
+
+A rewrite of the bisection's width test would loop for ever; its cap
+turns that into an error of the `theorem52` suite.
 """
 
 import inspect
@@ -13,7 +16,9 @@ import textwrap
 
 import pytest
 
-from bcvgeo import immersion
+from bcvgeo import immersion, rotation
+from bcvgeo.ambient import BcvParams
+from bcvgeo.errors import SelfConsistencyError
 from bcvgeo.suites import run_report
 from conftest import PAIRS7
 
@@ -43,14 +48,14 @@ MUTANTS = {
 }
 
 
-def install_mutant(monkeypatch, name, term, replacement):
-    """Replace immersion.<name> by its source with `term` rewritten."""
-    source = textwrap.dedent(inspect.getsource(getattr(immersion, name)))
+def install_mutant(monkeypatch, name, term, replacement, module=immersion):
+    """Replace module.<name> by its source with `term` rewritten."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(term) == 1, f"{term!r} not found once in {name}"
     namespace = {}
     exec(compile(source.replace(term, replacement), f"<mutant of {name}>", "exec"),
-         vars(immersion), namespace)
-    monkeypatch.setattr(immersion, name, namespace[name])
+         vars(module), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 def failing_pairs():
@@ -75,3 +80,11 @@ def test_mutant_is_killed(monkeypatch, case):
     name, term, replacement, term_nonzero = MUTANTS[case]
     install_mutant(monkeypatch, name, term, replacement)
     assert failing_pairs() == [P for P in PAIRS7 if term_nonzero(P)], case
+
+
+def test_bisection_that_never_narrows_is_capped(monkeypatch):
+    # hi + lo stays above the tolerance, so without the cap this never returns
+    install_mutant(monkeypatch, "refine_sign_change", "while hi - lo > BISECTION_TOL",
+                   "while hi + lo > BISECTION_TOL", module=rotation)
+    with pytest.raises(SelfConsistencyError, match=r"bisection in step \d+ .* after 34 halvings"):
+        run_report(BcvParams(0.0, 0.5), ["theorem52"])

@@ -1,12 +1,16 @@
 """Every top-level definition in `src` is reached from `bcvgeo.cli.main`, or
-it is pinned below with the ROADMAP item that decides where it goes.
+it is pinned below with the ROADMAP item that decides where it goes; and
+every defaulted parameter in `src` is passed at some `src` call, or it is
+pinned below with the reason no `src` call can pass it.
 
 A stdlib `ast` walk stands in for a call graph.  A definition reaches each
 top-level definition, in any module, whose name it reads as a name or as an
 attribute; a class reaches what its methods read, and a module-level
 assignment what its value reads.  Matching by name over-approximates the
 graph, so a definition this walk does not reach is dead for every
-subcommand.
+subcommand.  In the same way, a call passes a parameter of every function
+or method of the called name, and a call of a class passes the parameters
+of its `__init__`; a default that no call passes is a constant.
 """
 
 import ast
@@ -30,12 +34,19 @@ UNREACHED = {
     # items 4 and 5: the geometry class in reports and in the sweep
     "GeometryClass",
     "classify_space",
-    # item 12: read in gauss-codazzi, or it leaves src
-    "surface_connection_residual",
     # item 1: the names that perfbench/tracer.py wraps
     "surface_jet",
     "shape_operator",
     "tangential_bitension",
+}
+
+
+# the defaulted parameters that no src call passes, with the reason
+UNPASSED = {
+    # perfbench and the tests pass argv; the console script passes none
+    "cli.main(argv)",
+    # called through spline instances, which a walk by name cannot see
+    "_spline.CubicSpline.__call__(nu)",
 }
 
 
@@ -99,3 +110,71 @@ def test_walk_on_a_toy_source():
              "        return 0\n",
     }
     assert unreached(sources) == {"dead": 2, "Unused": 3}
+
+
+def _defaulted(fn):
+    """The names of the parameters of `fn` that have a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    names = [a.arg for a in positional[len(positional) - len(fn.args.defaults):]]
+    return names + [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d]
+
+
+def unpassed(sources):
+    """The defaulted parameters, as "module.qualname(param)", of the top-level
+    functions and methods of `sources`, {module: source text}, that no call
+    in them passes by keyword or by position."""
+    targets = defaultdict(list)   # called name -> [(label, fn, skips self)]
+    for mod, tree in ((m, ast.parse(t)) for m, t in sources.items()):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                targets[node.name].append((f"{mod}.{node.name}", node, False))
+            elif isinstance(node, ast.ClassDef):
+                for fn in (f for f in node.body if isinstance(f, ast.FunctionDef)):
+                    label = f"{mod}.{node.name}.{fn.name}"
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    targets[fn.name].append((label, fn, not static))
+                    if fn.name == "__init__":
+                        targets[node.name].append((label, fn, True))
+    passed = set()
+    for text in sources.values():
+        for call in (n for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for label, fn, skips_self in targets.get(name, ()):
+                params = [a.arg for a in fn.args.posonlyargs + fn.args.args][skips_self:]
+                names = []
+                for i, arg in enumerate(call.args):
+                    # a starred argument may fill every later position
+                    names += params[i:] if isinstance(arg, ast.Starred) else params[i:i + 1]
+                for kw in call.keywords:
+                    # a ** argument may pass any parameter
+                    names += [kw.arg] if kw.arg else params + [a.arg for a in fn.args.kwonlyargs]
+                passed.update(f"{label}({p})" for p in names)
+    return {f"{label}({p})" for entries in targets.values() for label, fn, _ in entries
+            for p in _defaulted(fn)} - passed
+
+
+def test_every_default_is_passed_or_pinned():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unpassed(sources) == UNPASSED
+
+
+def test_option_walk_on_a_toy_source():
+    sources = {
+        "cli": "from . import m\n"
+               "def main(argv=None):\n"
+               "    m.run(1, 2, scale=3.0)\n"
+               "    m.Box(4)\n"
+               "    m.Box.make(*argv)\n"
+               "    return m.Box(4).get(5)\n",
+        "m": "def run(a, b=0, scale=1.0, tol=1e-12):\n"
+             "    return a\n"
+             "class Box:\n"
+             "    def __init__(self, w=1, h=1):\n"
+             "        self.w = w\n"
+             "    def get(self, i, fill=None):\n"
+             "        return i\n"
+             "    @staticmethod\n"
+             "    def make(x, y=2):\n"
+             "        return Box(x, y)\n",
+    }
+    assert unpassed(sources) == {"cli.main(argv)", "m.run(tol)", "m.Box.get(fill)"}

@@ -21,7 +21,6 @@ from bcvgeo.rotation import (
     branch_mean_curvature,
     branch_r1,
     branch_residuals,
-    circle_curve,
     ellipse_curve,
     hopf_cylinder,
     hopf_tube,
@@ -107,7 +106,7 @@ class TestReducedQuantities:
         # an array gives, entry by entry, the bits of the float call
         for i in np.ndindex(np.shape(r)):
             one = reduced_quantities(P, ProfileState(0.0, float(np.asarray(r)[i]), 0.0, sigma))
-            for name in ("cos_alpha", "a", "b", "c", "d", "sin_sigma", "cos_sigma"):
+            for name in ("cos_alpha", "a", "b", "d"):
                 entry = np.broadcast_to(getattr(red, name), np.shape(r))[i]
                 assert entry.tobytes() == np.float64(getattr(one, name)).tobytes()
 
@@ -420,6 +419,15 @@ class TestBranchIntegration:
         assert status == STATUS_DOMAIN_EXIT
         assert rows == [2.1, 0.3]
 
+    @pytest.mark.parametrize("field,value", [
+        ("step", math.nan), ("step", math.inf), ("step", 0.0), ("step", -1e-3),
+        ("s_max", math.nan), ("s_max", math.inf), ("s_max", 0.0), ("max_steps", 0)])
+    def test_settings_must_be_finite_and_positive(self, field, value):
+        # a NaN horizon would march the whole row budget, an infinite step
+        # stop after one row
+        with pytest.raises(ValueError, match=field):
+            IntegrationConfig(**{field: value})
+
     def test_stop_radius_must_clear_the_axis_floor(self):
         # rows stop above r_stop, and a ProfileState needs r > EPS_R
         assert IntegrationConfig().r_stop == 10 * rot.EPS_R
@@ -588,7 +596,7 @@ class TestConstructors:
 
     def test_circle_tube_curvatures(self):
         r0 = 1.3
-        curve, d_curve = circle_curve(r0)
+        curve, d_curve = ellipse_curve(r0, r0)
         # flat base: geodesic curvature 1/r0
         S = hopf_tube(P_NIL, curve, d_curve)
         jet = surface_jets(S, P_NIL, 0.7, 0.0)
