@@ -13,10 +13,10 @@ floats, and z is a quadrature along the recorded rows: `branch_heights`
 redoes each step's RK4 stages on arrays and sums the z increments in row
 order.  That gives the bits of a scalar loop marching z too, as long as
 numpy's float64 sin and cos round as `math`'s do (the tests compare every
-column with such a loop bit for bit).  `run_branch_kernel` assembles the
-s, r and sigma columns of the rows; a trajectory fills z from them when z is
-first read.  The reduced formulas evaluated along the rows live in
-`bcvgeo.rotation`.
+column with such a loop bit for bit).  `run_branch_kernel` returns the s, r
+and sigma columns of the rows, sized to the rows marched; a trajectory
+computes z from them when z is first read.  The trajectory and the reduced
+formulas evaluated along its rows live in `bcvgeo.rotation`.
 """
 
 from __future__ import annotations
@@ -131,23 +131,19 @@ def branch_heights(kappa, tau, z0, step, r, sigma):
     return np.add.accumulate(dz)
 
 
-def run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop, out):
-    """March the branch from (s0, r0, sigma0) and write the s, r and sigma of
-    each row into columns 0, 1 and 3 of `out` (at least max_rows rows).
+def run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """March the branch from (s0, r0, sigma0) for at most max_rows rows.
 
     `branch_march` marches (r, sigma), and the s column accumulates the step
-    from s0 as the march does.  Column 2, z, is left to `branch_heights`.
-    Returns (rows_written, status_code).  Every argument is coerced to a
-    Python float (max_rows to int) before the march.
+    from s0 as the march does; z is left to `branch_heights`.  Returns
+    (rows, status_code, s, r, sigma), each column a 1-D array of `rows`
+    floats.  Every argument is coerced to a Python float (max_rows to int)
+    before the march.
     """
     s0, step = float(s0), float(step)
     rows, status = branch_march(float(kappa), float(r0), float(sigma0), s0, step, int(max_rows),
                                 float(s_max), float(r_stop), float(f_stop))
-    state = np.array(rows).reshape(-1, 2)
-    n = len(state)
-    ds = np.full(n, step)
+    r, sigma = np.array(rows).reshape(-1, 2).T
+    ds = np.full(len(r), step)
     ds[0] = s0
-    out[:n, 0] = np.add.accumulate(ds)
-    out[:n, 1] = state[:, 0]
-    out[:n, 3] = state[:, 1]
-    return n, status
+    return len(r), status, np.add.accumulate(ds), r, sigma

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -63,9 +62,10 @@ def _add_params(parser: argparse.ArgumentParser):
 
 
 def _params_from(args, parser) -> BcvParams:
-    if not (math.isfinite(args.kappa) and math.isfinite(args.tau)):
-        parser.error("kappa and tau must be finite")
-    return BcvParams(args.kappa, args.tau)
+    try:
+        return BcvParams(args.kappa, args.tau)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +99,10 @@ def _cmd_integrate(args, parser) -> int:
         traj = rot.integrate_noncmc_branch(params, init, cfg)
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
-    keep = [0, 1, 2, 3, 4, 6, 7, 8]  # drop the internal f' column
-    row = ",".join(["{:.17g}"] * len(keep))      # _fmt of each float
-    lines = ["s,r,z,sigma,f,R1,R2,obstruction"]
-    lines.extend(map(row.format, *traj.data[:, keep].T.tolist()))
+    columns = ("s", "r", "z", "sigma", "f", "R1", "R2", "obstruction")   # no f'
+    row = ",".join(["{:.17g}"] * len(columns))      # _fmt of each float
+    lines = [",".join(columns)]
+    lines.extend(map(row.format, *(getattr(traj, c).tolist() for c in columns)))
     lines.append(f"# status: {traj.status}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -195,10 +195,13 @@ def _unreadable_row(path, header_row, names, required):
 def _mesh_surface(args, parser):
     params = _params_from(args, parser)
     if args.kind == "hopf-cylinder":
-        if args.r0 is None or not args.r0 > rot.EPS_R:
-            parser.error("--r0 must be given and positive for hopf-cylinder")
-        spec = f"hopf-cylinder r0 {_fmt(args.r0)}"
-        return params, rot.hopf_cylinder(params, args.r0), spec
+        if args.r0 is None:
+            parser.error("--r0 must be given for hopf-cylinder")
+        try:
+            surface = rot.hopf_cylinder(params, args.r0)
+        except DomainError as exc:
+            parser.error(str(exc))
+        return params, surface, f"hopf-cylinder r0 {_fmt(args.r0)}"
     if args.kind == "revolution":
         if args.profile is None:
             parser.error("--profile FILE.csv is required for revolution")

@@ -212,7 +212,7 @@ class SurfaceBatch:
         return self._stacked(u, v, lambda S, u, v: S.partials_at(u, v))
 
 
-class JetArrays(namedtuple("JetArrays", "x y z xu xv au av E F G n cos_alpha sin_alpha T JT")):
+class JetArrays(namedtuple("JetArrays", "x y xu xv au av E F G n cos_alpha sin_alpha T JT")):
     """First-order jet at floats or arrays (u, v), one entry per point.
 
     Vectors are arrays of shape (3,) + the point shape: X_u and X_v in
@@ -269,7 +269,7 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
     cos_a = np.minimum(1.0, np.maximum(-1.0, n[2]))  # = g(E3, N)
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
     T = (-cos_a * n[0], -cos_a * n[1], 1.0 - cos_a * n[2])
-    return JetArrays(x=x, y=y, z=z, xu=xu, xv=xv, au=np.array(au), av=np.array(av),
+    return JetArrays(x=x, y=y, xu=xu, xv=xv, au=np.array(au), av=np.array(av),
                      E=E, F=F, G=G, n=np.array(n), cos_alpha=cos_a, sin_alpha=sin_a,
                      T=np.array(T), JT=np.array(frame_cross(n, T)))
 

@@ -88,9 +88,6 @@ FD_CHECK_TOL = 1e-4   # closed-form f' vs finite differences along the flow
 FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
 BISECTION_TOL = 1e-12   # width at which `refine_sign_change` stops bisecting
 
-# trajectory row layout
-COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
-
 
 def _ufunc(f, x):
     """The numpy ufunc f at x, as a Python float when x is one: the same bits
@@ -294,42 +291,41 @@ class IntegrationConfig:
 
 
 class BranchTrajectory:
-    """Recorded branch run: uniform-step rows plus termination status.
+    """Recorded branch run: one 1-D column per quantity, one entry per
+    uniform-step row, plus the termination status.
 
-    `data` holds the rows, columns as COLUMNS.  Its z column, a quadrature
-    over r and sigma from z0, is filled on the first read of `data` or
-    `column("z")`, which theorem52 and its bisection never make.
+    s, r and sigma are the march's; f, f_prime, R1, R2 and obstruction come
+    from one `branch_residuals` pass over them.  z, a quadrature over r and
+    sigma from z0, is computed on its first read, which theorem52 and its
+    bisection never make.
     """
 
-    def __init__(self, params: BcvParams, rows, z0, status: str, config: IntegrationConfig):
+    def __init__(self, params: BcvParams, s, r, sigma, z0, status: str,
+                 config: IntegrationConfig):
         self.params, self.status, self.config = params, status, config
-        self._rows, self._z0 = rows, z0
+        self.s, self.r, self.sigma, self._z0 = s, r, sigma, z0
+        # no branch quantity reads z, so the states carry z = 0
+        self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(
+            params, ProfileState(s, r, 0.0, sigma))
         self.fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL
 
     @cached_property
-    def data(self) -> np.ndarray:
-        rows = self._rows
-        rows[:, 2] = branch_heights(self.params.kappa, self.params.tau, self._z0,
-                                    self.config.step, rows[:, 1], rows[:, 3])
-        return rows
-
-    def column(self, name: str) -> np.ndarray:
-        rows = self.data if name == "z" else self._rows
-        return rows[:, COLUMNS.index(name)]
+    def z(self) -> np.ndarray:
+        return branch_heights(self.params.kappa, self.params.tau, self._z0,
+                              self.config.step, self.r, self.sigma)
 
     def __len__(self):
-        return self._rows.shape[0]
+        return len(self.s)
 
 
 def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                             config: IntegrationConfig = None) -> BranchTrajectory:
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
-    The kernel marches (r, sigma) and adds the s column in one array pass;
-    `branch_residuals` then fills the f, f_prime, R1, R2 and obstruction
-    columns over all rows at once, and f' is checked as
-    :class:`IntegrationConfig` says.  The z column waits for its first read
-    (:class:`BranchTrajectory`).  Runs with kappa = 4 tau^2 are
+    The kernel marches (r, sigma) and returns the s, r and sigma columns,
+    sized to the rows marched; the trajectory adds its diagnostic columns
+    (:class:`BranchTrajectory`), and f' is checked as
+    :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
     permitted and not flagged; callers verifying the rotational
     classification enforce kappa != 4 tau^2 themselves.  Early termination
     (axis, domain boundary, row budget) is reported in `status` with the
@@ -337,21 +333,15 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     """
     if config is None:
         config = IntegrationConfig()
-    # the whole row budget: a buffer of the rows used lets glibc trim and
-    # refault the heap between trajectories, about 110 page faults a theorem52 op
-    out = np.empty((config.max_steps, len(COLUMNS)))
-    n, status = run_branch_kernel(
+    n, status, s, r, sigma = run_branch_kernel(
         params.kappa, init.r, init.sigma, init.s, config.step,
-        config.max_steps, config.s_max, config.r_stop, EPS_F, out,
+        config.max_steps, config.s_max, config.r_stop, EPS_F,
     )
-    # no branch quantity reads z, so the states carry z = 0
-    diag = branch_residuals(params, ProfileState(out[:n, 0], out[:n, 1], 0.0, out[:n, 3]))
-    out[:n, 4:] = np.transpose(diag)
-    traj = BranchTrajectory(params, out[:n].copy(), init.z, STATUS_NAMES[status], config)
+    traj = BranchTrajectory(params, s, r, sigma, init.z, STATUS_NAMES[status], config)
     if n >= 5:
-        f, fp = diag[0], diag[1]
+        f, fp = traj.f, traj.f_prime
         fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)
-        mask = traj.column("r")[2:-2] >= FD_CHECK_R_FLOOR
+        mask = r[2:-2] >= FD_CHECK_R_FLOOR
         if np.any(mask):
             worst = float(np.max(np.abs(fd[mask] - fp[2:-2][mask])))
             traj.fd_check_margin = worst / FD_CHECK_TOL
@@ -376,7 +366,7 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4 loops
     later it raises SelfConsistencyError naming the step.
     """
-    s0, r0, g0 = (float(traj.column(c)[i]) for c in ("s", "r", "sigma"))
+    s0, r0, g0 = float(traj.s[i]), float(traj.r[i]), float(traj.sigma[i])
     kappa = float(params.kappa)
     h = traj.config.step
 

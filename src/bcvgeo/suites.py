@@ -294,8 +294,8 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
             params, init, rot.IntegrationConfig(s_max=3.0, r_stop=0.05)
         )
         samples += len(traj)
-        R1 = traj.column("R1")
-        abs_r2.append(np.abs(traj.column("R2")))
+        R1 = traj.R1
+        abs_r2.append(np.abs(traj.R2))
         max_r1.append(np.abs(R1).max())
         flips = np.where(R1[:-1] * R1[1:] < 0.0)[0]
         for i in flips:

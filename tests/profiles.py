@@ -50,7 +50,7 @@ def slant_profile(params: BcvParams, r0: float, sigma0: float):
 
 def spline_profile(traj: BranchTrajectory):
     """Cubic-spline interpolant of an integrated trajectory as a profile."""
-    return spline_profile_columns(*(traj.column(c) for c in ("s", "r", "z", "sigma")))
+    return spline_profile_columns(traj.s, traj.r, traj.z, traj.sigma)
 
 
 def line_curve(p0, direction):
@@ -124,7 +124,7 @@ def observed_order(params: BcvParams, init: ProfileState, base_step: float,
         h = base_step / 2 ** k
         cfg = IntegrationConfig(step=h, max_steps=int(round(s_end / h)) + 2, s_max=s_end)
         traj = integrate_noncmc_branch(params, init, cfg)
-        finals.append(traj.data[-1, 1:4])
+        finals.append(np.array([traj.r[-1], traj.z[-1], traj.sigma[-1]]))
     d1 = float(np.max(np.abs(finals[0] - finals[1])))
     d2 = float(np.max(np.abs(finals[1] - finals[2])))
     return math.log2(d1 / d2)

@@ -12,6 +12,9 @@ from bcvgeo._kernels import (
     STATUS_SMAX,
 )
 
+# the row layout of `out`
+COLUMNS = ("s", "r", "z", "sigma", "f", "f_prime", "R1", "R2", "obstruction")
+
 
 def branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
                   r_stop, f_stop, out):

@@ -229,8 +229,8 @@ def test_criterion_07_branch_never_closes():
                 IntegrationConfig(s_max=3.0, r_stop=0.05),
             )
             runs += 1
-            worst_r2 = max(worst_r2, float(np.abs(traj.column("R2")).max()))
-            R1 = traj.column("R1")
+            worst_r2 = max(worst_r2, float(np.abs(traj.R2).max()))
+            R1 = traj.R1
             min_max_r1 = min(min_max_r1, float(np.abs(R1).max()))
             for i in np.where(R1[:-1] * R1[1:] < 0.0)[0]:
                 s1 = refine_sign_change(P, traj, int(i), branch_r1)

@@ -190,13 +190,21 @@ class TestIntegrate:
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo integrate")
 
+    def test_row_budget_far_above_the_rows_marched(self):
+        # the trajectory is sized to its 11 rows, not to the budget
+        res = run_cli("integrate", "--kappa", "0", "--tau", "0.5", "--r0", "1",
+                      "--sigma0", "1", "--max-steps", "1000000000000", "--smax", "0.01")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 1 + 11 + 1 and lines[-1] == "# status: smax_reached"
+
     def test_state_fields_are_the_reference_loop(self):
         # the profile CSV that `mesh revolution` reads: s, r, z and sigma
         # are the rows of the one-loop reference march, formatted by _fmt
         from bcvgeo.ambient import EPS_F
         from bcvgeo.cli import _fmt
-        from bcvgeo.rotation import COLUMNS, EPS_R
-        from reference_kernel import branch_kernel
+        from bcvgeo.rotation import EPS_R
+        from reference_kernel import COLUMNS, branch_kernel
 
         res = run_cli("integrate", "--kappa", "0.0", "--tau", "0.5", "--r0", "1.1",
                       "--sigma0", "1.5", "--smax", "1.0")
@@ -487,8 +495,12 @@ class TestMeshInputErrors:
         assert str(base) in res.stderr and "column x" in res.stderr
         assert "Traceback" not in res.stderr
 
-    def test_input_error_shows_mesh_usage(self):
-        res = run_cli("mesh", "hopf-cylinder", "--kappa", "1", "--tau", "1")
+    @pytest.mark.parametrize("kappa,r0", [("1", None), ("1", "0"), ("1", "nan"),
+                                          ("-1", "2.5")])   # F(2.5) < 0 at kappa = -1
+    def test_input_error_shows_mesh_usage(self, kappa, r0):
+        # hopf_cylinder checks r0; the command turns its error into exit 2
+        r0_flag = [] if r0 is None else ["--r0", r0]
+        res = run_cli("mesh", "hopf-cylinder", "--kappa", kappa, "--tau", "0.5", *r0_flag)
         assert res.returncode == 2
         assert res.stderr.startswith("usage: bcvgeo mesh")
 

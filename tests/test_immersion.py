@@ -191,7 +191,7 @@ class TestJetArrays:
         S = slant_surface()
         jet = surface_jet(S, P_NIL, 0.7, 0.4)
         arr = surface_jets(S, P_NIL, np.array([0.7]), np.array([0.4]))
-        for name in ("x", "y", "z", "E", "F", "G"):
+        for name in ("x", "y", "E", "F", "G"):
             assert np.allclose(getattr(jet, name), getattr(arr, name)[0], rtol=0.0, atol=1e-15)
         assert jet.cos_alpha == pytest.approx(float(arr.cos_alpha[0]), abs=1e-15)
         assert np.allclose(jet.n, arr.n[:, 0], rtol=0.0, atol=1e-15)

@@ -13,7 +13,6 @@ from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_fa
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
 from bcvgeo.rotation import (
-    COLUMNS,
     FD_CHECK_R_FLOOR,
     IntegrationConfig,
     ProfileState,
@@ -38,7 +37,7 @@ from bcvgeo.suites import run_suite
 from conftest import make_rng
 from profiles import (base_geodesic_curvature, fixed_point_radius, observed_order, orbit_metric,
                       slant_profile, spline_profile)
-from reference_kernel import branch_kernel as reference_kernel
+from reference_kernel import COLUMNS, branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)
 TWISTED = [(1.0, 1.0), (0.0, 0.5), (-1.0, 0.5)]
@@ -197,14 +196,16 @@ class TestObstruction:
 # r_stop, f_stop
 
 
-def split_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop, out):
-    """The rows of a trajectory, with the reference loop's arguments: the s,
-    r and sigma columns of run_branch_kernel, and z from branch_heights as
-    BranchTrajectory fills it on first read."""
-    n, status = run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop,
-                                  f_stop, out)
-    out[:n, 2] = branch_heights(kappa, tau, z0, step, out[:n, 1], out[:n, 3])
-    return n, status
+def split_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """The (s, r, z, sigma) rows of a trajectory and its status, with the
+    reference loop's arguments: the s, r and sigma columns of
+    run_branch_kernel, and z from branch_heights as BranchTrajectory
+    computes it on first read."""
+    n, status, s, r, sigma = run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max,
+                                               r_stop, f_stop)
+    assert len(s) == len(r) == len(sigma) == n
+    z = branch_heights(kappa, tau, z0, step, r, sigma)
+    return np.column_stack((s, r, z, sigma)), status
 
 
 KERNEL_CASES = {
@@ -226,12 +227,12 @@ class TestBranchKernel:
     def test_split_kernel_matches_reference_loop(self, case):
         args = KERNEL_CASES[case]
         ref = np.empty((args[7], len(COLUMNS)))
-        out = np.empty_like(ref)
         n_ref, status_ref = reference_kernel(*args, ref)
-        n, status = split_kernel(*args, out)
+        rows, status = split_kernel(*args)
+        n = len(rows)
         assert (n, status) == (n_ref, status_ref)
         # the state columns bit for bit
-        assert out[:n, :4].tobytes() == ref[:n, :4].tobytes()
+        assert rows.tobytes() == ref[:n, :4].tobytes()
         # the diagnostic columns from the reduced helpers on the reference's
         # states: their algebra differs from the loop's, and np.sin may
         # differ from math.sin by an ulp on some platforms, so to 1e-12
@@ -260,11 +261,11 @@ class TestBranchKernel:
                     s0, step, int(rng.choice([1, 2, 5, 3000, 20000])), s0 + rng.uniform(0.0, 3.0),
                     float(rng.choice([10 * rot.EPS_R, 0.05, 0.3])), float(rng.choice([EPS_F, 0.05])))
             ref = np.empty((args[7], len(COLUMNS)))
-            out = np.empty_like(ref)
             n_ref, status_ref = reference_kernel(*args, ref)
-            n, status = split_kernel(*args, out)
+            rows, status = split_kernel(*args)
+            n = len(rows)
             assert (n, status) == (n_ref, status_ref), args
-            assert out[:n, :4].tobytes() == ref[:n, :4].tobytes(), args
+            assert rows.tobytes() == ref[:n, :4].tobytes(), args
             statuses.add(status)
         assert statuses == set(STATUS_NAMES)
 
@@ -272,10 +273,8 @@ class TestBranchKernel:
         # r' and sigma' do not involve tau: only the z quadrature does
         cols = {}
         for tau in (0.0, 1.5):
-            out = np.empty((20000, 4))
-            n, _ = split_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
-                                0.05, EPS_F, out)
-            cols[tau] = out[:n]
+            cols[tau], _ = split_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
+                                       0.05, EPS_F)
         flat, twisted = cols[0.0], cols[1.5]
         assert len(flat) == len(twisted) == 3001
         assert flat[:, [0, 1, 3]].tobytes() == twisted[:, [0, 1, 3]].tobytes()
@@ -299,9 +298,9 @@ class TestBranchKernel:
         cfg = IntegrationConfig(s_max=3.0, r_stop=0.05)
         traj = integrate_noncmc_branch(BcvParams(kappa, tau),
                                        ProfileState(0.0, r0, 0.0, sigma0), cfg)
-        r = traj.column("r")
+        r = traj.r
         F = 1.0 + 0.25 * kappa * r * r
-        first = np.sin(traj.column("sigma")) * np.cbrt(r / (F * F))
+        first = np.sin(traj.sigma) * np.cbrt(r / (F * F))
         kept = r >= FD_CHECK_R_FLOOR
         assert np.abs(first[kept] / first[0] - 1.0).max() <= 1e-10
 
@@ -324,15 +323,15 @@ class TestBranchIntegration:
         kappa, tau, r0, z0, sigma0, s0, step, max_steps, s_max, r_stop, _ = args
         traj = integrate_noncmc_branch(BcvParams(kappa, tau), ProfileState(s0, r0, z0, sigma0),
                                        IntegrationConfig(step, max_steps, s_max, r_stop))
-        assert calls == [] and len(traj.column("r")) == len(traj)
-        # the first read fills z once, with the reference loop's bits
-        z = traj.column("z")
-        rows = traj.data
-        assert len(calls) == 1
+        assert calls == [] and len(traj.r) == len(traj)
+        # the first read computes z once, with the reference loop's bits
+        z = traj.z
+        assert traj.z is z and len(calls) == 1
         ref = np.empty((max_steps, len(COLUMNS)))
         n, _ = reference_kernel(*args, ref)
         assert n == len(traj) and z.tobytes() == ref[:n, 2].tobytes()
-        assert rows[:, :4].tobytes() == ref[:n, :4].tobytes()
+        rows = np.column_stack((traj.s, traj.r, traj.z, traj.sigma))
+        assert rows.tobytes() == ref[:n, :4].tobytes()
 
     def test_stationary_radius(self):
         kappa = 3.0
@@ -343,20 +342,20 @@ class TestBranchIntegration:
             IntegrationConfig(s_max=2.0),
         )
         assert traj.status == "smax_reached"
-        assert np.abs(traj.column("r") - r_star).max() < 1e-12
-        assert np.abs(traj.column("sigma") - math.pi / 2).max() < 1e-12
+        assert np.abs(traj.r - r_star).max() < 1e-12
+        assert np.abs(traj.sigma - math.pi / 2).max() < 1e-12
 
     def test_flat_base_sigma_decreases(self):
         traj = integrate_noncmc_branch(
             P_NIL, ProfileState(0.0, 1.0, 0.0, 1.2), IntegrationConfig(s_max=3.0)
         )
-        assert np.all(np.diff(traj.column("sigma")) < 0.0)
+        assert np.all(np.diff(traj.sigma) < 0.0)
 
     def test_s_column_uniform(self):
         traj = integrate_noncmc_branch(
             P_NIL, ProfileState(0.0, 1.0, 0.0, 0.8), IntegrationConfig(s_max=0.5)
         )
-        ds = np.diff(traj.column("s"))
+        ds = np.diff(traj.s)
         assert np.allclose(ds, traj.config.step, atol=1e-12)
         assert len(traj) <= traj.config.max_steps
 
@@ -365,8 +364,8 @@ class TestBranchIntegration:
         traj = integrate_noncmc_branch(
             P, ProfileState(0.0, 1.0, 0.0, 0.9), IntegrationConfig(s_max=2.0)
         )
-        r = traj.column("r")
-        sig = traj.column("sigma")
+        r = traj.r
+        sig = traj.sigma
         F = 1.0 + 0.25 * P.kappa * r * r
         q2 = 1.0 + P.tau ** 2 * r * r
         rp = F * np.cos(sig)
@@ -376,7 +375,7 @@ class TestBranchIntegration:
         # same identity from finite differences of the recorded columns
         h = traj.config.step
         rp_fd = (r[2:] - r[:-2]) / (2 * h)
-        z = traj.column("z")
+        z = traj.z
         zp_fd = (z[2:] - z[:-2]) / (2 * h)
         ident_fd = rp_fd ** 2 / F[1:-1] ** 2 + zp_fd ** 2 / q2[1:-1]
         assert np.abs(ident_fd - 1.0).max() < 1e-5
@@ -386,8 +385,8 @@ class TestBranchIntegration:
         traj = integrate_noncmc_branch(
             P, ProfileState(0.0, 0.8, 0.0, 1.1), IntegrationConfig(s_max=2.0)
         )
-        f = traj.column("f")
-        fp = traj.column("f_prime")
+        f = traj.f
+        fp = traj.f_prime
         fd = (f[2:] - f[:-2]) / (2 * traj.config.step)
         assert np.abs(fd - fp[1:-1]).max() < 1e-6
 
@@ -397,7 +396,7 @@ class TestBranchIntegration:
             P_NIL, ProfileState(0.0, 0.5, 0.0, math.pi), IntegrationConfig(s_max=10.0)
         )
         assert traj.status == "near_axis"
-        assert traj.column("r")[-1] < 0.51
+        assert traj.r[-1] < 0.51
 
     def test_negative_curvature_boundary_approach(self):
         # r' is proportional to F, so the flow only reaches the domain
@@ -408,7 +407,7 @@ class TestBranchIntegration:
             P, ProfileState(0.0, 1.0, 0.0, 0.0), IntegrationConfig(s_max=10.0)
         )
         assert traj.status == "smax_reached"
-        r = traj.column("r")
+        r = traj.r
         assert np.all(np.diff(r) > 0.0)
         assert r[-1] < 2.0
         assert smoothing_factor(P, r[-1], 0.0) < 1e-3
@@ -456,7 +455,7 @@ class TestBranchIntegration:
         # every row below FD_CHECK_R_FLOOR: no row is checked
         below = integrate_noncmc_branch(P_NIL, ProfileState(0.0, 0.15, 0.0, 1.5),
                                         IntegrationConfig(s_max=0.01))
-        assert len(below) >= 5 and below.column("r").max() < FD_CHECK_R_FLOOR
+        assert len(below) >= 5 and below.r.max() < FD_CHECK_R_FLOOR
         assert below.fd_check_margin is None
 
     def test_observed_order_is_four(self):
@@ -476,8 +475,8 @@ class TestBranchClassification:
             traj = integrate_noncmc_branch(
                 P, ProfileState(0.0, r0, 0.0, sigma0), IntegrationConfig(s_max=3.0)
             )
-            assert np.abs(traj.column("R2")).max() < 1e-10
-            assert np.abs(traj.column("R1")).max() > 1e-3
+            assert np.abs(traj.R2).max() < 1e-10
+            assert np.abs(traj.R1).max() > 1e-3
 
     @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_theorem52_suite_passes_for_every_seed(self, kappa, tau):
@@ -492,9 +491,9 @@ class TestBranchClassification:
         P = BcvParams(kappa, tau)
         traj = integrate_noncmc_branch(P, ProfileState(0.0, 0.9, 0.0, 1.2),
                                        IntegrationConfig(s_max=3.0, r_stop=0.05))
-        states = ProfileState(*traj.data[:, :4].T)
-        assert branch_r1(P, states).tobytes() == traj.column("R1").tobytes()
-        assert theorem52_obstruction(P, states).tobytes() == traj.column("obstruction").tobytes()
+        states = ProfileState(traj.s, traj.r, traj.z, traj.sigma)
+        assert branch_r1(P, states).tobytes() == traj.R1.tobytes()
+        assert theorem52_obstruction(P, states).tobytes() == traj.obstruction.tobytes()
 
     @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_bisection_probes_reproduce_flip_rows(self, kappa, tau, monkeypatch):
@@ -525,18 +524,18 @@ class TestBranchClassification:
             # (r, sigma) only and carries z = 0, so z is not compared
             for state, row in zip(probes[:2], (i, i + 1)):
                 assert (np.array([state.s, state.r, state.sigma]).tobytes()
-                        == traj.data[row, [0, 1, 3]].tobytes())
+                        == np.array([traj.s[row], traj.r[row], traj.sigma[row]]).tobytes())
                 assert (np.float64(quantity(P, state)).tobytes()
-                        == traj.column(names[quantity])[row].tobytes())
+                        == getattr(traj, names[quantity])[row].tobytes())
 
     def test_residual_proportional_to_obstruction(self):
         P = BcvParams(1.0, 1.0)
         traj = integrate_noncmc_branch(
             P, ProfileState(0.0, 1.0, 0.0, 1.0), IntegrationConfig(s_max=2.0)
         )
-        R1 = traj.column("R1")
-        obs = traj.column("obstruction")
-        r = traj.column("r")
+        R1 = traj.R1
+        obs = traj.obstruction
+        r = traj.r
         q3 = (1.0 + P.tau ** 2 * r * r) ** 1.5
         mask = np.abs(obs) > 1e-8
         # fixed smooth nonvanishing ratio, so the zero sets coincide
@@ -547,7 +546,7 @@ class TestBranchClassification:
         traj = integrate_noncmc_branch(
             P, ProfileState(0.0, 0.9, 0.0, 1.2), IntegrationConfig(s_max=4.0)
         )
-        R1 = traj.column("R1")
+        R1 = traj.R1
         flips = np.where(R1[:-1] * R1[1:] < 0.0)[0]
         assert len(flips) >= 1
         for i in flips:

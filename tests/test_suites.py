@@ -202,7 +202,7 @@ class TestNanResidualFails:
             traj = integrate(*args)
             runs.append(traj)
             if len(runs) == 2:
-                traj.column(column)[:] = np.nan
+                getattr(traj, column)[:] = np.nan
             return traj
         monkeypatch.setattr(rot, "integrate_noncmc_branch", nan_column)
         result = run_suite("theorem52", BcvParams(1.0, 1.0))

@@ -51,3 +51,21 @@ def test_install_and_restore_round_trip(tracer):
     for (m, a), fn in before.items():
         assert getattr(importlib.import_module(m), a) is fn, f"{m}.{a}"
     assert imm.ParametricSurface.coords is coords
+
+
+def test_row_counter_is_the_kernel_row_count(tracer):
+    # the tracer adds the first result of run_branch_kernel to its rows
+    from bcvgeo.ambient import BcvParams
+    from bcvgeo.rotation import IntegrationConfig, ProfileState, integrate_noncmc_branch
+
+    for modname, _, _ in tracer.TRACED:   # install() looks them up in sys.modules
+        importlib.import_module(modname)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin_op(0)
+        traj = integrate_noncmc_branch(BcvParams(1.0, 0.5), ProfileState(0.0, 1.0, 0.0, 1.0),
+                                       IntegrationConfig(s_max=0.5))
+    finally:
+        t.restore()
+    assert t.rows == len(traj) == 501
