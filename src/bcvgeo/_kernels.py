@@ -8,20 +8,54 @@ by the angle form of the profile equations,
     sigma' = sin(sigma) (kappa r / 4 - 1 / (3 r)),
 
 solved by classical RK4 at a fixed step.  Neither r' nor sigma' involves z
-or tau, so `branch_march` marches (r, sigma) alone, in plain Python on
-floats, and z is a quadrature along the recorded rows: `branch_heights`
-redoes each step's RK4 stages on arrays and sums the z increments in row
-order.  That gives the bits of a scalar loop marching z too, as long as
-numpy's float64 sin and cos round as `math`'s do (the tests compare every
-column with such a loop bit for bit).  `run_branch_kernel` returns the s, r
-and sigma columns of the rows, sized to the rows marched; a trajectory
-computes z from them when z is first read.  The trajectory and the reduced
-formulas evaluated along its rows live in `bcvgeo.rotation`.
+or tau, so the march follows (r, sigma) alone, and z is a quadrature along
+the recorded rows: `branch_heights` redoes each step's RK4 stages on arrays
+and sums the z increments in row order.  That gives the bits of a scalar
+loop marching z too, as long as numpy's float64 sin and cos round as
+`math`'s do (the tests compare every column with such a loop bit for bit).
+`run_branch_kernel` returns the s, r and sigma columns of the rows, sized
+to the rows marched; a trajectory computes z from them when z is first
+read.  The trajectory and the reduced formulas evaluated along its rows
+live in `bcvgeo.rotation`.
+
+The march runs compiled where it can.  `_march.c`, next to this module, is
+`branch_march` written line for line in its operation order, with the same
+stage guards and status codes.  On first use the source is built once with
+the C compiler Python was configured with (`sysconfig`'s CC) into a shared
+library under this package's `__pycache__/`, named by a hash of the source
+bytes, the flags and the platform, so a library built from other source
+bytes is never loaded.  The library is written to a temporary name and
+moved into place with `os.replace`, so a concurrent build never loads a
+partial file, and is loaded with `ctypes`.  Where there is no compiler,
+the build fails, or the cache cannot be written, the march stays in Python
+(`branch_march`); nothing else selects between the two.
+
+Both marches give the same rows bit for bit as long as:
+
+  - the compiler evaluates each expression as written in double precision:
+    no FMA contraction (`-ffp-contract=off`) and no fast-math, so nothing
+    is reassociated or rounded differently;
+  - the library calls the same libm `sin` and `cos` that `math.sin` and
+    `math.cos` call: `-fno-builtin-sin -fno-builtin-cos` keep the compiler
+    from folding the pairs into `sincos`, which need not round alike.
+
+The compiled march fills a row buffer in chunks that grow geometrically and
+resumes each chunk from the state after the last row, so no buffer is
+sized to the row budget; the r and sigma columns are compact copies.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import importlib.util
 import math
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +71,13 @@ STATUS_NAMES = {
     STATUS_DOMAIN_EXIT: "domain_exit",
 }
 
+_SOURCE = Path(__file__).with_name("_march.c")
+_CACHE_DIR = _SOURCE.with_name("__pycache__")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin-sin",
+           "-fno-builtin-cos")
+_BUILD_TIMEOUT_S = 120
+_FIRST_CHUNK_ROWS = 4096   # rows of the compiled march's first buffer; later ones double
+
 
 def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     """March (r, sigma) of the branch system, recording the state of each row.
@@ -46,7 +87,8 @@ def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     Stops on s >= s_max, row budget, r <= r_stop (axis), or F <= f_stop
     (domain boundary); stage values are guarded the same way so a step can
     never be committed through the singular set.  Takes Python floats
-    (numpy scalars slow every operation of the loop).
+    (numpy scalars slow every operation of the loop).  `_march.c` is this
+    loop in C; this one runs where that cannot be built.
     """
     s, r, sig = s0, r0, sigma0
     rows = []
@@ -131,19 +173,114 @@ def branch_heights(kappa, tau, z0, step, r, sigma):
     return np.add.accumulate(dz)
 
 
+def build_march(source: bytes, cache_dir: Path):
+    """The `branch_march` function of the library built from the C `source`,
+    cached in `cache_dir`; None when the build or the load fails.
+
+    The library's file name is a hash of the source bytes, the flags and the
+    platform.  A cached library of that name is loaded as it is; otherwise
+    the source is compiled with `sysconfig`'s CC under a temporary name and
+    moved into place.  The compiler's output is captured, never shown.
+    """
+    # the hash of hash-based .pyc files, which loads no OpenSSL as hashlib does
+    key = importlib.util.source_hash(b"\0".join(
+        [source, " ".join(_CFLAGS).encode(), sysconfig.get_platform().encode()]))
+    lib = cache_dir / f"_march-{key.hex()}.so"
+    try:
+        if not lib.exists():
+            # read only here: the configuration variables hold 0.4 MB resident
+            cc = sysconfig.get_config_var("CC")
+            if not cc:
+                return None
+            cache_dir.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=cache_dir) as tmp:
+                c_file, built = Path(tmp, "_march.c"), Path(tmp, lib.name)
+                c_file.write_bytes(source)
+                subprocess.run([*shlex.split(cc), *_CFLAGS, "-o", str(built), str(c_file), "-lm"],
+                               capture_output=True, check=True, timeout=_BUILD_TIMEOUT_S)
+                os.replace(built, lib)
+        march = ctypes.CDLL(str(lib)).branch_march
+    except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
+        return None
+    march.argtypes = [ctypes.c_double, ctypes.POINTER(ctypes.c_double), ctypes.c_double,
+                      ctypes.c_longlong, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                      ctypes.c_void_p, ctypes.POINTER(ctypes.c_longlong)]
+    march.restype = ctypes.c_int
+    return march
+
+
+@functools.cache
+def _compiled_march():
+    """The compiled march from `_march.c`, built or loaded on first use; None
+    where it cannot be, and the march stays in Python."""
+    try:
+        source = _SOURCE.read_bytes()
+    except OSError:
+        return None
+    return build_march(source, _CACHE_DIR)
+
+
+def _march_columns(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """(status_code, r, sigma) of `branch_march`'s rows, r and sigma compact
+    1-D arrays, from the compiled march where there is one.
+
+    The compiled march fills buffers of 4,096 rows and then of twice the
+    last size, up to the rows left in the budget, each resumed from the
+    state the last one stopped at.
+    """
+    march = _compiled_march()
+    if march is None:
+        rows, status = branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop,
+                                    f_stop)
+        return status, np.array(rows[0::2]), np.array(rows[1::2])
+    state = (ctypes.c_double * 3)(s0, r0, sigma0)
+    n = ctypes.c_longlong()
+    chunks = []
+    size = max(0, min(max_rows, _FIRST_CHUNK_ROWS))
+    while True:
+        buf = np.empty(2 * size)
+        status = march(kappa, state, step, size, s_max, r_stop, f_stop, buf.ctypes.data,
+                       ctypes.byref(n))
+        chunks.append(buf[:2 * n.value])
+        max_rows -= size
+        if status != STATUS_MAX_STEPS or max_rows <= 0:
+            break
+        size = min(max_rows, 2 * size)
+    return (status, np.concatenate([c[0::2] for c in chunks]),
+            np.concatenate([c[1::2] for c in chunks]))
+
+
+def branch_probe(kappa, r0, sigma0, s0, step, r_stop, f_stop):
+    """The state (s, r, sigma), as Python floats, that a march from
+    (s0, r0, sigma0) to s_max = s0 + step records after one step of `step`:
+    the start state itself where the march stops before that step.  Takes
+    Python floats, and uses the compiled march where there is one.
+    """
+    march = _compiled_march()
+    if march is None:
+        rows, _ = branch_march(kappa, r0, sigma0, s0, step, 2, s0 + step, r_stop, f_stop)
+        return (s0, r0, sigma0) if len(rows) == 2 else (s0 + step, rows[2], rows[3])
+    # a one-row march leaves the state after its step, or its start state
+    # where it stopped
+    state = (ctypes.c_double * 3)(s0, r0, sigma0)
+    march(kappa, state, step, 1, s0 + step, r_stop, f_stop, (ctypes.c_double * 2)(),
+          ctypes.byref(ctypes.c_longlong()))
+    return state[0], state[1], state[2]
+
+
 def run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     """March the branch from (s0, r0, sigma0) for at most max_rows rows.
 
-    `branch_march` marches (r, sigma), and the s column accumulates the step
-    from s0 as the march does; z is left to `branch_heights`.  Returns
-    (rows, status_code, s, r, sigma), each column a 1-D array of `rows`
-    floats.  Every argument is coerced to a Python float (max_rows to int)
-    before the march.
+    The march follows (r, sigma), compiled where it can be (see the module
+    docstring), and the s column accumulates the step from s0 as the march
+    does; z is left to `branch_heights`.  Returns (rows, status_code, s, r,
+    sigma), each column a compact 1-D array of `rows` floats.  Every
+    argument is coerced to a Python float (max_rows to int) before the
+    march.
     """
     s0, step = float(s0), float(step)
-    rows, status = branch_march(float(kappa), float(r0), float(sigma0), s0, step, int(max_rows),
-                                float(s_max), float(r_stop), float(f_stop))
-    r, sigma = np.array(rows).reshape(-1, 2).T
+    status, r, sigma = _march_columns(float(kappa), float(r0), float(sigma0), s0, step,
+                                      int(max_rows), float(s_max), float(r_stop), float(f_stop))
     ds = np.full(len(r), step)
     ds[0] = s0
     return len(r), status, np.add.accumulate(ds), r, sigma

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import STATUS_NAMES, branch_heights, branch_march, run_branch_kernel
+from ._kernels import STATUS_NAMES, branch_heights, branch_probe, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
 from .ambient import EPS_F, BcvParams, _first_failure, smoothing_factor
@@ -371,9 +371,8 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        rows, _ = branch_march(kappa, r0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
-        s = s0 if len(rows) == 2 else s0 + offset
-        return quantity(params, ProfileState(s, rows[-2], 0.0, rows[-1]))
+        s, r, sigma = branch_probe(kappa, r0, g0, s0, offset, EPS_R, EPS_F)
+        return quantity(params, ProfileState(s, r, 0.0, sigma))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
+from bcvgeo import _kernels
 from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_heights, branch_march,
-                             run_branch_kernel)
+                             branch_probe, run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
@@ -49,6 +50,17 @@ def float_or_array(lo, hi):
     elements = st.floats(lo, hi)
     return st.one_of(elements, hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=3),
                                           elements=elements))
+
+
+@pytest.fixture(params=["compiled", "python"])
+def march(request, monkeypatch):
+    """Runs a test with the compiled march, then with the Python one that
+    serves where no library can be built."""
+    if request.param == "python":
+        monkeypatch.setattr(_kernels, "_compiled_march", lambda: None)
+    elif _kernels._compiled_march() is None:
+        pytest.skip("no C compiler could build _march.c here")
+    return request.param
 
 
 def projected_normal(params, jet):
@@ -204,6 +216,8 @@ def split_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
     n, status, s, r, sigma = run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max,
                                                r_stop, f_stop)
     assert len(s) == len(r) == len(sigma) == n
+    # compact arrays of their own, not views of a row buffer
+    assert all(c.base is None and c.flags.c_contiguous for c in (s, r, sigma))
     z = branch_heights(kappa, tau, z0, step, r, sigma)
     return np.column_stack((s, r, z, sigma)), status
 
@@ -219,10 +233,15 @@ KERNEL_CASES = {
     "domain_exit_stage": (-1.0, 0.5, 1.9, 0.0, 0.0, 0.0, 2.0, 10, 100.0, 1e-8, 0.05),
     "domain_exit_outside": (-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9),
     "boundary_approach": (-1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1e-3, 20000, 10.0, 1e-7, EPS_F),
+    # more rows than the compiled march's first buffer of 4,096: 12,001 rows
+    # over three buffers, and a row budget of 9,000 that ends with the second
+    "smax_buffers": (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 12.0, 0.05, EPS_F),
+    "max_steps_buffers": (0.0, 0.5, 0.8, 0.0, 1.0, 0.0, 1e-3, 9000, 100.0, 1e-7, EPS_F),
 }
 
 
 class TestBranchKernel:
+    @pytest.mark.usefixtures("march")
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_split_kernel_matches_reference_loop(self, case):
         args = KERNEL_CASES[case]
@@ -244,6 +263,7 @@ class TestBranchKernel:
         else:
             assert np.abs(np.array(branch_residuals(P, states)).T - ref[:n, 4:]).max() <= 1e-12
 
+    @pytest.mark.usefixtures("march")
     def test_seeded_sweep_matches_reference_loop(self):
         # random starts, sigma0 outside (0, pi) too, every row budget
         # regime: the quadrature z has the loop's bits wherever the march
@@ -269,6 +289,7 @@ class TestBranchKernel:
             statuses.add(status)
         assert statuses == set(STATUS_NAMES)
 
+    @pytest.mark.usefixtures("march")
     def test_march_does_not_depend_on_tau(self):
         # r' and sigma' do not involve tau: only the z quadrature does
         cols = {}
@@ -279,6 +300,19 @@ class TestBranchKernel:
         assert len(flat) == len(twisted) == 3001
         assert flat[:, [0, 1, 3]].tobytes() == twisted[:, [0, 1, 3]].tobytes()
         assert np.all(np.abs(flat[1:, 2] - twisted[1:, 2]) > 0.0)
+
+    @pytest.mark.usefixtures("march")
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_probe_is_the_march_to_one_step(self, case):
+        # a probe is the last row of a two-row march to s0 + step, at the
+        # case's step, at a quarter of it and at offset 0
+        kappa, _, r0, _, sigma0, s0, step, _, _, r_stop, f_stop = KERNEL_CASES[case]
+        for h in (step, 0.25 * step, 0.0):
+            rows, _ = branch_march(kappa, r0, sigma0, s0, h, 2, s0 + h, r_stop, f_stop)
+            want = (s0 if len(rows) == 2 else s0 + h, rows[-2], rows[-1])
+            got = branch_probe(kappa, r0, sigma0, s0, h, r_stop, f_stop)
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (case, h)
 
     def test_cases_reach_every_status(self):
         statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
@@ -291,6 +325,7 @@ class TestBranchKernel:
     # fails at every input, so a shrunk example only costs minutes
     @settings(max_examples=40, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @pytest.mark.usefixtures("march")
     def test_first_integral_is_conserved(self, kappa, tau, r0, sigma0):
         # d ln sin(sigma) / dr = (kappa r / 4 - 1 / (3 r)) / F along the flow,
         # so I = sin(sigma) r^(1/3) F^(-2/3) is constant on every trajectory
@@ -495,6 +530,7 @@ class TestBranchClassification:
         assert branch_r1(P, states).tobytes() == traj.R1.tobytes()
         assert theorem52_obstruction(P, states).tobytes() == traj.obstruction.tobytes()
 
+    @pytest.mark.usefixtures("march")
     @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_bisection_probes_reproduce_flip_rows(self, kappa, tau, monkeypatch):
         # the suite's bisection evaluates the code and the states of the
