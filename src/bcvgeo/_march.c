@@ -9,6 +9,12 @@
  * the state after the last recorded row: the next row's when the row
  * budget ran out (so a march resumed from it continues bit for bit), the
  * last row's otherwise.
+ *
+ * math.sin and math.cos raise ValueError on an infinite argument, where
+ * libm's sin and cos return NaN, so the march returns MATH_DOMAIN where
+ * the Python march would call one of them on an infinite argument.  The
+ * Python march's other error, a division by r = 0, cannot arise from the
+ * callers, which pass r0 > 0 and r_stop > 0.
  */
 
 #include <math.h>
@@ -17,7 +23,8 @@ enum {
     STATUS_SMAX = 0,
     STATUS_MAX_STEPS = 1,
     STATUS_NEAR_AXIS = 2,
-    STATUS_DOMAIN_EXIT = 3
+    STATUS_DOMAIN_EXIT = 3,
+    MATH_DOMAIN = -1
 };
 
 int branch_march(double kappa, double *state, double step, long long max_rows,
@@ -40,6 +47,10 @@ int branch_march(double kappa, double *state, double step, long long max_rows,
         }
 
         /* RK4 step with per-stage guards */
+        if (isinf(sig)) {
+            status = MATH_DOMAIN;
+            break;
+        }
         double k1r = (1.0 + kq * r * r) * cos(sig);
         double k1g = sin(sig) * (kq * r - 1.0 / (3.0 * r));
 
@@ -48,6 +59,10 @@ int branch_march(double kappa, double *state, double step, long long max_rows,
         double F2 = 1.0 + kq * r2_ * r2_;
         if (r2_ <= r_stop || F2 <= f_stop) {
             status = r2_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
+            break;
+        }
+        if (isinf(g2_)) {
+            status = MATH_DOMAIN;
             break;
         }
         double k2r = F2 * cos(g2_);
@@ -60,6 +75,10 @@ int branch_march(double kappa, double *state, double step, long long max_rows,
             status = r3_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
             break;
         }
+        if (isinf(g3_)) {
+            status = MATH_DOMAIN;
+            break;
+        }
         double k3r = F3 * cos(g3_);
         double k3g = sin(g3_) * (kq * r3_ - 1.0 / (3.0 * r3_));
 
@@ -68,6 +87,10 @@ int branch_march(double kappa, double *state, double step, long long max_rows,
         double F4 = 1.0 + kq * r4_ * r4_;
         if (r4_ <= r_stop || F4 <= f_stop) {
             status = r4_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
+            break;
+        }
+        if (isinf(g4_)) {
+            status = MATH_DOMAIN;
             break;
         }
         double k4r = F4 * cos(g4_);

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import STATUS_NAMES, branch_heights, branch_probe, run_branch_kernel
+from ._kernels import STATUS_NAMES, branch_heights, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
 from .ambient import EPS_F, BcvParams, _first_failure, smoothing_factor
@@ -359,9 +359,10 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     Bisection on the sub-step offset, down to a width of BISECTION_TOL;
     each probe advances the row-i (r, sigma) by a single RK4 step of the
     probed size, which is accurate to O(step^5) and keeps the refinement
-    deterministic.  Probes call the same (r, sigma) march as the trajectory
-    and read only the row-i s, r and sigma: they carry z = 0, which no
-    branch quantity reads, so a bisection leaves the z column unfilled.
+    deterministic.  Probes call the Python (r, sigma) march, whose rows have
+    the bits of the trajectory's march, compiled or not, and read only the
+    row-i s, r and sigma: they carry z = 0, which no branch quantity reads,
+    so a bisection leaves the z column unfilled.
     The probe at offset 0 returns the row-i state itself.  Halving the step
     h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4 loops
     later it raises SelfConsistencyError naming the step.
@@ -371,8 +372,9 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        s, r, sigma = branch_probe(kappa, r0, g0, s0, offset, EPS_R, EPS_F)
-        return quantity(params, ProfileState(s, r, 0.0, sigma))
+        rows, _ = branch_march(kappa, r0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
+        s = s0 if len(rows) == 2 else s0 + offset
+        return quantity(params, ProfileState(s, rows[-2], 0.0, rows[-1]))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bcvgeo import _kernels
 from bcvgeo.ambient import BcvParams, frame_components, frame_dot
 from bcvgeo.biconservative import tangential_bitension_arrays
 from bcvgeo.immersion import ParametricSurface, Stages, surface_jets
@@ -99,3 +100,14 @@ def sphere_surface(radius=1.0):
 @pytest.fixture
 def rng():
     return make_rng()
+
+
+@pytest.fixture(params=["compiled", "python"])
+def march(request, monkeypatch):
+    """Runs a test with the compiled march, then with the Python one that
+    serves where no library can be built."""
+    if request.param == "python":
+        monkeypatch.setattr(_kernels, "_compiled_march", lambda: None)
+    elif _kernels._compiled_march() is None:
+        pytest.skip("no C compiler could build _march.c here")
+    return request.param

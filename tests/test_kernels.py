@@ -1,12 +1,14 @@
 """Building and loading the compiled march: a failed build leaves the Python
-march in use with the same output, and a library is loaded only when it was
-built from the source bytes at hand."""
+march in use with the same output, a library is loaded only when it was
+built from the source bytes at hand, and both marches fail alike."""
 
 import contextlib
 import ctypes
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -21,11 +23,14 @@ ARGS = (1.0, 1.0, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, 1e-9)
 
 @pytest.fixture
 def cache_dir(monkeypatch, tmp_path):
-    """An empty library cache; the march is built or loaded afresh on first
-    use, and again after the test from the package's own cache."""
-    monkeypatch.setattr(_kernels, "_CACHE_DIR", tmp_path)
+    """An empty library cache under `sys.pycache_prefix`; the march is built
+    or loaded afresh on first use, and again after the test from the
+    package's own cache."""
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
     _kernels._compiled_march.cache_clear()
-    yield tmp_path
+    cache = Path(importlib.util.cache_from_source(_kernels.__file__)).parent
+    assert cache.is_relative_to(tmp_path)
+    yield cache
     _kernels._compiled_march.cache_clear()
 
 
@@ -45,7 +50,7 @@ def test_failed_build_leaves_the_python_march(cache_dir, monkeypatch, cc):
     monkeypatch.setattr(sysconfig, "get_config_var",
                         lambda name: cc if name == "CC" else config_var(name))
     assert _kernels._compiled_march() is None
-    assert list(cache_dir.iterdir()) == []
+    assert list(cache_dir.glob("*")) == []
     # the integrate runs that print to stdout give the pinned bytes
     pinned = [c for c in json.loads(PINNED.read_text(encoding="utf-8"))
               if c["argv"][0] == "integrate" and "--out" not in c["argv"]]
@@ -71,7 +76,23 @@ def test_library_from_other_source_is_never_loaded(cache_dir):
     march = _kernels._compiled_march()
     assert march is not None
     assert compiled_rows(march, *ARGS) == want
-    assert len(list(cache_dir.glob("_march-*"))) == 2
+    # writing the library removed the other one
+    libs = list(cache_dir.glob("_march.*"))
+    assert len(libs) == 1
     # and a second load finds its own library, not the other
     assert compiled_rows(_kernels.build_march(source, cache_dir), *ARGS) == want
-    assert len(list(cache_dir.glob("_march-*"))) == 2
+    assert list(cache_dir.glob("_march.*")) == libs
+
+
+@pytest.mark.usefixtures("march")
+def test_overflowing_integrate_fails_alike():
+    # r overflows before s = pi while sigma stays near 0: math.sin raises
+    # where libm's sin gives NaN, and both marches report it as usage error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        cli.main(["integrate", "--kappa", "1", "--tau", "0.5", "--r0", "1", "--sigma0",
+                  "1e-300", "--smax", "5"])
+    assert exc.value.code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().endswith("bcvgeo integrate: error: math domain error\n")

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
-from bcvgeo import _kernels
 from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_heights, branch_march,
-                             branch_probe, run_branch_kernel)
+                             run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
@@ -50,17 +49,6 @@ def float_or_array(lo, hi):
     elements = st.floats(lo, hi)
     return st.one_of(elements, hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=3),
                                           elements=elements))
-
-
-@pytest.fixture(params=["compiled", "python"])
-def march(request, monkeypatch):
-    """Runs a test with the compiled march, then with the Python one that
-    serves where no library can be built."""
-    if request.param == "python":
-        monkeypatch.setattr(_kernels, "_compiled_march", lambda: None)
-    elif _kernels._compiled_march() is None:
-        pytest.skip("no C compiler could build _march.c here")
-    return request.param
 
 
 def projected_normal(params, jet):
@@ -239,6 +227,19 @@ KERNEL_CASES = {
     "max_steps_buffers": (0.0, 0.5, 0.8, 0.0, 1.0, 0.0, 1e-3, 9000, 100.0, 1e-7, EPS_F),
 }
 
+# run_branch_kernel arguments (kappa, r0, sigma0, s0, step, max_rows, s_max,
+# r_stop, f_stop) of marches that reach an infinite sin or cos argument at
+# the start of a step or at stage 2, 3 or 4: math.sin and math.cos raise
+# ValueError there, where libm returns NaN
+OVERFLOW_CASES = {
+    "start": (1.0, 1.0, math.inf, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_2": (40.0, 1e308, 1.0, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_3": (1.0, 1e300, 0.5, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_4": (1.0, 1e150, 0.1, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    # r grows to overflow before s = pi while sigma stays near 0 (stage 4)
+    "trajectory": (1.0, 1.0, 1e-300, 0.0, 1e-3, 10000, 5.0, 1e-6, EPS_F),
+}
+
 
 class TestBranchKernel:
     @pytest.mark.usefixtures("march")
@@ -302,17 +303,13 @@ class TestBranchKernel:
         assert np.all(np.abs(flat[1:, 2] - twisted[1:, 2]) > 0.0)
 
     @pytest.mark.usefixtures("march")
-    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_probe_is_the_march_to_one_step(self, case):
-        # a probe is the last row of a two-row march to s0 + step, at the
-        # case's step, at a quarter of it and at offset 0
-        kappa, _, r0, _, sigma0, s0, step, _, _, r_stop, f_stop = KERNEL_CASES[case]
-        for h in (step, 0.25 * step, 0.0):
-            rows, _ = branch_march(kappa, r0, sigma0, s0, h, 2, s0 + h, r_stop, f_stop)
-            want = (s0 if len(rows) == 2 else s0 + h, rows[-2], rows[-1])
-            got = branch_probe(kappa, r0, sigma0, s0, h, r_stop, f_stop)
-            assert all(type(x) is float for x in got)
-            assert np.array(got).tobytes() == np.array(want).tobytes(), (case, h)
+    @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+    def test_infinite_angle_raises_as_math_does(self, case):
+        args = OVERFLOW_CASES[case]
+        with pytest.raises(ValueError, match="^math domain error$"):
+            branch_march(*args)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            run_branch_kernel(*args)
 
     def test_cases_reach_every_status(self):
         statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
