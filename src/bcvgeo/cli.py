@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-import warnings
+from array import array
 
 import numpy as np
 
@@ -114,21 +114,25 @@ def _cmd_integrate(args, parser) -> int:
 
 def _read_csv_columns(path, required, parser):
     """The columns `required` of the CSV file `path`, as a mapping of name
-    to float array; an input error exits 2 through `parser`, naming the file.
+    to float array, read in one pass; an input error exits 2 through
+    `parser`, naming the file, and the line where there is one.
 
     The header is the first line with any text, a leading "#" dropped; its
     comma-separated cells, stripped of blanks and double quotes, name the
     columns, and the first of two equal names counts.  Below it, a line
     with no text before a "#" (blank, or a comment such as `integrate`'s
     closing "# status:" line) is skipped, and so is the text after a "#".
-    Every other line is a data row with as many cells as the header, whose
-    cells in the required columns are decimal numbers, blanks around them
-    allowed.  The required columns must be finite and at least 4 rows long.
+    Every other line is a data row with as many cells as the header.  A
+    cell in a required column is a number by one rule: stripped of
+    whitespace, it is ASCII, has no "_" and is read by `float`.  The first
+    line that breaks a rule is the one named.  The required columns must be
+    finite and at least 4 rows long.
     """
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
+            lines = enumerate(fh, 1)
             header = ""
-            for row, line in enumerate(fh, 1):
+            for _, line in lines:
                 header = line.strip().removeprefix("#").strip()
                 if header:
                     break
@@ -139,57 +143,32 @@ def _read_csv_columns(path, required, parser):
             if missing:
                 parser.error(f"{path}: missing columns {', '.join(missing)}")
             index = [names.index(c) for c in required]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")     # no rows at all is reported below
-                data = np.loadtxt(_data_rows(fh, len(names)), delimiter=",", ndmin=2,
-                                  usecols=index)
+            values = [array("d") for _ in required]
+            for n, line in lines:
+                text = line.partition("#")[0]
+                if not text.strip():
+                    continue
+                cells = text.split(",")
+                if len(cells) != len(names):
+                    parser.error(f"{path}: line {n} has {len(cells)} cells, "
+                                 f"the header {len(names)}")
+                for c, i, column in zip(required, index, values):
+                    cell = cells[i].strip()
+                    try:
+                        if "_" in cell or not cell.isascii():
+                            raise ValueError
+                        column.append(float(cell))
+                    except ValueError:
+                        parser.error(f"{path}: line {n}: column {c} is not a number: {cell!r}")
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc}")
-    except ValueError as exc:
-        parser.error(f"{path}: {_unreadable_row(path, row, names, required) or exc}")
-    if data.shape[0] < 4:
+    if len(values[0]) < 4:
         parser.error(f"{path}: need at least 4 rows for a spline profile")
-    columns = dict(zip(required, data.T))
-    for c in required:
-        if not np.all(np.isfinite(columns[c])):
+    columns = {c: np.array(column) for c, column in zip(required, values)}
+    for c, column in columns.items():
+        if not np.all(np.isfinite(column)):
             parser.error(f"{path}: column {c} has non-finite values")
     return columns
-
-
-def _data_rows(lines, width):
-    """The text before any "#" of each line that has some, checked to have
-    `width` cells; ValueError at the first that has not."""
-    for line in lines:
-        text = line.partition("#")[0]
-        if text.strip():
-            if text.count(",") != width - 1:
-                raise ValueError("ragged row")
-            yield text
-
-
-def _unreadable_row(path, header_row, names, required):
-    """Where the first data row below line `header_row` has a cell count
-    other than the header's, or no number in a required column; None if
-    there is no such row."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for n, line in enumerate(fh, 1):
-            text = line.partition("#")[0]
-            if n <= header_row or not text.strip():
-                continue
-            cells = text.split(",")
-            if len(cells) != len(names):
-                return f"line {n} has {len(cells)} cells, the header {len(names)}"
-            for c in required:
-                cell = cells[names.index(c)]
-                # Python's float() reads what loadtxt does, and digit
-                # underscores and non-ASCII digits besides
-                try:
-                    if "_" in cell or not cell.isascii():
-                        raise ValueError
-                    float(cell)
-                except ValueError:
-                    return f"line {n}: column {c} is not a number: {cell.strip()!r}"
-    return None
 
 
 def _mesh_surface(args, parser):

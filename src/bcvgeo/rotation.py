@@ -118,7 +118,9 @@ class ProfileState:
         else:
             ok = (np.isfinite(total) & (self.r > EPS_R)).all()
         if not ok:
-            raise DomainError(f"profile state (s, r, z, sigma) = {(self.s, self.r, self.z, self.sigma)} "
+            bad = _first_failure(np.isfinite(total) & (self.r > EPS_R),
+                                 self.s, self.r, self.z, self.sigma)
+            raise DomainError(f"profile state (s, r, z, sigma) = {tuple(bad)} "
                               f"is not finite or has r <= {EPS_R}")
 
     @cached_property

@@ -196,11 +196,10 @@ def _structural_checks(params: BcvParams):
     Brioschi stencils, give the jet, Gauss and the centre shape operator
     and Christoffel symbols of Codazzi and the derivative law of T; its
     `steps`, one jet call over the +-e1, +-e2 steps, serve Codazzi and the
-    law of T, of which the suite reads the e2 column.  Codazzi and the law
-    of T are evaluated only where the adapted frame is well conditioned
-    (sin(alpha) > 0.1, |cot(alpha)| < 10), so the later stages of a skipped
-    point are never evaluated; where no point is kept, those two checks
-    have no values.
+    law of T along e1 and e2.  Codazzi and the law of T are evaluated only
+    where the adapted frame is well conditioned (sin(alpha) > 0.1,
+    |cot(alpha)| < 10), so the later stages of a skipped point are never
+    evaluated; where no point is kept, those two checks have no values.
     """
     batch, U, V = _batch([(S, *np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
                           for S, nu, nv in _structural_surfaces(params)])
@@ -218,7 +217,7 @@ def _structural_checks(params: BcvParams):
     if ok.any():
         sub = stages.at(ok)
         codazzi = np.abs(imm.codazzi_residual(sub))
-        vec, sc = (r[..., 1] for r in imm.compatibility_residual(sub))   # along e2
+        vec, sc = imm.compatibility_residual(sub)   # along e1 and e2
         compat = (np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)), np.abs(sc))
     return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
             Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], U.size

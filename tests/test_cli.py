@@ -520,6 +520,12 @@ class TestMeshInputErrors:
             "columns reordered and extra": [",".join(["extra"] + header.split(",")[::-1])]
                                            + [",".join(["abc"] + row.split(",")[::-1])
                                               for row in rows],
+            "first of two equal names": [f"{header},{header.split(',')[0]}"]
+                                        + [row + ",abc" for row in rows],
+            "NBSP around cells": [header] + [f"\xa0{c}\xa0".replace(",", "\xa0,\xa0")
+                                             for c in rows],
+            "em spaces around cells": [header] + [f"\u2003{c}\u2003".replace(",", "\u2003,\u2003")
+                                                  for c in rows],
         }
 
     @pytest.mark.parametrize("flag", list(INPUTS))
@@ -584,3 +590,29 @@ class TestMeshInputErrors:
         assert code == 2
         assert "in.csv: need at least 4 rows for a spline profile" in err
         assert "Warning" not in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_bad_cell_below_a_padded_number_names_its_own_line(self, capsys, tmp_path, flag):
+        # the padded number on line 3 is read, so the error is at line 6
+        _, header, rows = INPUTS[flag]
+        first, second = header.split(",")[:2]
+        bad = (rows[:1] + ["\xa0" + rows[1]] + rows[2:4]
+               + ["abc" + rows[4][rows[4].index(","):]] + rows[5:])
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad)
+        assert code == 2
+        assert f"in.csv: line 6: column {first} is not a number: 'abc'" in err
+        # and a padded cell is not named for a bad cell beside it
+        bad = rows[:3] + ["\u2003" + rows[3].replace(",", ",0.\u20031", 1)] + rows[4:]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad)
+        assert code == 2
+        assert f"in.csv: line 5: column {second} is not a number: '0.\\u20031" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_non_utf8_byte_in_a_cell_is_not_a_number(self, capsys, tmp_path, flag):
+        # the byte 0xe9, decoded as U+FFFD
+        _, header, rows = INPUTS[flag]
+        first = header.split(",")[0]
+        bad = rows[:3] + ["1\udce9" + rows[3][rows[3].index(","):]] + rows[4:]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad)
+        assert code == 2
+        assert f"in.csv: line 5: column {first} is not a number: '1\ufffd'" in err

@@ -1,7 +1,8 @@
 """Every top-level definition in `src` is reached from `bcvgeo.cli.main`, or
-it is pinned below with the ROADMAP item that decides where it goes; and
+it is pinned below with the ROADMAP item that decides where it goes;
 every defaulted parameter in `src` is passed at some `src` call, or it is
-pinned below with the reason no `src` call can pass it.
+pinned below with the reason no `src` call can pass it; and every name that
+an import binds in `src` or `tests` is read there.
 
 A stdlib `ast` walk stands in for a call graph.  A definition reaches each
 top-level definition, in any module, whose name it reads as a name or as an
@@ -178,3 +179,43 @@ def test_option_walk_on_a_toy_source():
              "        return Box(x, y)\n",
     }
     assert unpassed(sources) == {"cli.main(argv)", "m.run(tol)", "m.Box.get(fill)"}
+
+
+TESTS = SRC.parents[1] / "tests"
+
+
+def unused_imports(text):
+    """The names that the imports of the module source `text` bind and that
+    it never reads; a name listed in `__all__` counts as read."""
+    tree = ast.parse(text)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if "__all__" in _bound(node):
+            used.update(ast.literal_eval(node.value))
+    return bound - used
+
+
+def test_no_unused_imports():
+    unused = {p.relative_to(SRC.parents[1]).as_posix(): sorted(unused_imports(p.read_text()))
+              for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    assert {path: names for path, names in unused.items() if names} == {}
+
+
+def test_import_walk_on_a_toy_source():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import warnings\n"
+              "import numpy as np\n"
+              "from . import ambient as amb, immersion\n"
+              "from .errors import DomainError, BcvError\n"
+              "__all__ = ['BcvError']\n"
+              "def f(x):\n"
+              "    import math\n"
+              "    return os.path.join(np.sqrt(x), amb.EPS_F)\n")
+    assert unused_imports(source) == {"warnings", "immersion", "DomainError", "math"}

@@ -603,6 +603,22 @@ class TestConstructors:
         with pytest.raises(DomainError):
             ProfileState(np.zeros(3), np.ones(3), np.array([0.0, math.inf, 0.0]), 0.3)
 
+    def test_profile_state_error_names_first_failing_state(self):
+        # the first failure in C order, as floats, and not the arrays
+        s = np.arange(12.0).reshape(3, 4)
+        r = np.ones((3, 4))
+        r[1, 2] = r[2, 0] = -1.0
+        with pytest.raises(DomainError) as err:
+            ProfileState(s, r, 0.0, 0.3)
+        assert str(err.value) == ("profile state (s, r, z, sigma) = (6.0, -1.0, 0.0, 0.3) "
+                                  "is not finite or has r <= 1e-08")
+        z = np.zeros((3, 4))
+        z[0, 3] = math.inf
+        with pytest.raises(DomainError, match=r"= \(3\.0, 1\.0, inf, 0\.3\) is not finite"):
+            ProfileState(s, r, z, 0.3)
+        with pytest.raises(DomainError, match=r"= \(0\.0, nan, 0\.0, 0\.5\) is not finite"):
+            ProfileState(0.0, math.nan, 0.0, 0.5)
+
     def test_spline_profile_on_arrays(self):
         s = np.linspace(0.0, 1.0, 11)
         prof = spline_profile_columns(s, 1.0 + s * s, 0.5 * s, 0.2 + s)

@@ -211,6 +211,21 @@ class TestNanResidualFails:
         assert f"max |{column}| nan" in result["note"]
 
 
+def test_law_of_T_defect_along_e1_fails(monkeypatch):
+    # the scalar law of T broken along e1 alone: the e2 column is intact
+    compat = immersion.compatibility_residual
+
+    def defect_along_e1(*args):
+        vec, sc = compat(*args)
+        sc = sc.copy()
+        sc[..., 0] = 1.0
+        return vec, sc
+    monkeypatch.setattr(immersion, "compatibility_residual", defect_along_e1)
+    result = run_suite("gauss-codazzi", P_NIL)
+    assert result["pass"] is False
+    assert "compat 1.00e+00/1e-04" in result["note"]
+
+
 def test_a_lower_bound_holds_for_every_value():
     # a failed lower bound fails the suite, whatever the upper-bound ratio
     checks = [Check("up", np.array([0.5]), 1.0), Check("low", [0.2, 2e-4], 1e-3, above=True)]
