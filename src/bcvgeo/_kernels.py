@@ -101,9 +101,9 @@ def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     (domain boundary); stage values are guarded the same way so a step can
     never be committed through the singular set.  Takes Python floats
     (numpy scalars slow every operation of the loop).  `_march.c` is this
-    loop in C; this one runs where that cannot be built, and serves the
-    one-step probes of `rotation.refine_sign_change` everywhere, since a
-    ctypes call costs more than one step of this loop.
+    loop in C; this one runs where that cannot be built, is the tests'
+    reference for it, and takes the one-step probes of
+    `rotation.refine_sign_change`, which no suite calls.
     """
     s, r, sig = s0, r0, sigma0
     rows = []

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -126,7 +127,8 @@ def _read_csv_columns(path, required, parser):
     cell in a required column is a number by one rule: stripped of
     whitespace, it is ASCII, has no "_" and is read by `float`.  The first
     line that breaks a rule is the one named.  The required columns must be
-    finite and at least 4 rows long.
+    at least 4 rows long, and then finite: the first line with a non-finite
+    value is named.
     """
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
@@ -144,6 +146,7 @@ def _read_csv_columns(path, required, parser):
                 parser.error(f"{path}: missing columns {', '.join(missing)}")
             index = [names.index(c) for c in required]
             values = [array("d") for _ in required]
+            nonfinite = None   # (line, column, cell) of the first non-finite value
             for n, line in lines:
                 text = line.partition("#")[0]
                 if not text.strip():
@@ -160,15 +163,15 @@ def _read_csv_columns(path, required, parser):
                         column.append(float(cell))
                     except ValueError:
                         parser.error(f"{path}: line {n}: column {c} is not a number: {cell!r}")
+                    if nonfinite is None and not math.isfinite(column[-1]):
+                        nonfinite = (n, c, cell)
     except OSError as exc:
         parser.error(f"cannot read {path}: {exc}")
     if len(values[0]) < 4:
         parser.error(f"{path}: need at least 4 rows for a spline profile")
-    columns = {c: np.array(column) for c, column in zip(required, values)}
-    for c, column in columns.items():
-        if not np.all(np.isfinite(column)):
-            parser.error(f"{path}: column {c} has non-finite values")
-    return columns
+    if nonfinite:
+        parser.error("{}: line {}: column {} is not finite: {!r}".format(path, *nonfinite))
+    return {c: np.array(column) for c, column in zip(required, values)}
 
 
 def _mesh_surface(args, parser):

@@ -25,16 +25,16 @@ vanishing along the profile, with the reduced coefficients (a, b) of T
 and d of JT over the chart basis.  The non-CMC candidate branch
 substitutes f = 2 sin(sigma) / (3 r), turning sigma into an autonomous flow
 that the integrator below follows; `branch_residuals` then gives f, its
-arclength derivative, the residual pair and the factorised obstruction
-whose zero set R1 must share.
+arclength derivative, the residual pair and the factorised obstruction,
+of which Theorem 5.2's proof makes R1 a fixed multiple.
 
-Every reduced formula is written once and takes floats or arrays of any
-shape, as `surface_jets` does: the same code fills the diagnostic columns
-of a whole trajectory in one pass and evaluates a single bisection probe.
-Each evaluation checks the domain once (naming the first failing r) and
-takes sin(sigma), cos(sigma) and sqrt(1 + tau^2 r^2) once.  Of the
-equivalent closed forms of the branch's f', the one kept is
--8 sin(sigma) cos(sigma) / (9 r^2), because it reuses that sin and cos.
+Every reduced formula is written once and takes numpy arrays of any shape,
+or floats, as `surface_jets` does: the same code fills the diagnostic
+columns of a whole trajectory in one pass.  Each evaluation checks the
+domain once (naming the first failing r) and takes sin(sigma), cos(sigma)
+and sqrt(1 + tau^2 r^2) once.  Of the equivalent closed forms of the
+branch's f', the one kept is -8 sin(sigma) cos(sigma) / (9 r^2), because it
+reuses that sin and cos.
 
 Constructors return `ParametricSurface` charts in Cartesian coordinates:
 vertical cylinders over plane curves (curve parameter first, height second)
@@ -70,8 +70,6 @@ __all__ = [
     "reduced_bicon_system",
     "branch_mean_curvature",
     "branch_f_prime",
-    "theorem52_obstruction",
-    "branch_r1",
     "branch_residuals",
     "integrate_noncmc_branch",
     "refine_sign_change",
@@ -89,13 +87,6 @@ FD_CHECK_R_FLOOR = 0.2   # rows below it are left out of that check
 BISECTION_TOL = 1e-12   # width at which `refine_sign_change` stops bisecting
 
 
-def _ufunc(f, x):
-    """The numpy ufunc f at x, as a Python float when x is one: the same bits
-    as f gives on an array, and cheaper arithmetic afterwards."""
-    y = f(x)
-    return float(y) if type(x) is float else y
-
-
 @dataclass(frozen=True)
 class ProfileState:
     """Arclength state (s, r, z, sigma) of a profile curve.
@@ -111,37 +102,31 @@ class ProfileState:
     sigma: float
 
     def __post_init__(self):
-        # a sum is finite exactly when every term is (short of overflow)
-        total = self.s + self.r + self.z + self.sigma
-        if type(total) is float:
-            ok = math.isfinite(total) and self.r > EPS_R
-        else:
-            ok = (np.isfinite(total) & (self.r > EPS_R)).all()
-        if not ok:
-            bad = _first_failure(np.isfinite(total) & (self.r > EPS_R),
-                                 self.s, self.r, self.z, self.sigma)
+        fields = (self.s, self.r, self.z, self.sigma)
+        ok = self.r > EPS_R
+        for field in fields:
+            ok = ok & np.isfinite(field)
+        bad = _first_failure(ok, *fields)
+        if bad:
             raise DomainError(f"profile state (s, r, z, sigma) = {tuple(bad)} "
                               f"is not finite or has r <= {EPS_R}")
 
     @cached_property
     def sin_sigma(self):
-        return _ufunc(np.sin, self.sigma)
+        return np.sin(self.sigma)
 
     @cached_property
     def cos_sigma(self):
-        return _ufunc(np.cos, self.sigma)
+        return np.cos(self.sigma)
 
 
 def _check_radius(params: BcvParams, r):
     """F at r, floats or arrays; raises DomainError naming the first r, in C
-    order, with F <= EPS_F.  A float radius costs one comparison."""
+    order, with F <= EPS_F."""
     F = smoothing_factor(params, r, 0.0)
-    ok = F > EPS_F
-    if ok is not True:
-        bad = _first_failure(ok, r, F)
-        if bad:
-            r_bad, F_bad = bad
-            raise DomainError(f"radius r = {r_bad!r} has F = {F_bad:.3e} <= {EPS_F}")
+    bad = _first_failure(F > EPS_F, r, F)
+    if bad:
+        raise DomainError(f"radius r = {bad[0]!r} has F = {bad[1]:.3e} <= {EPS_F}")
     return F
 
 
@@ -170,7 +155,7 @@ def reduced_quantities(params: BcvParams, state: ProfileState) -> ReducedCoeffic
     F = _check_radius(params, state.r)
     t = params.tau
     r = state.r
-    q = _ufunc(np.sqrt, 1.0 + t * t * r * r)
+    q = np.sqrt(1.0 + t * t * r * r)
     cos_alpha = state.cos_sigma / q
     return ReducedCoefficients(cos_alpha, -t * F * cos_alpha * cos_alpha, state.sin_sigma / q,
                                t * r / q)
@@ -225,25 +210,14 @@ def branch_f_prime(state: ProfileState):
 
 
 def _obstruction(params: BcvParams, state: ProfileState, f):
-    """`theorem52_obstruction` at the branch's f, without the domain check."""
+    """Theorem 5.2's obstruction (kappa - 4 tau^2) f (cos 2 sigma - 1 -
+    2 tau^2 r^2) cos(sigma) at the branch's f, with cos 2 sigma - 1 =
+    -2 sin^2(sigma): along the branch R1 is -2 / (3 (1 + tau^2 r^2)^(3/2))
+    times it."""
     t2 = params.tau * params.tau
     r = state.r
     sin_s = state.sin_sigma
     return 2.0 * (4.0 * t2 - params.kappa) * f * (sin_s * sin_s + t2 * r * r) * state.cos_sigma
-
-
-def theorem52_obstruction(params: BcvParams, state: ProfileState):
-    """(kappa - 4 tau^2) f (cos 2 sigma - 1 - 2 tau^2 r^2) cos(sigma),
-    with f taken from the branch and cos 2 sigma - 1 = -2 sin^2(sigma); its
-    zero set must coincide with the zero set of R1 along the branch."""
-    _check_radius(params, state.r)
-    return _obstruction(params, state, branch_mean_curvature(state))
-
-
-def branch_r1(params: BcvParams, state: ProfileState):
-    """R1 along the branch: the reduced system at the branch's f and f'."""
-    return reduced_bicon_system(params, state, branch_mean_curvature(state),
-                                branch_f_prime(state))[0]
 
 
 def branch_residuals(params: BcvParams, state: ProfileState):
@@ -298,8 +272,8 @@ class BranchTrajectory:
 
     s, r and sigma are the march's; f, f_prime, R1, R2 and obstruction come
     from one `branch_residuals` pass over them.  z, a quadrature over r and
-    sigma from z0, is computed on its first read, which theorem52 and its
-    bisection never make.
+    sigma from z0, is computed on its first read, which theorem52 never
+    makes.
     """
 
     def __init__(self, params: BcvParams, s, r, sigma, z0, status: str,
@@ -367,7 +341,8 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     so a bisection leaves the z column unfilled.
     The probe at offset 0 returns the row-i state itself.  Halving the step
     h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4 loops
-    later it raises SelfConsistencyError naming the step.
+    later it raises SelfConsistencyError naming the step.  No suite calls
+    it: `theorem52` checks the sign changes of R1 row by row.
     """
     s0, r0, g0 = float(traj.s[i]), float(traj.r[i]), float(traj.sigma[i])
     kappa = float(params.kappa)

@@ -39,7 +39,7 @@ from bcvgeo.immersion import (
 from bcvgeo.rotation import (
     IntegrationConfig,
     ProfileState,
-    branch_r1,
+    branch_residuals,
     ellipse_curve,
     generic_revolution_surface,
     hopf_cylinder,
@@ -49,7 +49,6 @@ from bcvgeo.rotation import (
     reduced_mean_curvature,
     refine_sign_change,
     revolution_surface,
-    theorem52_obstruction,
 )
 from bcvgeo.suites import sample_domain_points
 
@@ -203,7 +202,18 @@ def test_criterion_06_tube_discrimination():
                   f"circular tube max = {circle_max:.2e} < 1e-6")
 
 
+def _branch_r1(params, state):
+    return branch_residuals(params, state)[2]
+
+
+def _obstruction(params, state):
+    return branch_residuals(params, state)[4]
+
+
 def test_criterion_07_branch_never_closes():
+    # R1 and the obstruction share their zeros, located by bisection inside
+    # each step where R1 changes sign; `verify` checks the same rows by the
+    # factored identity and needs no bisection
     rng = make_rng(107)
     started = time.perf_counter()
     worst_r2 = 0.0
@@ -233,8 +243,8 @@ def test_criterion_07_branch_never_closes():
             R1 = traj.R1
             min_max_r1 = min(min_max_r1, float(np.abs(R1).max()))
             for i in np.where(R1[:-1] * R1[1:] < 0.0)[0]:
-                s1 = refine_sign_change(P, traj, int(i), branch_r1)
-                s2 = refine_sign_change(P, traj, int(i), theorem52_obstruction)
+                s1 = refine_sign_change(P, traj, int(i), _branch_r1)
+                s2 = refine_sign_change(P, traj, int(i), _obstruction)
                 worst_window = max(worst_window, abs(s1 - s2))
     elapsed = time.perf_counter() - started
     ok = (worst_r2 < 1e-10 and min_max_r1 > 1e-3 and worst_window < 1e-8

@@ -592,6 +592,23 @@ class TestMeshInputErrors:
         assert "Warning" not in err
 
     @pytest.mark.parametrize("flag", list(INPUTS))
+    def test_first_non_finite_value_names_its_line(self, capsys, tmp_path, flag):
+        _, header, rows = INPUTS[flag]
+        last = header.split(",")[-1]
+
+        def with_last(row, cell):
+            return row.rsplit(",", 1)[0] + "," + cell
+
+        bad = rows[:3] + [with_last(rows[3], "inf")] + rows[4:5] + [with_last(rows[5], "nan")]
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad + rows[6:])
+        assert code == 2
+        assert f"in.csv: line 5: column {last} is not finite: 'inf'" in err
+        # a file too short for a spline is named as such first
+        code, _, err = mesh_from(capsys, tmp_path, flag, [header] + bad[2:5])
+        assert code == 2
+        assert "in.csv: need at least 4 rows for a spline profile" in err
+
+    @pytest.mark.parametrize("flag", list(INPUTS))
     def test_bad_cell_below_a_padded_number_names_its_own_line(self, capsys, tmp_path, flag):
         # the padded number on line 3 is read, so the error is at line 6
         _, header, rows = INPUTS[flag]

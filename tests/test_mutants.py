@@ -7,13 +7,19 @@ at exactly the pairs of PAIRS7 where the term is not zero: off the space
 forms for a factor kappa - 4 tau^2, and where tau != 0 for a factor tau.
 The control case, with no rewrite, passes at all seven.
 
+The branch cases rewrite one term of the reduced system or of Theorem
+5.2's obstruction in `rotation`, and `verify --suite theorem52` must fail,
+through its per-row factored identity, at exactly the branch pairs of
+PAIRS7 (tau != 0 off the space forms) where the term is not zero.
+
 A rewrite of the bisection's width test would loop for ever; its cap
-turns that into an error of the `theorem52` suite.
+turns that into an error.
 """
 
 import inspect
 import textwrap
 
+import numpy as np
 import pytest
 
 from bcvgeo import immersion, rotation
@@ -45,6 +51,24 @@ MUTANTS = {
     "codazzi-1: flip the sign of 2 tau": (
         "codazzi_residual", "cot * e1a * (e2a - 2.0 * tau)", "cot * e1a * (e2a + 2.0 * tau)",
         tau_nonzero),
+}
+
+
+def branch(P):
+    return tau_nonzero(P) and twisted(P)
+
+
+# (function of rotation, term as written, its replacement, where the suite fails)
+BRANCH_MUTANTS = {
+    "obstruction: leading 3": (
+        "_obstruction", "return 2.0 * (4.0 * t2", "return 3.0 * (4.0 * t2", branch),
+    "obstruction: 2 tau^2 r^2": ("_obstruction", "t2 * r * r", "2.0 * t2 * r * r", branch),
+    "R1: 3 f (4 tau^2 - kappa)": (
+        "reduced_bicon_system", "- 2.0 * f * (4.0 * t * t", "- 3.0 * f * (4.0 * t * t", branch),
+    "R1: 1 (cos a)'": ("reduced_bicon_system", "- 2.0 * cos_a_p", "- 1.0 * cos_a_p", branch),
+    "parallel term: kappa r / 2": (
+        "_parallel_term", "0.25 * params.kappa", "0.5 * params.kappa",
+        lambda P: branch(P) and P.kappa != 0.0),
 }
 
 
@@ -82,9 +106,21 @@ def test_mutant_is_killed(monkeypatch, case):
     assert failing_pairs() == [P for P in PAIRS7 if term_nonzero(P)], case
 
 
+@pytest.mark.parametrize("case", sorted(BRANCH_MUTANTS))
+def test_branch_mutant_is_killed_by_theorem52(monkeypatch, case):
+    name, term, replacement, term_nonzero = BRANCH_MUTANTS[case]
+    install_mutant(monkeypatch, name, term, replacement, module=rotation)
+    failed = [P for P in PAIRS7 if not run_report(P, ["theorem52"])["pass"]]
+    assert failed == [P for P in PAIRS7 if term_nonzero(P)], case
+
+
 def test_bisection_that_never_narrows_is_capped(monkeypatch):
     # hi + lo stays above the tolerance, so without the cap this never returns
     install_mutant(monkeypatch, "refine_sign_change", "while hi - lo > BISECTION_TOL",
                    "while hi + lo > BISECTION_TOL", module=rotation)
-    with pytest.raises(SelfConsistencyError, match=r"bisection in step \d+ .* after 34 halvings"):
-        run_report(BcvParams(0.0, 0.5), ["theorem52"])
+    P = BcvParams(1.0, 1.0)
+    traj = rotation.integrate_noncmc_branch(P, rotation.ProfileState(0.0, 0.9, 0.0, 1.2),
+                                            rotation.IntegrationConfig(s_max=4.0))
+    i = int(np.flatnonzero(traj.R1[:-1] * traj.R1[1:] < 0.0)[0])
+    with pytest.raises(SelfConsistencyError, match=rf"bisection in step {i} .* after 34 halvings"):
+        rotation.refine_sign_change(P, traj, i, lambda p, st: rotation.branch_residuals(p, st)[2])

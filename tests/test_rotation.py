@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
+from bcvgeo import _kernels
 from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_heights, branch_march,
                              run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
@@ -18,7 +20,6 @@ from bcvgeo.rotation import (
     ProfileState,
     branch_f_prime,
     branch_mean_curvature,
-    branch_r1,
     branch_residuals,
     ellipse_curve,
     hopf_cylinder,
@@ -30,7 +31,6 @@ from bcvgeo.rotation import (
     refine_sign_change,
     revolution_surface,
     spline_profile_columns,
-    theorem52_obstruction,
 )
 from bcvgeo.suites import run_suite
 
@@ -114,7 +114,7 @@ class TestReducedQuantities:
         P = BcvParams(-1.0, 0.5)
         r = np.array([1.9, 1.9999999, 2.0, 2.0000001, 2.1])
         state = ProfileState(0.0, r, 0.0, 1.0)
-        for evaluate in (reduced_quantities, theorem52_obstruction, branch_residuals,
+        for evaluate in (reduced_quantities, branch_residuals,
                          lambda p, s: reduced_mean_curvature(p, s, 0.0)):
             with pytest.raises(DomainError, match=r"radius r = 2\.0 has F = 0\.000e\+00"):
                 evaluate(P, state)
@@ -176,6 +176,14 @@ class TestReducedSystem:
         assert np.array(columns[2:4]).tobytes() == np.array((r1, r2)).tobytes()
 
 
+def obstruction(params, state):
+    return branch_residuals(params, state)[4]
+
+
+def branch_r1(params, state):
+    return branch_residuals(params, state)[2]
+
+
 class TestObstruction:
     def test_explicit_factors(self):
         # kappa=1, tau=1, r=1, sigma=pi/4:
@@ -183,13 +191,13 @@ class TestObstruction:
         # cos(s) = sqrt(2)/2, product = 3
         P = BcvParams(1.0, 1.0)
         st_ = ProfileState(0.0, 1.0, 0.0, math.pi / 4)
-        assert theorem52_obstruction(P, st_) == pytest.approx(3.0, abs=1e-12)
+        assert obstruction(P, st_) == pytest.approx(3.0, abs=1e-12)
 
     def test_vertical_and_space_form_zeros(self):
         st_ = ProfileState(0.0, 1.0, 0.0, math.pi / 2)
-        assert abs(theorem52_obstruction(BcvParams(1.0, 1.0), st_)) < 1e-15
+        assert abs(obstruction(BcvParams(1.0, 1.0), st_)) < 1e-15
         st2 = ProfileState(0.0, 1.0, 0.0, 0.7)
-        assert abs(theorem52_obstruction(BcvParams(4.0, 1.0), st2)) < 1e-15
+        assert abs(obstruction(BcvParams(4.0, 1.0), st2)) < 1e-15
 
 
 # kernel arguments: kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
@@ -347,7 +355,7 @@ class TestBranchIntegration:
             return heights(*args)
 
         monkeypatch.setattr(rot, "branch_heights", counted)
-        # theorem52, its f' check and its bisection never read z
+        # theorem52 and its f' check never read z
         for seed in range(3):
             run_suite("theorem52", BcvParams(1.0, 1.0), seed)
         assert calls == []
@@ -523,43 +531,32 @@ class TestBranchClassification:
         P = BcvParams(kappa, tau)
         traj = integrate_noncmc_branch(P, ProfileState(0.0, 0.9, 0.0, 1.2),
                                        IntegrationConfig(s_max=3.0, r_stop=0.05))
+        # the columns do not depend on z, which the trajectory's states leave at 0
         states = ProfileState(traj.s, traj.r, traj.z, traj.sigma)
-        assert branch_r1(P, states).tobytes() == traj.R1.tobytes()
-        assert theorem52_obstruction(P, states).tobytes() == traj.obstruction.tobytes()
+        f, f_prime = branch_mean_curvature(states), branch_f_prime(states)
+        want = (f, f_prime, *reduced_bicon_system(P, states, f, f_prime))
+        for name, got, column in zip(("f", "f_prime", "R1", "R2", "obstruction"),
+                                     branch_residuals(P, states), want + (None,)):
+            assert got.tobytes() == getattr(traj, name).tobytes(), name
+            assert column is None or column.tobytes() == got.tobytes(), name
 
-    @pytest.mark.usefixtures("march")
     @pytest.mark.parametrize("kappa,tau", TWISTED)
-    def test_bisection_probes_reproduce_flip_rows(self, kappa, tau, monkeypatch):
-        # the suite's bisection evaluates the code and the states of the
-        # columns, so at a flip the two cannot disagree on a sign
-        P = BcvParams(kappa, tau)
-        refine = rot.refine_sign_change
+    def test_theorem52_neither_bisects_nor_marches_in_python(self, kappa, tau, monkeypatch):
+        # the suite checks the zeros row by row, so with the compiled march
+        # loaded no (r, sigma) step runs in Python
+        if _kernels._compiled_march() is None:
+            pytest.skip("no C compiler could build _march.c here")
         calls = []
 
-        def spy(params, traj, i, quantity):
-            calls.append((traj, i, quantity))
-            return refine(params, traj, i, quantity)
+        def spy(*args):
+            calls.append(args)
+            raise AssertionError("called")
 
         monkeypatch.setattr(rot, "refine_sign_change", spy)
+        monkeypatch.setattr(_kernels, "branch_march", spy)
         for seed in range(5):
-            run_suite("theorem52", P, seed)
-        assert calls
-        names = {branch_r1: "R1", theorem52_obstruction: "obstruction"}
-        for traj, i, quantity in calls:
-            probes = []
-
-            def recorded(params, state):
-                probes.append(state)
-                return quantity(params, state)
-
-            refine(P, traj, i, recorded)
-            # the first two probes sit at offsets 0 and h; a probe marches
-            # (r, sigma) only and carries z = 0, so z is not compared
-            for state, row in zip(probes[:2], (i, i + 1)):
-                assert (np.array([state.s, state.r, state.sigma]).tobytes()
-                        == np.array([traj.s[row], traj.r[row], traj.sigma[row]]).tobytes())
-                assert (np.float64(quantity(P, state)).tobytes()
-                        == getattr(traj, names[quantity])[row].tobytes())
+            assert run_suite("theorem52", BcvParams(kappa, tau), seed)["pass"]
+        assert calls == []
 
     def test_residual_proportional_to_obstruction(self):
         P = BcvParams(1.0, 1.0)
@@ -584,7 +581,7 @@ class TestBranchClassification:
         assert len(flips) >= 1
         for i in flips:
             s1 = refine_sign_change(P, traj, int(i), branch_r1)
-            s2 = refine_sign_change(P, traj, int(i), theorem52_obstruction)
+            s2 = refine_sign_change(P, traj, int(i), obstruction)
             assert abs(s1 - s2) < 1e-8
 
 
@@ -602,6 +599,16 @@ class TestConstructors:
             ProfileState(np.zeros(3), np.array([0.5, 1e-9, 2.0]), 0.0, 0.3)
         with pytest.raises(DomainError):
             ProfileState(np.zeros(3), np.ones(3), np.array([0.0, math.inf, 0.0]), 0.3)
+
+    def test_profile_state_checks_each_field(self):
+        # finite fields whose sum overflows are a valid state
+        st_ = ProfileState(1e308, 1.0, 1e308, 0.0)
+        assert (st_.s, st_.z) == (1e308, 1e308)
+        for i in range(4):
+            fields = [0.5, 1.0, 0.25, 0.3]
+            fields[i] = math.nan
+            with pytest.raises(DomainError, match=re.escape(f"= {tuple(fields)} is not finite")):
+                ProfileState(*fields)
 
     def test_profile_state_error_names_first_failing_state(self):
         # the first failure in C order, as floats, and not the arrays

@@ -193,8 +193,8 @@ class TestNanResidualFails:
         assert result["pass"] is False
         assert math.isnan(result["max_residual"])
 
-    @pytest.mark.parametrize("column", ["R1", "R2"])
-    def test_theorem52_column_of_a_later_run(self, monkeypatch, column):
+    @pytest.mark.parametrize("column,label", [("R1", "|R1|/gap"), ("R2", "|R2|")])
+    def test_theorem52_column_of_a_later_run(self, monkeypatch, column, label):
         integrate = rot.integrate_noncmc_branch
         runs = []
 
@@ -208,7 +208,15 @@ class TestNanResidualFails:
         result = run_suite("theorem52", BcvParams(1.0, 1.0))
         assert len(runs) == 3
         assert result["pass"] is False
-        assert f"max |{column}| nan" in result["note"]
+        assert f"{label} nan" in result["note"]
+
+
+@pytest.mark.parametrize("kappa", [1.0 - 1e-6, 1.0 - 1e-4, 1.0 + 1e-6])
+def test_theorem52_passes_near_the_space_form(kappa):
+    # R1 carries the factor 4 tau^2 - kappa, and so does its floor: an
+    # absolute floor failed here, where max |R1| reads 3e-7 to 3e-5
+    P = BcvParams(kappa, 0.5)
+    assert [seed for seed in range(20) if not run_suite("theorem52", P, seed)["pass"]] == []
 
 
 def test_law_of_T_defect_along_e1_fails(monkeypatch):

@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from bcvgeo.ambient import BcvParams
-from bcvgeo.rotation import ProfileState, branch_f_prime, branch_r1, theorem52_obstruction
+from bcvgeo.rotation import ProfileState, branch_f_prime, branch_residuals
 
 sp = pytest.importorskip("sympy")
 
@@ -80,9 +80,9 @@ def test_code_evaluates_the_certified_formulas(k, t, r0, s0):
     at = {kappa: k, tau: t, r: r0, sigma: s0}
     state = ProfileState(0.0, r0, 0.0, s0)
     params = BcvParams(k, t)
+    _, _, r1, _, obstruction_code = branch_residuals(params, state)
     for code, expr in ((branch_f_prime(state), along_flow(F_BRANCH)),
-                       (branch_r1(params, state), residual_pair()[0]),
-                       (theorem52_obstruction(params, state), obstruction())):
+                       (r1, residual_pair()[0]), (obstruction_code, obstruction())):
         assert code == pytest.approx(float(expr.subs(at)), rel=1e-12, abs=1e-14)
 
 
