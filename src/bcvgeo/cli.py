@@ -210,7 +210,7 @@ def _mesh_surface(args, parser):
         def d_curve(u):
             return (x_sp(u, 1), y_sp(u, 1))
 
-        surface = rot.hopf_tube(params, curve, d_curve, u_domain=(0.0, 1.0))
+        surface = rot.hopf_tube(curve, d_curve, u_domain=(0.0, 1.0))
         return params, surface, f"hopf-tube base {os.path.basename(args.base)}"
     parser.error(f"unknown mesh kind {args.kind!r}")
 

@@ -2,8 +2,7 @@
 
 A surface is a chart (u, v) -> (x, y, z) landing in the domain F > 0.  From
 one chart evaluation this module derives the full pointwise package: tangent
-basis, first fundamental form, unit normal N (metric wedge of the chart
-partials, optionally sign-flipped per surface), the angle function alpha
+basis, first fundamental form, unit normal N, the angle function alpha
 with cos(alpha) = g(E3, N), the tangential projection T of the vertical
 direction (E3 = T + cos(alpha) N), the quarter-turn J = N ^ . , and the
 adapted tangent frame e1 = T / sin(alpha), e2 = JT / sin(alpha) away from
@@ -49,8 +48,12 @@ passes to the chart, its stencil points on later axes.  So one pipeline
 takes a :class:`SurfaceBatch`, several surfaces stacked on axis 0, as it
 takes one surface, and each value has the bits of its member's own pipeline.
 
-Sign conventions.  A X = -(nabla_X N)^T, and the Laplacian is the geometer's
-one, Delta = -div grad on scalars, so Delta(u^2 + v^2) = -4 on a flat chart.
+Sign conventions.  Every surface has one orientation, N = -(X_u ^ X_v) /
+|X_u ^ X_v| with the metric wedge of the chart partials: the chart
+(u, v, 0) of the flat space has N = -E3, and a vertical cylinder over a
+counterclockwise circle has N toward the axis.  A X = -(nabla_X N)^T, and
+the Laplacian is the geometer's one, Delta = -div grad on scalars, so
+Delta(u^2 + v^2) = -4 on a flat chart.
 """
 
 from __future__ import annotations
@@ -135,16 +138,14 @@ class ParametricSurface:
         Parameter rectangle used by samplers and mesh export.
     partials : callable (u, v) -> (3-seq, 3-seq), optional
         Analytic chart partials (X_u, X_v); finite differences otherwise.
-    normal_sign : +1.0 or -1.0
-        Per-surface orientation flag multiplying the wedge normal, so each
-        constructor can fix which of the two unit normals it means.
+
+    The unit normal is -(X_u ^ X_v) / |X_u ^ X_v| (module docstring).
     """
 
-    def __init__(self, chart, domain, partials=None, normal_sign: float = 1.0, name: str = "surface"):
+    def __init__(self, chart, domain, partials=None, name: str = "surface"):
         self.chart = chart
         self.domain = tuple((float(a), float(b)) for a, b in domain)
         self.partials = partials
-        self.normal_sign = float(normal_sign)
         self.name = name
 
     def coords(self, u, v) -> np.ndarray:
@@ -171,7 +172,7 @@ class ParametricSurface:
 class SurfaceBatch:
     """Several surfaces as one chart, for one jet pipeline over all of them.
 
-    `members` are (surface, count) pairs of one normal_sign: along axis 0 of
+    `members` are (surface, count) pairs, at least one: along axis 0 of
     the centre arrays the first `count` rows lie on the first surface, and
     so on.  By the axis-0 rule each member's chart and partials, finite
     differences included, run on that member's rows alone.
@@ -179,11 +180,8 @@ class SurfaceBatch:
 
     def __init__(self, members):
         self.members = tuple((S, int(n)) for S, n in members)
-        signs = {S.normal_sign for S, _ in self.members}
-        if len(signs) != 1:
-            raise ValueError(f"a surface batch needs members of one normal_sign, "
-                             f"got {sorted(signs)}")
-        self.normal_sign = signs.pop()
+        if not self.members:
+            raise ValueError("a surface batch needs at least one member")
         self.name = "+".join(S.name for S, _ in self.members)
         self._ends = np.cumsum([n for _, n in self.members])
 
@@ -265,7 +263,7 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
             f"({bad[0]:.6g}, {bad[1]:.6g}), det I = {bad[2]:.3e}")
     w = frame_cross(au, av)
     nn = np.sqrt(frame_dot(w, w))
-    n = (S.normal_sign * w[0] / nn, S.normal_sign * w[1] / nn, S.normal_sign * w[2] / nn)
+    n = (-w[0] / nn, -w[1] / nn, -w[2] / nn)
     cos_a = np.minimum(1.0, np.maximum(-1.0, n[2]))  # = g(E3, N)
     sin_a = np.sqrt(np.maximum(0.0, 1.0 - cos_a * cos_a))
     T = (-cos_a * n[0], -cos_a * n[1], 1.0 - cos_a * n[2])

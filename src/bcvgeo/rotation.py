@@ -38,9 +38,10 @@ reuses that sin and cos.
 
 Constructors return `ParametricSurface` charts in Cartesian coordinates:
 vertical cylinders over plane curves (curve parameter first, height second)
-and revolution charts (angle first, arclength second).  Both carry
-normal_sign = -1 so the wedge normal matches the profile normal that makes
-a vertical cylinder of radius r0 have mean curvature +1/r0 - kappa r0 / 4.
+and revolution charts (angle first, arclength second).  With the one
+orientation of :mod:`bcvgeo.immersion`, N = -(X_u ^ X_v) / |X_u ^ X_v|, the
+normal of a cylinder points to the axis and matches the profile normal that
+makes a vertical cylinder of radius r0 have mean curvature +1/r0 - kappa r0 / 4.
 """
 
 from __future__ import annotations
@@ -395,15 +396,16 @@ def ellipse_curve(a: float, b: float):
     return curve, d_curve
 
 
-def hopf_tube(params: BcvParams, base_curve, curve_derivative=None,
-              u_domain=(0.0, 2.0 * math.pi), name: str = "hopf-tube") -> ParametricSurface:
+def hopf_tube(base_curve, curve_derivative=None, u_domain=(0.0, 2.0 * math.pi),
+              name: str = "hopf-tube") -> ParametricSurface:
     """Vertical cylinder over a plane curve: (u, v) -> (x(u), y(u), v), v in [-1, 1].
 
     The chart is tangent to the vertical direction everywhere, so the angle
     function is pi/2 and the mean curvature equals the geodesic curvature
-    of the projected curve in the base surface.  With normal_sign = -1 the
-    normal points toward the curve's curvature centre for a
-    counterclockwise circle, giving mean curvature +1/r0 - kappa r0/4.
+    of the projected curve in the base surface.  The chart does not depend
+    on the ambient parameters.  The normal -(X_u ^ X_v) / |X_u ^ X_v| points
+    toward the curve's curvature centre for a counterclockwise circle,
+    giving mean curvature +1/r0 - kappa r0/4.
     """
     def chart(u, v):
         x, y = base_curve(u)
@@ -415,8 +417,7 @@ def hopf_tube(params: BcvParams, base_curve, curve_derivative=None,
             dx, dy = curve_derivative(u)
             return (dx, dy, 0.0), (0.0, 0.0, 1.0)
 
-    return ParametricSurface(chart, (u_domain, (-1.0, 1.0)), partials=partials,
-                             normal_sign=-1.0, name=name)
+    return ParametricSurface(chart, (u_domain, (-1.0, 1.0)), partials=partials, name=name)
 
 
 def hopf_cylinder(params: BcvParams, r0: float) -> ParametricSurface:
@@ -425,7 +426,7 @@ def hopf_cylinder(params: BcvParams, r0: float) -> ParametricSurface:
         raise DomainError(f"cylinder radius r0 = {r0:.3e} <= {EPS_R}")
     _check_radius(params, r0)
     curve, d_curve = ellipse_curve(r0, r0)
-    return hopf_tube(params, curve, d_curve, name=f"hopf-cylinder-r{r0:g}")
+    return hopf_tube(curve, d_curve, name=f"hopf-cylinder-r{r0:g}")
 
 
 def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileState],
@@ -451,7 +452,7 @@ def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileStat
         return x_theta, x_s
 
     return ParametricSurface(chart, ((0.0, 2.0 * math.pi), s_domain), partials=partials,
-                             normal_sign=-1.0, name="revolution")
+                             name="revolution")
 
 
 def spline_profile_columns(s, r, z, sigma):
@@ -468,8 +469,8 @@ def spline_profile_columns(s, r, z, sigma):
     return profile
 
 
-def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
-                               amp: float = 0.25, pitch: float = 0.4) -> ParametricSurface:
+def generic_revolution_surface(r_mid: float = 1.2, amp: float = 0.25,
+                               pitch: float = 0.4) -> ParametricSurface:
     """Smooth non-arclength revolution chart (r_mid + amp sin s, theta, pitch s),
     with theta in [0, 2 pi] and s in [-1.5, 1.5].
 
@@ -487,5 +488,4 @@ def generic_revolution_surface(params: BcvParams, r_mid: float = 1.2,
         return (-r * sn, r * ct, 0.0), (rp * ct, rp * sn, pitch)
 
     return ParametricSurface(chart, ((0.0, 2.0 * math.pi), (-1.5, 1.5)),
-                             partials=partials, normal_sign=-1.0,
-                             name="generic-revolution")
+                             partials=partials, name="generic-revolution")

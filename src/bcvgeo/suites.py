@@ -68,10 +68,10 @@ def _entry(name: str, samples: int, checks) -> dict:
             notes.append(f"skipped: {c.label}")
         elif c.above:
             holds.append(worst > c.bound)
-            notes.append(f"{c.label} {worst:.2e} > {c.bound:.0e}")
+            notes.append(f"{c.label} {worst:.2e} > {c.bound:.2e}")
         else:
             ratios.append(worst / c.bound)
-            notes.append(f"{c.label} {worst:.2e}{below}{c.bound:.0e}")
+            notes.append(f"{c.label} {worst:.2e}{below}{c.bound:.2e}")
     worst, tolerance = float(np.max(ratios, initial=0.0)), 1.0
     if len(checks) == 1 and not checks[0].label:
         worst, tolerance, notes = checks[0].worst, checks[0].bound, []
@@ -162,11 +162,10 @@ def _structural_surfaces(params: BcvParams):
     rmax = domain_radius(params)
     r_mid = min(1.2, 0.55 * rmax)
     surfaces.append(
-        (rot.generic_revolution_surface(params, r_mid=r_mid, amp=0.2 * r_mid,
-                                        pitch=0.4 * r_mid), 5, 4)
+        (rot.generic_revolution_surface(r_mid=r_mid, amp=0.2 * r_mid, pitch=0.4 * r_mid), 5, 4)
     )
     curve, dcurve = _scaled_ellipse(params)
-    surfaces.append((rot.hopf_tube(params, curve, dcurve), 6, 3))
+    surfaces.append((rot.hopf_tube(curve, dcurve), 6, 3))
     return surfaces
 
 
@@ -262,7 +261,7 @@ def _suite_theorem44(params: BcvParams, rng) -> dict:
         grids.append((cyl, *np.meshgrid(*_interior_grid(cyl, 4, 3), indexing="ij")))
     curve, dcurve = _scaled_ellipse(params)
     tube_u = np.linspace(0.0, 2.0 * math.pi, 13)
-    grids.append((rot.hopf_tube(params, curve, dcurve), tube_u, 0.1))
+    grids.append((rot.hopf_tube(curve, dcurve), tube_u, 0.1))
     # one bitension call over the circular tube's grid, then the ellipse tube's
     tb = _bitension_norms(params, grids)
     return _entry("theorem44", tb.size, [

@@ -75,8 +75,8 @@ def kinked_plane():
 
 
 def sphere_surface(radius=1.0):
-    """Round sphere in the flat ambient space, normal chosen so that the
-    mean curvature comes out +2/R."""
+    """Round sphere in the flat ambient space; the chart's orientation puts
+    N inward, so the mean curvature comes out +2/R."""
     R = radius
 
     def chart(u, v):
@@ -94,7 +94,7 @@ def sphere_surface(radius=1.0):
         return xu, xv
 
     return ParametricSurface(chart, ((0.3, math.pi - 0.3), (0.0, 2 * math.pi)),
-                             partials=partials, normal_sign=-1.0, name="sphere")
+                             partials=partials, name="sphere")
 
 
 @pytest.fixture

@@ -120,7 +120,7 @@ def _criterion4_surfaces():
                 for r0 in (0.5, 1.0, 2.0)]
     slant = revolution_surface(P_NIL, slant_profile(P_NIL, 1.0, 1.0), (-0.5, 1.5))
     surfaces.append((slant, P_NIL, 5, 4, "revolution"))
-    tube = hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0))
+    tube = hopf_tube(*ellipse_curve(1.6, 1.0))
     surfaces.append((tube, P_NIL, 6, 3, "ellipse tube"))
     return surfaces, slant
 
@@ -186,7 +186,7 @@ def test_criterion_05_cylinders_biconservative():
 
 
 def test_criterion_06_tube_discrimination():
-    tube = hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0))
+    tube = hopf_tube(*ellipse_curve(1.6, 1.0))
     ellipse_max = 0.0
     for u in np.linspace(0.0, 2 * math.pi, 13):
         for v in (-0.3, 0.4):
@@ -293,7 +293,7 @@ def test_criterion_09_constant_angle_polynomial():
 
 def test_criterion_10_oracle_equivalence():
     rng = make_rng(110)
-    S = generic_revolution_surface(P_NIL)
+    S = generic_revolution_surface()
     worst = 0.0
     count = 0
     while count < 50:

@@ -73,7 +73,7 @@ class TestRicciTangential:
         assert frame_norm(_ricci_n_tangential(P_NIL, sh)) < 1e-13
 
     def test_space_form_kills_it_pointwise(self, rng):
-        S = generic_revolution_surface(P_FORM, r_mid=0.8, amp=0.15, pitch=0.3)
+        S = generic_revolution_surface(r_mid=0.8, amp=0.15, pitch=0.3)
         for _ in range(6):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-1.2, 1.2)
@@ -88,7 +88,7 @@ class TestTangentialBitension:
         assert frame_norm(tb) < 1e-8
         # vertical cylinder over a radial geodesic of the positively curved base
         P = BcvParams(1.0, 0.5)
-        tube = hopf_tube(P, *line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
+        tube = hopf_tube(*line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
         assert abs(shape_arrays(tube, P, 0.6, 0.3).f) < 1e-8
         assert frame_norm(tangential_bitension_arrays(Stages(tube, P, 0.6, 0.3))) < 1e-6
 
@@ -104,7 +104,7 @@ class TestTangentialBitension:
         assert frame_norm(tangential_bitension_arrays(Stages(S, P_FORM, 0.8, 0.2))) < 1e-6
 
     def test_nonconstant_curvature_tube_is_not(self):
-        tube = hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0))
+        tube = hopf_tube(*ellipse_curve(1.6, 1.0))
         vals = [frame_norm(tangential_bitension_arrays(Stages(tube, P_NIL, u, 0.1)))
                 for u in np.linspace(0.0, 2 * math.pi, 13)]
         assert max(vals) > 1e-3
@@ -146,7 +146,7 @@ class TestNormalBitension:
     @pytest.mark.parametrize("surface,params", [
         (hopf_cylinder(P_NIL, 1.0), P_NIL),
         (sphere_surface(1.0), P_FLAT),
-        (generic_revolution_surface(P_NIL), P_NIL),
+        (generic_revolution_surface(), P_NIL),
     ])
     def test_grid_call_equals_per_point_calls(self, surface, params):
         (u0, u1), (v0, v1) = surface.domain
@@ -162,7 +162,7 @@ class TestNormalBitension:
 class TestFrameSystem:
     def test_minimal_tube_zero(self):
         P = BcvParams(1.0, 0.5)
-        tube = hopf_tube(P, *line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
+        tube = hopf_tube(*line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
         r1, r2 = frame_system_residual(Stages(tube, P, 0.6, 0.3))
         assert abs(r1) < 1e-6 and abs(r2) < 1e-6
 
@@ -174,7 +174,7 @@ class TestFrameSystem:
     def test_matches_bitension_components(self, rng):
         # the two routes share no intermediates; empirically they agree with
         # proportionality factor exactly one
-        S = generic_revolution_surface(P_NIL)
+        S = generic_revolution_surface()
         count = 0
         while count < 12:
             u = rng.uniform(0, 2 * math.pi)
@@ -258,7 +258,7 @@ class TestBitensionArrays:
     @pytest.mark.parametrize("surface,params", [
         (slant_surface(), P_NIL),
         (hopf_cylinder(P_NIL, 1.0), P_NIL),
-        (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+        (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL),
     ])
     def test_grid_call_equals_per_point_calls(self, surface, params):
         (u0, u1), (v0, v1) = surface.domain
@@ -275,8 +275,8 @@ class TestBitensionArrays:
 
     @pytest.mark.parametrize("surface,params", [
         (slant_surface(), P_NIL),
-        (generic_revolution_surface(P_NIL), P_NIL),
-        (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+        (generic_revolution_surface(), P_NIL),
+        (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL),
     ])
     def test_frame_system_grid_call_equals_per_point_calls(self, surface, params):
         (u0, u1), (v0, v1) = surface.domain

@@ -138,7 +138,7 @@ class TestSurfaceJet:
     def test_jet_identities(self, rng):
         for surface, params in [
             (slant_surface(), P_NIL),
-            (generic_revolution_surface(P_NIL), P_NIL),
+            (generic_revolution_surface(), P_NIL),
             (sphere_surface(), P_FLAT),
         ]:
             for u, v, jet in random_samples(surface, rng, 8, params=params):
@@ -151,13 +151,25 @@ class TestSurfaceJet:
                 assert abs(frame_dot(jet.n, jet.av)) < 1e-10
 
     def test_quarter_turn_isometry(self, rng):
-        S = generic_revolution_surface(P_NIL)
+        S = generic_revolution_surface()
         for u, v, jet in random_samples(S, rng, 10):
             a, b = rng.normal(size=2)
             X = a * jet.au + b * jet.av
             JX = frame_cross(jet.n, X)
             assert abs(frame_dot(JX, JX) - frame_dot(X, X)) < 1e-9
             assert abs(frame_dot(JX, X)) < 1e-9
+
+    def test_flat_chart_normal_is_minus_e3(self):
+        # every surface has N = -(X_u ^ X_v) / |X_u ^ X_v|, so the chart
+        # (u, v, 0) has N = -E3 and cos(alpha) = -1
+        U, V = np.meshgrid([-0.5, 0.0, 0.5], [-0.3, 0.4], indexing="ij")
+        jet = surface_jets(flat_plane(), P_FLAT, U, V)
+        assert np.array_equal(jet.n, np.broadcast_to([[[0.0]], [[0.0]], [[-1.0]]], jet.n.shape))
+        assert np.array_equal(jet.cos_alpha, np.full(U.shape, -1.0))
+        # at the origin the frame of every space is (d_x, d_y, d_z)
+        jet = surface_jets(flat_plane(), P_NIL, 0.0, 0.0)
+        assert np.abs(jet.n - [0.0, 0.0, -1.0]).max() < 1e-15
+        assert jet.cos_alpha == pytest.approx(-1.0, abs=1e-15)
 
     def test_degenerate_chart_rejected(self):
         S = ParametricSurface(lambda u, v: (u + v, u + v, 0.0), ((0, 1), (0, 1)))
@@ -166,8 +178,8 @@ class TestSurfaceJet:
 
 
 class TestJetArrays:
-    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(P_NIL), P_NIL),
-                (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(), P_NIL),
+                (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL),
                 (sphere_surface(), P_FLAT)]
 
     @pytest.mark.parametrize("surface,params", SURFACES)
@@ -227,8 +239,8 @@ class TestShapeOperator:
     def test_symmetry(self, rng):
         for surface, params in [
             (slant_surface(), P_NIL),
-            (generic_revolution_surface(P_NIL), P_NIL),
-            (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL),
+            (generic_revolution_surface(), P_NIL),
+            (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL),
         ]:
             for u, v, _ in random_samples(surface, rng, 5, params=params):
                 sh = shape_arrays(surface, params, u, v)
@@ -309,7 +321,7 @@ class TestCurvatureResiduals:
     def test_codazzi_random_surfaces(self, rng):
         for surface, params in [
             (slant_surface(), P_NIL),
-            (generic_revolution_surface(P_NIL), P_NIL),
+            (generic_revolution_surface(), P_NIL),
         ]:
             for u, v, jet in random_samples(surface, rng, 6, sin_floor=0.15, params=params):
                 if abs(jet.cos_alpha / jet.sin_alpha) > 10:
@@ -363,8 +375,8 @@ def e2_column(compat):
 
 
 class TestResidualArrays:
-    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(P_NIL), P_NIL),
-                (hopf_tube(P_NIL, *ellipse_curve(1.6, 1.0)), P_NIL)]
+    SURFACES = [(slant_surface(), P_NIL), (generic_revolution_surface(), P_NIL),
+                (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL)]
     EVALUATORS = {
         "brioschi": brioschi,
         "gauss": lambda S, P, u, v: gauss_residual(Stages(S, P, u, v)),
@@ -589,7 +601,7 @@ class TestSharedStages:
     """Each stage of a Stages is one jet call, made on first read and never
     again, whichever residual reads it."""
 
-    SURFACE = generic_revolution_surface(P_NIL)
+    SURFACE = generic_revolution_surface()
 
     def centres_grid(self):
         U, V = interior_grid(self.SURFACE)
@@ -642,7 +654,7 @@ def with_fd_member(params):
     """The structural grids at params, and the ellipse tube again with
     finite-difference partials."""
     curve, _ = _scaled_ellipse(params)
-    return _structural_surfaces(params) + [(hopf_tube(params, curve, name="fd-tube"), 4, 3)]
+    return _structural_surfaces(params) + [(hopf_tube(curve, name="fd-tube"), 4, 3)]
 
 
 class TestSurfaceBatch:
@@ -694,10 +706,8 @@ class TestSurfaceBatch:
         with pytest.raises(ValueError, match="2 centres on axis 0"):
             surface_jets(batch, P_FLAT, np.zeros(3), np.zeros(3))
 
-    def test_mixed_normal_signs_rejected(self):
-        with pytest.raises(ValueError, match="normal_sign"):
-            SurfaceBatch([(flat_plane(), 2), (sphere_surface(), 2)])
-        with pytest.raises(ValueError, match="normal_sign"):
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="at least one member"):
             SurfaceBatch([])
 
     def test_degenerate_error_names_member(self):
@@ -745,7 +755,7 @@ def per_surface_entries(params):
     keys = ("jet", "gauss", "codazzi", "compat")
     ratio = max(worst[k] / tols[k] for k in keys)
     entries = {"gauss-codazzi": (samples, ratio, ratio < 1.0,
-                                 "; ".join(f"{k} {worst[k]:.2e}/{tols[k]:.0e}" for k in keys))}
+                                 "; ".join(f"{k} {worst[k]:.2e}/{tols[k]:.2e}" for k in keys))}
 
     worst_tb, samples = 0.0, 0
     radii = _cylinder_radii(params)
@@ -759,8 +769,8 @@ def per_surface_entries(params):
     worst_red = float(np.max(np.abs(red), initial=0.0))
     ratio = max(worst_tb / 1e-6, worst_red / 1e-8)
     entries["biconservative"] = (samples, ratio, ratio < 1.0,
-                                 f"cylinder bitension {worst_tb:.2e}/1e-06; "
-                                 f"reduced pair {worst_red:.2e}/1e-08" if radii else
+                                 f"cylinder bitension {worst_tb:.2e}/1.00e-06; "
+                                 f"reduced pair {worst_red:.2e}/1.00e-08" if radii else
                                  "skipped: cylinder bitension; skipped: reduced pair")
 
     circle, samples = 0.0, 0
@@ -769,12 +779,12 @@ def per_surface_entries(params):
         cyl = hopf_cylinder(params, radii[0])
         tb = bitension_norms(cyl, params, *np.meshgrid(*_interior_grid(cyl, 4, 3), indexing="ij"))
         circle, samples = float(tb.max()), tb.size
-    tube = hopf_tube(params, *_scaled_ellipse(params))
+    tube = hopf_tube(*_scaled_ellipse(params))
     tb = bitension_norms(tube, params, np.linspace(0.0, 2.0 * math.pi, 13), 0.1)
     ellipse = float(tb.max())
-    circle_note = f"circular tube {circle:.2e} < 1e-06" if radii else "skipped: circular tube"
+    circle_note = f"circular tube {circle:.2e} < 1.00e-06" if radii else "skipped: circular tube"
     entries["theorem44"] = (samples + tb.size, circle / 1e-6, circle < 1e-6 and ellipse > 1e-3,
-                            f"{circle_note}; ellipse tube max {ellipse:.2e} > 1e-03")
+                            f"{circle_note}; ellipse tube max {ellipse:.2e} > 1.00e-03")
     return entries
 
 

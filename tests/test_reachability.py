@@ -1,8 +1,10 @@
 """Every top-level definition in `src` is reached from `bcvgeo.cli.main`, or
 it is pinned below with the ROADMAP item that decides where it goes;
 every defaulted parameter in `src` is passed at some `src` call, or it is
-pinned below with the reason no `src` call can pass it; and every name that
-an import binds in `src` or `tests` is read there.
+pinned below with the reason no `src` call can pass it; every parameter of
+every `src` function, nested functions included, is read in its body, or it
+is pinned below with the contract that requires it; and every name that an
+import binds in `src` or `tests` is read there.
 
 A stdlib `ast` walk stands in for a call graph.  A definition reaches each
 top-level definition, in any module, whose name it reads as a name or as an
@@ -50,6 +52,17 @@ UNPASSED = {
     "cli.main(argv)",
     # called through spline instances, which a walk by name cannot see
     "_spline.CubicSpline.__call__(nu)",
+}
+
+
+# the parameters that their function never reads, with the contract
+UNREAD = {
+    # the suite registry calls every suite as fn(params, rng)
+    "suites._suite_gauss_codazzi(rng)",
+    "suites._suite_biconservative(rng)",
+    "suites._suite_theorem44(rng)",
+    # a chart's partials take (u, v); a vertical cylinder's do not vary with v
+    "rotation.hopf_tube.partials(v)",
 }
 
 
@@ -181,6 +194,52 @@ def test_option_walk_on_a_toy_source():
              "        return Box(x, y)\n",
     }
     assert unpassed(sources) == {"cli.main(argv)", "m.run(tol)", "m.Box.get(fill)"}
+
+
+def unread(sources):
+    """The parameters, as "module.qualname(param)", of the functions and
+    lambdas of `sources`, {module: source text}, nested ones included, that
+    their body never reads; a read in a nested function counts."""
+    found = set()
+
+    def visit(node, mod, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                qualname = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [p for p in (a.vararg, a.kwarg) if p]]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.update(f"{mod}.{qualname}({p})" for p in params if p not in read)
+                visit(child, mod, qualname + ".")
+            else:
+                visit(child, mod, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    for mod, text in sources.items():
+        visit(ast.parse(text), mod, "")
+    return found
+
+
+def test_every_parameter_is_read_or_pinned():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread(sources) == UNREAD
+
+
+def test_parameter_walk_on_a_toy_source():
+    sources = {
+        "m": "def run(params, u, v, *args, scale=1.0, **opts):\n"
+             "    def inner(a, b):\n"
+             "        return a + scale\n"
+             "    return inner(u, args) + max(opts, key=lambda k, d=0: 1)\n"
+             "class Box:\n"
+             "    def get(self, i):\n"
+             "        return [params := i]\n",
+    }
+    assert unread(sources) == {"m.run(params)", "m.run(v)", "m.run.inner(b)",
+                               "m.run.<lambda>(k)", "m.run.<lambda>(d)", "m.Box.get(self)"}
 
 
 TESTS = SRC.parents[1] / "tests"

@@ -639,8 +639,8 @@ class TestConstructors:
 
     def test_tube_without_curve_derivative(self):
         curve, d_curve = ellipse_curve(1.6, 1.0)
-        differenced = hopf_tube(P_NIL, curve)
-        exact = hopf_tube(P_NIL, curve, d_curve)
+        differenced = hopf_tube(curve)
+        exact = hopf_tube(curve, d_curve)
         for u in (0.4, 1.9, 3.3):
             assert shape_arrays(differenced, P_NIL, u, 0.2).f == pytest.approx(
                 shape_arrays(exact, P_NIL, u, 0.2).f, abs=1e-6)
@@ -653,7 +653,7 @@ class TestConstructors:
         r0 = 1.3
         curve, d_curve = ellipse_curve(r0, r0)
         # flat base: geodesic curvature 1/r0
-        S = hopf_tube(P_NIL, curve, d_curve)
+        S = hopf_tube(curve, d_curve)
         jet = surface_jets(S, P_NIL, 0.7, 0.0)
         kg = base_geodesic_curvature(P_NIL, curve, 0.7, projected_normal(P_NIL, jet),
                                      curve_derivative=d_curve)
@@ -662,7 +662,7 @@ class TestConstructors:
         assert f == pytest.approx(1.0 / r0, abs=1e-4)
         # curved base: 1/r0 - kappa r0 / 4
         P = BcvParams(1.0, 0.5)
-        S1 = hopf_tube(P, curve, d_curve)
+        S1 = hopf_tube(curve, d_curve)
         jet1 = surface_jets(S1, P, 0.7, 0.0)
         kg1 = base_geodesic_curvature(P, curve, 0.7, projected_normal(P, jet1),
                                       curve_derivative=d_curve)
@@ -673,7 +673,7 @@ class TestConstructors:
 
     def test_tube_curvature_matches_base_pointwise(self):
         curve, d_curve = ellipse_curve(1.6, 1.0)
-        tube = hopf_tube(P_NIL, curve, d_curve)
+        tube = hopf_tube(curve, d_curve)
         for u in (0.4, 1.9, 3.3, 5.0):
             jet = surface_jets(tube, P_NIL, u, 0.0)
             kg = base_geodesic_curvature(P_NIL, curve, u, projected_normal(P_NIL, jet),

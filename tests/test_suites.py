@@ -166,7 +166,7 @@ class TestNanResidualFails:
         monkeypatch.setattr(bic, "tangential_bitension_arrays", nan_last_point)
         result = run_suite("theorem44", P_NIL)
         assert result["pass"] is False
-        assert "ellipse tube max nan > 1e-03" in result["note"]
+        assert "ellipse tube max nan > 1.00e-03" in result["note"]
 
     def test_frame_single_check(self, monkeypatch):
         frame_at = ambient.frame_at
@@ -219,6 +219,18 @@ def test_theorem52_passes_near_the_space_form(kappa):
     assert [seed for seed in range(20) if not run_suite("theorem52", P, seed)["pass"]] == []
 
 
+def test_computed_bound_prints_its_digits():
+    # theorem52's floor at (1, 1) is (8/9) sin cos (sin^2(0.15) + tau^2 lo^2)
+    # / (hi (1 + tau^2 hi^2)^1.5) with sin cos at |cos| = 0.1 and r0 drawn
+    # from [lo, hi] = [0.6, 1.2], 0.8 of the domain radius 1.5; the note
+    # prints it to three digits, not rounded to 7e-03
+    floor = 8.0 / 9.0 * 0.1 * math.sqrt(0.99) * (math.sin(0.15) ** 2 + 0.36) / (1.2 * 2.44 ** 1.5)
+    assert f"{floor:.2e}" == "7.39e-03"
+    note = run_suite("theorem52", BcvParams(1.0, 1.0))["note"]
+    assert note.rpartition("; ")[2].startswith("|R1|/gap ")
+    assert note.endswith(" > 7.39e-03")
+
+
 def test_law_of_T_defect_along_e1_fails(monkeypatch):
     # the scalar law of T broken along e1 alone: the e2 column is intact
     compat = immersion.compatibility_residual
@@ -231,7 +243,7 @@ def test_law_of_T_defect_along_e1_fails(monkeypatch):
     monkeypatch.setattr(immersion, "compatibility_residual", defect_along_e1)
     result = run_suite("gauss-codazzi", P_NIL)
     assert result["pass"] is False
-    assert "compat 1.00e+00/1e-04" in result["note"]
+    assert "compat 1.00e+00/1.00e-04" in result["note"]
 
 
 def test_a_lower_bound_holds_for_every_value():
@@ -239,7 +251,7 @@ def test_a_lower_bound_holds_for_every_value():
     checks = [Check("up", np.array([0.5]), 1.0), Check("low", [0.2, 2e-4], 1e-3, above=True)]
     entry = _entry("s", 1, checks)
     assert (entry["max_residual"], entry["tolerance"], entry["pass"]) == (0.5, 1.0, False)
-    assert entry["note"] == "up 5.00e-01 < 1e+00; low 2.00e-04 > 1e-03"
+    assert entry["note"] == "up 5.00e-01 < 1.00e+00; low 2.00e-04 > 1.00e-03"
 
 
 @pytest.mark.parametrize("kappa", [-14.4, -100.0])

@@ -42,7 +42,7 @@ def test_install_and_restore_round_trip(tracer):
     try:
         assert imm.surface_jet is not before[("bcvgeo.immersion", "surface_jet")]
         t.begin_op(0)
-        imm.surface_jet(generic_revolution_surface(P), P, 0.3, 0.2)
+        imm.surface_jet(generic_revolution_surface(), P, 0.3, 0.2)
         calls = t.summary({0})["calls"]
         assert calls["immersion.surface_jet"] == 1 and calls["immersion.chart"] >= 1
         assert t.jet_keys_unique == 1
