@@ -41,12 +41,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
 def _write_text(path, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -101,7 +95,7 @@ def _cmd_integrate(args, parser) -> int:
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
     columns = ("s", "r", "z", "sigma", "f", "R1", "R2", "obstruction")   # no f'
-    row = ",".join(["{:.17g}"] * len(columns))      # _fmt of each float
+    row = ",".join(["{:.17g}"] * len(columns))
     lines = [",".join(columns)]
     lines.extend(map(row.format, *(getattr(traj, c).tolist() for c in columns)))
     lines.append(f"# status: {traj.status}")
@@ -183,7 +177,7 @@ def _mesh_surface(args, parser):
             surface = rot.hopf_cylinder(params, args.r0)
         except DomainError as exc:
             parser.error(str(exc))
-        return params, surface, f"hopf-cylinder r0 {_fmt(args.r0)}"
+        return params, surface, f"hopf-cylinder r0 {args.r0:.17g}"
     if args.kind == "revolution":
         if args.profile is None:
             parser.error("--profile FILE.csv is required for revolution")
@@ -198,19 +192,10 @@ def _mesh_surface(args, parser):
     if args.kind == "hopf-tube":
         if args.base is None:
             parser.error("--base FILE.csv is required for hopf-tube")
-        xs, ys = _read_csv_columns(args.base, ("x", "y"), parser).values()
-        ts = np.linspace(0.0, 1.0, len(xs))
-        closed = abs(xs[0] - xs[-1]) < 1e-12 and abs(ys[0] - ys[-1]) < 1e-12
-        x_sp = CubicSpline(ts, xs, periodic=closed)
-        y_sp = CubicSpline(ts, ys, periodic=closed)
-
-        def curve(u):
-            return (x_sp(u), y_sp(u))
-
-        def d_curve(u):
-            return (x_sp(u, 1), y_sp(u, 1))
-
-        surface = rot.hopf_tube(curve, d_curve, u_domain=(0.0, 1.0))
+        xy = np.array(list(_read_csv_columns(args.base, ("x", "y"), parser).values()))
+        closed = bool(np.all(abs(xy[:, 0] - xy[:, -1]) < 1e-12))
+        sp = CubicSpline(np.linspace(0.0, 1.0, xy.shape[1]), xy, periodic=closed)
+        surface = rot.hopf_tube(sp, lambda u: sp(u, 1), u_domain=(0.0, 1.0))
         return params, surface, f"hopf-tube base {os.path.basename(args.base)}"
     parser.error(f"unknown mesh kind {args.kind!r}")
 
@@ -220,26 +205,25 @@ def _cmd_mesh(args, parser) -> int:
         parser.error("--nu and --nv must be at least 2")
     params, surface, spec = _mesh_surface(args, parser)
     us, vs = surface.grid(args.nu, args.nv)
-    verts = []
     tb = np.empty((args.nu, args.nv))
     try:
         # one batched call per grid row: u fixed, all v
         for i, u in enumerate(us):
             tb[i] = np.linalg.norm(
                 bic.tangential_bitension_arrays(imm.Stages(surface, params, u, vs)), axis=0)
-            verts.extend(surface.coords(u, vs).T)
+        # the vertices row by row, u slow and v fast, as the faces number them
+        xyz = surface.coords(*(g.ravel() for g in np.meshgrid(us, vs, indexing="ij")))
     except BcvError as exc:
         print(f"mesh aborted, no output written: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     i, j = np.unravel_index(np.argmax(tb), tb.shape)
     lines = [
         f"# bcvgeo {__version__} mesh {spec}",
-        f"# kappa {_fmt(params.kappa)} tau {_fmt(params.tau)} nu {args.nu} nv {args.nv}",
-        f"# max_tangential_bitension {_fmt(float(tb[i, j]))}",
-        f"# worst_uv {_fmt(float(us[i]))} {_fmt(float(vs[j]))}",
+        f"# kappa {params.kappa:.17g} tau {params.tau:.17g} nu {args.nu} nv {args.nv}",
+        f"# max_tangential_bitension {tb[i, j]:.17g}",
+        f"# worst_uv {us[i]:.17g} {vs[j]:.17g}",
     ]
-    for x, y, z in verts:
-        lines.append(f"v {_fmt(float(x))} {_fmt(float(y))} {_fmt(float(z))}")
+    lines.extend(map("v {:.17g} {:.17g} {:.17g}".format, *xyz.tolist()))
     for i in range(args.nu - 1):
         for j in range(args.nv - 1):
             a = i * args.nv + j + 1

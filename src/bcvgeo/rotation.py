@@ -456,15 +456,16 @@ def revolution_surface(params: BcvParams, profile: Callable[[float], ProfileStat
 
 
 def spline_profile_columns(s, r, z, sigma):
-    """Profile interpolating (s, r, z, sigma) columns by cubic splines in s.
+    """Profile interpolating (s, r, z, sigma) columns by one cubic spline
+    of (r, z, sigma) in s.
 
     The profile takes s as a float or an array; an array gives one
     ProfileState of arrays.
     """
-    r_sp, z_sp, g_sp = (CubicSpline(s, c) for c in (r, z, sigma))
+    sp = CubicSpline(s, (r, z, sigma))
 
     def profile(ss):
-        return ProfileState(s=ss, r=r_sp(ss), z=z_sp(ss), sigma=g_sp(ss))
+        return ProfileState(ss, *sp(ss))
 
     return profile
 

@@ -200,9 +200,8 @@ class TestIntegrate:
 
     def test_state_fields_are_the_reference_loop(self):
         # the profile CSV that `mesh revolution` reads: s, r, z and sigma
-        # are the rows of the one-loop reference march, formatted by _fmt
+        # are the rows of the one-loop reference march, each float with .17g
         from bcvgeo.ambient import EPS_F
-        from bcvgeo.cli import _fmt
         from bcvgeo.rotation import EPS_R
         from reference_kernel import COLUMNS, branch_kernel
 
@@ -212,7 +211,7 @@ class TestIntegrate:
         ref = np.empty((20000, len(COLUMNS)))
         n, _ = branch_kernel(0.0, 0.5, 1.1, 0.0, 1.5, 0.0, 1e-3, 20000, 1.0,
                              10 * EPS_R, EPS_F, ref)
-        expected = [",".join(_fmt(float(x)) for x in row) for row in ref[:n, :4]]
+        expected = [",".join(f"{x:.17g}" for x in row) for row in ref[:n, :4].tolist()]
         rows = res.stdout.splitlines()[1:-1]
         assert [",".join(l.split(",")[:4]) for l in rows] == expected
 
@@ -341,10 +340,10 @@ def _mesh_inputs(tmp_path):
 
 def pinned_cli_outputs():
     """Exit code, sha256 and byte length of the output of `integrate` at
-    three pairs and of `mesh` of each kind at 16x16, from `cli.main` in this
-    process.  The first `integrate` runs to the default --smax (5,001 rows)
-    and writes the profile that `mesh revolution` reads; the others write
-    to stdout."""
+    three pairs, of `mesh` of each kind at 16x16 and of the two spline-backed
+    kinds on a non-square grid, from `cli.main` in this process.  The first
+    `integrate` runs to the default --smax (5,001 rows) and writes the
+    profile that `mesh revolution` reads; the others write to stdout."""
     from bcvgeo import cli
 
     def run(argv, out=None):
@@ -375,6 +374,11 @@ def pinned_cli_outputs():
                  *grid]),
             run(["mesh", "hopf-tube", "--kappa", "-1.0", "--tau", "0.5", "--base", base,
                  *grid]),
+            # non-square grids: a transposed vertex or face order changes their bytes
+            run(["mesh", "revolution", "--kappa", "0.0", "--tau", "0.5", "--profile", prof,
+                 "--nu", "10", "--nv", "6"]),
+            run(["mesh", "hopf-tube", "--kappa", "-1.0", "--tau", "0.5", "--base", base,
+                 "--nu", "9", "--nv", "5"]),
         ]
     # the input files live in a temporary directory: pin their names only
     for case in cases:

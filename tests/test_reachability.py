@@ -8,12 +8,16 @@ import binds in `src` or `tests` is read there.
 
 A stdlib `ast` walk stands in for a call graph.  A definition reaches each
 top-level definition, in any module, whose name it reads as a name or as an
-attribute; a class reaches what its methods read, and a module-level
-assignment what its value reads.  Matching by name over-approximates the
-graph, so a definition this walk does not reach is dead for every
-subcommand.  In the same way, a call passes a parameter of every function
-or method of the called name, and a call of a class passes the parameters
-of its `__init__`; a default that no call passes is a constant.
+attribute; a class reaches what its bases, decorators and class-level
+statements read, and a module-level assignment what its value reads.  A
+method of a reached class is reached when reached code reads its name, as
+an attribute or as a string (`getattr(obj, name)`), and a dunder when its
+class is; a reached method reaches what it reads.  Matching by name
+over-approximates the graph, so a definition this walk does not reach is
+dead for every subcommand.  In the same way, a call passes a parameter of
+every function or method of the called name, and a call of a class passes
+the parameters of its `__init__`; a default that no call passes is a
+constant.
 """
 
 import ast
@@ -22,7 +26,8 @@ from collections import defaultdict
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "bcvgeo"
 
-# the definitions that no subcommand reaches, with their destinations
+# the definitions and the methods that no subcommand reaches, with their
+# destinations
 UNREACHED = {
     # item 8: constant-angle surfaces as test objects
     "QuarticReport",
@@ -30,10 +35,14 @@ UNREACHED = {
     "constant_angle_suite",
     "constant_angle_codazzi_residual",
     "constant_angle_datum_residual",
-    # item 13: the frame-system route of the tangential bitension
+    # item 13: the frame-system route of the tangential bitension, and the
+    # stage that only it reads
     "frame_system_residual",
-    # item 10: the biharmonic suite
+    "Stages.lam_e2",
+    # item 10: the biharmonic suite, and the stage that only it reads
     "normal_bitension",
+    "Stages.laplacian",
+    "_laplacian",
     # items 4 and 5: the geometry class in reports and in the sweep
     "GeometryClass",
     "classify_space",
@@ -79,14 +88,22 @@ def _bound(node):
 def unreached(sources, root_module="cli", root="main"):
     """{name: line count} of the top-level functions and classes of
     `sources`, {module: source text}, that the walk from the definition
-    `root` of `root_module` does not reach."""
+    `root` of `root_module` does not reach, and of the methods, named
+    "Class.method", of the classes that it does reach."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    defs = defaultdict(list)
+    defs = defaultdict(list)   # name -> the statements that a read of it reaches
+    methods = {}               # "Class.method" -> its definition
     for tree in trees.values():
         for node in tree.body:
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                own = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+                methods.update((f"{node.name}.{f.name}", f) for f in own)
+                parts = node.decorator_list + node.bases + [b for b in node.body if b not in own]
             for name in _bound(node):
-                defs[name].append(node)
+                defs[name] += parts
     seen = {root}
+    attrs = set()   # the attribute names and the strings that reached code reads
     todo = [n for n in trees[root_module].body if root in _bound(n)]
     while todo:
         for sub in ast.walk(todo.pop()):
@@ -95,9 +112,23 @@ def unreached(sources, root_module="cli", root="main"):
             if name in defs and name not in seen:
                 seen.add(name)
                 todo += defs[name]
-    return {node.name: node.end_lineno - node.lineno + 1
-            for tree in trees.values() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in seen}
+            if isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                attrs.add(sub.value)
+        if not todo:
+            # a method of a reached class is reached by a read of its name,
+            # a dunder by the class itself
+            for qualname, fn in methods.items():
+                cls, _, name = qualname.partition(".")
+                dunder = name.startswith("__") and name.endswith("__")
+                if cls in seen and qualname not in seen and (dunder or name in attrs):
+                    seen.add(qualname)
+                    todo.append(fn)
+    tops = [(n.name, n) for tree in trees.values() for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    members = [(q, f) for q, f in methods.items() if q.partition(".")[0] in seen]
+    return {q: node.end_lineno - node.lineno + 1 for q, node in tops + members if q not in seen}
 
 
 def test_unreached_definitions_are_pinned():
@@ -126,6 +157,32 @@ def test_walk_on_a_toy_source():
              "        return 0\n",
     }
     assert unreached(sources) == {"dead": 2, "Unused": 3}
+
+
+def test_method_walk_on_a_toy_source():
+    sources = {
+        "cli": "from . import m\n"
+               "def main():\n"
+               "    box, grow = m.Box(), 2\n"
+               "    return box.size + grow, getattr(box, 'label')\n",
+        "m": "class Box:\n"
+             "    def __init__(self):\n"
+             "        self.n = 1\n"
+             "    def __repr__(self):\n"
+             "        return _shown(self)\n"
+             "    @property\n"
+             "    def size(self):\n"
+             "        return self.n\n"
+             "    def label(self):\n"
+             "        return 'box'\n"
+             "    def grow(self):\n"
+             "        return _grown(self)\n"
+             "def _shown(box):\n"
+             "    return str(box.n)\n"
+             "def _grown(box):\n"
+             "    return box\n",
+    }
+    assert unreached(sources) == {"Box.grow": 2, "_grown": 2}
 
 
 def _defaulted(fn):

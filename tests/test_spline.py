@@ -1,6 +1,7 @@
 """The cubic splines behind `mesh revolution` and `mesh hopf-tube`: exact on
-cubics, C2 across a periodic seam, equal to scipy's splines, and a slope
-solve bit-equal to the array recursion it replaced."""
+cubics, C2 across a periodic seam, equal to scipy's splines, a slope solve
+bit-equal to the array recursion it replaced, and stacked columns each
+bit-equal to its own spline."""
 
 import numpy as np
 import pytest
@@ -111,10 +112,39 @@ class TestSolveTridiagonal:
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == reference_solve(lower, diag, upper, rhs).tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (2, 2)])
     @pytest.mark.parametrize("periodic", [False, True])
-    def test_spline_coefficients_bit_equal(self, periodic, monkeypatch):
+    def test_spline_coefficients_bit_equal(self, periodic, lead, monkeypatch):
+        """Each column of a spline of stacked columns, y of shape lead + (n,),
+        has the coefficients and the values, nu = 0 and 1, of its own
+        spline to the bit; and those coefficients are bit-equal to the ones
+        the array recursion gives."""
         x = knots(300, seed=11)
         y = periodic_values(x) if periodic else np.sinh(x) - x ** 2
-        got = CubicSpline(x, y, periodic=periodic).c
+        columns = [(1.0 + j / 3.0) * y + j for j in range(int(np.prod(lead)))]
+        sp = CubicSpline(x, np.reshape(columns, lead + x.shape), periodic=periodic)
+        assert sp.c.shape == (4,) + lead + (len(x) - 1,)
+        t = np.linspace(-0.2, 1.2, 57)      # extrapolated or wrapped at both ends
+        assert sp(0.3).shape == lead and sp(t, 1).shape == lead + t.shape
+        got = [CubicSpline(x, y_j, periodic=periodic) for y_j in columns]
+        for index, own in zip(np.ndindex(lead), got):
+            assert sp.c[(slice(None),) + index].tobytes() == own.c.tobytes(), index
+            for nu in (0, 1):
+                assert sp(t, nu)[index].tobytes() == own(t, nu).tobytes(), (index, nu)
         monkeypatch.setattr(_spline, "_solve_tridiagonal", reference_solve)
-        assert got.tobytes() == CubicSpline(x, y, periodic=periodic).c.tobytes()
+        for y_j, own in zip(columns, got):
+            assert own.c.tobytes() == CubicSpline(x, y_j, periodic=periodic).c.tobytes()
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (np.arange(5.0), np.zeros((2, 4)), "at least 4 points"),       # y shorter than x
+    (np.arange(5.0), np.zeros((5, 2)), "at least 4 points"),       # knots on the first axis
+    (np.arange(3.0), np.zeros((2, 3)), "at least 4 points"),
+    (np.arange(5.0), np.zeros(()), "at least 4 points"),
+    (np.arange(5.0), [[0.0] * 5, [0.0, 1.0, np.nan, 3.0, 4.0]], "finite"),
+    ([0.0, 1.0, np.inf, 3.0, 4.0], np.zeros((2, 5)), "finite"),
+    ([0.0, 1.0, 1.0, 2.0, 3.0], np.zeros((2, 5)), "strictly increasing"),
+])
+def test_stacked_input_is_checked(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        CubicSpline(x, y)
