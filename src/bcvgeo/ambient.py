@@ -23,9 +23,11 @@ exact up to rounding.  The Levi-Civita connection and the curvature are
 deliberately *not* hand-derived: :func:`christoffels` takes central finite
 differences of the metric components (Koszul formula on coordinate
 fields), so that closed-form curvature data can be validated against an
-independent route.  The test suite checks that FD connection in turn, by
-metric compatibility and torsion-freeness against its own covariant
-derivative and Lie bracket.
+independent route.  Only the inverse metric it contracts with is taken in
+closed form: g = Theta^T Theta for the coframe matrix Theta, so
+g^-1 = Theta^-1 Theta^-T is exact up to rounding.  The test suite checks
+that FD connection in turn, by metric compatibility and torsion-freeness
+against its own covariant derivative and Lie bracket.
 
 (E1, E2, E3) is declared positively oriented and :func:`frame_cross` is
 right-handed with respect to it.
@@ -174,8 +176,11 @@ def frame_cross(a, b):
 def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
     """Coordinate components g_ij(x, y); independent of z.
 
-    Floats give a 3x3 matrix; arrays of one shape give shape (3, 3) + that
-    shape.  DomainError names the first (x, y) where F <= EPS_F or 1/F^2 = 0."""
+    g = Theta^T Theta for the coframe Theta = [[1/F, 0, 0], [0, 1/F, 0],
+    [a, b, 1]], whose dx and dy coefficients a = tau y / F and
+    b = -tau x / F of w3 are g_xz and g_yz.  Floats give a 3x3 matrix;
+    arrays of one shape give shape (3, 3) + that shape.  DomainError names
+    the first (x, y) where F <= EPS_F or 1/F^2 = 0."""
     F = smoothing_factor(params, x, y)
     bad = _first_failure(F > EPS_F, x, y, F)
     if bad:
@@ -201,25 +206,43 @@ def metric_matrix(params: BcvParams, x, y) -> np.ndarray:
     return g
 
 
+def _inverse_metric(F, a, b) -> np.ndarray:
+    """g^-1 = Theta^-1 Theta^-T from the coframe of :func:`metric_matrix`,
+    with Theta^-1 = [[F, 0, 0], [0, F, 0], [-a F, -b F, 1]]: exact up to
+    rounding, with no cofactor cancellation where tau r / F is large."""
+    F2 = F * F
+    ginv = np.empty((3, 3) + np.shape(F))
+    ginv[0, 0] = ginv[1, 1] = F2
+    ginv[0, 1] = ginv[1, 0] = 0.0
+    ginv[0, 2] = ginv[2, 0] = -a * F2
+    ginv[1, 2] = ginv[2, 1] = -b * F2
+    ginv[2, 2] = 1.0 + (a * a + b * b) * F2
+    return ginv
+
+
 def christoffels(params: BcvParams, x, y) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] at the points (x, y, any z) by
     finite differences.
 
     Central differences of the metric components over the CROSS stencil
     feed the Koszul formula on coordinate fields; no hand-derived connection
-    enters anywhere.  Arrays of one shape give Gamma of shape (3, 3, 3) +
-    that shape.  The metric does not depend on z, so its z-difference is
-    exactly zero.
+    enters anywhere.  The inverse metric at each centre comes from the
+    coframe (:func:`_inverse_metric`), with a and b read from g_xz and g_yz.
+    Arrays of one shape give Gamma of shape (3, 3, 3) + that shape.  The
+    metric does not depend on z, so its z-difference is exactly zero.
     """
     st = Stencil(CROSS, FD_STEP, x, y)
     gs = metric_matrix(params, st.U, st.V)
     dg = np.zeros((3,) + gs.shape[:-1])
     dg[0], dg[1] = st.d(gs, 1, 0), st.d(gs, 0, 1)
-    g = np.moveaxis(gs[..., 0], (0, 1), (-2, -1))
-    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    sym = np.einsum("ijl...->lij...", dg) + np.einsum("jil...->lij...", dg) - dg
-    return 0.5 * np.einsum("kl...,lij...->kij...", ginv, sym)
+    F = smoothing_factor(params, x, y)
+    ginv = _inverse_metric(F, gs[0, 2, ..., 0], gs[1, 2, ..., 0])
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), the first two
+    # terms as transposed views of dg = d_i g_jl, indexed [l, i, j]
+    ax = tuple(range(3, dg.ndim))
+    sym = dg.transpose((2, 0, 1) + ax) + dg.transpose((2, 1, 0) + ax) - dg
+    col = ginv[:, :, None, None]
+    return 0.5 * (col[:, 0] * sym[0] + col[:, 1] * sym[1] + col[:, 2] * sym[2])
 
 
 def ricci(params: BcvParams, a, b):

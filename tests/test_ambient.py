@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcvgeo._stencil import CROSS, Stencil
 from bcvgeo.ambient import (
     FD_STEP,
     BcvParams,
     GeometryClass,
+    _inverse_metric,
     base_metric,
     christoffels,
     classify_space,
@@ -24,7 +26,7 @@ from bcvgeo.ambient import (
 from bcvgeo.errors import DomainError
 from bcvgeo.suites import sample_domain_points
 
-from conftest import PAIRS6, frame_of, make_rng
+from conftest import PAIRS6, PAIRS7, frame_of, make_rng
 
 
 def g(params, x, y, a, b):
@@ -288,6 +290,50 @@ class TestConnection:
         nyx = connection(P, p, Yf(*p), Xf)
         br = lie_bracket(p, Xf, Yf)
         assert norm(P, p[0], p[1], nxy - nyx - br).max() < 1e-5
+
+
+def christoffels_by_lapack(params, x, y):
+    """Christoffel symbols by the Koszul formula on the same metric
+    differences as :func:`christoffels`, with g^-1 from np.linalg.inv of
+    the metric at each centre and the sums by einsum."""
+    st = Stencil(CROSS, FD_STEP, x, y)
+    gs = metric_matrix(params, st.U, st.V)
+    dg = np.zeros((3,) + gs.shape[:-1])
+    dg[0], dg[1] = st.d(gs, 1, 0), st.d(gs, 0, 1)
+    g = np.moveaxis(gs[..., 0], (0, 1), (-2, -1))
+    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
+    sym = np.einsum("ijl...->lij...", dg) + np.einsum("jil...->lij...", dg) - dg
+    return 0.5 * np.einsum("kl...,lij...->kij...", ginv, sym)
+
+
+class TestCoframeInverse:
+    """g^-1 from the coframe against LAPACK's inverse and against g."""
+
+    @pytest.mark.parametrize("P", PAIRS7 + [
+        BcvParams(1.0, 0.25), BcvParams(8.0, 1.0), BcvParams(-14.4, 0.5),
+        BcvParams(-2.0, 4.0), BcvParams(0.0, 4.0), BcvParams(-1.0, 16.0)],
+        ids=lambda P: f"{P.kappa:g},{P.tau:g}")
+    def test_connection_equals_the_lapack_route(self, P):
+        x, y, _ = sample_domain_points(P, make_rng(0), 200)
+        ref = christoffels_by_lapack(P, x, y)
+        assert np.abs(christoffels(P, x, y) - ref).max() <= 1e-12 * (np.abs(ref).max() + 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 16.0, 1000.0])
+    @pytest.mark.parametrize("kappa", [-4.0, -1.0, 0.0, 1.0])
+    def test_inverse_is_exact_to_rounding(self, kappa, tau):
+        # at kappa < 0 the radii put F on 1e-4 .. 1; else r runs 1e-3 .. 10
+        if kappa < 0.0:
+            r = np.sqrt(4.0 * (1.0 - np.geomspace(1e-4, 1.0, 17)) / -kappa)
+        else:
+            r = np.geomspace(1e-3, 10.0, 17)
+        phi = np.linspace(0.0, 2.0 * np.pi, 13)[:, None]
+        P, x, y = BcvParams(kappa, tau), r * np.cos(phi), r * np.sin(phi)
+        g = metric_matrix(P, x, y)
+        ginv = _inverse_metric(smoothing_factor(P, x, y), g[0, 2], g[1, 2])
+        err = np.abs(np.einsum("ij...,jk...->ik...", g, ginv)
+                     - np.eye(3)[:, :, None, None]).max(axis=(0, 1))
+        scale = np.abs(g).max(axis=(0, 1)) * np.abs(ginv).max(axis=(0, 1))
+        assert np.all(err <= 8.0 * np.finfo(float).eps * scale)
 
 
 class TestRicci:

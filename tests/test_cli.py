@@ -103,6 +103,16 @@ class TestVerify:
             assert report["pass"] is (res.returncode == 0)
             assert report["suites"][-1]["name"] == "theorem52"
 
+    @pytest.mark.parametrize("tau", ["1e8", "1e20"])
+    def test_large_tau_is_a_numeric_failure(self, tau):
+        # the chart partials of the Hopf cylinders lose their rank to
+        # rounding: a numeric failure, not exit 1, which says that suites
+        # ran and failed, and no traceback from a singular inverse
+        res = run_cli("verify", "--kappa", "0", "--tau", tau)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("numeric")
+        assert "Traceback" not in res.stderr
+
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",
                       "--suite", "frame", "--timing")

@@ -7,6 +7,11 @@ at exactly the pairs of PAIRS7 where the term is not zero: off the space
 forms for a factor kappa - 4 tau^2, and where tau != 0 for a factor tau.
 The control case, with no rewrite, passes at all seven.
 
+Two cases rewrite an entry of the inverse metric in `ambient`, which every
+Christoffel symbol reads.  Dropping the (a^2 + b^2) F^2 term of g^zz is an
+equivalent mutant at kappa = 0: the Koszul terms it multiplies,
+d_x g_yz + d_y g_xz and d_x g_xz, d_y g_yz, all vanish there.
+
 The branch cases rewrite one term of the reduced system or of Theorem
 5.2's obstruction in `rotation`, and `verify --suite theorem52` must fail,
 through its per-row factored identity, at exactly the branch pairs of
@@ -22,7 +27,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from bcvgeo import immersion, rotation
+from bcvgeo import ambient, immersion, rotation
 from bcvgeo.ambient import BcvParams
 from bcvgeo.errors import SelfConsistencyError
 from bcvgeo.suites import run_report
@@ -37,20 +42,26 @@ def tau_nonzero(P):
     return P.tau != 0.0
 
 
-# (function, term as written, its replacement, where the term is not zero)
+# (module, function, term as written, its replacement, where the term is not zero)
 MUTANTS = {
     "codazzi-2: drop (4 tau^2 - kappa) cos a sin a": (
-        "codazzi_residual",
+        immersion, "codazzi_residual",
         "e1_lam - e2_e2a - (4.0 * tau * tau - k) * c.jet.cos_alpha * c.jet.sin_alpha)",
         "e1_lam - e2_e2a)", twisted),
     "gauss: drop (kappa - 4 tau^2) cos^2 a": (
-        "gauss_residual", " - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2", "", twisted),
+        immersion, "gauss_residual", " - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2", "",
+        twisted),
     "law of T: drop tau J W": (
-        "compatibility_residual", " - params.tau * np.array(frame_cross(jet.n, frame))", "",
-        tau_nonzero),
+        immersion, "compatibility_residual",
+        " - params.tau * np.array(frame_cross(jet.n, frame))", "", tau_nonzero),
     "codazzi-1: flip the sign of 2 tau": (
-        "codazzi_residual", "cot * e1a * (e2a - 2.0 * tau)", "cot * e1a * (e2a + 2.0 * tau)",
-        tau_nonzero),
+        immersion, "codazzi_residual", "cot * e1a * (e2a - 2.0 * tau)",
+        "cot * e1a * (e2a + 2.0 * tau)", tau_nonzero),
+    "g^-1: flip the sign of -a F^2": (
+        ambient, "_inverse_metric", "-a * F2", "a * F2", tau_nonzero),
+    "g^zz: drop (a^2 + b^2) F^2": (
+        ambient, "_inverse_metric", "1.0 + (a * a + b * b) * F2", "1.0",
+        lambda P: tau_nonzero(P) and P.kappa != 0.0),
 }
 
 
@@ -101,8 +112,8 @@ def test_unmutated_formulas_pass_everywhere():
 
 @pytest.mark.parametrize("case", sorted(MUTANTS))
 def test_mutant_is_killed(monkeypatch, case):
-    name, term, replacement, term_nonzero = MUTANTS[case]
-    install_mutant(monkeypatch, name, term, replacement)
+    module, name, term, replacement, term_nonzero = MUTANTS[case]
+    install_mutant(monkeypatch, name, term, replacement, module=module)
     assert failing_pairs() == [P for P in PAIRS7 if term_nonzero(P)], case
 
 

@@ -51,6 +51,27 @@ def test_default_reports_are_pinned():
         assert (g["exit"], g["stdout"]) == (w["exit"], w["stdout"]), g["argv"]
 
 
+def test_pinned_diff_lets_only_residuals_move():
+    """tests/pinned_diff.py reports each moved field, and flags every one
+    but max_residual, sha256 and bytes."""
+    import pinned_diff
+
+    def entry(residual, passed):
+        suite = {"name": "ricci", "samples": 5, "max_residual": residual,
+                 "tolerance": 1e-4, "pass": passed, "note": ""}
+        return {"argv": ["verify"], "exit": 0,
+                "stdout": json.dumps({"seed": 0, "suites": [suite], "pass": passed})}
+
+    lines, violations, fields, counts = pinned_diff.diff_entries(
+        [entry(1e-5, True), entry(1e-5, True)], [entry(2e-5, True), entry(1e-5, False)],
+        pinned_diff.report_units)
+    assert fields == {"max_residual", "pass"}
+    assert lines[0] == "[verify] ricci.max_residual: 1e-05 -> 2e-05 (rel 1.00e+00)"
+    assert violations == lines[1:] == ["[verify] run.pass: True -> False",
+                                       "[verify] ricci.pass: True -> False"]
+    assert (counts["moved"], counts["total"]) == ({"run": 1, "suite": 2}, {"run": 2, "suite": 2})
+
+
 def scalar_sample(params, rng, n):
     """Point-by-point reference: three `uniform` calls per point, in the
     order rho, phi, z, mapped through scalar `math` functions."""
