@@ -7,16 +7,13 @@ by the angle form of the profile equations,
     z'     = sin(sigma) sqrt(1 + tau^2 r^2)
     sigma' = sin(sigma) (kappa r / 4 - 1 / (3 r)),
 
-solved by classical RK4 at a fixed step.  Neither r' nor sigma' involves z
-or tau, so the march follows (r, sigma) alone, and z is a quadrature along
-the recorded rows: `branch_heights` redoes each step's RK4 stages on arrays
-and sums the z increments in row order.  That gives the bits of a scalar
-loop marching z too, as long as numpy's float64 sin and cos round as
-`math`'s do (the tests compare every column with such a loop bit for bit).
-`run_branch_kernel` returns the s, r and sigma columns of the rows, sized
-to the rows marched; a trajectory computes z from them when z is first
-read.  The trajectory and the reduced formulas evaluated along its rows
-live in `bcvgeo.rotation`.
+solved by classical RK4 at a fixed step.  The march records the whole
+state row (s, r, z, sigma), s accumulated step by step from s0, and each
+RK4 stage takes its sin(sigma) once, for z' and sigma' both (the tests
+compare every row with a reference loop bit for bit).
+`run_branch_kernel` returns the four columns, sized to the rows marched.
+The trajectory and the reduced formulas evaluated along its rows live in
+`bcvgeo.rotation`.
 
 The march runs compiled where it can.  `_march.c`, next to this module, is
 `branch_march` written line for line in its operation order, with the same
@@ -45,11 +42,13 @@ Both marches give the same rows bit for bit as long as:
     is reassociated or rounded differently;
   - the library calls the same libm `sin` and `cos` that `math.sin` and
     `math.cos` call: `-fno-builtin-sin -fno-builtin-cos` keep the compiler
-    from folding the pairs into `sincos`, which need not round alike.
+    from folding the pairs into `sincos`, which need not round alike
+    (`sqrt` is correctly rounded wherever it is computed).
 
 The compiled march fills a row buffer in chunks that grow geometrically and
 resumes each chunk from the state after the last row, so no buffer is
-sized to the row budget; the r and sigma columns are compact copies.
+sized to the row budget; each column is gathered from the buffers into a
+compact array.
 Where `math.sin` or `math.cos` would raise ValueError on an infinite
 argument (libm returns NaN), the compiled march stops and
 `run_branch_kernel` raises the same ValueError.
@@ -92,35 +91,39 @@ _FIRST_CHUNK_ROWS = 4096   # rows of the compiled march's first buffer; later on
 _MATH_DOMAIN = -1          # the compiled march met an infinite sin or cos argument
 
 
-def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """March (r, sigma) of the branch system, recording the state of each row.
+def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """March the branch system, recording the state (s, r, z, sigma) of each row.
 
-    Returns (rows, status_code), rows a flat list r_0, sigma_0, r_1, sigma_1,
-    ...; row i sits at arclength s0 + i step, accumulated step by step.
+    Returns (rows, status_code), rows a flat list s_0, r_0, z_0, sigma_0,
+    s_1, ...; row i sits at arclength s0 + i step, accumulated step by step.
     Stops on s >= s_max, row budget, r <= r_stop (axis), or F <= f_stop
     (domain boundary); stage values are guarded the same way so a step can
-    never be committed through the singular set.  Takes Python floats
-    (numpy scalars slow every operation of the loop).  `_march.c` is this
-    loop in C; this one runs where that cannot be built, is the tests'
-    reference for it, and takes the one-step probes of
-    `rotation.refine_sign_change`, which no suite calls.
+    never be committed through the singular set.  Each stage takes its sin
+    once, for z' and sigma' both.  Takes Python floats (numpy scalars slow
+    every operation of the loop).  `_march.c` is this loop in C; this one
+    runs where that cannot be built, is the tests' reference for it, and
+    takes the one-step probes of `rotation.refine_sign_change`, which no
+    suite calls.
     """
-    s, r, sig = s0, r0, sigma0
+    s, r, z, sig = s0, r0, z0, sigma0
     rows = []
     status = STATUS_MAX_STEPS
-    sin, cos = math.sin, math.cos
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
     kq = 0.25 * kappa           # the products below associate left, so
     half = 0.5 * step           # hoisting these factors changes no bit
+    t2 = tau * tau
     s_last = s_max - half
     for _ in range(max_rows):
-        rows.extend((r, sig))
+        rows.extend((s, r, z, sig))
         if s >= s_last:
             status = STATUS_SMAX
             break
 
         # RK4 step with per-stage guards
+        sin1 = sin(sig)
         k1r = (1.0 + kq * r * r) * cos(sig)
-        k1g = sin(sig) * (kq * r - 1.0 / (3.0 * r))
+        k1z = sin1 * sqrt(1.0 + t2 * r * r)
+        k1g = sin1 * (kq * r - 1.0 / (3.0 * r))
 
         r2_ = r + half * k1r
         g2_ = sig + half * k1g
@@ -128,8 +131,10 @@ def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
         if r2_ <= r_stop or F2 <= f_stop:
             status = STATUS_NEAR_AXIS if r2_ <= r_stop else STATUS_DOMAIN_EXIT
             break
+        sin2 = sin(g2_)
         k2r = F2 * cos(g2_)
-        k2g = sin(g2_) * (kq * r2_ - 1.0 / (3.0 * r2_))
+        k2z = sin2 * sqrt(1.0 + t2 * r2_ * r2_)
+        k2g = sin2 * (kq * r2_ - 1.0 / (3.0 * r2_))
 
         r3_ = r + half * k2r
         g3_ = sig + half * k2g
@@ -137,8 +142,10 @@ def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
         if r3_ <= r_stop or F3 <= f_stop:
             status = STATUS_NEAR_AXIS if r3_ <= r_stop else STATUS_DOMAIN_EXIT
             break
+        sin3 = sin(g3_)
         k3r = F3 * cos(g3_)
-        k3g = sin(g3_) * (kq * r3_ - 1.0 / (3.0 * r3_))
+        k3z = sin3 * sqrt(1.0 + t2 * r3_ * r3_)
+        k3g = sin3 * (kq * r3_ - 1.0 / (3.0 * r3_))
 
         r4_ = r + step * k3r
         g4_ = sig + step * k3g
@@ -146,46 +153,20 @@ def branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
         if r4_ <= r_stop or F4 <= f_stop:
             status = STATUS_NEAR_AXIS if r4_ <= r_stop else STATUS_DOMAIN_EXIT
             break
+        sin4 = sin(g4_)
         k4r = F4 * cos(g4_)
-        k4g = sin(g4_) * (kq * r4_ - 1.0 / (3.0 * r4_))
+        k4z = sin4 * sqrt(1.0 + t2 * r4_ * r4_)
+        k4g = sin4 * (kq * r4_ - 1.0 / (3.0 * r4_))
 
         r_new = r + step * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
         if r_new <= r_stop or 1.0 + kq * r_new * r_new <= f_stop:
             status = STATUS_NEAR_AXIS if r_new <= r_stop else STATUS_DOMAIN_EXIT
             break
+        z = z + step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
         sig = sig + step * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
         r = r_new
         s = s + step
     return rows, status
-
-
-def branch_heights(kappa, tau, z0, step, r, sigma):
-    """The z column of marched rows (r, sigma), starting from z0.
-
-    Redoes the RK4 stages of each committed step on arrays, with the
-    march's operations in the march's order, and adds the z increments in
-    row order (`np.add.accumulate` does not reorder), so each z has the
-    bits a scalar loop marching z alongside (r, sigma) would give.
-    """
-    kq = 0.25 * kappa
-    t2 = tau * tau
-    half = 0.5 * step
-
-    def rates(r, sig):
-        """(r', z', sigma') at stage values, written as the march writes them."""
-        sin_g = np.sin(sig)
-        return ((1.0 + kq * r * r) * np.cos(sig), sin_g * np.sqrt(1.0 + t2 * r * r),
-                sin_g * (kq * r - 1.0 / (3.0 * r)))
-
-    r, sig = r[:-1], sigma[:-1]
-    k1r, k1z, k1g = rates(r, sig)
-    k2r, k2z, k2g = rates(r + half * k1r, sig + half * k1g)
-    k3r, k3z, k3g = rates(r + half * k2r, sig + half * k2g)
-    k4z = rates(r + step * k3r, sig + step * k3g)[1]
-    dz = np.empty(len(sigma))
-    dz[0] = z0
-    dz[1:] = step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-    return np.add.accumulate(dz)
 
 
 def build_march(source: bytes, cache_dir: Path):
@@ -224,9 +205,9 @@ def build_march(source: bytes, cache_dir: Path):
         march = ctypes.CDLL(str(lib)).branch_march
     except (OSError, ValueError, subprocess.SubprocessError, AttributeError):
         return None
-    march.argtypes = [ctypes.c_double, ctypes.POINTER(ctypes.c_double), ctypes.c_double,
-                      ctypes.c_longlong, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                      ctypes.c_void_p, ctypes.POINTER(ctypes.c_longlong)]
+    march.argtypes = [ctypes.c_double, ctypes.c_double, ctypes.POINTER(ctypes.c_double),
+                      ctypes.c_double, ctypes.c_longlong, ctypes.c_double, ctypes.c_double,
+                      ctypes.c_double, ctypes.c_void_p, ctypes.POINTER(ctypes.c_longlong)]
     march.restype = ctypes.c_int
     return march
 
@@ -245,51 +226,40 @@ def _compiled_march():
     return build_march(source, cache_dir)
 
 
-def _march_columns(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """(status_code, r, sigma) of `branch_march`'s rows, r and sigma compact
-    1-D arrays, from the compiled march where there is one.
+def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """March the branch from (s0, r0, z0, sigma0) for at most max_rows rows.
 
-    The compiled march fills buffers of 4,096 rows and then of twice the
-    last size, up to the rows left in the budget, each resumed from the
-    state the last one stopped at.
+    Marches compiled where it can (see the module docstring), in buffers of
+    4,096 rows and then of twice the last size, up to the rows left in the
+    budget, each resumed from the state the last one stopped at; otherwise
+    with `branch_march`.  Returns (rows, status_code, s, r, z, sigma), each
+    column a compact 1-D array of `rows` floats gathered from the row
+    buffers.  Every argument is coerced to a Python float (max_rows to int)
+    before the march.
     """
+    kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop = map(
+        float, (kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop))
+    max_rows = int(max_rows)
     march = _compiled_march()
     if march is None:
-        rows, status = branch_march(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop,
-                                    f_stop)
-        return status, np.array(rows[0::2]), np.array(rows[1::2])
-    state = (ctypes.c_double * 3)(s0, r0, sigma0)
-    n = ctypes.c_longlong()
-    chunks = []
-    size = max(0, min(max_rows, _FIRST_CHUNK_ROWS))
-    while True:
-        buf = np.empty(2 * size)
-        status = march(kappa, state, step, size, s_max, r_stop, f_stop, buf.ctypes.data,
-                       ctypes.byref(n))
-        if status == _MATH_DOMAIN:
-            raise ValueError("math domain error")   # as math.sin and math.cos raise
-        chunks.append(buf[:2 * n.value])
-        max_rows -= size
-        if status != STATUS_MAX_STEPS or max_rows <= 0:
-            break
-        size = min(max_rows, 2 * size)
-    return (status, np.concatenate([c[0::2] for c in chunks]),
-            np.concatenate([c[1::2] for c in chunks]))
-
-
-def run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """March the branch from (s0, r0, sigma0) for at most max_rows rows.
-
-    The march follows (r, sigma), compiled where it can be (see the module
-    docstring), and the s column accumulates the step from s0 as the march
-    does; z is left to `branch_heights`.  Returns (rows, status_code, s, r,
-    sigma), each column a compact 1-D array of `rows` floats.  Every
-    argument is coerced to a Python float (max_rows to int) before the
-    march.
-    """
-    s0, step = float(s0), float(step)
-    status, r, sigma = _march_columns(float(kappa), float(r0), float(sigma0), s0, step,
-                                      int(max_rows), float(s_max), float(r_stop), float(f_stop))
-    ds = np.full(len(r), step)
-    ds[0] = s0
-    return len(r), status, np.add.accumulate(ds), r, sigma
+        rows, status = branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
+                                    r_stop, f_stop)
+        chunks = [np.array(rows)]
+    else:
+        state = (ctypes.c_double * 4)(s0, r0, z0, sigma0)
+        n = ctypes.c_longlong()
+        chunks = []
+        size = max(0, min(max_rows, _FIRST_CHUNK_ROWS))
+        while True:
+            buf = np.empty(4 * size)
+            status = march(kappa, tau, state, step, size, s_max, r_stop, f_stop,
+                           buf.ctypes.data, ctypes.byref(n))
+            if status == _MATH_DOMAIN:
+                raise ValueError("math domain error")   # as math.sin and math.cos raise
+            chunks.append(buf[:4 * n.value])
+            max_rows -= size
+            if status != STATUS_MAX_STEPS or max_rows <= 0:
+                break
+            size = min(max_rows, 2 * size)
+    s, r, z, sigma = (np.concatenate([c[j::4] for c in chunks]) for j in range(4))
+    return len(s), status, s, r, z, sigma

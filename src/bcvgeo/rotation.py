@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import STATUS_NAMES, branch_heights, branch_march, run_branch_kernel
+from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
 from .ambient import EPS_F, BcvParams, _first_failure, smoothing_factor
@@ -271,25 +271,20 @@ class BranchTrajectory:
     """Recorded branch run: one 1-D column per quantity, one entry per
     uniform-step row, plus the termination status.
 
-    s, r and sigma are the march's; f, f_prime, R1, R2 and obstruction come
-    from one `branch_residuals` pass over them.  z, a quadrature over r and
-    sigma from z0, is computed on its first read, which theorem52 never
-    makes.
+    s, r, z and sigma are the march's rows; f, f_prime, R1, R2 and
+    obstruction come from one `branch_residuals` pass over them.
     """
 
-    def __init__(self, params: BcvParams, s, r, sigma, z0, status: str,
+    def __init__(self, params: BcvParams, s, r, z, sigma, status: str,
                  config: IntegrationConfig):
-        self.params, self.status, self.config = params, status, config
-        self.s, self.r, self.sigma, self._z0 = s, r, sigma, z0
-        # no branch quantity reads z, so the states carry z = 0
+        self.status, self.config = status, config
+        self.s, self.r, self.z, self.sigma = s, r, z, sigma
+        # no branch quantity reads z, and ProfileState rejects a non-finite
+        # one: once tau^2 overflows the marched z is inf, so the states carry
+        # z = 0 and such a run still records its residuals
         self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(
             params, ProfileState(s, r, 0.0, sigma))
         self.fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL
-
-    @cached_property
-    def z(self) -> np.ndarray:
-        return branch_heights(self.params.kappa, self.params.tau, self._z0,
-                              self.config.step, self.r, self.sigma)
 
     def __len__(self):
         return len(self.s)
@@ -299,9 +294,9 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
                             config: IntegrationConfig = None) -> BranchTrajectory:
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
-    The kernel marches (r, sigma) and returns the s, r and sigma columns,
-    sized to the rows marched; the trajectory adds its diagnostic columns
-    (:class:`BranchTrajectory`), and f' is checked as
+    The kernel marches the state (s, r, z, sigma) from `init` and returns
+    its four columns, sized to the rows marched; the trajectory adds its
+    diagnostic columns (:class:`BranchTrajectory`), and f' is checked as
     :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
     permitted and not flagged; callers verifying the rotational
     classification enforce kappa != 4 tau^2 themselves.  Early termination
@@ -310,11 +305,11 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     """
     if config is None:
         config = IntegrationConfig()
-    n, status, s, r, sigma = run_branch_kernel(
-        params.kappa, init.r, init.sigma, init.s, config.step,
+    n, status, s, r, z, sigma = run_branch_kernel(
+        params.kappa, params.tau, init.r, init.z, init.sigma, init.s, config.step,
         config.max_steps, config.s_max, config.r_stop, EPS_F,
     )
-    traj = BranchTrajectory(params, s, r, sigma, init.z, STATUS_NAMES[status], config)
+    traj = BranchTrajectory(params, s, r, z, sigma, STATUS_NAMES[status], config)
     if n >= 5:
         f, fp = traj.f, traj.f_prime
         fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)
@@ -334,25 +329,24 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     """Locate a zero of `quantity` inside the step [s_i, s_{i+1}].
 
     Bisection on the sub-step offset, down to a width of BISECTION_TOL;
-    each probe advances the row-i (r, sigma) by a single RK4 step of the
-    probed size, which is accurate to O(step^5) and keeps the refinement
-    deterministic.  Probes call the Python (r, sigma) march, whose rows have
-    the bits of the trajectory's march, compiled or not, and read only the
-    row-i s, r and sigma: they carry z = 0, which no branch quantity reads,
-    so a bisection leaves the z column unfilled.
-    The probe at offset 0 returns the row-i state itself.  Halving the step
-    h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4 loops
-    later it raises SelfConsistencyError naming the step.  No suite calls
+    each probe advances the row-i state by a single RK4 step of the probed
+    size, which is accurate to O(step^5) and keeps the refinement
+    deterministic.  Probes call the Python march, whose rows have the bits
+    of the trajectory's march, compiled or not, and read the s, r and sigma
+    of the row they end on; their states carry z = 0, as the trajectory's
+    do.  The probe at offset 0 returns the row-i state itself.  Halving the
+    step h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4
+    loops later it raises SelfConsistencyError naming the step.  No suite calls
     it: `theorem52` checks the sign changes of R1 row by row.
     """
-    s0, r0, g0 = float(traj.s[i]), float(traj.r[i]), float(traj.sigma[i])
-    kappa = float(params.kappa)
+    s0, r0, z0, g0 = (float(c[i]) for c in (traj.s, traj.r, traj.z, traj.sigma))
+    kappa, tau = float(params.kappa), float(params.tau)
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        rows, _ = branch_march(kappa, r0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
-        s = s0 if len(rows) == 2 else s0 + offset
-        return quantity(params, ProfileState(s, rows[-2], 0.0, rows[-1]))
+        rows, _ = branch_march(kappa, tau, r0, z0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
+        s, r, _, sig = rows[-4:]
+        return quantity(params, ProfileState(s, r, 0.0, sig))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

@@ -304,8 +304,11 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
     k, t = params.kappa, params.tau
     lo, hi = _branch_radii(params)
     sin_cos = MIN_COS * math.sqrt(1.0 - MIN_COS ** 2)
-    floor = (8.0 / 9.0 * sin_cos * (math.sin(SIGMA_MARGIN) ** 2 + t * t * lo * lo)
-             / (hi * (1.0 + t * t * hi * hi) ** 1.5))
+    # q^3 = q2 sqrt(q2) split over two divisions: a float's ** raises
+    # OverflowError where q^3 passes 1.8e308 (|tau| of about 1e103)
+    q2 = 1.0 + t * t * hi * hi
+    floor = (8.0 / 9.0 * sin_cos * ((math.sin(SIGMA_MARGIN) ** 2 + t * t * lo * lo) / q2)
+             / (hi * math.sqrt(q2)))
     abs_r2, identity, flips, ratio, samples = [], [], [], [], 0
     for _ in range(3):
         traj = rot.integrate_noncmc_branch(params, _random_branch_state(params, rng),

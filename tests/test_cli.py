@@ -113,6 +113,15 @@ class TestVerify:
         assert res.stderr.startswith("numeric")
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("tau", ["1e103", "1e120"])
+    def test_theorem52_at_huge_tau_is_a_failing_report(self, tau):
+        # (1 + tau^2 hi^2)^1.5 in the suite's floor passes 1.8e308 here; the
+        # floor divides by q2 and sqrt(q2) instead, so no OverflowError
+        res = run_cli("verify", "--kappa", "1", "--tau", tau, "--suite", "theorem52")
+        assert res.returncode == 1, res.stderr
+        assert json.loads(res.stdout)["pass"] is False
+        assert "Traceback" not in res.stderr
+
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",
                       "--suite", "frame", "--timing")

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 import sysconfig
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 from bcvgeo import _kernels, cli
 
 PINNED = Path(__file__).parent / "data" / "cli_outputs.json"
-ARGS = (1.0, 1.0, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, 1e-9)
+ARGS = (1.0, 1.0, 1.0, 0.25, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, 1e-9)
 
 
 @pytest.fixture
@@ -34,14 +35,14 @@ def cache_dir(monkeypatch, tmp_path):
     _kernels._compiled_march.cache_clear()
 
 
-def compiled_rows(march, kappa, r0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+def compiled_rows(march, kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     """`branch_march`'s (rows, status) from a compiled march."""
-    state = (ctypes.c_double * 3)(s0, r0, sigma0)
+    state = (ctypes.c_double * 4)(s0, r0, z0, sigma0)
     n = ctypes.c_longlong()
-    buf = np.empty(2 * max_rows)
-    status = march(kappa, state, step, max_rows, s_max, r_stop, f_stop, buf.ctypes.data,
+    buf = np.empty(4 * max_rows)
+    status = march(kappa, tau, state, step, max_rows, s_max, r_stop, f_stop, buf.ctypes.data,
                    ctypes.byref(n))
-    return buf[:2 * n.value].tolist(), status
+    return buf[:4 * n.value].tolist(), status
 
 
 @pytest.mark.parametrize("cc", ["false", "no-such-compiler-command", ""])
@@ -82,6 +83,22 @@ def test_library_from_other_source_is_never_loaded(cache_dir):
     # and a second load finds its own library, not the other
     assert compiled_rows(_kernels.build_march(source, cache_dir), *ARGS) == want
     assert list(cache_dir.glob("_march.*")) == libs
+
+
+def test_argtypes_follow_the_c_prototype():
+    # a signature changed on one side only must fail here, not pass garbage to C
+    march = _kernels._compiled_march()
+    if march is None:
+        pytest.skip("no C compiler could build _march.c here")
+    source = _kernels._SOURCE.read_text(encoding="ascii")
+    params = re.search(r"\bint branch_march\(([^)]*)\)", source).group(1).split(",")
+    assert len(march.argtypes) == len(params)
+    scalars = {"double": ctypes.c_double, "long long": ctypes.c_longlong}
+    for param, argtype in zip(params, march.argtypes):
+        base, pointer, _ = re.fullmatch(r"\s*(double|long long)\s*(\*?)\s*(\w+)\s*", param).groups()
+        want = ({ctypes.POINTER(scalars[base]), ctypes.c_void_p} if pointer
+                else {scalars[base]})
+        assert argtype in want, param
 
 
 @pytest.mark.usefixtures("march")

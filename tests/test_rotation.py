@@ -9,8 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
 from bcvgeo import _kernels
-from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_heights, branch_march,
-                             run_branch_kernel)
+from bcvgeo._kernels import STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_march, run_branch_kernel
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
@@ -200,22 +199,16 @@ class TestObstruction:
         assert abs(obstruction(BcvParams(4.0, 1.0), st2)) < 1e-15
 
 
-# kernel arguments: kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max,
-# r_stop, f_stop
+# kernel arguments, those of the reference loop and of run_branch_kernel:
+# kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop
 
 
-def split_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """The (s, r, z, sigma) rows of a trajectory and its status, with the
-    reference loop's arguments: the s, r and sigma columns of
-    run_branch_kernel, and z from branch_heights as BranchTrajectory
-    computes it on first read."""
-    n, status, s, r, sigma = run_branch_kernel(kappa, r0, sigma0, s0, step, max_rows, s_max,
-                                               r_stop, f_stop)
-    assert len(s) == len(r) == len(sigma) == n
+def kernel_rows(*args):
+    """The (s, r, z, sigma) rows of run_branch_kernel and its status."""
+    n, status, *columns = run_branch_kernel(*args)
     # compact arrays of their own, not views of a row buffer
-    assert all(c.base is None and c.flags.c_contiguous for c in (s, r, sigma))
-    z = branch_heights(kappa, tau, z0, step, r, sigma)
-    return np.column_stack((s, r, z, sigma)), status
+    assert all(len(c) == n and c.base is None and c.flags.c_contiguous for c in columns)
+    return np.column_stack(columns), status
 
 
 KERNEL_CASES = {
@@ -229,34 +222,35 @@ KERNEL_CASES = {
     "domain_exit_stage": (-1.0, 0.5, 1.9, 0.0, 0.0, 0.0, 2.0, 10, 100.0, 1e-8, 0.05),
     "domain_exit_outside": (-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9),
     "boundary_approach": (-1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1e-3, 20000, 10.0, 1e-7, EPS_F),
-    # more rows than the compiled march's first buffer of 4,096: 12,001 rows
-    # over three buffers, and a row budget of 9,000 that ends with the second
-    "smax_buffers": (1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 12.0, 0.05, EPS_F),
-    "max_steps_buffers": (0.0, 0.5, 0.8, 0.0, 1.0, 0.0, 1e-3, 9000, 100.0, 1e-7, EPS_F),
+    # more rows than the compiled march's first buffer of 4,096: 13,501 rows
+    # over three buffers, and a row budget of 9,000 that ends with the
+    # second; both start from s0 != 0 and z0 != 0, so every column resumes
+    # across the buffers
+    "smax_buffers": (1.0, 1.0, 1.0, 0.5, 1.0, -1.5, 1e-3, 20000, 12.0, 0.05, EPS_F),
+    "max_steps_buffers": (0.0, 0.5, 0.8, -0.75, 1.0, 0.25, 1e-3, 9000, 100.0, 1e-7, EPS_F),
 }
 
-# run_branch_kernel arguments (kappa, r0, sigma0, s0, step, max_rows, s_max,
-# r_stop, f_stop) of marches that reach an infinite sin or cos argument at
-# the start of a step or at stage 2, 3 or 4: math.sin and math.cos raise
-# ValueError there, where libm returns NaN
+# marches that reach an infinite sin or cos argument at the start of a step
+# or at stage 2, 3 or 4: math.sin and math.cos raise ValueError there, where
+# libm returns NaN
 OVERFLOW_CASES = {
-    "start": (1.0, 1.0, math.inf, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
-    "stage_2": (40.0, 1e308, 1.0, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
-    "stage_3": (1.0, 1e300, 0.5, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
-    "stage_4": (1.0, 1e150, 0.1, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "start": (1.0, 0.5, 1.0, 0.25, math.inf, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_2": (40.0, 0.5, 1e308, 0.25, 1.0, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_3": (1.0, 0.5, 1e300, 0.25, 0.5, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
+    "stage_4": (1.0, 0.5, 1e150, 0.25, 0.1, 0.0, 1e-3, 10, 1.0, 1e-7, EPS_F),
     # r grows to overflow before s = pi while sigma stays near 0 (stage 4)
-    "trajectory": (1.0, 1.0, 1e-300, 0.0, 1e-3, 10000, 5.0, 1e-6, EPS_F),
+    "trajectory": (1.0, 0.5, 1.0, 0.25, 1e-300, 0.0, 1e-3, 10000, 5.0, 1e-6, EPS_F),
 }
 
 
 class TestBranchKernel:
     @pytest.mark.usefixtures("march")
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-    def test_split_kernel_matches_reference_loop(self, case):
+    def test_kernel_matches_reference_loop(self, case):
         args = KERNEL_CASES[case]
         ref = np.empty((args[7], len(COLUMNS)))
         n_ref, status_ref = reference_kernel(*args, ref)
-        rows, status = split_kernel(*args)
+        rows, status = kernel_rows(*args)
         n = len(rows)
         assert (n, status) == (n_ref, status_ref)
         # the state columns bit for bit
@@ -275,8 +269,7 @@ class TestBranchKernel:
     @pytest.mark.usefixtures("march")
     def test_seeded_sweep_matches_reference_loop(self):
         # random starts, sigma0 outside (0, pi) too, every row budget
-        # regime: the quadrature z has the loop's bits wherever the march
-        # stops
+        # regime: every column has the loop's bits wherever the march stops
         rng = make_rng(52)
         statuses = set()
         for _ in range(240):
@@ -291,7 +284,7 @@ class TestBranchKernel:
                     float(rng.choice([10 * rot.EPS_R, 0.05, 0.3])), float(rng.choice([EPS_F, 0.05])))
             ref = np.empty((args[7], len(COLUMNS)))
             n_ref, status_ref = reference_kernel(*args, ref)
-            rows, status = split_kernel(*args)
+            rows, status = kernel_rows(*args)
             n = len(rows)
             assert (n, status) == (n_ref, status_ref), args
             assert rows.tobytes() == ref[:n, :4].tobytes(), args
@@ -300,11 +293,10 @@ class TestBranchKernel:
 
     @pytest.mark.usefixtures("march")
     def test_march_does_not_depend_on_tau(self):
-        # r' and sigma' do not involve tau: only the z quadrature does
+        # r' and sigma' do not involve tau: only z' does
         cols = {}
         for tau in (0.0, 1.5):
-            cols[tau], _ = split_kernel(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0,
-                                       0.05, EPS_F)
+            cols[tau], _ = kernel_rows(1.0, tau, 1.0, 0.0, 1.0, 0.0, 1e-3, 20000, 3.0, 0.05, EPS_F)
         flat, twisted = cols[0.0], cols[1.5]
         assert len(flat) == len(twisted) == 3001
         assert flat[:, [0, 1, 3]].tobytes() == twisted[:, [0, 1, 3]].tobytes()
@@ -346,32 +338,17 @@ class TestBranchKernel:
 
 
 class TestBranchIntegration:
-    def test_z_is_filled_on_first_read(self, monkeypatch):
-        heights = rot.branch_heights
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return heights(*args)
-
-        monkeypatch.setattr(rot, "branch_heights", counted)
-        # theorem52 and its f' check never read z
-        for seed in range(3):
-            run_suite("theorem52", BcvParams(1.0, 1.0), seed)
-        assert calls == []
-        args = (-1.0, 0.5, 0.8, 0.25, 1.1, 0.0, 1e-3, 20000, 2.0, 10 * rot.EPS_R, EPS_F)
-        kappa, tau, r0, z0, sigma0, s0, step, max_steps, s_max, r_stop, _ = args
-        traj = integrate_noncmc_branch(BcvParams(kappa, tau), ProfileState(s0, r0, z0, sigma0),
-                                       IntegrationConfig(step, max_steps, s_max, r_stop))
-        assert calls == [] and len(traj.r) == len(traj)
-        # the first read computes z once, with the reference loop's bits
-        z = traj.z
-        assert traj.z is z and len(calls) == 1
-        ref = np.empty((max_steps, len(COLUMNS)))
-        n, _ = reference_kernel(*args, ref)
-        assert n == len(traj) and z.tobytes() == ref[:n, 2].tobytes()
-        rows = np.column_stack((traj.s, traj.r, traj.z, traj.sigma))
-        assert rows.tobytes() == ref[:n, :4].tobytes()
+    def test_infinite_z_leaves_the_residuals(self):
+        # tau^2 overflows, so the marched z is inf after row 0; the residual
+        # states carry z = 0, which ProfileState accepts, and the run still
+        # records its f column
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = integrate_noncmc_branch(BcvParams(1.0, 1e155),
+                                           ProfileState(0.0, 1.0, 0.25, 1.0),
+                                           IntegrationConfig(s_max=0.01))
+        assert traj.status == "smax_reached" and len(traj) == 11
+        assert traj.z[0] == 0.25 and np.all(np.isposinf(traj.z[1:]))
+        assert np.all(np.isfinite(traj.f))
 
     def test_stationary_radius(self):
         kappa = 3.0
@@ -454,9 +431,9 @@ class TestBranchIntegration:
 
     def test_domain_guard_in_kernel(self):
         # the stage guard itself, fed a state already outside the domain
-        rows, status = branch_march(-1.0, 2.1, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9)
+        rows, status = branch_march(-1.0, 0.5, 2.1, 0.25, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9)
         assert status == STATUS_DOMAIN_EXIT
-        assert rows == [2.1, 0.3]
+        assert rows == [0.0, 2.1, 0.25, 0.3]
 
     @pytest.mark.parametrize("field,value", [
         ("step", math.nan), ("step", math.inf), ("step", 0.0), ("step", -1e-3),
