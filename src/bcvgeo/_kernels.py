@@ -8,12 +8,15 @@ by the angle form of the profile equations,
     sigma' = sin(sigma) (kappa r / 4 - 1 / (3 r)),
 
 solved by classical RK4 at a fixed step.  The march records the whole
-state row (s, r, z, sigma), s accumulated step by step from s0, and each
-RK4 stage takes its sin(sigma) once, for z' and sigma' both (the tests
-compare every row with a reference loop bit for bit).
-`run_branch_kernel` returns the four columns, sized to the rows marched.
-The trajectory and the reduced formulas evaluated along its rows live in
-`bcvgeo.rotation`.
+row (s, r, z, sigma, sin sigma, cos sigma), s accumulated step by step
+from s0.  Each row's sin and cos are libm's, taken once at the top of the
+row before it is stored, and RK4 stage 1 reuses them; each later stage
+takes its sin once, for z' and sigma' both (the tests compare every row
+with a reference loop bit for bit).  `run_branch_kernel` returns the six
+columns, sized to the rows marched.  The trajectory and the reduced
+formulas evaluated along its rows live in `bcvgeo.rotation`; its residual
+columns take the recorded sin and cos, so no numpy pass computes them
+again.
 
 The march runs compiled where it can.  `_march.c`, next to this module, is
 `branch_march` written line for line in its operation order, with the same
@@ -50,8 +53,8 @@ resumes each chunk from the state after the last row, so no buffer is
 sized to the row budget; each column is gathered from the buffers into a
 compact array.
 Where `math.sin` or `math.cos` would raise ValueError on an infinite
-argument (libm returns NaN), the compiled march stops and
-`run_branch_kernel` raises the same ValueError.
+argument (libm returns NaN), the compiled march stops before it stores the
+row and `run_branch_kernel` raises the same ValueError.
 """
 
 from __future__ import annotations
@@ -89,21 +92,24 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin-sin",
 _BUILD_TIMEOUT_S = 120
 _FIRST_CHUNK_ROWS = 4096   # rows of the compiled march's first buffer; later ones double
 _MATH_DOMAIN = -1          # the compiled march met an infinite sin or cos argument
+_ROW_WIDTH = 6             # s, r, z, sigma, sin sigma, cos sigma
 
 
 def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """March the branch system, recording the state (s, r, z, sigma) of each row.
+    """March the branch system, recording (s, r, z, sigma, sin sigma, cos sigma)
+    for each row.
 
     Returns (rows, status_code), rows a flat list s_0, r_0, z_0, sigma_0,
-    s_1, ...; row i sits at arclength s0 + i step, accumulated step by step.
-    Stops on s >= s_max, row budget, r <= r_stop (axis), or F <= f_stop
-    (domain boundary); stage values are guarded the same way so a step can
-    never be committed through the singular set.  Each stage takes its sin
-    once, for z' and sigma' both.  Takes Python floats (numpy scalars slow
-    every operation of the loop).  `_march.c` is this loop in C; this one
-    runs where that cannot be built, is the tests' reference for it, and
-    takes the one-step probes of `rotation.refine_sign_change`, which no
-    suite calls.
+    sin sigma_0, cos sigma_0, s_1, ...; row i sits at arclength s0 + i step,
+    accumulated step by step.  Stops on s >= s_max, row budget, r <= r_stop
+    (axis), or F <= f_stop (domain boundary); stage values are guarded the
+    same way so a step can never be committed through the singular set.
+    Each row's sin and cos are taken at its top, before it is stored, and
+    stage 1 reuses them; each later stage takes its sin once, for z' and
+    sigma' both.  Takes Python floats (numpy scalars slow every operation
+    of the loop).  `_march.c` is this loop in C; this one runs where that
+    cannot be built, is the tests' reference for it, and takes the one-step
+    probes of `rotation.refine_sign_change`, which no suite calls.
     """
     s, r, z, sig = s0, r0, z0, sigma0
     rows = []
@@ -114,14 +120,14 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
     t2 = tau * tau
     s_last = s_max - half
     for _ in range(max_rows):
-        rows.extend((s, r, z, sig))
+        sin1, cos1 = sin(sig), cos(sig)
+        rows.extend((s, r, z, sig, sin1, cos1))
         if s >= s_last:
             status = STATUS_SMAX
             break
 
         # RK4 step with per-stage guards
-        sin1 = sin(sig)
-        k1r = (1.0 + kq * r * r) * cos(sig)
+        k1r = (1.0 + kq * r * r) * cos1
         k1z = sin1 * sqrt(1.0 + t2 * r * r)
         k1g = sin1 * (kq * r - 1.0 / (3.0 * r))
 
@@ -232,10 +238,12 @@ def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_s
     Marches compiled where it can (see the module docstring), in buffers of
     4,096 rows and then of twice the last size, up to the rows left in the
     budget, each resumed from the state the last one stopped at; otherwise
-    with `branch_march`.  Returns (rows, status_code, s, r, z, sigma), each
-    column a compact 1-D array of `rows` floats gathered from the row
-    buffers.  Every argument is coerced to a Python float (max_rows to int)
-    before the march.
+    with `branch_march`.  Returns (rows, status_code, s, r, z, sigma,
+    sin_sigma, cos_sigma), the row count first, each column a compact 1-D
+    array of `rows` floats gathered from the row buffers.  The sin and cos
+    columns are libm's `sin` and `cos` of the sigma column, bit for bit.
+    Every argument is coerced to a Python float (max_rows to int) before
+    the march.
     """
     kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop = map(
         float, (kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop))
@@ -251,15 +259,15 @@ def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_s
         chunks = []
         size = max(0, min(max_rows, _FIRST_CHUNK_ROWS))
         while True:
-            buf = np.empty(4 * size)
+            buf = np.empty(_ROW_WIDTH * size)
             status = march(kappa, tau, state, step, size, s_max, r_stop, f_stop,
                            buf.ctypes.data, ctypes.byref(n))
             if status == _MATH_DOMAIN:
                 raise ValueError("math domain error")   # as math.sin and math.cos raise
-            chunks.append(buf[:4 * n.value])
+            chunks.append(buf[:_ROW_WIDTH * n.value])
             max_rows -= size
             if status != STATUS_MAX_STEPS or max_rows <= 0:
                 break
             size = min(max_rows, 2 * size)
-    s, r, z, sigma = (np.concatenate([c[j::4] for c in chunks]) for j in range(4))
-    return len(s), status, s, r, z, sigma
+    columns = [np.concatenate([c[j::_ROW_WIDTH] for c in chunks]) for j in range(_ROW_WIDTH)]
+    return len(columns[0]), status, *columns

@@ -5,18 +5,21 @@
  *
  * The arguments follow `branch_march`'s order, with the starting state
  * (s, r, z, sigma), the state of row 0, in state.  The march records at
- * most max_rows rows (s_i, r_i, z_i, sigma_i) into rows, stores their
- * number in *n_rows, and returns the status code.  On return state holds
- * the state after the last recorded row: the next row's when the row
- * budget ran out (so a march resumed from it continues bit for bit), the
- * last row's otherwise.
+ * most max_rows rows (s_i, r_i, z_i, sigma_i, sin sigma_i, cos sigma_i),
+ * six doubles each, into rows, stores their number in *n_rows, and returns
+ * the status code.  Each row's sin and cos are taken once, at the top of
+ * the row before it is stored, and RK4 stage 1 reuses them; the residual
+ * columns of `bcvgeo.rotation` read them in place of a numpy pass.  On
+ * return state holds the state after the last recorded row: the next
+ * row's when the row budget ran out (so a march resumed from it continues
+ * bit for bit), the last row's otherwise.
  *
  * math.sin and math.cos raise ValueError on an infinite argument, where
  * libm's sin and cos return NaN, so the march returns MATH_DOMAIN where
- * the Python march would call one of them on an infinite argument.  The
- * Python march's other error, a division by r = 0, cannot arise from the
- * callers, which pass r0 > 0 and r_stop > 0; its math.sqrt never meets a
- * negative argument, 1 + tau^2 r^2.
+ * the Python march would call one of them on an infinite argument, before
+ * the row is stored.  The Python march's other error, a division by r = 0,
+ * cannot arise from the callers, which pass r0 > 0 and r_stop > 0; its
+ * math.sqrt never meets a negative argument, 1 + tau^2 r^2.
  */
 
 #include <math.h>
@@ -41,10 +44,19 @@ int branch_march(double kappa, double tau, double *state, double step, long long
     const double s_last = s_max - half;
     long long n = 0;
     while (n < max_rows) {
-        rows[4 * n] = s;
-        rows[4 * n + 1] = r;
-        rows[4 * n + 2] = z;
-        rows[4 * n + 3] = sig;
+        if (isinf(sig)) {
+            status = MATH_DOMAIN;
+            break;
+        }
+        double sin1 = sin(sig);
+        double cos1 = cos(sig);
+        double *row = rows + 6 * n;
+        row[0] = s;
+        row[1] = r;
+        row[2] = z;
+        row[3] = sig;
+        row[4] = sin1;
+        row[5] = cos1;
         n++;
         if (s >= s_last) {
             status = STATUS_SMAX;
@@ -52,12 +64,7 @@ int branch_march(double kappa, double tau, double *state, double step, long long
         }
 
         /* RK4 step with per-stage guards */
-        if (isinf(sig)) {
-            status = MATH_DOMAIN;
-            break;
-        }
-        double sin1 = sin(sig);
-        double k1r = (1.0 + kq * r * r) * cos(sig);
+        double k1r = (1.0 + kq * r * r) * cos1;
         double k1z = sin1 * sqrt(1.0 + t2 * r * r);
         double k1g = sin1 * (kq * r - 1.0 / (3.0 * r));
 

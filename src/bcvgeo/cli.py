@@ -85,7 +85,10 @@ def _cmd_verify(args, parser) -> int:
 
 def _cmd_integrate(args, parser) -> int:
     """The branch trajectory from (--r0, --sigma0) as CSV; an input that
-    ProfileState or IntegrationConfig rejects exits 2 with the usage line."""
+    ProfileState or IntegrationConfig rejects exits 2 with the usage line.
+    A trajectory with a value that is not finite, as where tau^2 r^2
+    overflows, raises BcvError naming its first row and column, and writes
+    nothing."""
     params = _params_from(args, parser)
     try:
         init = rot.ProfileState(s=0.0, r=args.r0, z=0.0, sigma=args.sigma0)
@@ -95,9 +98,15 @@ def _cmd_integrate(args, parser) -> int:
     except (DomainError, ValueError) as exc:
         parser.error(str(exc))
     columns = ("s", "r", "z", "sigma", "f", "R1", "R2", "obstruction")   # no f'
+    table = np.column_stack([getattr(traj, c) for c in columns])
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), len(columns))
+        raise BcvError(f"trajectory row {i} (s = {float(table[i, 0])!r}) has "
+                       f"{columns[j]} = {float(table[i, j])!r}, which is not finite")
     row = ",".join(["{:.17g}"] * len(columns))
     lines = [",".join(columns)]
-    lines.extend(map(row.format, *(getattr(traj, c).tolist() for c in columns)))
+    lines.extend(map(row.format, *table.T.tolist()))
     lines.append(f"# status: {traj.status}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -94,7 +94,8 @@ class ProfileState:
 
     Fields are floats, or arrays when a profile is evaluated on an array of
     s; validation then applies elementwise.  sin(sigma) and cos(sigma) are
-    taken on first use and kept, so the reduced formulas share them.
+    taken on first use and kept, so the reduced formulas share them; a
+    `BranchTrajectory` puts the march's recorded columns there instead.
     """
 
     s: float
@@ -271,19 +272,24 @@ class BranchTrajectory:
     """Recorded branch run: one 1-D column per quantity, one entry per
     uniform-step row, plus the termination status.
 
-    s, r, z and sigma are the march's rows; f, f_prime, R1, R2 and
-    obstruction come from one `branch_residuals` pass over them.
+    s, r, z, sigma, sin_sigma and cos_sigma are the march's rows; f,
+    f_prime, R1, R2 and obstruction come from one `branch_residuals` pass
+    over them.  That pass reads the recorded sin and cos, which its state
+    carries as its cached `sin_sigma` and `cos_sigma`, so no trigonometry
+    is computed again.
     """
 
-    def __init__(self, params: BcvParams, s, r, z, sigma, status: str,
+    def __init__(self, params: BcvParams, s, r, z, sigma, sin_sigma, cos_sigma, status: str,
                  config: IntegrationConfig):
         self.status, self.config = status, config
         self.s, self.r, self.z, self.sigma = s, r, z, sigma
+        self.sin_sigma, self.cos_sigma = sin_sigma, cos_sigma
         # no branch quantity reads z, and ProfileState rejects a non-finite
         # one: once tau^2 overflows the marched z is inf, so the states carry
         # z = 0 and such a run still records its residuals
-        self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(
-            params, ProfileState(s, r, 0.0, sigma))
+        state = ProfileState(s, r, 0.0, sigma)
+        vars(state).update(sin_sigma=sin_sigma, cos_sigma=cos_sigma)
+        self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(params, state)
         self.fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL
 
     def __len__(self):
@@ -295,8 +301,9 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     """Integrate the branch flow from `init`, recording diagnostics per step.
 
     The kernel marches the state (s, r, z, sigma) from `init` and returns
-    its four columns, sized to the rows marched; the trajectory adds its
-    diagnostic columns (:class:`BranchTrajectory`), and f' is checked as
+    six columns, the state's and its sin and cos, sized to the rows
+    marched; the trajectory adds its diagnostic columns
+    (:class:`BranchTrajectory`), and f' is checked as
     :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
     permitted and not flagged; callers verifying the rotational
     classification enforce kappa != 4 tau^2 themselves.  Early termination
@@ -305,15 +312,15 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     """
     if config is None:
         config = IntegrationConfig()
-    n, status, s, r, z, sigma = run_branch_kernel(
+    n, status, *columns = run_branch_kernel(
         params.kappa, params.tau, init.r, init.z, init.sigma, init.s, config.step,
         config.max_steps, config.s_max, config.r_stop, EPS_F,
     )
-    traj = BranchTrajectory(params, s, r, z, sigma, STATUS_NAMES[status], config)
+    traj = BranchTrajectory(params, *columns, STATUS_NAMES[status], config)
     if n >= 5:
         f, fp = traj.f, traj.f_prime
         fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)
-        mask = r[2:-2] >= FD_CHECK_R_FLOOR
+        mask = traj.r[2:-2] >= FD_CHECK_R_FLOOR
         if np.any(mask):
             worst = float(np.max(np.abs(fd[mask] - fp[2:-2][mask])))
             traj.fd_check_margin = worst / FD_CHECK_TOL
@@ -345,7 +352,7 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
 
     def value_at(offset: float) -> float:
         rows, _ = branch_march(kappa, tau, r0, z0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
-        s, r, _, sig = rows[-4:]
+        s, r, _, sig = rows[-6:-2]
         return quantity(params, ProfileState(s, r, 0.0, sig))
 
     lo, hi = 0.0, h

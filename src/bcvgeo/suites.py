@@ -314,7 +314,7 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
         traj = rot.integrate_noncmc_branch(params, _random_branch_state(params, rng),
                                            rot.IntegrationConfig(s_max=3.0, r_stop=0.05))
         samples += len(traj)
-        r, f, R1, sc = traj.r, np.abs(traj.f), traj.R1, np.sin(traj.sigma) * np.cos(traj.sigma)
+        r, f, R1, sc = traj.r, np.abs(traj.f), traj.R1, traj.sin_sigma * traj.cos_sigma
         # R1's terms through |b|, |d|, |cos alpha| <= 1, |a| <= |tau| (1 + |kappa| r^2 / 4),
         # |sigma'| <= |f| + 1/r + |kappa| r / 4 and |4 tau^2 - kappa| <= 4 tau^2 + |kappa|
         terms = (np.abs(traj.f_prime) * (3.0 * f + abs(t) * (4.0 + 0.5 * abs(k) * r * r)

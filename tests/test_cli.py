@@ -234,6 +234,18 @@ class TestIntegrate:
         rows = res.stdout.splitlines()[1:-1]
         assert [",".join(l.split(",")[:4]) for l in rows] == expected
 
+    def test_overflowing_tau_is_a_numeric_failure(self):
+        # tau^2 overflows: R1 is NaN and the obstruction and z infinite, so
+        # the command writes no rows and names the first value that is not
+        # finite, row 0's R1 (numpy's RuntimeWarnings are not asserted on)
+        res = run_cli("integrate", "--kappa", "1", "--tau", "1e155", "--r0", "1",
+                      "--sigma0", "1", "--smax", "0.003")
+        assert res.returncode == 3, res.stderr
+        assert res.stdout == ""
+        assert "numeric failure: trajectory row 0 (s = 0.0) has R1 = nan, which is not finite" \
+            in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_byte_identical_runs(self):
         args = ("integrate", "--kappa", "0", "--tau", "0.5",
                 "--r0", "1", "--sigma0", "1.0", "--smax", "0.5")

@@ -36,13 +36,14 @@ def cache_dir(monkeypatch, tmp_path):
 
 
 def compiled_rows(march, kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
-    """`branch_march`'s (rows, status) from a compiled march."""
+    """`branch_march`'s (rows, status) from a compiled march: six values a
+    row, (s, r, z, sigma, sin sigma, cos sigma)."""
     state = (ctypes.c_double * 4)(s0, r0, z0, sigma0)
     n = ctypes.c_longlong()
-    buf = np.empty(4 * max_rows)
+    buf = np.empty(6 * max_rows)
     status = march(kappa, tau, state, step, max_rows, s_max, r_stop, f_stop, buf.ctypes.data,
                    ctypes.byref(n))
-    return buf[:4 * n.value].tolist(), status
+    return buf[:6 * n.value].tolist(), status
 
 
 @pytest.mark.parametrize("cc", ["false", "no-such-compiler-command", ""])

@@ -17,6 +17,13 @@ The branch cases rewrite one term of the reduced system or of Theorem
 through its per-row factored identity, at exactly the branch pairs of
 PAIRS7 (tau != 0 off the space forms) where the term is not zero.
 
+The march cases rewrite `_march.c`'s recorded sin and cos columns, which
+the residual pass reads in place of the trigonometry of sigma.  Each is
+built with `_kernels.build_march` into a temporary cache and put in place
+of the compiled march; `verify --suite theorem52` must fail, through a
+failed check or a numeric failure (exit 3), at exactly the branch pairs.
+Built from the unrewritten source, the same path passes at all seven.
+
 A rewrite of the bisection's width test would loop for ever; its cap
 turns that into an error.
 """
@@ -27,9 +34,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from bcvgeo import ambient, immersion, rotation
+from bcvgeo import _kernels, ambient, immersion, rotation
 from bcvgeo.ambient import BcvParams
-from bcvgeo.errors import SelfConsistencyError
+from bcvgeo.errors import BcvError, SelfConsistencyError
 from bcvgeo.suites import run_report
 from conftest import PAIRS7
 
@@ -83,6 +90,18 @@ BRANCH_MUTANTS = {
 }
 
 
+# (term of _march.c as written, its replacement, where the suite fails)
+MARCH_MUTANTS = {
+    "control: no rewrite": ("", "", lambda P: False),
+    "recorded row: sin and cos swapped": (
+        "row[4] = sin1;\n        row[5] = cos1;", "row[4] = cos1;\n        row[5] = sin1;",
+        branch),
+    "recorded sin at stage 2's angle": (
+        "row[4] = sin1;", "row[4] = sin(sig + half * (sin1 * (kq * r - 1.0 / (3.0 * r))));",
+        branch),
+}
+
+
 def install_mutant(monkeypatch, name, term, replacement, module=immersion):
     """Replace module.<name> by its source with `term` rewritten."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
@@ -123,6 +142,28 @@ def test_branch_mutant_is_killed_by_theorem52(monkeypatch, case):
     install_mutant(monkeypatch, name, term, replacement, module=rotation)
     failed = [P for P in PAIRS7 if not run_report(P, ["theorem52"])["pass"]]
     assert failed == [P for P in PAIRS7 if term_nonzero(P)], case
+
+
+def theorem52_fails(params):
+    """Whether `verify --suite theorem52` fails at `params`: a failed check
+    (exit 1) or a numeric failure (exit 3)."""
+    try:
+        return not run_report(params, ["theorem52"])["pass"]
+    except BcvError:
+        return True
+
+
+@pytest.mark.parametrize("case", sorted(MARCH_MUTANTS))
+def test_march_mutant_is_killed_by_theorem52(monkeypatch, tmp_path, case):
+    term, replacement, fails_at = MARCH_MUTANTS[case]
+    source = _kernels._SOURCE.read_text(encoding="ascii")
+    assert not term or source.count(term) == 1, f"{term!r} not found once in _march.c"
+    march = _kernels.build_march(source.replace(term, replacement).encode("ascii"), tmp_path)
+    if march is None:
+        pytest.skip("no C compiler could build _march.c here")
+    monkeypatch.setattr(_kernels, "_compiled_march", lambda: march)
+    failed = [P for P in PAIRS7 if theorem52_fails(P)]
+    assert failed == [P for P in PAIRS7 if fails_at(P)], case
 
 
 def test_bisection_that_never_narrows_is_capped(monkeypatch):

@@ -204,11 +204,17 @@ class TestObstruction:
 
 
 def kernel_rows(*args):
-    """The (s, r, z, sigma) rows of run_branch_kernel and its status."""
+    """The (s, r, z, sigma) rows of run_branch_kernel and its status,
+    checking that its sin and cos columns are math.sin and math.cos of the
+    recorded sigma, bit for bit."""
     n, status, *columns = run_branch_kernel(*args)
+    assert len(columns) == 6
     # compact arrays of their own, not views of a row buffer
     assert all(len(c) == n and c.base is None and c.flags.c_contiguous for c in columns)
-    return np.column_stack(columns), status
+    s, r, z, sigma, sin_sigma, cos_sigma = columns
+    assert sin_sigma.tobytes() == np.array([math.sin(x) for x in sigma.tolist()]).tobytes()
+    assert cos_sigma.tobytes() == np.array([math.cos(x) for x in sigma.tolist()]).tobytes()
+    return np.column_stack((s, r, z, sigma)), status
 
 
 KERNEL_CASES = {
@@ -433,7 +439,7 @@ class TestBranchIntegration:
         # the stage guard itself, fed a state already outside the domain
         rows, status = branch_march(-1.0, 0.5, 2.1, 0.25, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9)
         assert status == STATUS_DOMAIN_EXIT
-        assert rows == [0.0, 2.1, 0.25, 0.3]
+        assert rows == [0.0, 2.1, 0.25, 0.3, math.sin(0.3), math.cos(0.3)]
 
     @pytest.mark.parametrize("field,value", [
         ("step", math.nan), ("step", math.inf), ("step", 0.0), ("step", -1e-3),
@@ -516,6 +522,23 @@ class TestBranchClassification:
                                      branch_residuals(P, states), want + (None,)):
             assert got.tobytes() == getattr(traj, name).tobytes(), name
             assert column is None or column.tobytes() == got.tobytes(), name
+
+    @pytest.mark.usefixtures("march")
+    def test_residual_pass_reads_the_recorded_trig(self, monkeypatch):
+        # the state of the residual pass carries the march's sin and cos
+        # columns themselves, so no np.sin or np.cos pass computes them again
+        seen = []
+
+        def spy(params, state):
+            seen.append(state)
+            return branch_residuals(params, state)
+
+        monkeypatch.setattr(rot, "branch_residuals", spy)
+        traj = integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 0.9, 0.0, 1.2),
+                                       IntegrationConfig(s_max=3.0, r_stop=0.05))
+        assert len(seen) == 1
+        assert vars(seen[0])["sin_sigma"] is traj.sin_sigma
+        assert vars(seen[0])["cos_sigma"] is traj.cos_sigma
 
     @pytest.mark.parametrize("kappa,tau", TWISTED)
     def test_theorem52_neither_bisects_nor_marches_in_python(self, kappa, tau, monkeypatch):

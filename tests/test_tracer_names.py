@@ -1,7 +1,11 @@
 """The benchmark tracer (perfbench/tracer.py) wraps bcvgeo functions that it
-looks up by name; a deleted or renamed one would break `--trace 1`."""
+looks up by name; a deleted or renamed one would break `--trace 1`, and so
+would a per-layer metric that is missing or not strict JSON."""
 
+import contextlib
 import importlib
+import io
+import json
 import pathlib
 import sys
 
@@ -69,3 +73,29 @@ def test_row_counter_is_the_kernel_row_count(tracer):
     finally:
         t.restore()
     assert t.rows == len(traj) == 501
+
+
+def test_layer_metrics_cover_the_benchmark_names(tracer):
+    # one full traced verify op gives every per-layer name that BENCHMARK.json
+    # declares, but the two that run.py adds itself, each value strict JSON
+    from bcvgeo import cli
+
+    for modname, _, _ in tracer.TRACED:
+        importlib.import_module(modname)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    want = {m["name"] for m in declared["per_layer"]} - {"fail_frac", "max_margin"}
+    t = tracer.Tracer()
+    t.install()
+    out = io.StringIO()
+    try:
+        t.begin_op(0)
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--kappa", "1", "--tau", "1"])
+    finally:
+        t.restore()
+    assert code == 0
+    report = json.loads(out.getvalue())
+    samples = sum(s["samples"] for s in report["suites"])
+    metrics = tracer.layer_metrics(t, t.summary({0}), samples, len(out.getvalue()), 0.0)
+    assert want <= set(metrics)
+    json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)
