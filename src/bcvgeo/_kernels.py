@@ -10,13 +10,16 @@ by the angle form of the profile equations,
 solved by classical RK4 at a fixed step.  The march records the whole
 row (s, r, z, sigma, sin sigma, cos sigma), s accumulated step by step
 from s0.  Each row's sin and cos are libm's, taken once at the top of the
-row before it is stored, and RK4 stage 1 reuses them; each later stage
-takes its sin once, for z' and sigma' both (the tests compare every row
-with a reference loop bit for bit).  `run_branch_kernel` returns the six
-columns, sized to the rows marched.  The trajectory and the reduced
-formulas evaluated along its rows live in `bcvgeo.rotation`; its residual
-columns take the recorded sin and cos, so no numpy pass computes them
-again.
+row before it is stored, and RK4 stage 1 reuses them.  Stages 2, 3 and 4
+are one loop over their offsets (h/2, h/2, h) and weights (2, 2, 1): each
+stage is guarded, takes its sin once, for z' and sigma' both, and adds
+each rate to its running sum as it is made, which is the left-to-right
+sum k1 + 2 k2 + 2 k3 + k4 (the tests compare every row with a reference
+loop that writes the four stages out, bit for bit).  `run_branch_kernel`
+returns the six columns, sized to the rows marched.  The trajectory and
+the reduced formulas evaluated along its rows live in `bcvgeo.rotation`;
+its residual columns take the recorded sin and cos, so no numpy pass
+computes them again.
 
 The march runs compiled where it can.  `_march.c`, next to this module, is
 `branch_march` written line for line in its operation order, with the same
@@ -50,8 +53,9 @@ Both marches give the same rows bit for bit as long as:
 
 The compiled march fills a row buffer in chunks that grow geometrically and
 resumes each chunk from the state after the last row, so no buffer is
-sized to the row budget; each column is gathered from the buffers into a
-compact array.
+sized to the row budget, and the first holds no more than the rows the
+horizon s_max implies, plus one; each column is gathered from the buffers
+into a compact array.
 Where `math.sin` or `math.cos` would raise ValueError on an infinite
 argument (libm returns NaN), the compiled march stops before it stores the
 row and `run_branch_kernel` raises the same ValueError.
@@ -90,7 +94,7 @@ _SOURCE = Path(__file__).with_name("_march.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-builtin-sin",
            "-fno-builtin-cos")
 _BUILD_TIMEOUT_S = 120
-_FIRST_CHUNK_ROWS = 4096   # rows of the compiled march's first buffer; later ones double
+_FIRST_CHUNK_ROWS = 4096   # most rows of the compiled march's first buffer; later ones double
 _MATH_DOMAIN = -1          # the compiled march met an infinite sin or cos argument
 _ROW_WIDTH = 6             # s, r, z, sigma, sin sigma, cos sigma
 
@@ -105,9 +109,10 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
     (axis), or F <= f_stop (domain boundary); stage values are guarded the
     same way so a step can never be committed through the singular set.
     Each row's sin and cos are taken at its top, before it is stored, and
-    stage 1 reuses them; each later stage takes its sin once, for z' and
-    sigma' both.  Takes Python floats (numpy scalars slow every operation
-    of the loop).  `_march.c` is this loop in C; this one runs where that
+    stage 1 reuses them; stages 2 to 4 are one loop, in which each takes
+    its sin once, for z' and sigma' both, and adds its rates to the running
+    sums, weighted 2, 2 and 1.  Takes Python floats (numpy scalars slow
+    every operation of the loop).  `_march.c` is this loop in C; this one runs where that
     cannot be built, is the tests' reference for it, and takes the one-step
     probes of `rotation.refine_sign_change`, which no suite calls.
     """
@@ -119,6 +124,7 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
     half = 0.5 * step           # hoisting these factors changes no bit
     t2 = tau * tau
     s_last = s_max - half
+    stages = ((half, 2.0), (half, 2.0), (step, 1.0))   # offsets and weights of stages 2 to 4
     for _ in range(max_rows):
         sin1, cos1 = sin(sig), cos(sig)
         rows.extend((s, r, z, sig, sin1, cos1))
@@ -126,50 +132,36 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
             status = STATUS_SMAX
             break
 
-        # RK4 step with per-stage guards
-        k1r = (1.0 + kq * r * r) * cos1
-        k1z = sin1 * sqrt(1.0 + t2 * r * r)
-        k1g = sin1 * (kq * r - 1.0 / (3.0 * r))
-
-        r2_ = r + half * k1r
-        g2_ = sig + half * k1g
-        F2 = 1.0 + kq * r2_ * r2_
-        if r2_ <= r_stop or F2 <= f_stop:
-            status = STATUS_NEAR_AXIS if r2_ <= r_stop else STATUS_DOMAIN_EXIT
+        # RK4 step: stage 1 from the row's sin and cos, then stages 2 to 4,
+        # each guarded before its rates are made; the running sums are
+        # k1 + 2 k2 + 2 k3 + k4 from the left
+        kr = (1.0 + kq * r * r) * cos1
+        kz = sin1 * sqrt(1.0 + t2 * r * r)
+        kg = sin1 * (kq * r - 1.0 / (3.0 * r))
+        sum_r, sum_z, sum_g = kr, kz, kg
+        for offset, weight in stages:
+            rs = r + offset * kr
+            gs = sig + offset * kg
+            F = 1.0 + kq * rs * rs
+            if rs <= r_stop or F <= f_stop:
+                status = STATUS_NEAR_AXIS if rs <= r_stop else STATUS_DOMAIN_EXIT
+                break
+            sn = sin(gs)
+            kr = F * cos(gs)
+            kz = sn * sqrt(1.0 + t2 * rs * rs)
+            kg = sn * (kq * rs - 1.0 / (3.0 * rs))
+            sum_r += weight * kr
+            sum_z += weight * kz
+            sum_g += weight * kg
+        if status != STATUS_MAX_STEPS:
             break
-        sin2 = sin(g2_)
-        k2r = F2 * cos(g2_)
-        k2z = sin2 * sqrt(1.0 + t2 * r2_ * r2_)
-        k2g = sin2 * (kq * r2_ - 1.0 / (3.0 * r2_))
 
-        r3_ = r + half * k2r
-        g3_ = sig + half * k2g
-        F3 = 1.0 + kq * r3_ * r3_
-        if r3_ <= r_stop or F3 <= f_stop:
-            status = STATUS_NEAR_AXIS if r3_ <= r_stop else STATUS_DOMAIN_EXIT
-            break
-        sin3 = sin(g3_)
-        k3r = F3 * cos(g3_)
-        k3z = sin3 * sqrt(1.0 + t2 * r3_ * r3_)
-        k3g = sin3 * (kq * r3_ - 1.0 / (3.0 * r3_))
-
-        r4_ = r + step * k3r
-        g4_ = sig + step * k3g
-        F4 = 1.0 + kq * r4_ * r4_
-        if r4_ <= r_stop or F4 <= f_stop:
-            status = STATUS_NEAR_AXIS if r4_ <= r_stop else STATUS_DOMAIN_EXIT
-            break
-        sin4 = sin(g4_)
-        k4r = F4 * cos(g4_)
-        k4z = sin4 * sqrt(1.0 + t2 * r4_ * r4_)
-        k4g = sin4 * (kq * r4_ - 1.0 / (3.0 * r4_))
-
-        r_new = r + step * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0
+        r_new = r + step * sum_r / 6.0
         if r_new <= r_stop or 1.0 + kq * r_new * r_new <= f_stop:
             status = STATUS_NEAR_AXIS if r_new <= r_stop else STATUS_DOMAIN_EXIT
             break
-        z = z + step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
-        sig = sig + step * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0
+        z = z + step * sum_z / 6.0
+        sig = sig + step * sum_g / 6.0
         r = r_new
         s = s + step
     return rows, status
@@ -235,15 +227,16 @@ def _compiled_march():
 def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
     """March the branch from (s0, r0, z0, sigma0) for at most max_rows rows.
 
-    Marches compiled where it can (see the module docstring), in buffers of
-    4,096 rows and then of twice the last size, up to the rows left in the
-    budget, each resumed from the state the last one stopped at; otherwise
-    with `branch_march`.  Returns (rows, status_code, s, r, z, sigma,
-    sin_sigma, cos_sigma), the row count first, each column a compact 1-D
-    array of `rows` floats gathered from the row buffers.  The sin and cos
-    columns are libm's `sin` and `cos` of the sigma column, bit for bit.
-    Every argument is coerced to a Python float (max_rows to int) before
-    the march.
+    Marches compiled where it can (see the module docstring), in a first
+    buffer of 4,096 rows, or of the rows that the horizon s_max implies plus
+    one where those are fewer, and then in buffers of twice the last size,
+    up to the rows left in the budget, each resumed from the state the last
+    one stopped at; otherwise with `branch_march`.  Returns (rows,
+    status_code, s, r, z, sigma, sin_sigma, cos_sigma), the row count
+    first, each column a compact 1-D array of `rows` floats gathered from
+    the row buffers.  The sin and cos columns are libm's `sin` and `cos` of
+    the sigma column, bit for bit.  Every argument is coerced to a Python
+    float (max_rows to int) before the march.
     """
     kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop = map(
         float, (kappa, tau, r0, z0, sigma0, s0, step, s_max, r_stop, f_stop))
@@ -258,6 +251,12 @@ def run_branch_kernel(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_s
         n = ctypes.c_longlong()
         chunks = []
         size = max(0, min(max_rows, _FIRST_CHUNK_ROWS))
+        # a march that ends at s_max records about (s_max - s0) / step + 1
+        # rows; one more spares the rounding of s, and a longer march goes on
+        # in the next buffer
+        horizon = (s_max - s0) / step + 2.0 if step > 0.0 else math.inf
+        if 1.0 <= horizon < size:
+            size = int(horizon)
         while True:
             buf = np.empty(_ROW_WIDTH * size)
             status = march(kappa, tau, state, step, size, s_max, r_stop, f_stop,

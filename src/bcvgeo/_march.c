@@ -9,7 +9,11 @@
  * six doubles each, into rows, stores their number in *n_rows, and returns
  * the status code.  Each row's sin and cos are taken once, at the top of
  * the row before it is stored, and RK4 stage 1 reuses them; the residual
- * columns of `bcvgeo.rotation` read them in place of a numpy pass.  On
+ * columns of `bcvgeo.rotation` read them in place of a numpy pass.  Stages
+ * 2, 3 and 4 are one loop over their offsets (h/2, h/2, h) and weights
+ * (2, 2, 1), as in `branch_march`: each is guarded, then adds each of its
+ * three rates, weighted, to a running sum as it makes it, so the sums are
+ * k1 + 2 k2 + 2 k3 + k4 added from the left.  On
  * return state holds the state after the last recorded row: the next
  * row's when the row budget ran out (so a march resumed from it continues
  * bit for bit), the last row's otherwise.
@@ -42,6 +46,8 @@ int branch_march(double kappa, double tau, double *state, double step, long long
     const double half = 0.5 * step;
     const double t2 = tau * tau;
     const double s_last = s_max - half;
+    const double offset[3] = {half, half, step};   /* stages 2, 3 and 4 */
+    const double weight[3] = {2.0, 2.0, 1.0};
     long long n = 0;
     while (n < max_rows) {
         if (isinf(sig)) {
@@ -63,66 +69,43 @@ int branch_march(double kappa, double tau, double *state, double step, long long
             break;
         }
 
-        /* RK4 step with per-stage guards */
-        double k1r = (1.0 + kq * r * r) * cos1;
-        double k1z = sin1 * sqrt(1.0 + t2 * r * r);
-        double k1g = sin1 * (kq * r - 1.0 / (3.0 * r));
+        /* RK4 step: stage 1 from the row's sin and cos, then stages 2 to 4,
+         * each guarded before its rates are made; the running sums are
+         * k1 + 2 k2 + 2 k3 + k4 from the left */
+        double kr = (1.0 + kq * r * r) * cos1;
+        double kz = sin1 * sqrt(1.0 + t2 * r * r);
+        double kg = sin1 * (kq * r - 1.0 / (3.0 * r));
+        double sum_r = kr, sum_z = kz, sum_g = kg;
+        for (int i = 0; i < 3; i++) {
+            double rs = r + offset[i] * kr;
+            double gs = sig + offset[i] * kg;
+            double F = 1.0 + kq * rs * rs;
+            if (rs <= r_stop || F <= f_stop) {
+                status = rs <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
+                break;
+            }
+            if (isinf(gs)) {
+                status = MATH_DOMAIN;
+                break;
+            }
+            double sn = sin(gs);
+            kr = F * cos(gs);
+            kz = sn * sqrt(1.0 + t2 * rs * rs);
+            kg = sn * (kq * rs - 1.0 / (3.0 * rs));
+            sum_r += weight[i] * kr;
+            sum_z += weight[i] * kz;
+            sum_g += weight[i] * kg;
+        }
+        if (status != STATUS_MAX_STEPS)
+            break;
 
-        double r2_ = r + half * k1r;
-        double g2_ = sig + half * k1g;
-        double F2 = 1.0 + kq * r2_ * r2_;
-        if (r2_ <= r_stop || F2 <= f_stop) {
-            status = r2_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
-            break;
-        }
-        if (isinf(g2_)) {
-            status = MATH_DOMAIN;
-            break;
-        }
-        double sin2 = sin(g2_);
-        double k2r = F2 * cos(g2_);
-        double k2z = sin2 * sqrt(1.0 + t2 * r2_ * r2_);
-        double k2g = sin2 * (kq * r2_ - 1.0 / (3.0 * r2_));
-
-        double r3_ = r + half * k2r;
-        double g3_ = sig + half * k2g;
-        double F3 = 1.0 + kq * r3_ * r3_;
-        if (r3_ <= r_stop || F3 <= f_stop) {
-            status = r3_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
-            break;
-        }
-        if (isinf(g3_)) {
-            status = MATH_DOMAIN;
-            break;
-        }
-        double sin3 = sin(g3_);
-        double k3r = F3 * cos(g3_);
-        double k3z = sin3 * sqrt(1.0 + t2 * r3_ * r3_);
-        double k3g = sin3 * (kq * r3_ - 1.0 / (3.0 * r3_));
-
-        double r4_ = r + step * k3r;
-        double g4_ = sig + step * k3g;
-        double F4 = 1.0 + kq * r4_ * r4_;
-        if (r4_ <= r_stop || F4 <= f_stop) {
-            status = r4_ <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
-            break;
-        }
-        if (isinf(g4_)) {
-            status = MATH_DOMAIN;
-            break;
-        }
-        double sin4 = sin(g4_);
-        double k4r = F4 * cos(g4_);
-        double k4z = sin4 * sqrt(1.0 + t2 * r4_ * r4_);
-        double k4g = sin4 * (kq * r4_ - 1.0 / (3.0 * r4_));
-
-        double r_new = r + step * (k1r + 2.0 * k2r + 2.0 * k3r + k4r) / 6.0;
+        double r_new = r + step * sum_r / 6.0;
         if (r_new <= r_stop || 1.0 + kq * r_new * r_new <= f_stop) {
             status = r_new <= r_stop ? STATUS_NEAR_AXIS : STATUS_DOMAIN_EXIT;
             break;
         }
-        z = z + step * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0;
-        sig = sig + step * (k1g + 2.0 * k2g + 2.0 * k3g + k4g) / 6.0;
+        z = z + step * sum_z / 6.0;
+        sig = sig + step * sum_g / 6.0;
         r = r_new;
         s = s + step;
     }

@@ -253,8 +253,11 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
     xu, xv = S.partials_at(u, v)
     au = frame_components(params, x, y, xu)
     av = frame_components(params, x, y, xv)
-    E, F, G = frame_dot(au, au), frame_dot(au, av), frame_dot(av, av)
-    det = E * G - F * F
+    # at huge tau these products overflow, and a NaN determinant fails the
+    # check below as dependent partials do
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, F, G = frame_dot(au, au), frame_dot(au, av), frame_dot(av, av)
+        det = E * G - F * F
     ok = det > EPS_GRAM
     bad = _first_failure(ok, u, v, det)
     if bad:

@@ -289,7 +289,11 @@ class BranchTrajectory:
         # z = 0 and such a run still records its residuals
         state = ProfileState(s, r, 0.0, sigma)
         vars(state).update(sin_sigma=sin_sigma, cos_sigma=cos_sigma)
-        self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(params, state)
+        # at huge tau R1 and the obstruction overflow; their non-finite
+        # values reach the checks that read them (theorem52's, integrate's)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.f, self.f_prime, self.R1, self.R2, self.obstruction = branch_residuals(
+                params, state)
         self.fd_check_margin: Optional[float] = None   # worst |fd - f'| / FD_CHECK_TOL
 
     def __len__(self):

@@ -137,8 +137,10 @@ def _suite_ricci(params: BcvParams, rng) -> dict:
     V = np.concatenate([ambient.frame_at(params, x, y),
                         rng.normal(size=(x.size, 2, 3)).transpose(1, 2, 0)])
     f = _frame_of(params, x, y, V)
-    closed = ambient.ricci(params, f[:, :, None], f[:, None, :])
-    fd = np.einsum("ain,ijn,bjn->abn", V, ambient.ricci_tensor_fd(params, x, y), V)
+    # at huge tau both overflow: the check reports the values that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = ambient.ricci(params, f[:, :, None], f[:, None, :])
+        fd = np.einsum("ain,ijn,bjn->abn", V, ambient.ricci_tensor_fd(params, x, y), V)
     return _entry("ricci", closed.size, [Check("", np.abs(closed - fd), 1e-4)])
 
 
@@ -320,8 +322,12 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
         terms = (np.abs(traj.f_prime) * (3.0 * f + abs(t) * (4.0 + 0.5 * abs(k) * r * r)
                                          + 2.0 / r + 0.5 * abs(k) * r)
                  + 2.0 * f * (4.0 * t * t + abs(k)))
-        identity.append(np.abs(R1 + 2.0 * traj.obstruction / (3.0 * (1.0 + t * t * r * r) ** 1.5))
-                        / (np.finfo(float).eps * terms))
+        # from |tau| of about 1e102 q^3 overflows: the identity check
+        # reports the value that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            identity.append(np.abs(R1 + 2.0 * traj.obstruction
+                                   / (3.0 * (1.0 + t * t * r * r) ** 1.5))
+                            / (np.finfo(float).eps * terms))
         flips.append(np.count_nonzero((R1[:-1] * R1[1:] < 0.0) != (sc[:-1] * sc[1:] < 0.0)))
         abs_r2.append(np.abs(traj.R2))
         ratio.append(np.abs(R1).max() / abs(4.0 * t * t - k))

@@ -1,6 +1,7 @@
 """Building and loading the compiled march: a failed build leaves the Python
 march in use with the same output, a library is loaded only when it was
-built from the source bytes at hand, and both marches fail alike."""
+built from the source bytes at hand, the source compiles without warnings,
+the row buffers are sized to the horizon, and both marches fail alike."""
 
 import contextlib
 import ctypes
@@ -9,6 +10,9 @@ import importlib.util
 import io
 import json
 import re
+import shlex
+import shutil
+import subprocess
 import sys
 import sysconfig
 from pathlib import Path
@@ -100,6 +104,45 @@ def test_argtypes_follow_the_c_prototype():
         want = ({ctypes.POINTER(scalars[base]), ctypes.c_void_p} if pointer
                 else {scalars[base]})
         assert argtype in want, param
+
+
+def test_march_compiles_without_warnings(tmp_path):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler configured here")
+    res = subprocess.run([*cc, *_kernels._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                          "-o", str(tmp_path / "_march.so"), str(_kernels._SOURCE), "-lm"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("args, sizes", [
+    # s_max 3 from s0 0 at step 1e-3: 3,001 rows in a buffer of 3,002
+    (ARGS, [3002]),
+    (ARGS[:7] + (1,) + ARGS[8:], [1]),
+    # 13,501 rows: buffers of 4,096 and then doubling, the last one cut to
+    # the budget left
+    ((1.0, 1.0, 1.0, 0.5, 1.0, -1.5, 1e-3, 20000, 12.0, 0.05, 1e-9), [4096, 8192, 7712]),
+    # a horizon behind s0, a one-row march, keeps the first buffer at 4,096,
+    # so no buffer is ever sized to no rows
+    (ARGS[:8] + (-1.0,) + ARGS[9:], [4096]),
+])
+def test_first_buffer_holds_the_horizon(monkeypatch, args, sizes):
+    march = _kernels._compiled_march()
+    if march is None:
+        pytest.skip("no C compiler could build _march.c here")
+    seen = []
+
+    def recording(*a):
+        seen.append(a[4])   # the rows of the buffer it fills
+        return march(*a)
+
+    monkeypatch.setattr(_kernels, "_compiled_march", lambda: recording)
+    n, status, *_ = _kernels.run_branch_kernel(*args)
+    assert seen == sizes
+    rows, want = _kernels.branch_march(*args)
+    assert (n, status) == (len(rows) // 6, want)
 
 
 @pytest.mark.usefixtures("march")

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 import bcvgeo.rotation as rot
 from bcvgeo import _kernels
-from bcvgeo._kernels import STATUS_DOMAIN_EXIT, STATUS_NAMES, branch_march, run_branch_kernel
+from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, STATUS_NEAR_AXIS, branch_march,
+                             run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
 from bcvgeo.immersion import shape_arrays, surface_jets
@@ -226,6 +227,17 @@ KERNEL_CASES = {
     "near_axis_stage": (0.0, 0.5, 0.5, 0.0, math.pi, 0.0, 0.5, 10, 10.0, 0.3, EPS_F),
     # F(r0) = 0.0975 but F(r0 + step k1r / 2) = 0.0025 <= f_stop: stage 2 again
     "domain_exit_stage": (-1.0, 0.5, 1.9, 0.0, 0.0, 0.0, 2.0, 10, 100.0, 1e-8, 0.05),
+    # sigma stays at pi and r falls with F growing, so |r'| grows stage by
+    # stage: r2 = 1.8025 > r_stop, r3 = 1.712 <= r_stop, and r4 = 1.366
+    "near_axis_stage_3": (-1.0, 0.5, 1.9, 0.0, math.pi, 0.0, 2.0, 10, 100.0, 1.75, EPS_F),
+    "near_axis_stage_4": (-1.0, 0.5, 1.9, 0.0, math.pi, 0.0, 2.0, 10, 100.0, 1.5, EPS_F),
+    # sigma0 a little past pi/2 moves r inward at stage 2, but stage 2's
+    # angle is below pi/2, so stage 3's point lies outward of r0:
+    # F2 = 0.1021 > f_stop >= F3 = 0.0867
+    "domain_exit_stage_3": (-1.0, 0.5, 1.9, 0.0, 0.5 * math.pi + 0.1, 0.0, 1.0, 10, 100.0, 1e-8,
+                            0.095),
+    # sigma stays at 0: F2 = 0.0506 and F3 = 0.0733 > f_stop >= F4 = 0.0265
+    "domain_exit_stage_4": (-1.0, 0.5, 1.9, 0.0, 0.0, 0.0, 1.0, 10, 100.0, 1e-8, 0.04),
     "domain_exit_outside": (-1.0, 0.5, 2.1, 0.0, 0.3, 0.0, 1e-3, 10, 1.0, 1e-8, 1e-9),
     "boundary_approach": (-1.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1e-3, 20000, 10.0, 1e-7, EPS_F),
     # more rows than the compiled march's first buffer of 4,096: 13,501 rows
@@ -247,6 +259,20 @@ OVERFLOW_CASES = {
     # r grows to overflow before s = pi while sigma stays near 0 (stage 4)
     "trajectory": (1.0, 0.5, 1.0, 0.25, 1e-300, 0.0, 1e-3, 10000, 5.0, 1e-6, EPS_F),
 }
+
+
+def first_guarded_stage(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, f_stop):
+    """The first of stages 2, 3 and 4 of a march's first RK4 step whose point
+    meets a guard, and whether that is r_stop's (else F's); None if none."""
+    kq = 0.25 * kappa
+    r, sigma = r0, sigma0
+    for stage, offset in ((2, 0.5 * step), (3, 0.5 * step), (4, step)):
+        kr = (1.0 + kq * r * r) * math.cos(sigma)
+        kg = math.sin(sigma) * (kq * r - 1.0 / (3.0 * r))
+        r, sigma = r0 + offset * kr, sigma0 + offset * kg
+        if r <= r_stop or 1.0 + kq * r * r <= f_stop:
+            return stage, r <= r_stop
+    return None
 
 
 class TestBranchKernel:
@@ -317,6 +343,18 @@ class TestBranchKernel:
         with pytest.raises(ValueError, match="^math domain error$"):
             run_branch_kernel(*args)
 
+    @pytest.mark.parametrize("case, stage", [
+        ("near_axis_stage", 2), ("near_axis_stage_3", 3), ("near_axis_stage_4", 4),
+        ("domain_exit_stage", 2), ("domain_exit_stage_3", 3), ("domain_exit_stage_4", 4)])
+    def test_stage_guard_cases_end_where_named(self, case, stage):
+        # the named stage is the first whose r or F meets its guard, and the
+        # march records row 0 alone
+        args = KERNEL_CASES[case]
+        near_axis = case.startswith("near_axis")
+        assert first_guarded_stage(*args) == (stage, near_axis)
+        n, status = reference_kernel(*args, np.empty((args[7], len(COLUMNS))))
+        assert (n, status) == (1, STATUS_NEAR_AXIS if near_axis else STATUS_DOMAIN_EXIT)
+
     def test_cases_reach_every_status(self):
         statuses = {reference_kernel(*a, np.empty((a[7], len(COLUMNS))))[1]
                     for a in KERNEL_CASES.values()}
@@ -347,11 +385,9 @@ class TestBranchIntegration:
     def test_infinite_z_leaves_the_residuals(self):
         # tau^2 overflows, so the marched z is inf after row 0; the residual
         # states carry z = 0, which ProfileState accepts, and the run still
-        # records its f column
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_noncmc_branch(BcvParams(1.0, 1e155),
-                                           ProfileState(0.0, 1.0, 0.25, 1.0),
-                                           IntegrationConfig(s_max=0.01))
+        # records its f column, with no numpy warning from the overflowing R1
+        traj = integrate_noncmc_branch(BcvParams(1.0, 1e155), ProfileState(0.0, 1.0, 0.25, 1.0),
+                                       IntegrationConfig(s_max=0.01))
         assert traj.status == "smax_reached" and len(traj) == 11
         assert traj.z[0] == 0.25 and np.all(np.isposinf(traj.z[1:]))
         assert np.all(np.isfinite(traj.f))

@@ -1,12 +1,15 @@
 """The benchmark tracer (perfbench/tracer.py) wraps bcvgeo functions that it
 looks up by name; a deleted or renamed one would break `--trace 1`, and so
-would a per-layer metric that is missing or not strict JSON."""
+would a per-layer metric that is missing or not strict JSON.  A traced run
+of the harness itself must end with a strict-JSON result line."""
 
 import contextlib
 import importlib
 import io
 import json
 import pathlib
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -99,3 +102,27 @@ def test_layer_metrics_cover_the_benchmark_names(tracer):
     metrics = tracer.layer_metrics(t, t.summary({0}), samples, len(out.getvalue()), 0.0)
     assert want <= set(metrics)
     json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", ["verify-grid", "branch-sweep"])
+def test_traced_harness_ends_with_a_strict_json_result(tmp_path, workload):
+    # the harness and the sources copied into tmp_path, where the run writes
+    # its span file, so nothing lands in the checkout
+    root = PERFBENCH.parent
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "perfbench").mkdir()
+    for path in PERFBENCH.glob("*.py"):
+        shutil.copy(path, tmp_path / "perfbench")
+    res = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload",
+                          workload, "--trace", "1", "--seconds", "1"],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=600)
+    assert res.returncode == 0, res.stderr
+    result = json.loads(res.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert {m["name"] for m in declared["per_layer"]} <= set(result["metrics"])
