@@ -113,8 +113,7 @@ def branch_march(kappa, tau, r0, z0, sigma0, s0, step, max_rows, s_max, r_stop, 
     its sin once, for z' and sigma' both, and adds its rates to the running
     sums, weighted 2, 2 and 1.  Takes Python floats (numpy scalars slow
     every operation of the loop).  `_march.c` is this loop in C; this one runs where that
-    cannot be built, is the tests' reference for it, and takes the one-step
-    probes of `rotation.refine_sign_change`, which no suite calls.
+    cannot be built and is the tests' reference for it.
     """
     s, r, z, sig = s0, r0, z0, sigma0
     rows = []

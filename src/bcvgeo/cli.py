@@ -75,7 +75,7 @@ def _cmd_verify(args, parser) -> int:
     report = run_report(params, args.suite, seed=args.seed)
     if args.timing:
         report["wall_time_s"] = time.perf_counter() - started
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out, json.dumps(report, indent=2, allow_nan=False) + "\n")
     return EXIT_OK if report["pass"] else EXIT_FAIL
 
 

@@ -328,26 +328,22 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     be a :class:`SurfaceBatch`, with its centres on axis 0.
     """
     st = Stencil(WIDE, NORMAL_STEP, u, v)
-    J = surface_jets(S, params, st.U, st.V)
+    return _shape(params, st, surface_jets(S, params, st.U, st.V))[0]
+
+
+def _shape(params, st, J):
+    """(shape, gamma): the :class:`ShapeArrays` of :func:`shape_arrays` from
+    the jets J over the WIDE stencil st, and the Christoffel symbols gamma
+    at its centres, evaluated once here for the shape operator and for the
+    residuals that read them.
+
+    A X_u and A X_v are minus the tangential parts of nabla N along the
+    chart directions (:func:`_tangential_covariant`)."""
     c = _at(J, 0)
-    return _shape(params, st, J, christoffels(params, c.x, c.y))
-
-
-def _shape(params, st, J, gamma) -> ShapeArrays:
-    """:func:`shape_arrays` from the jets J over the WIDE stencil st and the
-    Christoffel symbols gamma at its centres."""
+    gamma = christoffels(params, c.x, c.y)
     N = np.array(coordinate_components(params, J.x, J.y, J.n))
-    dNu, dNv = st.d(N, 1, 0), st.d(N, 0, 1)
-    c = _at(J, 0)
-
-    def shape_of(dN, X):
-        """A X in frame components: minus the tangential part of
-        nabla_X N = dN + Gamma(X, N)."""
-        W = dN + np.einsum("kij...,i...,j...->k...", gamma, X, N[..., 0])
-        W = np.array(frame_components(params, c.x, c.y, W))
-        return frame_dot(W, c.n) * c.n - W
-
-    Au, Av = shape_of(dNu, c.xu), shape_of(dNv, c.xv)
+    Au = -_tangential_covariant(params, c, gamma, c.xu, N[..., 0], st.d(N, 1, 0))
+    Av = -_tangential_covariant(params, c, gamma, c.xv, N[..., 0], st.d(N, 0, 1))
     b1, b2, adapted = _basis(c.au, c.av, c.T, c.JT, c.sin_alpha)
     Ab = []
     for b in (b1, b2):
@@ -355,7 +351,7 @@ def _shape(params, st, J, gamma) -> ShapeArrays:
         xi, eta = _chart_coefficients(c.E, c.F, c.G, frame_dot(b, c.au), frame_dot(b, c.av))
         Ab.append(xi * Au + eta * Av)
     A = tuple(tuple(frame_dot(Abj, bi) for Abj in Ab) for bi in (b1, b2))
-    return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted)
+    return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted), gamma
 
 
 def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
@@ -482,11 +478,10 @@ class Stages:
                       Stencil(NINE, SECOND_STEP, self.u, self.v))
         J = surface_jets(self.S, self.params, np.concatenate([wide.U, nine.U[..., 1:]], axis=-1),
                          np.concatenate([wide.V, nine.V[..., 1:]], axis=-1))
-        c = _at(J, 0)
-        gamma = christoffels(self.params, c.x, c.y)
         w = len(WIDE)
-        shape = _shape(self.params, wide, _at(J, slice(0, w)), gamma)
-        return Centres(c, shape, _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)])), gamma)
+        shape, gamma = _shape(self.params, wide, _at(J, slice(0, w)))
+        K = _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)]))
+        return Centres(shape.jet, shape, K, gamma)
 
     @cached_property
     def steps(self):
@@ -563,13 +558,14 @@ def _adapted_frame(jet: JetArrays, u, v, what: str):
     return np.stack([jet.T / jet.sin_alpha, jet.JT / jet.sin_alpha], axis=-1)
 
 
-def _tangential_covariant(params, jet: JetArrays, gamma, W, V, dV):
-    """Frame components of the tangential part of nabla_W V at the jets.
+def _tangential_covariant(params, jet: JetArrays, gamma, X, V, dV):
+    """Frame components of the tangential part of nabla_X V = dV + Gamma(X, V)
+    at the jets.
 
-    W is in frame components; V and dV, its chart difference along W, are in
-    coordinate components; gamma = christoffels(jet.x, jet.y)."""
-    Wc = np.array(coordinate_components(params, jet.x, jet.y, W))
-    d = dV + np.einsum("kij...,i...,j...->k...", gamma, Wc, V)
+    X, V and dV, the chart difference of V along X, are in coordinate
+    components, so X may be a chart direction X_u or X_v as it stands;
+    gamma = christoffels(jet.x, jet.y)."""
+    d = dV + np.einsum("kij...,i...,j...->k...", gamma, X, V)
     d = np.array(frame_components(params, jet.x, jet.y, d))
     return d - frame_dot(d, jet.n) * jet.n
 
@@ -618,6 +614,7 @@ def compatibility_residual(stages: Stages):
     # the centre values, with a last axis to broadcast against (e1, e2)
     jet, shape, gamma, vals = _at((stages.centres.jet, stages.centres.shape,
                                    stages.centres.gamma, vals), None)
-    nabla_T = _tangential_covariant(params, jet, gamma, frame, vals[:3], d[:3])
+    X = np.array(coordinate_components(params, jet.x, jet.y, frame))
+    nabla_T = _tangential_covariant(params, jet, gamma, X, vals[:3], d[:3])
     rhs = shape.apply(frame) - params.tau * np.array(frame_cross(jet.n, frame))
     return nabla_T - jet.cos_alpha * rhs, frame_dot(rhs, jet.T) + d[3]

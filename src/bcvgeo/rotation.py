@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._kernels import STATUS_NAMES, branch_march, run_branch_kernel
+from ._kernels import STATUS_NAMES, run_branch_kernel
 from ._spline import CubicSpline
 from ._stencil import derivative
 from .ambient import EPS_F, BcvParams, _first_failure, smoothing_factor
@@ -342,8 +342,8 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     Bisection on the sub-step offset, down to a width of BISECTION_TOL;
     each probe advances the row-i state by a single RK4 step of the probed
     size, which is accurate to O(step^5) and keeps the refinement
-    deterministic.  Probes call the Python march, whose rows have the bits
-    of the trajectory's march, compiled or not, and read the s, r and sigma
+    deterministic.  Probes call the trajectory's march,
+    :func:`bcvgeo._kernels.run_branch_kernel`, and read the s, r and sigma
     of the row they end on; their states carry z = 0, as the trajectory's
     do.  The probe at offset 0 returns the row-i state itself.  Halving the
     step h reaches that width in ceil(log2(h / BISECTION_TOL)) loops; 4
@@ -355,9 +355,9 @@ def refine_sign_change(params: BcvParams, traj: BranchTrajectory, i: int,
     h = traj.config.step
 
     def value_at(offset: float) -> float:
-        rows, _ = branch_march(kappa, tau, r0, z0, g0, s0, offset, 2, s0 + offset, EPS_R, EPS_F)
-        s, r, _, sig = rows[-6:-2]
-        return quantity(params, ProfileState(s, r, 0.0, sig))
+        _, _, s, r, _, sig, _, _ = run_branch_kernel(kappa, tau, r0, z0, g0, s0, offset, 2,
+                                                     s0 + offset, EPS_R, EPS_F)
+        return quantity(params, ProfileState(float(s[-1]), float(r[-1]), 0.0, float(sig[-1])))
 
     lo, hi = 0.0, h
     flo = value_at(lo)

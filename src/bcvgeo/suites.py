@@ -59,7 +59,9 @@ def _entry(name: str, samples: int, checks) -> dict:
     also has a lower bound, upper bounds print "label worst < bound" and
     lower bounds "label worst > bound".  Either way the suite passes if
     `max_residual` is below `tolerance` and every lower bound holds.  A
-    check with no values adds no ratio and prints "skipped: label"."""
+    check with no values adds no ratio and prints "skipped: label".  A
+    `max_residual` that is not finite fails and is reported as None, so
+    the report stays strict JSON; the note keeps its "nan" or "inf"."""
     below = " < " if any(c.above for c in checks) else "/"
     ratios, holds, notes = [], [], []
     for c in checks:
@@ -75,7 +77,8 @@ def _entry(name: str, samples: int, checks) -> dict:
     worst, tolerance = float(np.max(ratios, initial=0.0)), 1.0
     if len(checks) == 1 and not checks[0].label:
         worst, tolerance, notes = checks[0].worst, checks[0].bound, []
-    return {"name": name, "samples": samples, "max_residual": worst, "tolerance": tolerance,
+    return {"name": name, "samples": samples,
+            "max_residual": worst if math.isfinite(worst) else None, "tolerance": tolerance,
             "pass": worst < tolerance and all(holds), "note": "; ".join(notes)}
 
 
@@ -127,7 +130,9 @@ def _frame_of(params: BcvParams, x, y, V):
 def _suite_frame(params: BcvParams, rng) -> dict:
     x, y, _ = sample_domain_points(params, rng, 100)
     f = _frame_of(params, x, y, ambient.frame_at(params, x, y))
-    gram = ambient.frame_dot(f[:, :, None], f[:, None, :])
+    # at huge tau the products overflow: the check reports the values that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = ambient.frame_dot(f[:, :, None], f[:, None, :])
     return _entry("frame", x.size, [Check("", np.abs(gram - np.eye(3)[..., None]), 1e-10)])
 
 
@@ -152,7 +157,9 @@ def _suite_submersion(params: BcvParams, rng) -> dict:
     img = ambient.hopf_dpsi(H)
     h_norm = np.sqrt(ambient.base_metric(params, x, y, img, img))
     Hf = ambient.frame_components(params, x, y, H)
-    H_norm = np.sqrt(ambient.frame_dot(Hf, Hf))
+    # at huge tau |H|^2 overflows: the check reports the values that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        H_norm = np.sqrt(ambient.frame_dot(Hf, Hf))
     return _entry("submersion", x.size,
                   [Check("", (np.abs(h_norm - H_norm), np.abs(ambient.hopf_dpsi(e3))), 1e-8)])
 
@@ -172,10 +179,10 @@ def _structural_surfaces(params: BcvParams):
 
 
 def _interior_grid(surface, nu, nv):
-    """nu by nv values spanning the domain of `surface` less 12 % at each end."""
-    (u0, u1), (v0, v1) = surface.domain
-    mu, mv = 0.12 * (u1 - u0), 0.12 * (v1 - v0)
-    return np.linspace(u0 + mu, u1 - mu, nu), np.linspace(v0 + mv, v1 - mv, nv)
+    """The (u, v)-indexed meshgrid (U, V), each of shape (nu, nv), of nu by
+    nv values spanning the domain of `surface` less 12 % at each end."""
+    return np.meshgrid(*(np.linspace(a + 0.12 * (b - a), b - 0.12 * (b - a), n)
+                         for (a, b), n in zip(surface.domain, (nu, nv))), indexing="ij")
 
 
 def _batch(grids):
@@ -199,11 +206,12 @@ def _structural_checks(params: BcvParams):
     and Christoffel symbols of Codazzi and the derivative law of T; its
     `steps`, one jet call over the +-e1, +-e2 steps, serve Codazzi and the
     law of T along e1 and e2.  Codazzi and the law of T are evaluated only
-    where the adapted frame is well conditioned (sin(alpha) > 0.1,
-    |cot(alpha)| < 10), so the later stages of a skipped point are never
-    evaluated; where no point is kept, those two checks have no values.
+    where the adapted frame is well conditioned, sin(alpha) > 0.1, which
+    also keeps |cot(alpha)| below 9.95, so the later stages of a skipped
+    point are never evaluated; where no point is kept, those two checks
+    have no values.
     """
-    batch, U, V = _batch([(S, *np.meshgrid(*_interior_grid(S, nu, nv), indexing="ij"))
+    batch, U, V = _batch([(S, *_interior_grid(S, nu, nv))
                           for S, nu, nv in _structural_surfaces(params)])
     stages = imm.Stages(batch, params, U, V)
     J = stages.centres.jet
@@ -215,12 +223,11 @@ def _structural_checks(params: BcvParams):
     jet = (np.abs(ambient.frame_dot(Tf, Tf) - J.sin_alpha ** 2), np.abs(e3 - T - J.cos_alpha * N))
     codazzi = compat = ()
     ok = J.sin_alpha > 0.1
-    ok[ok] = np.abs(J.cos_alpha[ok] / J.sin_alpha[ok]) < 10.0
     if ok.any():
         sub = stages.at(ok)
         codazzi = np.abs(imm.codazzi_residual(sub))
         vec, sc = imm.compatibility_residual(sub)   # along e1 and e2
-        compat = (np.sqrt(np.maximum(ambient.frame_dot(vec, vec), 0.0)), np.abs(sc))
+        compat = (np.sqrt(ambient.frame_dot(vec, vec)), np.abs(sc))
     return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
             Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], U.size
 
@@ -243,7 +250,7 @@ def _bitension_norms(params: BcvParams, grids):
 def _suite_biconservative(params: BcvParams, rng) -> dict:
     radii = _cylinder_radii(params)
     # one bitension call over the grids of all the cylinders
-    grids = [(cyl, *np.meshgrid(*_interior_grid(cyl, 3, 3), indexing="ij"))
+    grids = [(cyl, *_interior_grid(cyl, 3, 3))
              for cyl in (rot.hopf_cylinder(params, r0) for r0 in radii)]
     tb = _bitension_norms(params, grids)
     # one call over the radii: the reduced pair does not depend on z
@@ -260,7 +267,7 @@ def _suite_theorem44(params: BcvParams, rng) -> dict:
     grids = []
     if radii:
         cyl = rot.hopf_cylinder(params, radii[0])
-        grids.append((cyl, *np.meshgrid(*_interior_grid(cyl, 4, 3), indexing="ij")))
+        grids.append((cyl, *_interior_grid(cyl, 4, 3)))
     curve, dcurve = _scaled_ellipse(params)
     tube_u = np.linspace(0.0, 2.0 * math.pi, 13)
     grids.append((rot.hopf_tube(curve, dcurve), tube_u, 0.1))

@@ -28,6 +28,15 @@ def run_cli(*args):
     return subprocess.run(RUN + list(args), capture_output=True, text=True, env=env)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def strict_json(text):
+    """The JSON document `text`, which may hold no NaN or Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestVerify:
     def test_all_suites_pass(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5")
@@ -122,13 +131,36 @@ class TestVerify:
         # (1 + tau^2 hi^2)^1.5 in the suite's floor passes 1.8e308 here; the
         # floor divides by q2 and sqrt(q2) instead, so no OverflowError.  The
         # per-row identity overflows, and its check fails on the value that
-        # is not finite, with no numpy warning
+        # is not finite, with no numpy warning; that value is reported as
+        # null, so the report stays strict JSON
         res = run_cli("verify", "--kappa", "1", "--tau", tau, "--suite", "theorem52")
         assert res.returncode == 1, res.stderr
         assert res.stderr == ""
-        report = json.loads(res.stdout)
+        report = strict_json(res.stdout)
         assert report["pass"] is False
+        assert report["suites"][0]["max_residual"] is None
         assert re.search(r"; identity (inf|nan) < ", report["suites"][0]["note"])
+
+    @pytest.mark.parametrize("suite", ["ricci", "frame", "submersion"])
+    def test_single_suite_at_huge_tau_is_a_strict_failing_report(self, suite):
+        # the frame components overflow, and each suite fails on a residual
+        # that is not finite, reported as null, with no numpy warning
+        res = run_cli("verify", "--kappa", "1", "--tau", "1e170", "--suite", suite)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == ""
+        report = strict_json(res.stdout)
+        assert report["pass"] is False
+        assert report["suites"][0]["max_residual"] is None
+
+    @pytest.mark.parametrize("kappa", ["1", "0", "-1"])
+    @pytest.mark.parametrize("tau", ["1e170", "1e200"])
+    def test_overflowing_tau_is_a_numeric_failure(self, kappa, tau):
+        # the frame and submersion suites overflow before the Hopf cylinders'
+        # Gram determinant turns NaN; only the numeric failure is printed
+        res = run_cli("verify", "--kappa", kappa, "--tau", tau)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == ("numeric failure: hopf-cylinder-r0.5: chart partials dependent "
+                              "at (u, v) = (0.753982, -0.76), det I = nan\n"), res.stderr
 
     def test_timing_flag_adds_wall_time(self):
         res = run_cli("verify", "--kappa", "0", "--tau", "0.5",

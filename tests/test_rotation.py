@@ -620,6 +620,29 @@ class TestBranchClassification:
             s2 = refine_sign_change(P, traj, int(i), obstruction)
             assert abs(s1 - s2) < 1e-8
 
+    def test_bisection_zeros_equal_under_either_march(self, monkeypatch):
+        # the probes march as the trajectory does: with the compiled march
+        # loaded no step runs in Python, and the zeros have the bits of the
+        # Python march's
+        if _kernels._compiled_march() is None:
+            pytest.skip("no C compiler could build _march.c here")
+        P = BcvParams(1.0, 1.0)
+        traj = integrate_noncmc_branch(
+            P, ProfileState(0.0, 0.9, 0.0, 1.2), IntegrationConfig(s_max=4.0)
+        )
+        flips = np.flatnonzero(traj.R1[:-1] * traj.R1[1:] < 0.0)
+        assert len(flips) >= 1
+
+        def zeros():
+            return np.array([refine_sign_change(P, traj, int(i), q)
+                             for i in flips for q in (branch_r1, obstruction)])
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "branch_march", None)
+            compiled = zeros()
+        monkeypatch.setattr(_kernels, "_compiled_march", lambda: None)
+        assert compiled.tobytes() == zeros().tobytes()
+
 
 class TestConstructors:
     def test_profile_state_validation(self):

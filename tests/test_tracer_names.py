@@ -108,7 +108,7 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not strict JSON")
 
 
-@pytest.mark.parametrize("workload", ["verify-grid", "branch-sweep"])
+@pytest.mark.parametrize("workload", ["verify-grid", "branch-sweep", "mesh-bitension"])
 def test_traced_harness_ends_with_a_strict_json_result(tmp_path, workload):
     # the harness and the sources copied into tmp_path, where the run writes
     # its span file, so nothing lands in the checkout
