@@ -14,7 +14,10 @@ Here Ric(N)^T is the tangential projection of the ambient Ricci operator
 applied to N, expanded over an orthonormal tangent basis so that it is
 valid at every angle.  In the adapted frame it collapses to the closed form
 (4 tau^2 - kappa) cos(a) sin(a) e1, which the test suite uses as an oracle
-for that expansion.
+for that expansion.  :func:`tangential_bitension` and :func:`normal_bitension`
+are the batched residuals: each reads one :class:`bcvgeo.immersion.Stages`,
+so a caller with bare centres writes tangential_bitension(Stages(S, params,
+u, v)).
 
 The module also carries the constant-angle machinery: for a surface with
 constant angle a, the biconservativity system forces lam = A(e2, e2) to
@@ -42,7 +45,6 @@ from .immersion import ShapeArrays, Stages, _at, _central, _chart_coefficients
 __all__ = [
     "QuarticReport",
     "tangential_bitension",
-    "tangential_bitension_arrays",
     "normal_bitension",
     "frame_system_residual",
     "constant_angle_quartic_coeffs",
@@ -55,14 +57,6 @@ QUARTIC_DEGENERATE_TOL = 1e-12
 NEGATIVE_ROOT_TOL = 1e-12
 
 
-def tangential_bitension(S, params, u, v) -> np.ndarray:
-    """:func:`tangential_bitension_arrays` of the Stages of S at (u, v).  No
-    bcvgeo code calls it: the name stays only because the benchmark tracer
-    (perfbench/tracer.py) looks it up, and its `--trace 1` raises
-    AttributeError without it."""
-    return tangential_bitension_arrays(Stages(S, params, u, v))
-
-
 def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
     """Frame components of Ric(N)^T, expanded over the tangent basis of the
     shape arrays `sh`; valid at every angle."""
@@ -70,7 +64,7 @@ def _ricci_n_tangential(params: BcvParams, sh: ShapeArrays) -> np.ndarray:
     return ricci(params, n, sh.b1) * sh.b1 + ricci(params, n, sh.b2) * sh.b2
 
 
-def tangential_bitension_arrays(stages: Stages) -> np.ndarray:
+def tangential_bitension(stages: Stages) -> np.ndarray:
     """Frame components of 2 A(grad f) + f grad f - 2 f Ric(N)^T at the
     centres of `stages`.
 
@@ -116,7 +110,7 @@ def frame_system_residual(stages: Stages):
     e1(a), e2(a) and their derivatives come from the `angles` stage, and
     e_i(lam) from lam at the +-e_i steps, the stages `lam_e1` and `lam_e2`.
     So this route shares no intermediate values with
-    :func:`tangential_bitension_arrays`; the two agree component-by-component
+    :func:`tangential_bitension`; the two agree component-by-component
     (factor one), which the test suite pins down.
     """
     c, t = stages.centres, stages.steps[3]

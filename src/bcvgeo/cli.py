@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from array import array
@@ -219,7 +220,7 @@ def _cmd_mesh(args, parser) -> int:
         # one batched call per grid row: u fixed, all v
         for i, u in enumerate(us):
             tb[i] = np.linalg.norm(
-                bic.tangential_bitension_arrays(imm.Stages(surface, params, u, vs)), axis=0)
+                bic.tangential_bitension(imm.Stages(surface, params, u, vs)), axis=0)
         # the vertices row by row, u slow and v fast, as the faces number them
         xyz = surface.coords(*(g.ravel() for g in np.meshgrid(us, vs, indexing="ij")))
     except BcvError as exc:
@@ -245,12 +246,24 @@ def _cmd_mesh(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every negative float literal as a
+    value, exponent notation included.  argparse's own pattern takes -1e-06,
+    the form repr() gives a negative float below 1e-4 in magnitude, for an
+    option.  No bcvgeo option looks like a number, so nothing else changes;
+    each subcommand's parser is of the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `bcvgeo` parser, built on the first call and shared after it:
     parsing keeps no state in the parser, so every call of :func:`main` in
     one process can use the same one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcvgeo",
         description="Verification tooling for surfaces in the "
                     "Bianchi-Cartan-Vranceanu 3-spaces.",

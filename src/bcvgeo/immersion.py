@@ -11,7 +11,7 @@ the degenerate angles.
 The jet is computed by one array layer, :func:`surface_jets`: it runs the
 same componentwise arithmetic on x, y, z component floats or on arrays of
 any shape, so a whole stencil or grid row costs one chart call.
-:func:`shape_arrays` evaluates the shape operator at arrays of centres from
+:func:`shape_operator` evaluates the shape operator at arrays of centres from
 one jet call over the centres and their 8 normal-stencil points.  Each chart
 stencil is a :class:`bcvgeo._stencil.Stencil` at its step constant below.
 
@@ -85,7 +85,6 @@ __all__ = [
     "JetArrays",
     "ShapeArrays",
     "surface_jets",
-    "shape_arrays",
     "surface_jet",
     "shape_operator",
     "Stages",
@@ -276,9 +275,11 @@ def surface_jets(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
 
 
 def surface_jet(S: ParametricSurface, params: BcvParams, u, v) -> JetArrays:
-    """Same as :func:`surface_jets`.  No bcvgeo code calls it: the name stays
-    only because the benchmark tracer (perfbench/tracer.py) looks it up, and
-    its `--trace 1` raises AttributeError without it."""
+    """Same as :func:`surface_jets`, the one pass-through left.  No bcvgeo
+    code calls it: the benchmark tracer (perfbench/tracer.py) wraps it by
+    name, and its `--trace 1` raises AttributeError without it.  The batched
+    jet cannot take this name, as the tracer keys each jet call by float(u)
+    and float(v), which fail on arrays."""
     return surface_jets(S, params, u, v)
 
 
@@ -317,7 +318,7 @@ def _at(x, i):
     return x[..., i]
 
 
-def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
+def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
     """Shape operator A X = -(nabla_X N)^T at centres (u, v) of any shape.
 
     One jet call covers every centre and its 8 normal-stencil points: the
@@ -332,7 +333,7 @@ def shape_arrays(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
 
 
 def _shape(params, st, J):
-    """(shape, gamma): the :class:`ShapeArrays` of :func:`shape_arrays` from
+    """(shape, gamma): the :class:`ShapeArrays` of :func:`shape_operator` from
     the jets J over the WIDE stencil st, and the Christoffel symbols gamma
     at its centres, evaluated once here for the shape operator and for the
     residuals that read them.
@@ -352,13 +353,6 @@ def _shape(params, st, J):
         Ab.append(xi * Au + eta * Av)
     A = tuple(tuple(frame_dot(Abj, bi) for Abj in Ab) for bi in (b1, b2))
     return ShapeArrays(jet=c, A=A, f=A[0][0] + A[1][1], b1=b1, b2=b2, adapted=adapted), gamma
-
-
-def shape_operator(S: ParametricSurface, params: BcvParams, u, v) -> ShapeArrays:
-    """Same as :func:`shape_arrays`.  No bcvgeo code calls it: the name stays
-    only because the benchmark tracer (perfbench/tracer.py) looks it up, and
-    its `--trace 1` raises AttributeError without it."""
-    return shape_arrays(S, params, u, v)
 
 
 def _chart_coefficients(E, F, G, r0, r1):
@@ -504,14 +498,14 @@ class Stages:
     def lam_e1(self):
         """lam at the +e1 and -e1 steps, shape (2,) + the centre shape."""
         _, U, V, _, _ = self.steps
-        lam = shape_arrays(self.S, self.params, U[..., [1, 3]], V[..., [1, 3]]).A[1][1]
+        lam = shape_operator(self.S, self.params, U[..., [1, 3]], V[..., [1, 3]]).A[1][1]
         return np.moveaxis(lam, -1, 0)
 
     @cached_property
     def lam_e2(self):
         """lam at the +e2 and -e2 steps, shape (2,) + the centre shape."""
         _, U, V, _, _ = self.steps
-        lam = shape_arrays(self.S, self.params, U[..., [2, 4]], V[..., [2, 4]]).A[1][1]
+        lam = shape_operator(self.S, self.params, U[..., [2, 4]], V[..., [2, 4]]).A[1][1]
         return np.moveaxis(lam, -1, 0)
 
     @cached_property
@@ -519,7 +513,7 @@ class Stages:
         """(st, sh): the CROSS stencil st at GRADIENT_STEP and the shape
         arrays sh at its points, 45 jets per centre."""
         st = Stencil(CROSS, GRADIENT_STEP, self.u, self.v)
-        return st, shape_arrays(self.S, self.params, st.U, st.V)
+        return st, shape_operator(self.S, self.params, st.U, st.V)
 
     @cached_property
     def laplacian(self):
@@ -528,7 +522,7 @@ class Stages:
         stencil to their Laplacian at the centres (:func:`_laplacian`)."""
         st = Stencil(NINE, LAPLACIAN_STEP, self.u, self.v)
         mst = Stencil(CROSS, DIRECTIONAL_STEP, self.u, self.v)
-        sh = shape_arrays(self.S, self.params, st.U, st.V)
+        sh = shape_operator(self.S, self.params, st.U, st.V)
         J = surface_jets(self.S, self.params, mst.U, mst.V)
         return sh, lambda f: _laplacian(st, mst, J, f)
 

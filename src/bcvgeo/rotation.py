@@ -308,11 +308,14 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
     six columns, the state's and its sin and cos, sized to the rows
     marched; the trajectory adds its diagnostic columns
     (:class:`BranchTrajectory`), and f' is checked as
-    :class:`IntegrationConfig` says.  Runs with kappa = 4 tau^2 are
-    permitted and not flagged; callers verifying the rotational
-    classification enforce kappa != 4 tau^2 themselves.  Early termination
-    (axis, domain boundary, row budget) is reported in `status` with the
-    partial trajectory attached.
+    :class:`IntegrationConfig` says.  Before f', the s column is checked
+    against the march's stop rule: it rises strictly, and only its last row
+    may reach s_max - step / 2, which it does exactly when the run ended
+    `smax_reached`; SelfConsistencyError otherwise.  Runs with
+    kappa = 4 tau^2 are permitted and not flagged; callers verifying the
+    rotational classification enforce kappa != 4 tau^2 themselves.  Early
+    termination (axis, domain boundary, row budget) is reported in `status`
+    with the partial trajectory attached.
     """
     if config is None:
         config = IntegrationConfig()
@@ -321,6 +324,15 @@ def integrate_noncmc_branch(params: BcvParams, init: ProfileState,
         config.max_steps, config.s_max, config.r_stop, EPS_F,
     )
     traj = BranchTrajectory(params, *columns, STATUS_NAMES[status], config)
+    # the march's stop rule: s rises, and the first row with s >= s_last,
+    # the march's own float expression, ends the run as smax_reached; with s
+    # rising, the last two rows tell
+    s, s_last = traj.s, config.s_max - 0.5 * config.step
+    if (np.any(s[1:] <= s[:-1]) or np.any(s[-2:-1] >= s_last)
+            or (s[-1] >= s_last) != (traj.status == "smax_reached")):
+        raise SelfConsistencyError(f"the branch march broke its stop rule: {n} rows, "
+                                   f"status {traj.status}, s from {s[0]!r} to {s[-1]!r}, "
+                                   f"s_max {config.s_max!r}")
     if n >= 5:
         f, fp = traj.f, traj.f_prime
         fd = derivative([f[i:n - 4 + i] for i in (0, 1, 3, 4)], (-2, -1, 1, 2), 1, config.step)

@@ -53,15 +53,17 @@ def _entry(name: str, samples: int, checks) -> dict:
     """The report entry of a suite from its checks.
 
     One unlabelled check gives its worst value as `max_residual`, its bound
-    as `tolerance` and an empty note.  Otherwise `max_residual` is the
-    worst ratio of an upper-bound check to its bound, the tolerance 1.0,
-    and `note` lists each check as "label worst/bound"; in a suite that
-    also has a lower bound, upper bounds print "label worst < bound" and
-    lower bounds "label worst > bound".  Either way the suite passes if
+    as `tolerance` and an empty note, or the value alone where it is not
+    finite.  Otherwise `max_residual` is the worst ratio of an upper-bound
+    check to its bound, the tolerance 1.0, and `note` lists each check as
+    "label worst/bound"; in a suite that also has a lower bound, upper
+    bounds print "label worst < bound" and lower bounds "label worst >
+    bound".  Either way the suite passes if
     `max_residual` is below `tolerance` and every lower bound holds.  A
     check with no values adds no ratio and prints "skipped: label".  A
     `max_residual` that is not finite fails and is reported as None, so
-    the report stays strict JSON; the note keeps its "nan" or "inf"."""
+    the report stays strict JSON; the note keeps its "nan", "inf" or
+    "-inf"."""
     below = " < " if any(c.above for c in checks) else "/"
     ratios, holds, notes = [], [], []
     for c in checks:
@@ -76,7 +78,8 @@ def _entry(name: str, samples: int, checks) -> dict:
             notes.append(f"{c.label} {worst:.2e}{below}{c.bound:.2e}")
     worst, tolerance = float(np.max(ratios, initial=0.0)), 1.0
     if len(checks) == 1 and not checks[0].label:
-        worst, tolerance, notes = checks[0].worst, checks[0].bound, []
+        worst, tolerance = checks[0].worst, checks[0].bound
+        notes = [] if math.isfinite(worst) else [repr(worst)]
     return {"name": name, "samples": samples,
             "max_residual": worst if math.isfinite(worst) else None, "tolerance": tolerance,
             "pass": worst < tolerance and all(holds), "note": "; ".join(notes)}
@@ -243,7 +246,7 @@ def _bitension_norms(params: BcvParams, grids):
     if not grids:
         return np.zeros(0)
     batch, u, v = _batch(grids)
-    return np.linalg.norm(bic.tangential_bitension_arrays(imm.Stages(batch, params, u, v)),
+    return np.linalg.norm(bic.tangential_bitension(imm.Stages(batch, params, u, v)),
                           axis=0)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from bcvgeo import _kernels
 from bcvgeo.ambient import BcvParams, frame_components, frame_dot
-from bcvgeo.biconservative import tangential_bitension_arrays
+from bcvgeo.biconservative import tangential_bitension
 from bcvgeo.immersion import ParametricSurface, Stages, surface_jets
 
 # parameter pairs exercised throughout: flat, product spaces, twisted models
@@ -50,7 +50,7 @@ def frame_of(params, x, y, V):
 def adapted_components(S, params, u, v):
     """(g(tb, e1), g(tb, e2)) of the tangential bitension tb at (u, v)."""
     jet = surface_jets(S, params, u, v)
-    tb = tangential_bitension_arrays(Stages(S, params, u, v))
+    tb = tangential_bitension(Stages(S, params, u, v))
     return frame_dot(tb, jet.T / jet.sin_alpha), frame_dot(tb, jet.JT / jet.sin_alpha)
 
 

@@ -26,14 +26,14 @@ from bcvgeo.biconservative import (
     constant_angle_suite,
     frame_system_residual,
     normal_bitension,
-    tangential_bitension_arrays,
+    tangential_bitension,
 )
 from bcvgeo.immersion import (
     Stages,
     codazzi_residual,
     compatibility_residual,
     gauss_residual,
-    shape_arrays,
+    shape_operator,
     surface_jets,
 )
 from bcvgeo.rotation import (
@@ -173,7 +173,7 @@ def test_criterion_05_cylinders_biconservative():
             S = hopf_cylinder(P, r0)
             for u in np.linspace(0.3, 5.9, 3):
                 for v in (-0.5, 0.0, 0.6):
-                    tb = tangential_bitension_arrays(Stages(S, P, u, v))
+                    tb = tangential_bitension(Stages(S, P, u, v))
                     worst_tb = max(worst_tb, frame_norm(tb))
             state = ProfileState(0.0, r0, 0.0, math.pi / 2)
             f = reduced_mean_curvature(P, state, 0.0)
@@ -191,12 +191,12 @@ def test_criterion_06_tube_discrimination():
     for u in np.linspace(0.0, 2 * math.pi, 13):
         for v in (-0.3, 0.4):
             ellipse_max = max(ellipse_max,
-                              frame_norm(tangential_bitension_arrays(Stages(tube, P_NIL, u, v))))
+                              frame_norm(tangential_bitension(Stages(tube, P_NIL, u, v))))
     circle = hopf_cylinder(P_NIL, 1.0)
     circle_max = 0.0
     for u in np.linspace(0.3, 5.9, 5):
         circle_max = max(circle_max,
-                         frame_norm(tangential_bitension_arrays(Stages(circle, P_NIL, u, 0.1))))
+                         frame_norm(tangential_bitension(Stages(circle, P_NIL, u, 0.1))))
     ok = ellipse_max > 1e-3 and circle_max < 1e-6
     report(6, ok, f"discrimination: ellipse tube max = {ellipse_max:.2e} > 1e-3, "
                   f"circular tube max = {circle_max:.2e} < 1e-6")
@@ -261,8 +261,8 @@ def test_criterion_08_space_form_remark():
     worst_curv = 0.0
     for u in np.linspace(0.3, 5.9, 4):
         for v in (-0.4, 0.2):
-            worst_tb = max(worst_tb, frame_norm(tangential_bitension_arrays(Stages(S, P, u, v))))
-            sh = shape_arrays(S, P, u, v)
+            worst_tb = max(worst_tb, frame_norm(tangential_bitension(Stages(S, P, u, v))))
+            sh = shape_operator(S, P, u, v)
             worst_curv = max(worst_curv, frame_norm(_ricci_n_tangential(P, sh)))
     ok = worst_tb < 1e-6 and worst_curv < 1e-12
     report(8, ok, f"space form: CMC revolution surface tangential = {worst_tb:.2e} "
@@ -323,7 +323,7 @@ def test_criterion_12_normal_bitension_closed_forms():
     for P in CYLINDER_PAIRS:
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(P, r0)
-            sh = shape_arrays(S, P, 0.8, 0.2)
+            sh = shape_operator(S, P, 0.8, 0.2)
             expected = sh.f * (sh.A[1][1] ** 2 + 4 * P.tau ** 2 - P.kappa)
             worst = max(worst, abs(normal_bitension(Stages(S, P, 0.8, 0.2)) - expected))
     sphere = sphere_surface(1.0)

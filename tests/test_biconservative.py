@@ -13,10 +13,9 @@ from bcvgeo.biconservative import (
     frame_system_residual,
     normal_bitension,
     tangential_bitension,
-    tangential_bitension_arrays,
 )
 from bcvgeo.errors import DegenerateSurfaceError
-from bcvgeo.immersion import Stages, shape_arrays, surface_jets
+from bcvgeo.immersion import Stages, shape_operator, surface_jets
 from bcvgeo.rotation import (
     ellipse_curve,
     generic_revolution_surface,
@@ -51,7 +50,7 @@ class TestRicciTangential:
         for _ in range(8):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-0.3, 1.3)
-            sh = shape_arrays(S, P_NIL, u, v)
+            sh = shape_operator(S, P_NIL, u, v)
             jet = sh.jet
             closed = closed_ricci_n_tangential(P_NIL, jet)
             generic = _ricci_n_tangential(P_NIL, sh)
@@ -68,7 +67,7 @@ class TestRicciTangential:
 
     def test_vertical_tangency_kills_it(self):
         S = hopf_cylinder(P_NIL, 1.0)
-        sh = shape_arrays(S, P_NIL, 0.8, 0.2)
+        sh = shape_operator(S, P_NIL, 0.8, 0.2)
         assert frame_norm(closed_ricci_n_tangential(P_NIL, sh.jet)) < 1e-13
         assert frame_norm(_ricci_n_tangential(P_NIL, sh)) < 1e-13
 
@@ -77,35 +76,35 @@ class TestRicciTangential:
         for _ in range(6):
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-1.2, 1.2)
-            sh = shape_arrays(S, P_FORM, u, v)
+            sh = shape_operator(S, P_FORM, u, v)
             assert frame_norm(_ricci_n_tangential(P_FORM, sh)) < 1e-12
 
 
 class TestTangentialBitension:
     def test_minimal_surfaces_vanish(self):
         # plane (f = 0, grad f = 0)
-        tb = tangential_bitension_arrays(Stages(flat_plane(), P_FLAT, 0.1, 0.2))
+        tb = tangential_bitension(Stages(flat_plane(), P_FLAT, 0.1, 0.2))
         assert frame_norm(tb) < 1e-8
         # vertical cylinder over a radial geodesic of the positively curved base
         P = BcvParams(1.0, 0.5)
         tube = hopf_tube(*line_curve((0.3, 0.0), (1.0, 0.0)), u_domain=(0.0, 1.2))
-        assert abs(shape_arrays(tube, P, 0.6, 0.3).f) < 1e-8
-        assert frame_norm(tangential_bitension_arrays(Stages(tube, P, 0.6, 0.3))) < 1e-6
+        assert abs(shape_operator(tube, P, 0.6, 0.3).f) < 1e-8
+        assert frame_norm(tangential_bitension(Stages(tube, P, 0.6, 0.3))) < 1e-6
 
     @pytest.mark.parametrize("params", CYLINDER_PAIRS, ids=str)
     def test_vertical_cylinders_conservative(self, params):
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(params, r0)
             for u, v in [(0.4, -0.5), (2.8, 0.3)]:
-                assert frame_norm(tangential_bitension_arrays(Stages(S, params, u, v))) < 1e-6
+                assert frame_norm(tangential_bitension(Stages(S, params, u, v))) < 1e-6
 
     def test_space_form_cmc_conservative(self):
         S = hopf_cylinder(P_FORM, 0.5)
-        assert frame_norm(tangential_bitension_arrays(Stages(S, P_FORM, 0.8, 0.2))) < 1e-6
+        assert frame_norm(tangential_bitension(Stages(S, P_FORM, 0.8, 0.2))) < 1e-6
 
     def test_nonconstant_curvature_tube_is_not(self):
         tube = hopf_tube(*ellipse_curve(1.6, 1.0))
-        vals = [frame_norm(tangential_bitension_arrays(Stages(tube, P_NIL, u, 0.1)))
+        vals = [frame_norm(tangential_bitension(Stages(tube, P_NIL, u, 0.1)))
                 for u in np.linspace(0.0, 2 * math.pi, 13)]
         assert max(vals) > 1e-3
 
@@ -115,7 +114,7 @@ class TestTangentialBitension:
             u = rng.uniform(0, 2 * math.pi)
             v = rng.uniform(-0.3, 1.3)
             jet = surface_jets(S, P_NIL, u, v)
-            tb = tangential_bitension_arrays(Stages(S, P_NIL, u, v))
+            tb = tangential_bitension(Stages(S, P_NIL, u, v))
             assert abs(frame_dot(tb, jet.n)) < 1e-8
 
 
@@ -127,14 +126,14 @@ class TestNormalBitension:
     def test_cylinder_closed_form(self, params):
         for r0 in (0.5, 1.0, 2.0):
             S = hopf_cylinder(params, r0)
-            sh = shape_arrays(S, params, 0.8, 0.2)
+            sh = shape_operator(S, params, 0.8, 0.2)
             expected = sh.f * (sh.A[1][1] ** 2 + 4 * params.tau ** 2 - params.kappa)
             got = normal_bitension(Stages(S, params, 0.8, 0.2))
             assert got == pytest.approx(expected, abs=1e-5)
 
     def test_round_sphere_value(self):
         S = sphere_surface(1.0)
-        assert shape_arrays(S, P_FLAT, 1.1, 0.8).f == pytest.approx(2.0, abs=1e-8)
+        assert shape_operator(S, P_FLAT, 1.1, 0.8).f == pytest.approx(2.0, abs=1e-8)
         assert normal_bitension(Stages(S, P_FLAT, 1.1, 0.8)) == pytest.approx(4.0, abs=1e-5)
 
     def test_sphere_radius_scaling(self):
@@ -264,14 +263,11 @@ class TestBitensionArrays:
         (u0, u1), (v0, v1) = surface.domain
         U, V = np.meshgrid(np.linspace(u0, u1, 4), np.linspace(v0 + 0.1, v1 - 0.1, 3),
                            indexing="ij")
-        grid = tangential_bitension_arrays(Stages(surface, params, U, V))
+        grid = tangential_bitension(Stages(surface, params, U, V))
         assert grid.shape == (3,) + U.shape
         for i, j in np.ndindex(U.shape):
-            # tangential_bitension stays as a pass-through
-            tb = tangential_bitension(surface, params, U[i, j], V[i, j])
-            one = tangential_bitension_arrays(Stages(surface, params, U[i, j], V[i, j]))
+            one = tangential_bitension(Stages(surface, params, U[i, j], V[i, j]))
             assert np.abs(grid[:, i, j] - one).max() <= 1e-12
-            assert np.abs(tb - one).max() <= 1e-12
 
     @pytest.mark.parametrize("surface,params", [
         (slant_surface(), P_NIL),
@@ -291,4 +287,4 @@ class TestBitensionArrays:
         # the point u = 0.4995 is regular, but its gradient-stencil centre
         # u + 1e-3 is not, and it fails before the later point u = 0.9
         with pytest.raises(DegenerateSurfaceError, match=r"\(u, v\) = \(0\.5005, 0\.25\)"):
-            tangential_bitension_arrays(Stages(kinked_plane(), P_FLAT, [0.2, 0.4995, 0.9], 0.25))
+            tangential_bitension(Stages(kinked_plane(), P_FLAT, [0.2, 0.4995, 0.9], 0.25))

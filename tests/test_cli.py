@@ -88,6 +88,18 @@ class TestVerify:
         assert res.returncode == 0, res.stderr or res.stdout
         assert json.loads(res.stdout)["pass"] is True
 
+    def test_negative_exponent_notation_is_a_value(self):
+        # repr() writes a negative float below 1e-4 in magnitude as -1e-06,
+        # which argparse's own pattern would take for an option
+        res = run_cli("verify", "--kappa", "-1e-06", "--tau", "0", "--suite", "frame")
+        assert res.returncode == 0, res.stderr
+        assert '"kappa": -1e-06' in res.stdout
+
+    def test_option_like_value_is_a_usage_error(self):
+        res = run_cli("verify", "--kappa", "-x", "--tau", "0", "--suite", "frame")
+        assert res.returncode == 2
+        assert "--kappa: expected one argument" in res.stderr
+
     def test_negative_seed_rejected(self):
         res = run_cli("verify", "--kappa", "1", "--tau", "1", "--suite", "theorem52",
                       "--seed", "-1")
@@ -144,13 +156,15 @@ class TestVerify:
     @pytest.mark.parametrize("suite", ["ricci", "frame", "submersion"])
     def test_single_suite_at_huge_tau_is_a_strict_failing_report(self, suite):
         # the frame components overflow, and each suite fails on a residual
-        # that is not finite, reported as null, with no numpy warning
+        # that is not finite, reported as null with the value in the note,
+        # with no numpy warning
         res = run_cli("verify", "--kappa", "1", "--tau", "1e170", "--suite", suite)
         assert res.returncode == 1, res.stderr
         assert res.stderr == ""
         report = strict_json(res.stdout)
         assert report["pass"] is False
         assert report["suites"][0]["max_residual"] is None
+        assert report["suites"][0]["note"] == {"ricci": "nan"}.get(suite, "inf")
 
     @pytest.mark.parametrize("kappa", ["1", "0", "-1"])
     @pytest.mark.parametrize("tau", ["1e170", "1e200"])
@@ -226,6 +240,13 @@ class TestIntegrate:
         rows = [l for l in res.stdout.splitlines()[1:] if not l.startswith("#")]
         r_vals = [float(l.split(",")[1]) for l in rows]
         assert max(abs(r - 2.0 / 3.0) for r in r_vals) < 1e-6
+
+    def test_negative_exponent_notation_is_a_value(self):
+        res = run_cli("integrate", "--kappa", "0", "--tau", "0.5", "--r0", "1",
+                      "--sigma0", "-1.5e-1", "--smax", "0.002")
+        assert res.returncode == 0, res.stderr
+        rows = [l for l in res.stdout.splitlines()[1:] if not l.startswith("#")]
+        assert float(rows[0].split(",")[3]) == -0.15
 
     def test_tiny_radius_rejected(self):
         res = run_cli("integrate", "--kappa", "0", "--tau", "0.5",
@@ -504,7 +525,7 @@ class TestMeshBitension:
         parser = cli.build_parser()
         params, surface, _ = cli._mesh_surface(parser.parse_args(args), parser)
         us, vs = surface.grid(9, 5)
-        norms = [[np.linalg.norm(bic.tangential_bitension_arrays(Stages(surface, params, u, v)))
+        norms = [[np.linalg.norm(bic.tangential_bitension(Stages(surface, params, u, v)))
                   for v in vs] for u in us]
         i, j = np.unravel_index(np.argmax(norms), (9, 5))
         (u, v), = _header(res.stdout, "worst_uv")

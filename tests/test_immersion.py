@@ -9,7 +9,7 @@ from bcvgeo.ambient import (BcvParams, coordinate_components, frame_components, 
                             frame_dot, smoothing_factor)
 from bcvgeo import immersion
 from bcvgeo._stencil import CROSS, NINE, Stencil
-from bcvgeo.biconservative import frame_system_residual, normal_bitension, tangential_bitension_arrays
+from bcvgeo.biconservative import frame_system_residual, normal_bitension, tangential_bitension
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
 from bcvgeo.immersion import (
     DIRECTIONAL_STEP,
@@ -24,7 +24,7 @@ from bcvgeo.immersion import (
     codazzi_residual,
     compatibility_residual,
     gauss_residual,
-    shape_arrays,
+    shape_operator,
     surface_jet,
     surface_jets,
 )
@@ -188,12 +188,12 @@ class TestJetArrays:
         U, V = np.meshgrid(np.linspace(u0, u1, 5), np.linspace(v0 + 0.1, v1 - 0.1, 4),
                            indexing="ij")
         grid = surface_jets(surface, params, U, V)
-        sh = shape_arrays(surface, params, U, V)
+        sh = shape_operator(surface, params, U, V)
         for i, j in np.ndindex(U.shape):
             one = surface_jets(surface, params, U[i, j], V[i, j])
             for name, a, b in zip(grid._fields, grid, one):
                 assert np.allclose(a[..., i, j], b, rtol=0.0, atol=1e-12), name
-            single = shape_arrays(surface, params, U[i, j], V[i, j])
+            single = shape_operator(surface, params, U[i, j], V[i, j])
             A = np.array(sh.A)[:, :, i, j]
             assert np.abs(A - np.array(single.A)).max() <= 1e-12
             assert sh.adapted[i, j] == single.adapted
@@ -222,7 +222,7 @@ class TestJetArrays:
 
 class TestShapeOperator:
     def test_plane_totally_geodesic(self):
-        sh = shape_arrays(flat_plane(), P_FLAT, 0.1, 0.2)
+        sh = shape_operator(flat_plane(), P_FLAT, 0.1, 0.2)
         assert np.abs(sh.A).max() < 1e-10
         assert abs(sh.f) < 1e-10
 
@@ -230,7 +230,7 @@ class TestShapeOperator:
     def test_cylinder_matrix(self, tau, r0):
         P = BcvParams(0.0, tau)
         S = hopf_cylinder(P, r0)
-        sh = shape_arrays(S, P, 0.8, 0.2)
+        sh = shape_operator(S, P, 0.8, 0.2)
         expected = np.array([[0.0, -tau], [-tau, 1.0 / r0]])
         assert np.abs(np.array(sh.A) - expected).max() < 1e-4
         assert sh.f == pytest.approx(1.0 / r0, abs=1e-6)
@@ -243,13 +243,13 @@ class TestShapeOperator:
             (hopf_tube(*ellipse_curve(1.6, 1.0)), P_NIL),
         ]:
             for u, v, _ in random_samples(surface, rng, 5, params=params):
-                sh = shape_arrays(surface, params, u, v)
+                sh = shape_operator(surface, params, u, v)
                 assert abs(sh.A[0][1] - sh.A[1][0]) < 1e-6
 
     def test_offdiagonal_matches_angle_derivative(self, rng):
         S = slant_surface()
         for u, v, jet in random_samples(S, rng, 5, sin_floor=0.2):
-            sh = shape_arrays(S, P_NIL, u, v)
+            sh = shape_operator(S, P_NIL, u, v)
             e2a = Stages(S, P_NIL, u, v).angles[1][..., 0]   # e2(a) at the centre
             assert abs(sh.A[0][1] - (e2a - P_NIL.tau)) < 1e-4
 
@@ -301,7 +301,7 @@ class TestCurvatureResiduals:
     def test_cylinder_gauss_closed_forms(self):
         P = BcvParams(0.0, 0.5)
         S = hopf_cylinder(P, 1.0)
-        sh = shape_arrays(S, P, 0.8, 0.2)
+        sh = shape_operator(S, P, 0.8, 0.2)
         assert np.linalg.det(np.array(sh.A)) == pytest.approx(-P.tau ** 2, abs=1e-6)
         assert abs(brioschi(S, P, 0.8, 0.2)) < 1e-6
         assert abs(gauss_residual(Stages(S, P, 0.8, 0.2))) < 1e-4
@@ -516,7 +516,7 @@ class TestStages:
         c = stages.centres
         # stage 1 is one jet call over the normal and Brioschi stencils
         assert_same_bits(c.jet, surface_jets(surface, params, U, V))
-        assert_same_bits(c.shape.A, shape_arrays(surface, params, U, V).A)
+        assert_same_bits(c.shape.A, shape_operator(surface, params, U, V).A)
         assert_same_bits(c.K, brioschi(surface, params, U, V))
         ok = suite_mask(c.jet)
         assert ok.any()
@@ -593,7 +593,7 @@ def test_gauss_codazzi_jet_count(monkeypatch):
 @pytest.mark.parametrize("params", PAIRS6, ids=str)
 @pytest.mark.parametrize("suite", ["biconservative", "theorem44"])
 def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
-    # every surface of the suite in one tangential_bitension_arrays call:
+    # every surface of the suite in one tangential_bitension call:
     # 45 jets per point, its 5 gradient points times 9 normal-stencil points
     sizes = count_jets(monkeypatch)
     result = run_suite(suite, params)
@@ -613,10 +613,10 @@ class TestSharedStages:
     def test_bitension_reads_only_its_gradient_stage(self, monkeypatch):
         U, V, stages = self.centres_grid()
         sizes = count_jets(monkeypatch)
-        tangential_bitension_arrays(stages)
+        tangential_bitension(stages)
         assert sizes == [45 * U.size]
         assert "centres" not in vars(stages)
-        tangential_bitension_arrays(stages)
+        tangential_bitension(stages)
         assert len(sizes) == 1
 
     def test_frame_system_after_codazzi_reuses_steps_and_angles(self, monkeypatch):
@@ -680,14 +680,14 @@ class TestSurfaceBatch:
         got = {"centres": stages.centres, "gauss": gauss_residual(stages),
                "steps": sub.steps, "codazzi": codazzi_residual(sub),
                "compat": compatibility_residual(sub),
-               "bitension": tangential_bitension_arrays(stages)}
+               "bitension": tangential_bitension(stages)}
         want = {k: [] for k in got}
         for S, nu, nv in grids:
             u, v = (a.ravel() for a in _interior_grid(S, nu, nv))
             own = Stages(S, params, u, v)
             want["centres"].append(own.centres)
             want["gauss"].append(gauss_residual(own))
-            want["bitension"].append(tangential_bitension_arrays(own))
+            want["bitension"].append(tangential_bitension(own))
             keep = suite_mask(own.centres.jet)
             if keep.any():
                 u, v = u[keep], v[keep]
@@ -734,7 +734,7 @@ class TestSurfaceBatch:
 
 def bitension_norms(S, params, u, v):
     """|tangential bitension| of one surface, with no batch."""
-    return np.linalg.norm(tangential_bitension_arrays(Stages(S, params, u, v)), axis=0)
+    return np.linalg.norm(tangential_bitension(Stages(S, params, u, v)), axis=0)
 
 
 def per_surface_entries(params):

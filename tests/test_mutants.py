@@ -18,7 +18,8 @@ through its per-row factored identity, at exactly the branch pairs of
 PAIRS7 (tau != 0 off the space forms) where the term is not zero.
 
 The march cases rewrite `_march.c`'s recorded sin and cos columns, which
-the residual pass reads in place of the trigonometry of sigma.  Each is
+the residual pass reads in place of the trigonometry of sigma, or its stop
+rule, which the trajectory checks on the s column.  Each is
 built with `_kernels.build_march` into a temporary cache and put in place
 of the compiled march; `verify --suite theorem52` must fail, through a
 failed check or a numeric failure (exit 3), at exactly the branch pairs.
@@ -99,6 +100,11 @@ MARCH_MUTANTS = {
     "recorded sin at stage 2's angle": (
         "row[4] = sin1;", "row[4] = sin(sig + half * (sin1 * (kq * r - 1.0 / (3.0 * r))));",
         branch),
+    "stop rule: half = 0.5 / step": (
+        "const double half = 0.5 * step;", "const double half = 0.5 / step;", branch),
+    "stop rule: s_last = s_max + half": (
+        "const double s_last = s_max - half;", "const double s_last = s_max + half;", branch),
+    "stop rule: s falls": ("s = s + step;", "s = s - step;", branch),
 }
 
 

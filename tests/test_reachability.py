@@ -49,8 +49,6 @@ UNREACHED = {
     # item 1: the names that perfbench/tracer.py wraps; refine_sign_change
     # also serves criterion 07, since theorem52 checks its zeros row by row
     "surface_jet",
-    "shape_operator",
-    "tangential_bitension",
     "refine_sign_change",
 }
 

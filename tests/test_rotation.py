@@ -13,7 +13,7 @@ from bcvgeo._kernels import (STATUS_DOMAIN_EXIT, STATUS_NAMES, STATUS_NEAR_AXIS,
                              run_branch_kernel)
 from bcvgeo.ambient import EPS_F, BcvParams, coordinate_components, smoothing_factor
 from bcvgeo.errors import DomainError, SelfConsistencyError
-from bcvgeo.immersion import shape_arrays, surface_jets
+from bcvgeo.immersion import shape_operator, surface_jets
 from bcvgeo.rotation import (
     FD_CHECK_R_FLOOR,
     IntegrationConfig,
@@ -140,7 +140,7 @@ class TestReducedMeanCurvature:
         for v in (-0.2, 0.5, 1.1):
             st_ = prof(v)
             fred = reduced_mean_curvature(P_NIL, st_, 0.0)  # constant sigma
-            fshape = shape_arrays(S, P_NIL, 0.7, v).f
+            fshape = shape_operator(S, P_NIL, 0.7, v).f
             assert fred == pytest.approx(fshape, abs=1e-4)
 
 
@@ -500,6 +500,32 @@ class TestBranchIntegration:
         assert traj.status == "max_steps_reached"
         assert len(traj) == 50
 
+    @pytest.mark.parametrize("s_max,step,rows", [(1e-4, 1e-3, 1), (1e-3, 1e-3, 2),
+                                                 (2.5, 0.1, 26), (7.77, 0.013, 599)])
+    def test_horizon_ends_on_the_first_row_past_it(self, s_max, step, rows):
+        # horizons below one step, at one step and off the step grid pass
+        # the stop-rule check, with the rows the march's s_last implies
+        traj = integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 0.8),
+                                       IntegrationConfig(step=step, s_max=s_max))
+        assert traj.status == "smax_reached" and len(traj) == rows
+
+    @pytest.mark.parametrize("fault", ["s falls", "one row too many", "ends early"])
+    def test_march_that_breaks_its_stop_rule_is_refused(self, monkeypatch, fault):
+        # the check reads the rows that run_branch_kernel returns, whichever
+        # march made them, so it needs no C compiler
+        kernel = rot.run_branch_kernel
+
+        def faulty(*args):
+            args = list(args)
+            # args[8] is the horizon s_max
+            args[8] += {"s falls": 0.0, "one row too many": 1e-3, "ends early": -0.5}[fault]
+            n, status, s, *columns = kernel(*args)
+            return n, status, s[::-1] if fault == "s falls" else s, *columns
+        monkeypatch.setattr(rot, "run_branch_kernel", faulty)
+        with pytest.raises(SelfConsistencyError, match="^the branch march broke its stop rule"):
+            integrate_noncmc_branch(BcvParams(1.0, 1.0), ProfileState(0.0, 1.0, 0.0, 1.0),
+                                    IntegrationConfig(s_max=1.0))
+
     def test_f_prime_check_catches_wrong_closed_form(self, monkeypatch):
         # the fourth-order check must still reject an f' that is off by 2e-4,
         # twice FD_CHECK_TOL
@@ -701,8 +727,8 @@ class TestConstructors:
         differenced = hopf_tube(curve)
         exact = hopf_tube(curve, d_curve)
         for u in (0.4, 1.9, 3.3):
-            assert shape_arrays(differenced, P_NIL, u, 0.2).f == pytest.approx(
-                shape_arrays(exact, P_NIL, u, 0.2).f, abs=1e-6)
+            assert shape_operator(differenced, P_NIL, u, 0.2).f == pytest.approx(
+                shape_operator(exact, P_NIL, u, 0.2).f, abs=1e-6)
 
     def test_cylinder_radius_validation(self):
         with pytest.raises(DomainError):
@@ -716,7 +742,7 @@ class TestConstructors:
         jet = surface_jets(S, P_NIL, 0.7, 0.0)
         kg = base_geodesic_curvature(P_NIL, curve, 0.7, projected_normal(P_NIL, jet),
                                      curve_derivative=d_curve)
-        f = shape_arrays(S, P_NIL, 0.7, 0.0).f
+        f = shape_operator(S, P_NIL, 0.7, 0.0).f
         assert kg == pytest.approx(1.0 / r0, abs=1e-8)
         assert f == pytest.approx(1.0 / r0, abs=1e-4)
         # curved base: 1/r0 - kappa r0 / 4
@@ -725,7 +751,7 @@ class TestConstructors:
         jet1 = surface_jets(S1, P, 0.7, 0.0)
         kg1 = base_geodesic_curvature(P, curve, 0.7, projected_normal(P, jet1),
                                       curve_derivative=d_curve)
-        f1 = shape_arrays(S1, P, 0.7, 0.0).f
+        f1 = shape_operator(S1, P, 0.7, 0.0).f
         expected = 1.0 / r0 - 0.25 * P.kappa * r0
         assert kg1 == pytest.approx(expected, abs=1e-8)
         assert f1 == pytest.approx(expected, abs=1e-4)
@@ -737,7 +763,7 @@ class TestConstructors:
             jet = surface_jets(tube, P_NIL, u, 0.0)
             kg = base_geodesic_curvature(P_NIL, curve, u, projected_normal(P_NIL, jet),
                                          curve_derivative=d_curve)
-            f = shape_arrays(tube, P_NIL, u, 0.0).f
+            f = shape_operator(tube, P_NIL, u, 0.0).f
             assert f == pytest.approx(kg, abs=1e-4)
 
     def test_horizontal_profile_gives_flat_plane(self):
@@ -745,7 +771,7 @@ class TestConstructors:
         profile = lambda s: ProfileState(s, 1.0 + s, 0.0, 0.0)
         S = revolution_surface(P, profile, (-0.4, 0.8))
         assert np.abs(S.coords(0.3, 0.2)[2]) < 1e-15
-        assert abs(shape_arrays(S, P, 0.3, 0.2).f) < 1e-8
+        assert abs(shape_operator(S, P, 0.3, 0.2).f) < 1e-8
 
     def test_spline_profile_consistency(self):
         P = BcvParams(1.0, 1.0)
@@ -759,5 +785,5 @@ class TestConstructors:
             jet = surface_jets(S, P, 0.5, v)
             q = math.sqrt(1.0 + P.tau ** 2 * st_.r ** 2)
             assert jet.cos_alpha == pytest.approx(math.cos(st_.sigma) / q, abs=1e-6)
-            assert shape_arrays(S, P, 0.5, v).f == pytest.approx(branch_mean_curvature(st_),
+            assert shape_operator(S, P, 0.5, v).f == pytest.approx(branch_mean_curvature(st_),
                                                                 abs=1e-4)

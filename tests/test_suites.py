@@ -179,13 +179,13 @@ class TestNanResidualFails:
 
     def test_theorem44_ellipse_tube(self, monkeypatch):
         # the lower-bound check: the ellipse tube's points come last
-        bitension = bic.tangential_bitension_arrays
+        bitension = bic.tangential_bitension
 
         def nan_last_point(*args):
             tb = bitension(*args)
             tb[:, -1] = np.nan
             return tb
-        monkeypatch.setattr(bic, "tangential_bitension_arrays", nan_last_point)
+        monkeypatch.setattr(bic, "tangential_bitension", nan_last_point)
         result = run_suite("theorem44", P_NIL)
         assert result["pass"] is False
         assert "ellipse tube max nan > 1.00e-03" in result["note"]
@@ -201,6 +201,8 @@ class TestNanResidualFails:
         result = run_suite("frame", P_NIL)
         assert result["pass"] is False
         assert result["max_residual"] is None
+        # one unlabelled check: the note is the value alone
+        assert result["note"] == "nan"
 
     def test_submersion_vertical_image(self, monkeypatch):
         dpsi = ambient.hopf_dpsi

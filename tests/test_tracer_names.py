@@ -102,6 +102,11 @@ def test_layer_metrics_cover_the_benchmark_names(tracer):
     metrics = tracer.layer_metrics(t, t.summary({0}), samples, len(out.getvalue()), 0.0)
     assert want <= set(metrics)
     json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)
+    # the traced names are the batched oracles that the suites call: a
+    # pass-through in their place would count 0, and an added or lost
+    # oracle call moves these counts
+    assert metrics["immersion.shape_operator.calls"][0] == 3
+    assert metrics["biconservative.tangential_bitension.calls"][0] == 2
 
 
 def _reject_constant(token):
