@@ -67,7 +67,6 @@ __all__ = [
     "IntegrationConfig",
     "BranchTrajectory",
     "reduced_quantities",
-    "reduced_mean_curvature",
     "reduced_bicon_system",
     "branch_mean_curvature",
     "branch_f_prime",
@@ -167,12 +166,6 @@ def _parallel_term(params: BcvParams, state: ProfileState):
     """(1/r - kappa r / 4) sin(sigma): the parallel circles' share of f."""
     r = state.r
     return (1.0 / r - 0.25 * params.kappa * r) * state.sin_sigma
-
-
-def reduced_mean_curvature(params: BcvParams, state: ProfileState, sigma_prime):
-    """f = (1/r - kappa r / 4) sin(sigma) + sigma'."""
-    _check_radius(params, state.r)
-    return _parallel_term(params, state) + sigma_prime
 
 
 def reduced_bicon_system(params: BcvParams, state: ProfileState, f, f_prime):

@@ -11,6 +11,15 @@ bound) against 1.0 and lists every check in `note`.  A check with no
 values is skipped, and a NaN value fails its suite.  No suite root-finds:
 `theorem52` checks Theorem 5.2 row by row on its trajectories' columns.
 
+The three surface suites read one list of surfaces,
+:func:`_structural_surfaces`, each through one
+:class:`bcvgeo.immersion.Stages` over a batch of its interior grids:
+`gauss-codazzi` reads every surface of it.  The two halves of the
+Hopf-tube statement (Theorem 4.4: a Hopf tube is biconservative if and
+only if it has constant mean curvature) read the Hopf cylinders
+(`biconservative`, the CMC half) and the ellipse tube (`theorem44`, the
+non-CMC half).
+
 The registry order is fixed, and every suite derives its own RNG stream
 from (seed, suite index), so reports are reproducible for given flags.
 """
@@ -114,9 +123,9 @@ def sample_domain_points(params: BcvParams, rng, n: int):
     return rho * np.cos(phi), rho * np.sin(phi), z
 
 
-def _cylinder_radii(params: BcvParams, radii=(0.5, 1.0, 2.0)):
-    """Requested cylinder radii restricted to the domain (F above 0.1)."""
-    return [r for r in radii if ambient.smoothing_factor(params, r, 0.0) > 0.1]
+def _cylinder_radii(params: BcvParams):
+    """The cylinder radii 0.5, 1 and 2 that lie in the domain (F above 0.1)."""
+    return [r for r in (0.5, 1.0, 2.0) if ambient.smoothing_factor(params, r, 0.0) > 0.1]
 
 
 def _scaled_ellipse(params: BcvParams):
@@ -168,9 +177,12 @@ def _suite_submersion(params: BcvParams, rng) -> dict:
 
 
 def _structural_surfaces(params: BcvParams):
-    surfaces = []
-    for r0 in _cylinder_radii(params):
-        surfaces.append((rot.hopf_cylinder(params, r0), 4, 3))
+    """The surfaces of the surface suites, as (surface, nu, nv) with the
+    size of each one's interior grid: the Hopf cylinders of
+    :func:`_cylinder_radii`, a generic surface of revolution and the Hopf
+    tube over an ellipse.  `gauss-codazzi` reads all of them,
+    `biconservative` the cylinders and `theorem44` the tube."""
+    surfaces = [(rot.hopf_cylinder(params, r0), 4, 3) for r0 in _cylinder_radii(params)]
     rmax = domain_radius(params)
     r_mid = min(1.2, 0.55 * rmax)
     surfaces.append(
@@ -188,14 +200,15 @@ def _interior_grid(surface, nu, nv):
                          for (a, b), n in zip(surface.domain, (nu, nv))), indexing="ij")
 
 
-def _batch(grids):
-    """One :class:`bcvgeo.immersion.SurfaceBatch` over (surface, u, v)
-    grids, and its centres: each grid's points in C order, one grid after
-    another."""
-    points = [np.broadcast_arrays(u, v) for _, u, v in grids]
-    batch = imm.SurfaceBatch([(S, u.size) for (S, _, _), (u, _) in zip(grids, points)])
-    return (batch, np.concatenate([u.ravel() for u, _ in points]),
-            np.concatenate([v.ravel() for _, v in points]))
+def _stages(params: BcvParams, surfaces) -> imm.Stages:
+    """One :class:`bcvgeo.immersion.Stages` over the interior grids of
+    (surface, nu, nv) entries, whose surfaces are one
+    :class:`bcvgeo.immersion.SurfaceBatch`: the centres are each grid's
+    points in C order, one grid after another."""
+    grids = [(S, *_interior_grid(S, nu, nv)) for S, nu, nv in surfaces]
+    batch = imm.SurfaceBatch([(S, U.size) for S, U, _ in grids])
+    return imm.Stages(batch, params, np.concatenate([U.ravel() for _, U, _ in grids]),
+                      np.concatenate([V.ravel() for _, _, V in grids]))
 
 
 def _structural_checks(params: BcvParams):
@@ -214,9 +227,7 @@ def _structural_checks(params: BcvParams):
     point are never evaluated; where no point is kept, those two checks
     have no values.
     """
-    batch, U, V = _batch([(S, *_interior_grid(S, nu, nv))
-                          for S, nu, nv in _structural_surfaces(params)])
-    stages = imm.Stages(batch, params, U, V)
+    stages = _stages(params, _structural_surfaces(params))
     J = stages.centres.jet
     # |T|^2 = sin^2(alpha) and E3 = T + cos(alpha) N, in coordinate components
     T = np.array(ambient.coordinate_components(params, J.x, J.y, J.T))
@@ -232,7 +243,7 @@ def _structural_checks(params: BcvParams):
         vec, sc = imm.compatibility_residual(sub)   # along e1 and e2
         compat = (np.sqrt(ambient.frame_dot(vec, vec)), np.abs(sc))
     return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
-            Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], U.size
+            Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], stages.u.size
 
 
 def _suite_gauss_codazzi(params: BcvParams, rng) -> dict:
@@ -240,45 +251,31 @@ def _suite_gauss_codazzi(params: BcvParams, rng) -> dict:
     return _entry("gauss-codazzi", samples, checks)
 
 
-def _bitension_norms(params: BcvParams, grids):
-    """|tangential bitension| at the points of (surface, u, v) grids, in
-    the order of :func:`_batch`, from one call over all of them."""
-    if not grids:
+def _hopf_bitension(params: BcvParams, prefix: str):
+    """|tangential bitension| at the interior grid points of the structural
+    surfaces whose names start with `prefix`, from one call over all of
+    them; no values if there is no such surface."""
+    surfaces = [s for s in _structural_surfaces(params) if s[0].name.startswith(prefix)]
+    if not surfaces:
         return np.zeros(0)
-    batch, u, v = _batch(grids)
-    return np.linalg.norm(bic.tangential_bitension(imm.Stages(batch, params, u, v)),
-                          axis=0)
+    return np.linalg.norm(bic.tangential_bitension(_stages(params, surfaces)), axis=0)
 
 
 def _suite_biconservative(params: BcvParams, rng) -> dict:
-    radii = _cylinder_radii(params)
-    # one bitension call over the grids of all the cylinders
-    grids = [(cyl, *_interior_grid(cyl, 3, 3))
-             for cyl in (rot.hopf_cylinder(params, r0) for r0 in radii)]
-    tb = _bitension_norms(params, grids)
-    # one call over the radii: the reduced pair does not depend on z
-    state = rot.ProfileState(0.0, np.array(radii), 0.0, math.pi / 2)
-    f = rot.reduced_mean_curvature(params, state, 0.0)
-    reduced = np.abs(rot.reduced_bicon_system(params, state, f, 0.0))
-    return _entry("biconservative", tb.size, [Check("cylinder bitension", tb, 1e-6),
-                                              Check("reduced pair", reduced, 1e-8)])
+    """The CMC half of the Hopf-tube statement (Theorem 4.4): a Hopf
+    cylinder has constant mean curvature, so it is biconservative, and its
+    tangential bitension vanishes at every grid point."""
+    tb = _hopf_bitension(params, "hopf-cylinder")
+    return _entry("biconservative", tb.size, [Check("cylinder bitension", tb, 1e-6)])
 
 
 def _suite_theorem44(params: BcvParams, rng) -> dict:
-    """CMC tube stays conservative, non-CMC tube visibly is not."""
-    radii = _cylinder_radii(params, radii=(1.0, 0.5))
-    grids = []
-    if radii:
-        cyl = rot.hopf_cylinder(params, radii[0])
-        grids.append((cyl, *_interior_grid(cyl, 4, 3)))
-    curve, dcurve = _scaled_ellipse(params)
-    tube_u = np.linspace(0.0, 2.0 * math.pi, 13)
-    grids.append((rot.hopf_tube(curve, dcurve), tube_u, 0.1))
-    # one bitension call over the circular tube's grid, then the ellipse tube's
-    tb = _bitension_norms(params, grids)
-    return _entry("theorem44", tb.size, [
-        Check("circular tube", tb[:-tube_u.size], 1e-6),
-        Check("ellipse tube max", tb[-tube_u.size:].max(), 1e-3, above=True)])
+    """The non-CMC half of the Hopf-tube statement (Theorem 4.4): the tube
+    over an ellipse has non-constant mean curvature, so it is not
+    biconservative, and its largest tangential bitension stays visibly
+    away from zero."""
+    tb = _hopf_bitension(params, "hopf-tube")
+    return _entry("theorem44", tb.size, [Check("ellipse tube max", tb.max(), 1e-3, above=True)])
 
 
 # sigma0 is drawn from [SIGMA_MARGIN, pi - SIGMA_MARGIN] with |cos(sigma0)| > MIN_COS

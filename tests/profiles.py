@@ -11,7 +11,7 @@ from bcvgeo._stencil import derivative
 from bcvgeo.ambient import BcvParams, christoffels, smoothing_factor
 from bcvgeo.errors import DomainError
 from bcvgeo.rotation import (BranchTrajectory, IntegrationConfig, ProfileState, _check_radius,
-                             integrate_noncmc_branch, spline_profile_columns)
+                             _parallel_term, integrate_noncmc_branch, spline_profile_columns)
 
 CURVE_STEP = 1e-5     # differences of a base curve, scaled by max(1, |u|)
 
@@ -46,6 +46,12 @@ def slant_profile(params: BcvParams, r0: float, sigma0: float):
         return ProfileState(s=s, r=r, z=z, sigma=sigma0)
 
     return profile
+
+
+def reduced_mean_curvature(params: BcvParams, state: ProfileState, sigma_prime):
+    """f = (1/r - kappa r / 4) sin(sigma) + sigma'."""
+    _check_radius(params, state.r)
+    return _parallel_term(params, state) + sigma_prime
 
 
 def spline_profile(traj: BranchTrajectory):

@@ -46,7 +46,6 @@ from bcvgeo.rotation import (
     hopf_tube,
     integrate_noncmc_branch,
     reduced_bicon_system,
-    reduced_mean_curvature,
     refine_sign_change,
     revolution_surface,
 )
@@ -54,7 +53,7 @@ from bcvgeo.suites import sample_domain_points
 
 from conftest import (PAIRS6, CYLINDER_PAIRS, adapted_components, frame_norm, frame_of,
                       make_rng, sphere_surface)
-from profiles import observed_order, slant_profile
+from profiles import observed_order, reduced_mean_curvature, slant_profile
 
 P_NIL = BcvParams(0.0, 0.5)
 

@@ -26,7 +26,6 @@ from bcvgeo.rotation import (
     hopf_tube,
     integrate_noncmc_branch,
     reduced_bicon_system,
-    reduced_mean_curvature,
     reduced_quantities,
     refine_sign_change,
     revolution_surface,
@@ -36,7 +35,7 @@ from bcvgeo.suites import run_suite
 
 from conftest import make_rng
 from profiles import (base_geodesic_curvature, fixed_point_radius, observed_order, orbit_metric,
-                      slant_profile, spline_profile)
+                      reduced_mean_curvature, slant_profile, spline_profile)
 from reference_kernel import COLUMNS, branch_kernel as reference_kernel
 
 P_NIL = BcvParams(0.0, 0.5)

@@ -166,19 +166,8 @@ class TestNanResidualFails:
         monkeypatch.setattr(immersion, "compatibility_residual", nan_scalar)
         assert "compat nan" in self.gauss_codazzi()
 
-    def test_biconservative_reduced_pair(self, monkeypatch):
-        system = rot.reduced_bicon_system
-
-        def nan_r2(*args):
-            r1, r2 = system(*args)
-            return r1, nan_like(r2)
-        monkeypatch.setattr(rot, "reduced_bicon_system", nan_r2)
-        result = run_suite("biconservative", P_NIL)
-        assert result["pass"] is False
-        assert "reduced pair nan" in result["note"]
-
     def test_theorem44_ellipse_tube(self, monkeypatch):
-        # the lower-bound check: the ellipse tube's points come last
+        # the lower-bound check on the largest |B| of the ellipse tube
         bitension = bic.tangential_bitension
 
         def nan_last_point(*args):
@@ -282,11 +271,21 @@ def test_a_lower_bound_holds_for_every_value():
 def test_suites_with_no_cylinder_skip_its_checks(kappa):
     # no cylinder radius of the suites lies in the domain
     params = BcvParams(kappa, 0.5)
-    assert _cylinder_radii(params, radii=(0.5, 1.0, 2.0)) == []
+    assert _cylinder_radii(params) == []
     report = run_report(params, ["biconservative", "theorem44"])
     bicon, t44 = report["suites"]
     assert bicon == {"name": "biconservative", "samples": 0, "max_residual": 0.0,
-                     "tolerance": 1.0, "pass": True,
-                     "note": "skipped: cylinder bitension; skipped: reduced pair"}
-    assert (t44["samples"], t44["max_residual"], t44["pass"]) == (13, 0.0, True)
-    assert t44["note"].startswith("skipped: circular tube; ellipse tube max ")
+                     "tolerance": 1.0, "pass": True, "note": "skipped: cylinder bitension"}
+    assert (t44["samples"], t44["max_residual"], t44["pass"]) == (18, 0.0, True)
+    assert t44["note"].startswith("ellipse tube max ")
+
+
+def test_surface_suites_read_the_structural_surfaces(monkeypatch):
+    # gauss-codazzi reads every surface of the list, biconservative its Hopf
+    # cylinders and theorem44 its Hopf tube, each on the list's grid
+    surfaces = [(rot.hopf_cylinder(P_NIL, 1.0), 3, 2), (rot.generic_revolution_surface(), 4, 3),
+                (rot.hopf_tube(*rot.ellipse_curve(1.2, 0.75)), 5, 2)]
+    monkeypatch.setattr("bcvgeo.suites._structural_surfaces", lambda params: surfaces)
+    report = run_report(P_NIL, ["gauss-codazzi", "biconservative", "theorem44"])
+    assert [(e["name"], e["samples"], e["pass"]) for e in report["suites"]] == [
+        ("gauss-codazzi", 28, True), ("biconservative", 6, True), ("theorem44", 10, True)]
