@@ -32,8 +32,8 @@ that reads it:
 1. `centres`: the centre jet, shape operator, Brioschi K and Christoffel
    symbols, from each centre's WIDE normal and NINE Brioschi stencils;
 2. `steps`: the jets at each centre and its +-e1, +-e2 steps (:func:`_steps`);
-3. `angles`: e1(a) and e2(a) at each point of `steps`, from +-e1, +-e2
-   around it;
+3. `angles`: e1(a) and e2(a) at each point of `steps`, from its +-e1,
+   +-e2 steps, 20 jets per centre;
 4. `lam_e1`, `lam_e2`: lam = A(e2, e2) at the +-e1 and at the +-e2 steps;
 5. `gradient`: the shape operator over each centre's CROSS stencil, for
    grad f in the tangential bitension, which reads no other stage;
@@ -457,7 +457,7 @@ class Stages:
         self.S, self.params, self.u, self.v = S, params, u, v
 
     def at(self, mask):
-        """These stages at the centres where `mask` holds."""
+        """These stages at the centres where `mask` holds, flattened to 1-D."""
         S = self.S.at(mask) if isinstance(self.S, SurfaceBatch) else self.S
         u, v = np.broadcast_arrays(np.asarray(self.u, dtype=float), np.asarray(self.v, dtype=float))
         sub = Stages(S, self.params, u[mask], v[mask])
@@ -491,8 +491,8 @@ class Stages:
         """(e1(a), e2(a)) at the points of `steps`, shape (2,) + their shape."""
         _, U, V, _, J = self.steps
         U, V, t = _steps(J, U, V, _adapted_frame(J, U, V, "alpha derivative"))
-        _, da = _central(np.arccos(surface_jets(self.S, self.params, U, V).cos_alpha), t)
-        return np.moveaxis(da, -1, 0)
+        a = np.arccos(surface_jets(self.S, self.params, U[..., 1:], V[..., 1:]).cos_alpha)
+        return np.moveaxis(derivative((a[..., :2], a[..., 2:]), (1, -1), 1, t), -1, 0)
 
     @cached_property
     def lam_e1(self):

@@ -11,14 +11,14 @@ bound) against 1.0 and lists every check in `note`.  A check with no
 values is skipped, and a NaN value fails its suite.  No suite root-finds:
 `theorem52` checks Theorem 5.2 row by row on its trajectories' columns.
 
-The three surface suites read one list of surfaces,
-:func:`_structural_surfaces`, each through one
-:class:`bcvgeo.immersion.Stages` over a batch of its interior grids:
-`gauss-codazzi` reads every surface of it.  The two halves of the
-Hopf-tube statement (Theorem 4.4: a Hopf tube is biconservative if and
-only if it has constant mean curvature) read the Hopf cylinders
-(`biconservative`, the CMC half) and the ellipse tube (`theorem44`, the
-non-CMC half).
+The three surface suites read one :class:`_SurfacePass` per report, which
+builds the interior grids of :func:`_structural_surfaces` once, as one
+:class:`bcvgeo.immersion.Stages` that `gauss-codazzi` reads whole.  The two
+halves of the Hopf-tube statement (Theorem 4.4: a Hopf tube is
+biconservative if and only if it has constant mean curvature) share one
+tangential bitension call over its Hopf rows: `biconservative` (the CMC
+half) takes the norms on the cylinder rows, `theorem44` (the non-CMC half)
+on the ellipse tube's.
 
 The registry order is fixed, and every suite derives its own RNG stream
 from (seed, suite index), so reports are reproducible for given flags.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -200,35 +201,53 @@ def _interior_grid(surface, nu, nv):
                          for (a, b), n in zip(surface.domain, (nu, nv))), indexing="ij")
 
 
-def _stages(params: BcvParams, surfaces) -> imm.Stages:
-    """One :class:`bcvgeo.immersion.Stages` over the interior grids of
-    (surface, nu, nv) entries, whose surfaces are one
-    :class:`bcvgeo.immersion.SurfaceBatch`: the centres are each grid's
-    points in C order, one grid after another."""
-    grids = [(S, *_interior_grid(S, nu, nv)) for S, nu, nv in surfaces]
-    batch = imm.SurfaceBatch([(S, U.size) for S, U, _ in grids])
-    return imm.Stages(batch, params, np.concatenate([U.ravel() for _, U, _ in grids]),
-                      np.concatenate([V.ravel() for _, _, V in grids]))
+# the Hopf-tube suites and the name prefix of the structural surfaces each reads
+_HOPF_SUITES = {"biconservative": "hopf-cylinder", "theorem44": "hopf-tube"}
 
 
-def _structural_checks(params: BcvParams):
-    """The check of each structural family over the interior grids of the
-    structural surfaces, and the number of grid points.
+class _SurfacePass:
+    """The surface work of one report on the suites `names`, each part
+    made on first read and kept for that report alone."""
 
-    All grids are one :class:`bcvgeo.immersion.SurfaceBatch`, so one
-    :class:`bcvgeo.immersion.Stages` serves every surface and every
-    residual: its `centres`, one jet call over every point's normal and
-    Brioschi stencils, give the jet, Gauss and the centre shape operator
-    and Christoffel symbols of Codazzi and the derivative law of T; its
-    `steps`, one jet call over the +-e1, +-e2 steps, serve Codazzi and the
-    law of T along e1 and e2.  Codazzi and the law of T are evaluated only
-    where the adapted frame is well conditioned, sin(alpha) > 0.1, which
-    also keeps |cot(alpha)| below 9.95, so the later stages of a skipped
-    point are never evaluated; where no point is kept, those two checks
-    have no values.
-    """
-    stages = _stages(params, _structural_surfaces(params))
-    J = stages.centres.jet
+    def __init__(self, params: BcvParams, names):
+        self.params, self.names = params, names
+
+    @cached_property
+    def stages(self):
+        """One `Stages` over the interior grids of :func:`_structural_surfaces`
+        as one :class:`bcvgeo.immersion.SurfaceBatch`: the centres are each
+        grid's points in C order, one grid after another."""
+        grids = [(S, *_interior_grid(S, nu, nv)) for S, nu, nv in _structural_surfaces(self.params)]
+        batch = imm.SurfaceBatch([(S, U.size) for S, U, _ in grids])
+        return imm.Stages(batch, self.params, np.concatenate([U.ravel() for _, U, _ in grids]),
+                          np.concatenate([V.ravel() for _, _, V in grids]))
+
+    @cached_property
+    def bitension(self):
+        """{suite: |B| on the rows of `stages` it reads} for the Hopf-tube
+        suites in `names`, from one call over all those rows."""
+        st = self.stages
+        rows = {n: np.concatenate([np.full(k, S.name.startswith(p)) for S, k in st.S.members])
+                for n, p in _HOPF_SUITES.items() if n in self.names}
+        hopf = np.any([*rows.values()], axis=0)
+        # not st.at(hopf), which would copy or evaluate the `centres` that B never reads
+        sub = imm.Stages(st.S.at(hopf), self.params, st.u[hopf], st.v[hopf])
+        tb = np.linalg.norm(bic.tangential_bitension(sub), axis=0)
+        return {n: tb[r[hopf]] for n, r in rows.items()}
+
+
+def _structural_checks(stages: imm.Stages):
+    """The check of each structural family at the centres of `stages`, the
+    report's grids (:class:`_SurfacePass`) as one surface batch.
+
+    Its `centres`, one jet call over every point's normal and Brioschi
+    stencils, give the jet, Gauss and the centre terms of Codazzi and the
+    law of T; its `steps` give their steps along e1 and e2.  Codazzi and
+    the law of T are evaluated only where sin(alpha) > 0.1, which keeps
+    |cot(alpha)| below 9.95, so the later stages of a skipped point are
+    never evaluated; where no point is kept, those two checks have no
+    values."""
+    J, params = stages.centres.jet, stages.params
     # |T|^2 = sin^2(alpha) and E3 = T + cos(alpha) N, in coordinate components
     T = np.array(ambient.coordinate_components(params, J.x, J.y, J.T))
     N = np.array(ambient.coordinate_components(params, J.x, J.y, J.n))
@@ -243,38 +262,27 @@ def _structural_checks(params: BcvParams):
         vec, sc = imm.compatibility_residual(sub)   # along e1 and e2
         compat = (np.sqrt(ambient.frame_dot(vec, vec)), np.abs(sc))
     return [Check("jet", jet, 1e-9), Check("gauss", np.abs(imm.gauss_residual(stages)), 1e-4),
-            Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)], stages.u.size
+            Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)]
 
 
-def _suite_gauss_codazzi(params: BcvParams, rng) -> dict:
-    checks, samples = _structural_checks(params)
-    return _entry("gauss-codazzi", samples, checks)
+def _suite_gauss_codazzi(surfaces: _SurfacePass, rng) -> dict:
+    return _entry("gauss-codazzi", surfaces.stages.u.size, _structural_checks(surfaces.stages))
 
 
-def _hopf_bitension(params: BcvParams, prefix: str):
-    """|tangential bitension| at the interior grid points of the structural
-    surfaces whose names start with `prefix`, from one call over all of
-    them; no values if there is no such surface."""
-    surfaces = [s for s in _structural_surfaces(params) if s[0].name.startswith(prefix)]
-    if not surfaces:
-        return np.zeros(0)
-    return np.linalg.norm(bic.tangential_bitension(_stages(params, surfaces)), axis=0)
-
-
-def _suite_biconservative(params: BcvParams, rng) -> dict:
+def _suite_biconservative(surfaces: _SurfacePass, rng) -> dict:
     """The CMC half of the Hopf-tube statement (Theorem 4.4): a Hopf
     cylinder has constant mean curvature, so it is biconservative, and its
     tangential bitension vanishes at every grid point."""
-    tb = _hopf_bitension(params, "hopf-cylinder")
+    tb = surfaces.bitension["biconservative"]
     return _entry("biconservative", tb.size, [Check("cylinder bitension", tb, 1e-6)])
 
 
-def _suite_theorem44(params: BcvParams, rng) -> dict:
+def _suite_theorem44(surfaces: _SurfacePass, rng) -> dict:
     """The non-CMC half of the Hopf-tube statement (Theorem 4.4): the tube
     over an ellipse has non-constant mean curvature, so it is not
     biconservative, and its largest tangential bitension stays visibly
     away from zero."""
-    tb = _hopf_bitension(params, "hopf-tube")
+    tb = surfaces.bitension["theorem44"]
     return _entry("theorem44", tb.size, [Check("ellipse tube max", tb.max(), 1e-3, above=True)])
 
 
@@ -343,6 +351,8 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
         Check("flips", flips, 1), Check("|R1|/gap", ratio, floor, above=True)])
 
 
+# the suites called as fn(surfaces, rng), with their report's _SurfacePass; the rest fn(params, rng)
+_SURFACE_SUITES = ("gauss-codazzi", *_HOPF_SUITES)
 _REGISTRY = (
     ("frame", _suite_frame),
     ("ricci", _suite_ricci),
@@ -356,23 +366,31 @@ _REGISTRY = (
 SUITE_NAMES = tuple(name for name, _ in _REGISTRY)
 
 
-def run_suite(name: str, params: BcvParams, seed: int = 42) -> dict:
+def run_suite(name: str, params: BcvParams, seed: int = 42, _surfaces=None) -> dict:
+    """The entry of one suite.  `_surfaces` is internal: :func:`run_report`
+    passes its :class:`_SurfacePass`, made at `params` for suites that
+    include `name`; a lone call makes its own."""
     for idx, (nm, fn) in enumerate(_REGISTRY):
         if nm == name:
-            rng = np.random.default_rng([seed, idx])
-            return fn(params, rng)
+            surfaces = _surfaces or _SurfacePass(params, [name])
+            if surfaces.params != params or name not in surfaces.names:
+                raise ValueError(f"the surface pass of {surfaces.params} on "
+                                 f"{list(surfaces.names)} cannot run {name!r} at {params}")
+            arg = surfaces if name in _SURFACE_SUITES else params
+            return fn(arg, np.random.default_rng([seed, idx]))
     raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
 
 
 def run_report(params: BcvParams, names=None, seed: int = 42) -> dict:
-    """Run the selected suites in registry order and assemble the report
-    dictionary; reports are deterministic for given flags and seed."""
+    """Run the selected suites in registry order, on one :class:`_SurfacePass`,
+    and assemble the report dictionary; reports are deterministic for given flags and seed."""
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise KeyError(f"unknown suite {unknown[0]!r}; known: {', '.join(SUITE_NAMES)}")
-    results = [run_suite(n, params, seed) for n in SUITE_NAMES if n in set(names)]
+    surfaces = _SurfacePass(params, names)
+    results = [run_suite(n, params, seed, surfaces) for n in SUITE_NAMES if n in set(names)]
     return {
         "kappa": params.kappa,
         "tau": params.tau,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from bcvgeo.ambient import (BcvParams, coordinate_components, frame_components, frame_cross,
                             frame_dot, smoothing_factor)
-from bcvgeo import immersion
+from bcvgeo import biconservative as bic, immersion, suites
 from bcvgeo._stencil import CROSS, NINE, Stencil
 from bcvgeo.biconservative import frame_system_residual, normal_bitension, tangential_bitension
 from bcvgeo.errors import DegenerateSurfaceError, DomainError
@@ -35,8 +36,8 @@ from bcvgeo.rotation import (
     hopf_tube,
     revolution_surface,
 )
-from bcvgeo.suites import (_cylinder_radii, _interior_grid, _scaled_ellipse, _stages,
-                           _structural_checks, _structural_surfaces, run_report, run_suite)
+from bcvgeo.suites import (_cylinder_radii, _interior_grid, _scaled_ellipse, _structural_checks,
+                           _structural_surfaces, run_report, run_suite)
 
 from conftest import PAIRS6, flat_plane, frame_norm, kinked_plane, sphere_surface
 from profiles import slant_profile
@@ -410,8 +411,8 @@ class TestResidualArrays:
 def structural_maxima(params):
     """The worst value of each check of _structural_checks, None for a
     check with no values, and the number of grid points."""
-    checks, samples = _structural_checks(params)
-    return {c.label: c.worst for c in checks}, samples
+    stages = suites._SurfacePass(params, ["gauss-codazzi"]).stages
+    return {c.label: c.worst for c in _structural_checks(stages)}, stages.u.size
 
 
 # Worst jet, gauss, codazzi and compatibility residuals of the gauss-codazzi
@@ -577,14 +578,14 @@ def count_jets(monkeypatch):
 
 def test_gauss_codazzi_jet_count(monkeypatch):
     """One gauss-codazzi run at (0, 0.5) makes 4 surface_jets calls over
-    4,810 points: 74 grid points on 5 grids in one surface batch, with
+    4,440 points: 74 grid points on 5 grids in one surface batch, with
     stage 1 (17 points per grid point), stage 2 (5), the angle around stage
-    2 (25) and the shape operator at the +-e1 steps (18).  With one
+    2 (20) and the shape operator at the +-e1 steps (18).  With one
     pipeline per grid the same run made 20 calls, and with no stages shared
     between the residuals 45 calls over 6,586 points."""
     sizes = count_jets(monkeypatch)
     assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5))["pass"]
-    assert (len(sizes), sum(sizes)) == (4, 4810)
+    assert (len(sizes), sum(sizes)) == (4, 4440)
 
 
 @pytest.mark.parametrize("params", PAIRS6, ids=str)
@@ -595,6 +596,29 @@ def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
     sizes = count_jets(monkeypatch)
     result = run_suite(suite, params)
     assert sizes == [45 * result["samples"]]
+
+
+@pytest.mark.parametrize("params", PAIRS6 + [BcvParams(-14.0, 0.5), BcvParams(-16.0, 0.5)],
+                         ids=str)
+def test_report_makes_one_bitension_jet_call(monkeypatch, params):
+    # both halves of the Hopf-tube statement read one tangential_bitension
+    # call over the cylinders (one at kappa = -14, none at -16) and the
+    # ellipse tube, and each reports what it reports alone
+    alone = {n: run_report(params, [n])["suites"][0] for n in ("biconservative", "theorem44")}
+    sizes, under_bitension = count_jets(monkeypatch), []
+    bitension = bic.tangential_bitension
+
+    def counted(stages):
+        start = len(sizes)
+        out = bitension(stages)
+        under_bitension.extend(sizes[start:])
+        return out
+
+    monkeypatch.setattr(bic, "tangential_bitension", counted)
+    report = {e["name"]: e for e in run_report(params)["suites"]}
+    assert under_bitension == [45 * sum(e["samples"] for e in alone.values())]
+    for name, entry in alone.items():
+        assert json.dumps(report[name]) == json.dumps(entry)
 
 
 class TestSharedStages:
@@ -666,8 +690,9 @@ class TestSurfaceBatch:
 
     @pytest.mark.parametrize("params,grids,kept", CASES,
                              ids=[f"{P}-{len(grids)}-members" for P, grids, _ in CASES])
-    def test_batch_equals_member_calls(self, params, grids, kept):
-        stages = _stages(params, grids)
+    def test_batch_equals_member_calls(self, monkeypatch, params, grids, kept):
+        monkeypatch.setattr(suites, "_structural_surfaces", lambda params: grids)
+        stages = suites._SurfacePass(params, ()).stages
         batch = stages.S
         ok = suite_mask(stages.centres.jet)
         sub = stages.at(ok)

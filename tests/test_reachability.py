@@ -64,7 +64,8 @@ UNPASSED = {
 
 # the parameters that their function never reads, with the contract
 UNREAD = {
-    # the suite registry calls every suite as fn(params, rng)
+    # the suite registry calls every suite as fn(params, rng), or the three
+    # surface suites as fn(their report's _SurfacePass, rng)
     "suites._suite_gauss_codazzi(rng)",
     "suites._suite_biconservative(rng)",
     "suites._suite_theorem44(rng)",

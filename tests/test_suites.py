@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bcvgeo import ambient, cli, immersion
+from bcvgeo import ambient, cli, immersion, suites
 from bcvgeo import biconservative as bic
 from bcvgeo import rotation as rot
 from bcvgeo.ambient import BcvParams
@@ -276,6 +276,7 @@ def test_suites_with_no_cylinder_skip_its_checks(kappa):
     bicon, t44 = report["suites"]
     assert bicon == {"name": "biconservative", "samples": 0, "max_residual": 0.0,
                      "tolerance": 1.0, "pass": True, "note": "skipped: cylinder bitension"}
+    assert run_suite("biconservative", params) == bicon
     assert (t44["samples"], t44["max_residual"], t44["pass"]) == (18, 0.0, True)
     assert t44["note"].startswith("ellipse tube max ")
 
@@ -289,3 +290,13 @@ def test_surface_suites_read_the_structural_surfaces(monkeypatch):
     report = run_report(P_NIL, ["gauss-codazzi", "biconservative", "theorem44"])
     assert [(e["name"], e["samples"], e["pass"]) for e in report["suites"]] == [
         ("gauss-codazzi", 28, True), ("biconservative", 6, True), ("theorem44", 10, True)]
+
+
+@pytest.mark.parametrize("params,names", [(BcvParams(1.0, 1.0), ["theorem44"]),
+                                          (P_NIL, ["gauss-codazzi"])], ids=str)
+def test_a_report_pass_runs_only_its_own_params_and_suites(params, names):
+    # a surface pass made for another pair, or for suites that leave this
+    # one out, is refused, not read at its own pair or failing on a lookup
+    surfaces = suites._SurfacePass(params, names)
+    with pytest.raises(ValueError, match="cannot run 'theorem44'"):
+        run_suite("theorem44", P_NIL, 42, surfaces)
