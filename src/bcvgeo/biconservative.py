@@ -113,15 +113,15 @@ def frame_system_residual(stages: Stages):
     :func:`tangential_bitension`; the two agree component-by-component
     (factor one), which the test suite pins down.
     """
-    c, t = stages.centres, stages.steps[3]
+    sh, t = stages.centres.shape, stages.steps[3]
     (e1a, e2a), dea = _central(stages.angles, t)
-    lam = c.shape.A[1][1]
+    lam = sh.A[1][1]
     f = lam + e1a
     e1f = derivative(stages.lam_e1, (1, -1), 1, t[..., 0]) + dea[0][..., 0]
     e2f = derivative(stages.lam_e2, (1, -1), 1, t[..., 1]) + dea[0][..., 1]
     k, tau = stages.params.kappa, stages.params.tau
     r1 = (e1f * (lam + 3.0 * e1a) + 2.0 * e2f * (e2a - tau)
-          - 2.0 * (4.0 * tau * tau - k) * f * c.jet.cos_alpha * c.jet.sin_alpha)
+          - 2.0 * (4.0 * tau * tau - k) * f * sh.jet.cos_alpha * sh.jet.sin_alpha)
     r2 = 2.0 * e1f * (e2a - tau) + (3.0 * lam + e1a) * e2f
     return r1, r2
 

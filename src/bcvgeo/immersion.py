@@ -409,18 +409,18 @@ def _laplacian(st, mst, J, f):
     return -div
 
 
-def _brioschi(st, J):
+def _brioschi(st, E, F, G):
     """Intrinsic Gauss curvature from the first fundamental form alone, at
-    the centres of the NINE stencil st from the jets J over it.
+    the centres of the NINE stencil st from E, F and G over it.
 
     Second central differences of (E, F, G) feed the Brioschi determinant
     formula, giving a route to K that never sees the normal or the shape
     operator.
     """
-    E0, F0, G0 = J.E[..., 0], J.F[..., 0], J.G[..., 0]
-    Eu, Ev, Evv = st.d(J.E, 1, 0), st.d(J.E, 0, 1), st.d(J.E, 0, 2)
-    Gu, Gv, Guu = st.d(J.G, 1, 0), st.d(J.G, 0, 1), st.d(J.G, 2, 0)
-    Fu, Fv, Fuv = st.d(J.F, 1, 0), st.d(J.F, 0, 1), st.d(J.F, 1, 1)
+    E0, F0, G0 = E[..., 0], F[..., 0], G[..., 0]
+    Eu, Ev, Evv = st.d(E, 1, 0), st.d(E, 0, 1), st.d(E, 0, 2)
+    Gu, Gv, Guu = st.d(G, 1, 0), st.d(G, 0, 1), st.d(G, 2, 0)
+    Fu, Fv, Fuv = st.d(F, 1, 0), st.d(F, 0, 1), st.d(F, 1, 1)
 
     M1 = np.array([
         [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
@@ -437,7 +437,7 @@ def _brioschi(st, J):
     return (det1 - det2) / den
 
 
-Centres = namedtuple("Centres", "jet shape K gamma")
+Centres = namedtuple("Centres", "shape K gamma")
 
 
 class Stages:
@@ -466,24 +466,25 @@ class Stages:
 
     @cached_property
     def centres(self):
-        """(jet, shape, K, gamma) at the centres: one jet call over the WIDE
-        and NINE stencils of each centre, 17 points."""
+        """(shape, K, gamma) at the centres, the centre jet as shape.jet: one
+        jet call over the WIDE and NINE stencils of each centre, 17 points."""
         wide, nine = (Stencil(WIDE, NORMAL_STEP, self.u, self.v),
                       Stencil(NINE, SECOND_STEP, self.u, self.v))
         J = surface_jets(self.S, self.params, np.concatenate([wide.U, nine.U[..., 1:]], axis=-1),
                          np.concatenate([wide.V, nine.V[..., 1:]], axis=-1))
         w = len(WIDE)
         shape, gamma = _shape(self.params, wide, _at(J, slice(0, w)))
-        K = _brioschi(nine, _at(J, [0, *range(w, w + len(NINE) - 1)]))
-        return Centres(shape.jet, shape, K, gamma)
+        rows = [0, *range(w, w + len(NINE) - 1)]
+        K = _brioschi(nine, J.E[..., rows], J.F[..., rows], J.G[..., rows])
+        return Centres(shape, K, gamma)
 
     @cached_property
     def steps(self):
         """(frame, U, V, t, J): the adapted frame at the centres, the points
         (U, V) of each centre, its +e1, +e2 and its -e1, -e2 steps on a
         last axis of length 5, the steps t and the jets there."""
-        frame = _adapted_frame(self.centres.jet, self.u, self.v, "stepping along e1, e2")
-        U, V, t = _steps(self.centres.jet, self.u, self.v, frame)
+        frame = _adapted_frame(self.centres.shape.jet, self.u, self.v, "stepping along e1, e2")
+        U, V, t = _steps(self.centres.shape.jet, self.u, self.v, frame)
         return frame, U, V, t, surface_jets(self.S, self.params, U, V)
 
     @cached_property
@@ -534,10 +535,10 @@ def gauss_residual(stages: Stages):
     residual vanishes on genuine immersed surfaces, making this a two-sided
     check of both curvature routes, read from the `centres` stage.
     """
-    c = stages.centres
-    (a00, a01), (a10, a11) = c.shape.A
+    K, sh = stages.centres.K, stages.centres.shape
+    (a00, a01), (a10, a11) = sh.A
     k, t = stages.params.kappa, stages.params.tau
-    return c.K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2
+    return K - (a00 * a11 - a01 * a10) - t * t - (k - 4.0 * t * t) * sh.jet.cos_alpha ** 2
 
 
 def _adapted_frame(jet: JetArrays, u, v, what: str):
@@ -577,18 +578,18 @@ def codazzi_residual(stages: Stages):
     whole jet/shape pipeline at once.  They read the stages `centres`,
     `steps`, `angles` and `lam_e1`.
     """
-    c, t = stages.centres, stages.steps[3]
+    sh, t = stages.centres.shape, stages.steps[3]
     # dea[i][..., j] = e_j(e_i(a))
     (e1a, e2a), dea = _central(stages.angles, t)
-    lam = c.shape.A[1][1]
+    lam = sh.A[1][1]
     e1_lam = derivative(stages.lam_e1, (1, -1), 1, t[..., 0])
     e1_e2a, e2_e1a, e2_e2a = dea[1][..., 0], dea[0][..., 1], dea[1][..., 1]
 
     k, tau = stages.params.kappa, stages.params.tau
-    cot = c.jet.cos_alpha / c.jet.sin_alpha
+    cot = sh.jet.cos_alpha / sh.jet.sin_alpha
     r1 = e1_e2a + lam * cot * e2a + cot * e1a * (e2a - 2.0 * tau) - e2_e1a
     r2 = (cot * (2.0 * e2a * e2a - lam * e1a - 6.0 * tau * e2a + 4.0 * tau * tau + lam * lam)
-          + e1_lam - e2_e2a - (4.0 * tau * tau - k) * c.jet.cos_alpha * c.jet.sin_alpha)
+          + e1_lam - e2_e2a - (4.0 * tau * tau - k) * sh.jet.cos_alpha * sh.jet.sin_alpha)
     return r1, r2
 
 
@@ -606,8 +607,8 @@ def compatibility_residual(stages: Stages):
     frame, _, _, t, J = stages.steps
     vals, d = _central(np.array(coordinate_components(params, J.x, J.y, J.T) + (J.cos_alpha,)), t)
     # the centre values, with a last axis to broadcast against (e1, e2)
-    jet, shape, gamma, vals = _at((stages.centres.jet, stages.centres.shape,
-                                   stages.centres.gamma, vals), None)
+    shape, gamma, vals = _at((stages.centres.shape, stages.centres.gamma, vals), None)
+    jet = shape.jet
     X = np.array(coordinate_components(params, jet.x, jet.y, frame))
     nabla_T = _tangential_covariant(params, jet, gamma, X, vals[:3], d[:3])
     rhs = shape.apply(frame) - params.tau * np.array(frame_cross(jet.n, frame))

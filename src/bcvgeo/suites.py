@@ -11,14 +11,14 @@ bound) against 1.0 and lists every check in `note`.  A check with no
 values is skipped, and a NaN value fails its suite.  No suite root-finds:
 `theorem52` checks Theorem 5.2 row by row on its trajectories' columns.
 
-The three surface suites read one :class:`_SurfacePass` per report, which
-builds the interior grids of :func:`_structural_surfaces` once, as one
-:class:`bcvgeo.immersion.Stages` that `gauss-codazzi` reads whole.  The two
-halves of the Hopf-tube statement (Theorem 4.4: a Hopf tube is
-biconservative if and only if it has constant mean curvature) share one
-tangential bitension call over its Hopf rows: `biconservative` (the CMC
-half) takes the norms on the cylinder rows, `theorem44` (the non-CMC half)
-on the ellipse tube's.
+The three surface suites take their checks from one function,
+:func:`_surface_checks`, which builds the interior grids of
+:func:`_structural_surfaces` once, as one
+:class:`bcvgeo.immersion.Stages` that `gauss-codazzi` reads whole, and
+makes one tangential bitension call over its Hopf rows for the two halves
+of the Hopf-tube statement (Theorem 4.4): `biconservative` on the
+cylinders, `theorem44` on the ellipse tube.  A report computes them once;
+a lone surface suite computes all three and reports its own.
 
 The registry order is fixed, and every suite derives its own RNG stream
 from (seed, suite index), so reports are reproducible for given flags.
@@ -26,9 +26,9 @@ from (seed, suite index), so reports are reproducible for given flags.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
-from functools import cached_property
 
 import numpy as np
 
@@ -201,44 +201,19 @@ def _interior_grid(surface, nu, nv):
                          for (a, b), n in zip(surface.domain, (nu, nv))), indexing="ij")
 
 
-# the Hopf-tube suites and the name prefix of the structural surfaces each reads
-_HOPF_SUITES = {"biconservative": "hopf-cylinder", "theorem44": "hopf-tube"}
-
-
-class _SurfacePass:
-    """The surface work of one report on the suites `names`, each part
-    made on first read and kept for that report alone."""
-
-    def __init__(self, params: BcvParams, names):
-        self.params, self.names = params, names
-
-    @cached_property
-    def stages(self):
-        """One `Stages` over the interior grids of :func:`_structural_surfaces`
-        as one :class:`bcvgeo.immersion.SurfaceBatch`: the centres are each
-        grid's points in C order, one grid after another."""
-        grids = [(S, *_interior_grid(S, nu, nv)) for S, nu, nv in _structural_surfaces(self.params)]
-        batch = imm.SurfaceBatch([(S, U.size) for S, U, _ in grids])
-        return imm.Stages(batch, self.params, np.concatenate([U.ravel() for _, U, _ in grids]),
-                          np.concatenate([V.ravel() for _, _, V in grids]))
-
-    @cached_property
-    def bitension(self):
-        """{suite: |B| on the rows of `stages` it reads} for the Hopf-tube
-        suites in `names`, from one call over all those rows."""
-        st = self.stages
-        rows = {n: np.concatenate([np.full(k, S.name.startswith(p)) for S, k in st.S.members])
-                for n, p in _HOPF_SUITES.items() if n in self.names}
-        hopf = np.any([*rows.values()], axis=0)
-        # not st.at(hopf), which would copy or evaluate the `centres` that B never reads
-        sub = imm.Stages(st.S.at(hopf), self.params, st.u[hopf], st.v[hopf])
-        tb = np.linalg.norm(bic.tangential_bitension(sub), axis=0)
-        return {n: tb[r[hopf]] for n, r in rows.items()}
+def _structural_stages(params: BcvParams) -> imm.Stages:
+    """One `Stages` over the interior grids of :func:`_structural_surfaces`
+    as one :class:`bcvgeo.immersion.SurfaceBatch`: the centres are each
+    grid's points in C order, one grid after another."""
+    grids = [(S, *_interior_grid(S, nu, nv)) for S, nu, nv in _structural_surfaces(params)]
+    batch = imm.SurfaceBatch([(S, U.size) for S, U, _ in grids])
+    return imm.Stages(batch, params, np.concatenate([U.ravel() for _, U, _ in grids]),
+                      np.concatenate([V.ravel() for _, _, V in grids]))
 
 
 def _structural_checks(stages: imm.Stages):
     """The check of each structural family at the centres of `stages`, the
-    report's grids (:class:`_SurfacePass`) as one surface batch.
+    structural grids as one surface batch (:func:`_structural_stages`).
 
     Its `centres`, one jet call over every point's normal and Brioschi
     stencils, give the jet, Gauss and the centre terms of Codazzi and the
@@ -247,7 +222,7 @@ def _structural_checks(stages: imm.Stages):
     |cot(alpha)| below 9.95, so the later stages of a skipped point are
     never evaluated; where no point is kept, those two checks have no
     values."""
-    J, params = stages.centres.jet, stages.params
+    J, params = stages.centres.shape.jet, stages.params
     # |T|^2 = sin^2(alpha) and E3 = T + cos(alpha) N, in coordinate components
     T = np.array(ambient.coordinate_components(params, J.x, J.y, J.T))
     N = np.array(ambient.coordinate_components(params, J.x, J.y, J.n))
@@ -265,25 +240,30 @@ def _structural_checks(stages: imm.Stages):
             Check("codazzi", codazzi, 1e-3), Check("compat", compat, 1e-4)]
 
 
-def _suite_gauss_codazzi(surfaces: _SurfacePass, rng) -> dict:
-    return _entry("gauss-codazzi", surfaces.stages.u.size, _structural_checks(surfaces.stages))
-
-
-def _suite_biconservative(surfaces: _SurfacePass, rng) -> dict:
-    """The CMC half of the Hopf-tube statement (Theorem 4.4): a Hopf
-    cylinder has constant mean curvature, so it is biconservative, and its
-    tangential bitension vanishes at every grid point."""
-    tb = surfaces.bitension["biconservative"]
-    return _entry("biconservative", tb.size, [Check("cylinder bitension", tb, 1e-6)])
-
-
-def _suite_theorem44(surfaces: _SurfacePass, rng) -> dict:
-    """The non-CMC half of the Hopf-tube statement (Theorem 4.4): the tube
+def _surface_checks(params: BcvParams) -> dict:
+    """{suite: (samples, checks)} of the three surface suites at `params`,
+    from one :func:`_structural_stages`.  `gauss-codazzi` reads every
+    centre (:func:`_structural_checks`).  The
+    two halves of the Hopf-tube statement (Theorem 4.4: a Hopf tube is
+    biconservative if and only if it has constant mean curvature) read one
+    tangential bitension call over the rows of the surfaces named
+    `hopf-*`.  `biconservative`, the CMC half: a Hopf cylinder has constant
+    mean curvature, so it is biconservative, and its tangential bitension
+    vanishes at every grid point.  `theorem44`, the non-CMC half: the tube
     over an ellipse has non-constant mean curvature, so it is not
     biconservative, and its largest tangential bitension stays visibly
     away from zero."""
-    tb = surfaces.bitension["theorem44"]
-    return _entry("theorem44", tb.size, [Check("ellipse tube max", tb.max(), 1e-3, above=True)])
+    st = _structural_stages(params)
+    checks = _structural_checks(st)
+    name = np.concatenate([np.full(k, S.name) for S, k in st.S.members])
+    hopf = np.char.startswith(name, "hopf-")
+    # not st.at(hopf), which would copy the `centres` that B never reads
+    B = bic.tangential_bitension(imm.Stages(st.S.at(hopf), params, st.u[hopf], st.v[hopf]))
+    tb = np.linalg.norm(B, axis=0)
+    cylinder, tube = (tb[np.char.startswith(name[hopf], p)] for p in ("hopf-cylinder", "hopf-tube"))
+    return {"gauss-codazzi": (st.u.size, checks),
+            "biconservative": (cylinder.size, [Check("cylinder bitension", cylinder, 1e-6)]),
+            "theorem44": (tube.size, [Check("ellipse tube max", tube.max(), 1e-3, above=True)])}
 
 
 # sigma0 is drawn from [SIGMA_MARGIN, pi - SIGMA_MARGIN] with |cos(sigma0)| > MIN_COS
@@ -351,15 +331,14 @@ def _suite_theorem52(params: BcvParams, rng) -> dict:
         Check("flips", flips, 1), Check("|R1|/gap", ratio, floor, above=True)])
 
 
-# the suites called as fn(surfaces, rng), with their report's _SurfacePass; the rest fn(params, rng)
-_SURFACE_SUITES = ("gauss-codazzi", *_HOPF_SUITES)
+# a suite with no function takes its entry from _surface_checks; the rest are fn(params, rng)
 _REGISTRY = (
     ("frame", _suite_frame),
     ("ricci", _suite_ricci),
     ("submersion", _suite_submersion),
-    ("gauss-codazzi", _suite_gauss_codazzi),
-    ("biconservative", _suite_biconservative),
-    ("theorem44", _suite_theorem44),
+    ("gauss-codazzi", None),
+    ("biconservative", None),
+    ("theorem44", None),
     ("theorem52", _suite_theorem52),
 )
 
@@ -368,28 +347,26 @@ SUITE_NAMES = tuple(name for name, _ in _REGISTRY)
 
 def run_suite(name: str, params: BcvParams, seed: int = 42, _surfaces=None) -> dict:
     """The entry of one suite.  `_surfaces` is internal: :func:`run_report`
-    passes its :class:`_SurfacePass`, made at `params` for suites that
-    include `name`; a lone call makes its own."""
+    passes its cache of :func:`_surface_checks`; a lone call computes them."""
     for idx, (nm, fn) in enumerate(_REGISTRY):
         if nm == name:
-            surfaces = _surfaces or _SurfacePass(params, [name])
-            if surfaces.params != params or name not in surfaces.names:
-                raise ValueError(f"the surface pass of {surfaces.params} on "
-                                 f"{list(surfaces.names)} cannot run {name!r} at {params}")
-            arg = surfaces if name in _SURFACE_SUITES else params
-            return fn(arg, np.random.default_rng([seed, idx]))
+            if fn is None:
+                return _entry(name, *(_surfaces or _surface_checks)(params)[name])
+            return fn(params, np.random.default_rng([seed, idx]))
     raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
 
 
 def run_report(params: BcvParams, names=None, seed: int = 42) -> dict:
-    """Run the selected suites in registry order, on one :class:`_SurfacePass`,
-    and assemble the report dictionary; reports are deterministic for given flags and seed."""
+    """Run the selected suites in registry order and assemble the report
+    dictionary; reports are deterministic for given flags and seed.  The
+    surface suites share one :func:`_surface_checks` call, cached for this
+    report alone."""
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in SUITE_NAMES]
     if unknown:
         raise KeyError(f"unknown suite {unknown[0]!r}; known: {', '.join(SUITE_NAMES)}")
-    surfaces = _SurfacePass(params, names)
+    surfaces = functools.cache(_surface_checks)
     results = [run_suite(n, params, seed, surfaces) for n in SUITE_NAMES if n in set(names)]
     return {
         "kappa": params.kappa,

@@ -70,6 +70,7 @@ def surface_connection_residual(stages: Stages):
     lives with its tests.
     """
     params, c = stages.params, stages.centres
+    jet = c.shape.jet
     frame, U, V, t, J = stages.steps
     e = np.moveaxis(immersion._adapted_frame(J, U, V, "surface connection check"), -1, 1)
     # de[:, j, ..., i] = d_{e_i} e_j
@@ -77,7 +78,7 @@ def surface_connection_residual(stages: Stages):
     e2a = stages.angles[1][..., 0]
     lam = c.shape.A[1][1]
     tau = params.tau
-    cot = c.jet.cos_alpha / c.jet.sin_alpha
+    cot = jet.cos_alpha / jet.sin_alpha
     e1, e2 = frame[..., 0], frame[..., 1]
     closed = {
         (0, 0): cot * (e2a - 2.0 * tau) * e2,
@@ -87,8 +88,8 @@ def surface_connection_residual(stages: Stages):
     }
     worst = 0.0
     for (i, j), expect in closed.items():
-        X = np.array(coordinate_components(params, c.jet.x, c.jet.y, frame[..., i]))
-        got = immersion._tangential_covariant(params, c.jet, c.gamma, X, e0[:, j], de[:, j, ..., i])
+        X = np.array(coordinate_components(params, jet.x, jet.y, frame[..., i]))
+        got = immersion._tangential_covariant(params, jet, c.gamma, X, e0[:, j], de[:, j, ..., i])
         diff = got - expect
         worst = np.maximum(worst, np.sqrt(np.maximum(frame_dot(diff, diff), 0.0)))
     return worst
@@ -262,7 +263,8 @@ def laplacian(S, params, u, v, field):
 def brioschi(S, params, u, v):
     """Brioschi K at (u, v) from its own jets over the NINE stencil."""
     st = Stencil(NINE, SECOND_STEP, u, v)
-    return _brioschi(st, surface_jets(S, params, st.U, st.V))
+    J = surface_jets(S, params, st.U, st.V)
+    return _brioschi(st, J.E, J.F, J.G)
 
 
 class TestFields:
@@ -411,7 +413,7 @@ class TestResidualArrays:
 def structural_maxima(params):
     """The worst value of each check of _structural_checks, None for a
     check with no values, and the number of grid points."""
-    stages = suites._SurfacePass(params, ["gauss-codazzi"]).stages
+    stages = suites._structural_stages(params)
     return {c.label: c.worst for c in _structural_checks(stages)}, stages.u.size
 
 
@@ -513,10 +515,10 @@ class TestStages:
         stages = Stages(surface, params, U, V)
         c = stages.centres
         # stage 1 is one jet call over the normal and Brioschi stencils
-        assert_same_bits(c.jet, surface_jets(surface, params, U, V))
+        assert_same_bits(c.shape.jet, surface_jets(surface, params, U, V))
         assert_same_bits(c.shape.A, shape_operator(surface, params, U, V).A)
         assert_same_bits(c.K, brioschi(surface, params, U, V))
-        ok = suite_mask(c.jet)
+        ok = suite_mask(c.shape.jet)
         assert ok.any()
         u, v, sub = U[ok], V[ok], stages.at(ok)
         kept = Stages(surface, params, u, v)
@@ -576,26 +578,26 @@ def count_jets(monkeypatch):
     return sizes
 
 
-def test_gauss_codazzi_jet_count(monkeypatch):
-    """One gauss-codazzi run at (0, 0.5) makes 4 surface_jets calls over
-    4,440 points: 74 grid points on 5 grids in one surface batch, with
-    stage 1 (17 points per grid point), stage 2 (5), the angle around stage
-    2 (20) and the shape operator at the +-e1 steps (18).  With one
-    pipeline per grid the same run made 20 calls, and with no stages shared
-    between the residuals 45 calls over 6,586 points."""
-    sizes = count_jets(monkeypatch)
-    assert run_suite("gauss-codazzi", BcvParams(0.0, 0.5))["pass"]
-    assert (len(sizes), sum(sizes)) == (4, 4440)
-
-
 @pytest.mark.parametrize("params", PAIRS6, ids=str)
-@pytest.mark.parametrize("suite", ["biconservative", "theorem44"])
-def test_bitension_suites_make_one_jet_call(monkeypatch, suite, params):
-    # every surface of the suite in one tangential_bitension call:
-    # 45 jets per point, its 5 gradient points times 9 normal-stencil points
+def test_lone_surface_suites_make_the_report_jet_calls(monkeypatch, params):
+    """The surface checks of a full report at (0, 0.5) make 5 surface_jets
+    calls over 6,870 points: 74 grid points on 5 grids in one surface
+    batch, with stage 1 (17 points per grid point), stage 2 (5), the angle
+    around stage 2 (20) and the shape operator at the +-e1 steps (18), and
+    the tangential bitension on the 54 points of the Hopf cylinders and the
+    ellipse tube (45).  Each lone surface suite makes the same calls and
+    reports the full report's entry."""
     sizes = count_jets(monkeypatch)
-    result = run_suite(suite, params)
-    assert sizes == [45 * result["samples"]]
+    report = {e["name"]: e for e in run_report(params)["suites"]}
+    calls = sizes[:]
+    assert len(calls) == 5
+    if params == BcvParams(0.0, 0.5):
+        assert sum(calls) == 6870
+    for name in ("gauss-codazzi", "biconservative", "theorem44"):
+        sizes.clear()
+        entry = run_suite(name, params)
+        assert sizes == calls, name
+        assert json.dumps(entry) == json.dumps(report[name])
 
 
 @pytest.mark.parametrize("params", PAIRS6 + [BcvParams(-14.0, 0.5), BcvParams(-16.0, 0.5)],
@@ -692,9 +694,9 @@ class TestSurfaceBatch:
                              ids=[f"{P}-{len(grids)}-members" for P, grids, _ in CASES])
     def test_batch_equals_member_calls(self, monkeypatch, params, grids, kept):
         monkeypatch.setattr(suites, "_structural_surfaces", lambda params: grids)
-        stages = suites._SurfacePass(params, ()).stages
+        stages = suites._structural_stages(params)
         batch = stages.S
-        ok = suite_mask(stages.centres.jet)
+        ok = suite_mask(stages.centres.shape.jet)
         sub = stages.at(ok)
         counts = [n for _, n in sub.S.members]
         assert counts == [int(ok[rows].sum()) for _, rows in batch._rows()]
@@ -710,7 +712,7 @@ class TestSurfaceBatch:
             want["centres"].append(own.centres)
             want["gauss"].append(gauss_residual(own))
             want["bitension"].append(tangential_bitension(own))
-            keep = suite_mask(own.centres.jet)
+            keep = suite_mask(own.centres.shape.jet)
             if keep.any():
                 u, v = u[keep], v[keep]
                 want["steps"].append(own.at(keep).steps)
@@ -821,5 +823,6 @@ def test_batched_suites_equal_per_surface_reference(params, seed):
     report = run_report(params, ["gauss-codazzi", "biconservative", "theorem44"], seed)
     want = per_surface_entries(params)
     for entry in report["suites"]:
-        got = (entry["samples"], entry["max_residual"], entry["pass"], entry["note"])
-        assert got == want[entry["name"]], (params, entry["name"])
+        for got in (entry, run_suite(entry["name"], params, seed)):
+            got = (got["samples"], got["max_residual"], got["pass"], got["note"])
+            assert got == want[entry["name"]], (params, entry["name"])

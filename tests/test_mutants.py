@@ -54,10 +54,10 @@ def tau_nonzero(P):
 MUTANTS = {
     "codazzi-2: drop (4 tau^2 - kappa) cos a sin a": (
         immersion, "codazzi_residual",
-        "e1_lam - e2_e2a - (4.0 * tau * tau - k) * c.jet.cos_alpha * c.jet.sin_alpha)",
+        "e1_lam - e2_e2a - (4.0 * tau * tau - k) * sh.jet.cos_alpha * sh.jet.sin_alpha)",
         "e1_lam - e2_e2a)", twisted),
     "gauss: drop (kappa - 4 tau^2) cos^2 a": (
-        immersion, "gauss_residual", " - (k - 4.0 * t * t) * c.jet.cos_alpha ** 2", "",
+        immersion, "gauss_residual", " - (k - 4.0 * t * t) * sh.jet.cos_alpha ** 2", "",
         twisted),
     "law of T: drop tau J W": (
         immersion, "compatibility_residual",

@@ -64,11 +64,6 @@ UNPASSED = {
 
 # the parameters that their function never reads, with the contract
 UNREAD = {
-    # the suite registry calls every suite as fn(params, rng), or the three
-    # surface suites as fn(their report's _SurfacePass, rng)
-    "suites._suite_gauss_codazzi(rng)",
-    "suites._suite_biconservative(rng)",
-    "suites._suite_theorem44(rng)",
     # a chart's partials take (u, v); a vertical cylinder's do not vary with v
     "rotation.hopf_tube.partials(v)",
 }

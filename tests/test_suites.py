@@ -139,7 +139,7 @@ class TestNanResidualFails:
 
         def nan_cos_alpha(self, *args):
             init(self, *args)
-            self.centres.jet.cos_alpha[0] = np.nan
+            self.centres.shape.jet.cos_alpha[0] = np.nan
         monkeypatch.setattr(immersion.Stages, "__init__", nan_cos_alpha)
         assert "jet nan" in self.gauss_codazzi()
 
@@ -292,11 +292,37 @@ def test_surface_suites_read_the_structural_surfaces(monkeypatch):
         ("gauss-codazzi", 28, True), ("biconservative", 6, True), ("theorem44", 10, True)]
 
 
-@pytest.mark.parametrize("params,names", [(BcvParams(1.0, 1.0), ["theorem44"]),
-                                          (P_NIL, ["gauss-codazzi"])], ids=str)
-def test_a_report_pass_runs_only_its_own_params_and_suites(params, names):
-    # a surface pass made for another pair, or for suites that leave this
-    # one out, is refused, not read at its own pair or failing on a lookup
-    surfaces = suites._SurfacePass(params, names)
-    with pytest.raises(ValueError, match="cannot run 'theorem44'"):
-        run_suite("theorem44", P_NIL, 42, surfaces)
+def report_cache(monkeypatch, params, names=None):
+    """The surface-check cache that a run_report call passes to run_suite."""
+    caches, run = [], suites.run_suite
+
+    def recording(name, params, seed=42, _surfaces=None):
+        caches.append(_surfaces)
+        return run(name, params, seed, _surfaces)
+    with monkeypatch.context() as m:
+        m.setattr(suites, "run_suite", recording)
+        run_report(params, names)
+    assert all(c is caches[0] for c in caches)
+    return caches[0]
+
+
+@pytest.mark.parametrize("names", [None, ["theorem44"]], ids=str)
+def test_a_report_cache_gives_the_entries_of_the_pair_it_is_called_at(monkeypatch, names):
+    # the cache of a report at (1, 1) holds that pair's checks; called at
+    # another pair it computes that pair's, so no entry of (1, 1) leaks
+    cache = report_cache(monkeypatch, BcvParams(1.0, 1.0), names)
+    assert cache.cache_info().currsize == 1
+    for name in ("gauss-codazzi", "biconservative", "theorem44"):
+        assert run_suite(name, P_NIL, 42, cache) == run_suite(name, P_NIL)
+
+
+def test_consecutive_reports_each_compute_the_surface_checks(monkeypatch):
+    # the cache lives for one report: nothing carries over to the next
+    calls, checks = [], suites._surface_checks
+
+    def counted(params):
+        calls.append(params)
+        return checks(params)
+    monkeypatch.setattr(suites, "_surface_checks", counted)
+    assert run_report(P_NIL) == run_report(P_NIL)
+    assert calls == [P_NIL, P_NIL]
